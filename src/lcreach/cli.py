@@ -45,7 +45,16 @@ from .graph import (
     path_yield,
     render_graph,
 )
-from .grammar import Cfg, Dfa, cyk_member, dfa_accepts, normalize, parse_cfg, parse_dfa
+from .grammar import (
+    Cfg,
+    Dfa,
+    NormalForm,
+    cyk_member,
+    dfa_accepts,
+    normalize,
+    parse_cfg,
+    parse_dfa,
+)
 from .languages import BUILTIN_NAMES, builtin_language
 from .reductions import (
     d2reach_to_dd2_ureach,
@@ -62,10 +71,12 @@ from .solve import (
     ExpansionLimitExceeded,
     bounded_enum_reach,
     cfl_reach,
+    check_derivation,
     dag_enum_reach,
     expand_witness,
     regular_reach,
     tree_reach,
+    witness_derivation,
 )
 
 EXIT_REACHABLE = 0
@@ -131,16 +142,24 @@ def _render_path(g: LabeledGraph, p: Path) -> str:
     return " ".join(parts)
 
 
-def _witness_file_payload(p: Path) -> dict:
-    return {
+def _write_witness_file(path: str, p: Path, derivation: Optional[list] = None) -> None:
+    """Version 1 holds the walk; version 2 adds the derivation that proves it."""
+    payload = {
         "format": WITNESS_FORMAT,
         "version": 1,
         "start": p.start,
         "steps": [[s.edge, bool(s.reverse)] for s in p.steps],
     }
+    if derivation is not None:
+        payload["version"] = 2
+        payload["derivation"] = derivation
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True)
+        fh.write("\n")
 
 
-def _load_witness_file(path: str) -> Path:
+def _load_witness_file(path: str) -> tuple[Path, object]:
+    """The walk, plus the unchecked derivation of a version 2 file (else None)."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -153,7 +172,8 @@ def _load_witness_file(path: str) -> Path:
         steps = tuple(Step(int(e), bool(r)) for e, r in payload["steps"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptWitnessError(f"malformed witness file: {exc}") from None
-    return Path(start, steps)
+    derivation = payload.get("derivation") if payload.get("version") == 2 else None
+    return Path(start, steps), derivation
 
 
 def _attach_path(report: SolveReport, g: LabeledGraph, p: Path) -> None:
@@ -174,6 +194,7 @@ class LanguageSource:
     member: Callable[[str], bool]
     grammar: Optional[Cfg] = None
     dfa: Optional[Dfa] = None
+    normal_form: Optional[NormalForm] = None  # set for grammar files only
 
 
 def _read(path: str) -> str:
@@ -199,6 +220,7 @@ def _load_language(args: argparse.Namespace) -> LanguageSource:
             label=f"grammar:{args.grammar}",
             member=lambda w: cyk_member(nf, w),
             grammar=cfg,
+            normal_form=nf,
         )
     if args.dfa is not None:
         d = parse_dfa(_read(args.dfa))
@@ -207,6 +229,20 @@ def _load_language(args: argparse.Namespace) -> LanguageSource:
     return LanguageSource(
         label=f"builtin:{lang.name}", member=lang.member, grammar=lang.grammar, dfa=lang.dfa
     )
+
+
+def _derivation_proves(g: LabeledGraph, lang: LanguageSource, p: Path, derivation) -> bool:
+    """True when ``derivation`` derives exactly ``p`` under the grammar file.
+
+    Any other outcome, including a malformed derivation, leaves the verdict
+    to the membership check, so a derivation can only spare that check.
+    """
+    if derivation is None or lang.normal_form is None:
+        return False
+    try:
+        return check_derivation(g, lang.normal_form, derivation, step_limit=len(p)) == p.steps
+    except CorruptWitnessError:
+        return False
 
 
 def _add_language_flags(parser: argparse.ArgumentParser) -> None:
@@ -222,13 +258,14 @@ def _add_language_flags(parser: argparse.ArgumentParser) -> None:
 def _solve_cfl(g: LabeledGraph, lang: LanguageSource, args: argparse.Namespace, report: SolveReport) -> int:
     if lang.grammar is None:
         raise _Usage(f"mode cfl needs a grammar; {lang.label} does not provide one")
-    witness = cfl_reach(g, lang.grammar)
+    stats: dict = {}
+    witness = cfl_reach(g, lang.normal_form or lang.grammar, stats=stats)
+    report.stats["facts_count"] = stats["facts"]
+    report.stats["worklist_pops"] = stats["pops"]
     if witness is None:
         report.decision = "unreachable"
         return EXIT_UNREACHABLE
     report.decision = "reachable"
-    report.stats["facts_count"] = len(witness.table.facts)
-    report.stats["worklist_pops"] = witness.table.pops
     expanded = expand_witness(witness, step_limit=args.expand_limit)
     if isinstance(expanded, ExpansionLimitExceeded):
         report.notes.append(
@@ -237,13 +274,18 @@ def _solve_cfl(g: LabeledGraph, lang: LanguageSource, args: argparse.Namespace, 
             f"shared derivation has {expanded.shared_size} facts"
         )
         return EXIT_REACHABLE
-    if not lang.member(path_yield(g, expanded)):
+    derivation = None
+    if lang.normal_form is not None:
+        # A grammar file's derivation proves membership in linear time.
+        derivation = witness_derivation(witness)
+        proved = _derivation_proves(g, lang, expanded, derivation)
+    else:
+        proved = lang.member(path_yield(g, expanded))
+    if not proved:
         raise CorruptWitnessError("internal check failed: witness yield is not a member")
     _attach_path(report, g, expanded)
     if args.witness_out:
-        with open(args.witness_out, "w") as fh:
-            json.dump(_witness_file_payload(expanded), fh, sort_keys=True)
-            fh.write("\n")
+        _write_witness_file(args.witness_out, expanded, derivation)
     return EXIT_REACHABLE
 
 
@@ -291,9 +333,7 @@ def _solve_enum(g: LabeledGraph, lang: LanguageSource, args: argparse.Namespace,
     report.decision = "reachable"
     _attach_path(report, g, found)
     if args.witness_out:
-        with open(args.witness_out, "w") as fh:
-            json.dump(_witness_file_payload(found), fh, sort_keys=True)
-            fh.write("\n")
+        _write_witness_file(args.witness_out, found)
     return EXIT_REACHABLE
 
 
@@ -387,7 +427,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.graph))
     lang = _load_language(args)
-    witness = _load_witness_file(args.witness)
+    witness, derivation = _load_witness_file(args.witness)
     report = SolveReport(decision="rejected")
     try:
         endpoints = path_endpoints(g, witness)
@@ -400,7 +440,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report.notes.append("path endpoints are not the graph's source and target")
         _emit(report, args.json)
         return EXIT_UNREACHABLE
-    if not lang.member(text):
+    if not _derivation_proves(g, lang, witness, derivation) and not lang.member(text):
         report.notes.append("path yield is not in the language")
         report.yield_ = text
         _emit(report, args.json)

@@ -12,7 +12,8 @@ Four solver families live here:
   facts ``(u, A, v)`` meaning "some u-to-v walk derives from nonterminal A".
   Witnesses come back as a derivation shared across facts, because on cyclic
   graphs the flattened walk can be exponentially longer than the derivation;
-  :func:`expand_witness` flattens under an explicit step budget.
+  :func:`expand_witness` flattens under an explicit step budget, and
+  :func:`check_derivation` checks a derivation rule by rule in linear time.
 * :func:`dag_enum_reach` / :func:`bounded_enum_reach` — exhaustive walk
   enumeration against a black-box membership predicate, for acyclic graphs
   and for a hard length bound respectively.
@@ -174,15 +175,21 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, order: str = "fifo") -> Rea
     return ReachTable(facts=frozenset(provenance), provenance=provenance, pops=pops)
 
 
-def cfl_reach(g: LabeledGraph, grammar, order: str = "fifo") -> Optional[Witness]:
-    """Grammar-constrained reachability; normalizes ``grammar`` internally.
+def cfl_reach(
+    g: LabeledGraph, grammar, order: str = "fifo", stats: Optional[dict] = None
+) -> Optional[Witness]:
+    """Grammar-constrained reachability against a ``Cfg`` or a ``NormalForm``.
 
-    Returns a witness rooted at ``(source, start, target)`` when the fact is
-    derivable, else None.  When source equals target and the start symbol is
-    nullable, the empty-walk witness is the one returned.
+    A ``Cfg`` is normalized first.  Returns a witness rooted at ``(source,
+    start, target)`` when the fact is derivable, else None.  When source
+    equals target and the start symbol is nullable, the empty-walk witness is
+    the one returned.  ``stats`` receives the table size and worklist pops
+    for both outcomes.
     """
-    nf = normalize(grammar)
+    nf = grammar if isinstance(grammar, NormalForm) else normalize(grammar)
     table = cfl_reach_table(g, nf, order=order)
+    if stats is not None:
+        stats.update(facts=len(table.facts), pops=table.pops)
     root = (g.source, nf.start, g.target)
     if root not in table.facts:
         return None
@@ -260,6 +267,111 @@ def expand_witness(w: Witness, step_limit: int = 10**6) -> Union[Path, Expansion
             stack.append(why.right)
             stack.append(why.left)
     return Path(start=w.root[0], steps=tuple(steps))
+
+
+def witness_derivation(w: Witness) -> list[tuple]:
+    """The witness derivation as nodes in postorder, for :func:`check_derivation`.
+
+    Every node starts with its fact ``(u, A, v)`` and a kind:
+    ``(u, A, v, "b", left, right)`` splits by a rule ``A -> B C`` whose
+    children are the nodes at indices ``left`` and ``right``;
+    ``(u, A, v, "t", edge, reverse)`` reads one edge; ``(u, A, v, "e")`` is
+    the empty walk.  Children come before their parents and the root is last.
+    """
+    facts = _derivation_postorder(w)
+    index = {fact: i for i, fact in enumerate(facts)}
+    nodes: list[tuple] = []
+    for fact in facts:
+        why = w.table.provenance[fact]
+        if isinstance(why, TerminalStep):
+            nodes.append((*fact, "t", why.edge, why.reverse))
+        elif isinstance(why, BinarySplit):
+            nodes.append((*fact, "b", index[why.left], index[why.right]))
+        else:
+            nodes.append((*fact, "e"))
+    return nodes
+
+
+def _is_index(x) -> bool:
+    return type(x) is int and x >= 0
+
+
+def check_derivation(
+    g: LabeledGraph, nf: NormalForm, nodes, step_limit: int = 10**6
+) -> tuple[Step, ...]:
+    """Check a postorder derivation rule by rule; return its flattened steps.
+
+    ``nodes`` has the layout :func:`witness_derivation` produces, or the same
+    nodes as JSON lists.  Each binary node must match a rule ``A -> B C`` of
+    ``nf``, refer only to earlier nodes, and chain its children's endpoints
+    ``u -> w -> v``.  Each terminal node must match a rule ``A -> a`` for the
+    label of an existing edge, traversed from ``u`` to ``v`` (reversed steps
+    only on undirected graphs).  An empty-walk node may only be the root,
+    and only when the start symbol is nullable.  The root, the last node, must
+    be ``(source, start, target)``.  The check takes time linear in the
+    number of nodes; flattening takes time linear in the walk, which must not
+    exceed ``step_limit`` steps.  Any violation, including a malformed node,
+    raises :class:`CorruptWitnessError`.
+    """
+    if not isinstance(nodes, (list, tuple)) or not nodes:
+        raise CorruptWitnessError("a derivation needs at least one node")
+    binary = set(nf.binary_rules)
+    terminal = set(nf.terminal_rules)
+    facts: list[Fact] = []
+    sizes: list[int] = []
+    for i, node in enumerate(nodes):
+        if not isinstance(node, (list, tuple)) or len(node) < 4:
+            raise CorruptWitnessError(f"derivation node {i} is not a list (u, A, v, kind, ...)")
+        u, a, v, kind, *rest = node
+        if not (_is_index(u) and _is_index(v) and isinstance(a, str)):
+            raise CorruptWitnessError(f"derivation node {i} has a malformed fact")
+        if kind == "b" and len(rest) == 2:
+            left, right = rest
+            if not (_is_index(left) and _is_index(right) and left < i and right < i):
+                raise CorruptWitnessError(f"derivation node {i} refers to a later node")
+            u1, b, w1 = facts[left]
+            w2, c, v2 = facts[right]
+            if (a, b, c) not in binary:
+                raise CorruptWitnessError(f"derivation node {i}: no rule {a} -> {b} {c}")
+            if (u1, w1, v2) != (u, w2, v):
+                raise CorruptWitnessError(f"derivation node {i}: endpoints do not chain")
+            sizes.append(min(sizes[left] + sizes[right], step_limit + 1))  # no huge ints
+        elif kind == "t" and len(rest) == 2:
+            edge, reverse = rest
+            if not (_is_index(edge) and edge < len(g.edges) and isinstance(reverse, bool)):
+                raise CorruptWitnessError(f"derivation node {i} names no edge of the graph")
+            if reverse and g.kind == DIRECTED:
+                raise CorruptWitnessError(f"derivation node {i} reverses a directed edge")
+            e = g.edges[edge]
+            if (a, e.label) not in terminal:
+                raise CorruptWitnessError(f"derivation node {i}: no rule {a} -> {e.label!r}")
+            if (u, v) != ((e.v, e.u) if reverse else (e.u, e.v)):
+                raise CorruptWitnessError(f"derivation node {i} does not match edge {edge}")
+            sizes.append(1)
+        elif kind == "e" and not rest:
+            if i != len(nodes) - 1 or not nf.start_nullable or (a, v) != (nf.start, u):
+                raise CorruptWitnessError(f"derivation node {i}: misplaced empty walk")
+            sizes.append(0)
+        else:
+            raise CorruptWitnessError(f"derivation node {i} has an unknown kind")
+        facts.append((u, a, v))
+    if facts[-1] != (g.source, nf.start, g.target):
+        raise CorruptWitnessError("derivation root is not (source, start, target)")
+    if sizes[-1] > step_limit:
+        raise CorruptWitnessError(
+            f"derivation flattens to {sizes[-1]} steps, over the limit of {step_limit}"
+        )
+
+    steps: list[Step] = []
+    stack = [len(nodes) - 1]
+    while stack:
+        node = nodes[stack.pop()]
+        if node[3] == "t":
+            steps.append(Step(node[4], node[5]))
+        elif node[3] == "b":
+            stack.append(node[5])
+            stack.append(node[4])
+    return tuple(steps)
 
 
 def regular_reach(

@@ -6,6 +6,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the PASS lines.
 """
 
 import itertools
+import json
 import random
 import time
 
@@ -242,3 +243,23 @@ def test_criterion_10_recognizer_against_parser():
         total += 1
     assert agreements[False] > 0  # odd lengths are always rejected
     _report(10, started, 120.0)
+
+
+def test_criterion_11_grammar_certificate_round_trip_on_a_long_chain(tmp_path, capsys):
+    from lcreach.cli import dispatch
+
+    word = "(" * 500 + ")" * 500
+    edges = "".join(f"{i} {i + 1} {ch}\n" for i, ch in enumerate(word))
+    graph = tmp_path / "chain.graph"
+    graph.write_text(f"directed 1001 1000\n()\n{edges}0 1000\n")
+    grammar = tmp_path / "d2.cfg"
+    grammar.write_text("S -> '(' S ')' | '[' S ']' | '(' ')' | '[' ']' | S S\n")
+    witness = tmp_path / "w.json"
+    started = time.perf_counter()
+    lang = ["--graph", str(graph), "--grammar", str(grammar)]
+    assert dispatch(["solve", *lang, "--witness-out", str(witness), "--json"]) == 0
+    assert dispatch(["verify", *lang, "--witness", str(witness), "--json"]) == 0
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert reports[0]["yield"] == reports[1]["yield"] == word
+    with capsys.disabled():
+        _report(11, started, 5.0)

@@ -228,6 +228,127 @@ def test_corrupt_witness_file_is_a_format_error(files, capsys, tmp_path):
     assert "error:" in err
 
 
+D2_CFG = "S -> '(' S ')' | '[' S ']' | '(' ')' | '[' ']' | S S\n"
+# the same language under other names, and a grammar without "[]"
+D2_RENAMED_CFG = "T -> P T Q | P Q | R T E | R E | T T\nP -> '('\nQ -> ')'\nR -> '['\nE -> ']'\n"
+ROUND_ONLY_CFG = "S -> '(' S ')' | '(' ')' | S S\n"
+NESTED = "directed 5 4\n()[]\n0 1 [\n1 2 (\n2 3 )\n3 4 ]\n0 4\n"
+
+
+def _solve_v2(files, capsys, tmp_path):
+    g = files("g.graph", NESTED)
+    cfg = files("d2.cfg", D2_CFG)
+    wfile = str(tmp_path / "w.json")
+    code, out, _ = run(capsys, "solve", "--graph", g, "--grammar", cfg, "--witness-out", wfile, "--json")
+    assert code == 0
+    return g, cfg, wfile, json.loads(out)
+
+
+def _verify(capsys, g, cfg, payload, tmp_path, name):
+    wfile = tmp_path / name
+    wfile.write_text(json.dumps(payload))
+    return run(capsys, "verify", "--graph", g, "--grammar", cfg, "--witness", str(wfile), "--json")[:2]
+
+
+def _as_v1(payload):
+    return {k: (1 if k == "version" else v) for k, v in payload.items() if k != "derivation"}
+
+
+def test_grammar_witness_v2_round_trip_needs_no_cyk(files, capsys, tmp_path, monkeypatch):
+    g, cfg, wfile, report = _solve_v2(files, capsys, tmp_path)
+    payload = json.loads(open(wfile).read())
+    assert payload["version"] == 2
+    assert payload["steps"] == report["witness"]["steps"]
+    assert payload["derivation"][-1][:4] == [0, "S", 4, "b"]
+
+    def no_cyk(nf, w):
+        raise AssertionError("a checked derivation must spare the membership check")
+
+    monkeypatch.setattr("lcreach.cli.cyk_member", no_cyk)
+    code, out, _ = run(capsys, "verify", "--graph", g, "--grammar", cfg, "--witness", wfile, "--json")
+    assert code == 0
+    assert json.loads(out)["decision"] == "verified"
+    assert json.loads(out)["witness"] == report["witness"]
+
+
+def test_handwritten_v1_file_verifies_with_a_grammar(files, capsys, tmp_path):
+    g = files("g.graph", NESTED)
+    cfg = files("d2.cfg", D2_CFG)
+    payload = {"format": "lcreach-witness", "version": 1, "start": 0,
+               "steps": [[0, False], [1, False], [2, False], [3, False]]}
+    code, out = _verify(capsys, g, cfg, payload, tmp_path, "v1.json")
+    assert code == 0
+    assert json.loads(out)["yield"] == "[()]"
+
+
+def _tampered(payload):
+    """Version 2 payloads whose derivation does not prove their steps."""
+    nodes = payload["derivation"]
+    root = len(nodes) - 1
+    yield {**payload, "derivation": nodes[:-1]}
+    yield {**payload, "derivation": nodes[:-1] + [nodes[-1][:4] + [root - 1, root - 1]]}
+    yield {**payload, "derivation": [[n[0], "S", *n[2:]] for n in nodes]}
+    yield {**payload, "derivation": "S -> '(' ')'"}
+    yield {**payload, "derivation": [[-1, "S", -1, "b", -1, -1]]}
+    yield {**payload, "derivation": [[[[]]]]}
+    yield {**payload, "steps": payload["steps"][:2]}
+    yield {**payload, "steps": payload["steps"][1:3], "start": 1}
+
+
+def test_tampered_v2_gives_the_v1_verdict(files, capsys, tmp_path):
+    g, cfg, wfile, _ = _solve_v2(files, capsys, tmp_path)
+    payload = json.loads(open(wfile).read())
+    verdicts = set()
+    for i, bad in enumerate(_tampered(payload)):
+        v2 = _verify(capsys, g, cfg, bad, tmp_path, f"v2_{i}.json")
+        v1 = _verify(capsys, g, cfg, _as_v1(bad), tmp_path, f"v1_{i}.json")
+        assert v2 == v1, i
+        verdicts.add(v2[0])
+    assert verdicts == {0, 1}
+
+
+@pytest.mark.parametrize("other, expected", [(D2_RENAMED_CFG, 0), (ROUND_ONLY_CFG, 1)])
+def test_v2_against_another_grammar_gives_the_v1_verdict(files, capsys, tmp_path, other, expected):
+    g, _, wfile, _ = _solve_v2(files, capsys, tmp_path)
+    payload = json.loads(open(wfile).read())
+    other_cfg = files("other.cfg", other)
+    v2 = _verify(capsys, g, other_cfg, payload, tmp_path, "v2.json")
+    assert v2 == _verify(capsys, g, other_cfg, _as_v1(payload), tmp_path, "v1.json")
+    assert v2[0] == expected
+
+
+def test_builtin_witness_file_stays_v1(files, capsys, tmp_path):
+    g = files("g.graph", NESTED)
+    wfile = str(tmp_path / "w.json")
+    code, _, _ = run(capsys, "solve", "--graph", g, "--builtin", "d2", "--witness-out", wfile)
+    assert code == 0
+    assert open(wfile).read() == (
+        '{"format": "lcreach-witness", "start": 0, "steps": '
+        '[[0, false], [1, false], [2, false], [3, false]], "version": 1}\n'
+    )
+    code, out, _ = run(capsys, "verify", "--graph", g, "--builtin", "d2", "--witness", wfile, "--json")
+    assert code == 0
+    assert out == (
+        '{"decision": "verified", "notes": [], "stats": {}, "witness": {"rendered": '
+        '"0 --[--> 1 --(--> 2 --)--> 3 --]--> 4", "start": 0, "steps": '
+        '[[0, 0], [1, 0], [2, 0], [3, 0]]}, "yield": "[()]"}\n'
+    )
+
+
+@pytest.mark.parametrize("source", [("--builtin", "d2"), ("--grammar", D2_CFG)])
+@pytest.mark.parametrize("graph_text, code", [(NESTED, 0), ("directed 2 1\n()\n1 0 (\n0 1\n", 1)])
+def test_cfl_stats_keys_are_the_same_for_both_outcomes(files, capsys, source, graph_text, code):
+    flag, value = source
+    if flag == "--grammar":
+        value = files("d2.cfg", value)
+    g = files("g.graph", graph_text)
+    got, out, _ = run(capsys, "solve", "--graph", g, flag, value, "--json")
+    assert got == code
+    stats = json.loads(out)["stats"]
+    assert sorted(stats) == ["facts_count", "worklist_pops"]
+    assert stats["facts_count"] >= stats["worklist_pops"] > 0
+
+
 # --- member --------------------------------------------------------------------
 
 

@@ -1,0 +1,234 @@
+"""Derivation certificates: witnesses checked rule by rule, CYK as the oracle."""
+
+import contextlib
+import io
+import json
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lcreach import (
+    DIRECTED,
+    UNDIRECTED,
+    Cfg,
+    CorruptWitnessError,
+    Edge,
+    ExpansionLimitExceeded,
+    LabeledGraph,
+    Path,
+    cfl_reach,
+    cyk_member,
+    d2_grammar,
+    expand_witness,
+    normalize,
+    parse_cfg,
+    path_yield,
+    random_cfg,
+    random_graph,
+)
+from lcreach.cli import dispatch
+from lcreach.solve import check_derivation, witness_derivation
+
+D2_NF = normalize(d2_grammar())
+
+
+def graph(kind, n, edges, s, t, alphabet):
+    return LabeledGraph(kind, n, tuple(Edge(*e) for e in edges), s, t, frozenset(alphabet))
+
+
+def derivation_of(g, nf):
+    w = cfl_reach(g, nf)
+    assert w is not None
+    return witness_derivation(w), expand_witness(w)
+
+
+# --- the certificates the solver writes ------------------------------------------
+
+
+@st.composite
+def instances(draw):
+    """A random grammar over "ab" and a random small graph over the same labels."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    cfg = random_cfg(
+        rng, draw(st.integers(1, 4)), draw(st.integers(1, 7)), "ab",
+        max_body=3, epsilon_bias=draw(st.sampled_from([0.0, 0.3])),
+    )
+    cfg = Cfg(cfg.nonterminals, frozenset("ab"), cfg.productions, cfg.start)
+    kind = draw(st.sampled_from([DIRECTED, UNDIRECTED]))
+    g = random_graph(rng, draw(st.integers(1, 5)), draw(st.integers(0, 9)), "ab",
+                     kind=kind, self_loops=True)
+    return g, normalize(cfg), draw(st.sampled_from(["fifo", "lifo"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(instances())
+def test_every_solver_witness_passes_the_check(instance):
+    g, nf, order = instance
+    w = cfl_reach(g, nf, order=order)
+    if w is None:
+        return
+    expanded = expand_witness(w)
+    nodes = witness_derivation(w)
+    if isinstance(expanded, ExpansionLimitExceeded):
+        with pytest.raises(CorruptWitnessError, match="over the limit"):
+            check_derivation(g, nf, nodes)
+        return
+    steps = check_derivation(g, nf, nodes)
+    assert steps == expanded.steps
+    assert cyk_member(nf, path_yield(g, Path(g.source, steps)))
+    # the JSON form a witness file carries checks the same way
+    assert check_derivation(g, nf, json.loads(json.dumps(nodes))) == steps
+
+
+def test_empty_walk_certificate():
+    nf = normalize(parse_cfg("S -> '(' S ')' |"))
+    g = graph(DIRECTED, 2, [(0, 1, "(")], 1, 1, "()")
+    nodes, expanded = derivation_of(g, nf)
+    assert nodes == [(1, "S", 1, "e")]
+    assert check_derivation(g, nf, nodes) == expanded.steps == ()
+
+
+def test_reversed_steps_check_on_undirected_graphs():
+    g = graph(UNDIRECTED, 3, [(1, 2, "("), (0, 1, ")")], 2, 0, "()")
+    nodes, expanded = derivation_of(g, D2_NF)
+    assert [n[5] for n in nodes if n[3] == "t"] == [True, True]
+    assert check_derivation(g, D2_NF, nodes) == expanded.steps
+
+
+def test_flattening_respects_the_step_limit():
+    g = graph(DIRECTED, 5, [(0, 1, "("), (1, 2, ")"), (2, 3, "["), (3, 4, "]")], 0, 4, "()[]")
+    nodes, _ = derivation_of(g, D2_NF)
+    assert len(check_derivation(g, D2_NF, nodes, step_limit=4)) == 4
+    with pytest.raises(CorruptWitnessError, match="over the limit"):
+        check_derivation(g, D2_NF, nodes, step_limit=3)
+
+
+def test_exponential_derivation_is_rejected_without_flattening():
+    nf = normalize(parse_cfg("S -> S S | 'a'"))
+    g = graph(DIRECTED, 1, [(0, 0, "a")], 0, 0, "a")
+    doubling = [(0, "S", 0, "t", 0, False)] + [(0, "S", 0, "b", i, i) for i in range(5000)]
+    with pytest.raises(CorruptWitnessError, match="over the limit of 1000000"):
+        check_derivation(g, nf, doubling)
+
+
+# --- single mutations are rejected -------------------------------------------------
+
+# "()()" on a chain: two S facts joined at vertex 2 by S -> S S at the root.
+CHAIN = graph(DIRECTED, 5, [(0, 1, "("), (1, 2, ")"), (2, 3, "("), (3, 4, ")")], 0, 4, "()")
+BASE, _ = derivation_of(CHAIN, D2_NF)
+
+
+def _where(kind):
+    return next(i for i, n in enumerate(BASE) if n[3] == kind)
+
+
+def _replace(i, node):
+    nodes = list(BASE)
+    nodes[i] = node
+    return nodes
+
+
+def _first_terminal_reversed():
+    i = _where("t")
+    u, a, v, _, edge, _ = BASE[i]
+    return _replace(i, (v, a, u, "t", edge, True))
+
+
+ROOT = len(BASE) - 1
+MUTATIONS = {
+    "unknown binary rule": (
+        lambda: _replace(ROOT, (0, "_b1", 4, *BASE[ROOT][3:])), "no rule _b1 -> S S"),
+    "unknown terminal rule": (
+        lambda: _replace(_where("t"), (*BASE[_where("t")][:1], "S", *BASE[_where("t")][2:])),
+        "no rule"),
+    "broken split vertex": (
+        lambda: _replace(ROOT, (*BASE[ROOT][:4], BASE[ROOT][4], BASE[ROOT][4])),
+        "do not chain"),
+    "forward reference": (
+        lambda: _replace(0, (*BASE[ROOT][:4], 1, 2)), "later node"),
+    "self reference": (
+        lambda: _replace(ROOT, (*BASE[ROOT][:4], ROOT, BASE[ROOT][5])), "later node"),
+    "edge out of range": (
+        lambda: _replace(_where("t"), (*BASE[_where("t")][:4], len(CHAIN.edges), False)),
+        "names no edge"),
+    "negative edge": (
+        lambda: _replace(_where("t"), (*BASE[_where("t")][:4], -1, False)), "names no edge"),
+    "edge endpoints swapped": (
+        lambda: _replace(_where("t"), (*BASE[_where("t")][:4], 2, False)), "does not match edge"),
+    "reversed step on a directed graph": (_first_terminal_reversed, "reverses a directed edge"),
+    "wrong root": (lambda: BASE[:-1], "root"),
+    "epsilon without a nullable start": (
+        lambda: [(0, "S", 0, "e")], "misplaced empty walk"),
+    "unknown kind": (lambda: _replace(ROOT, (*BASE[ROOT][:3], "x")), "unknown kind"),
+}
+
+
+def test_the_unmutated_base_passes():
+    assert BASE[ROOT][:4] == (0, "S", 4, "b")
+    assert len(check_derivation(CHAIN, D2_NF, BASE)) == 4
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_single_mutation_is_rejected(name):
+    mutate, reason = MUTATIONS[name]
+    g = CHAIN if name != "epsilon without a nullable start" else graph(DIRECTED, 1, [], 0, 0, "()")
+    with pytest.raises(CorruptWitnessError, match=reason):
+        check_derivation(g, D2_NF, mutate())
+
+
+def test_epsilon_below_the_root_is_rejected_even_when_nullable():
+    nf = normalize(parse_cfg("S -> '(' S ')' | S S |"))
+    g = graph(DIRECTED, 3, [(0, 1, "("), (1, 2, ")")], 0, 2, "()")
+    nodes, _ = derivation_of(g, nf)
+    eps_first = [(0, "S", 0, "e")] + [
+        (*n[:4], n[4] + 1, n[5] + 1) if n[3] == "b" else n for n in nodes
+    ]
+    with pytest.raises(CorruptWitnessError, match="misplaced empty walk"):
+        check_derivation(g, nf, eps_first)
+
+
+# --- arbitrary shapes never escape as anything but CorruptWitnessError --------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats(allow_nan=False)
+    | st.sampled_from(["S", "b", "t", "e", "_t_("]),
+    lambda inner: st.lists(inner, max_size=7) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_arbitrary_json_is_rejected_cleanly(nodes):
+    try:
+        check_derivation(CHAIN, D2_NF, nodes)
+    except CorruptWitnessError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "nodes",
+    ["()()", [[]], [[[0, "S", 4, "b", 0, 0]]], [[0, "S", 4, "b", -1, -2]], [[0, ["S"], 4, "t", 0, False]],
+     [[0, "S", 4, "t", 0, 0]], [[0, "S", 4, "t", True, False]], [[0.0, "S", 4, "e"]], {"0": 1}, []],
+)
+def test_malformed_shapes_are_rejected(nodes):
+    with pytest.raises(CorruptWitnessError):
+        check_derivation(CHAIN, D2_NF, nodes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(json_values)
+def test_verify_falls_back_on_any_derivation_shape(tmp_path_factory, nodes):
+    workdir = tmp_path_factory.mktemp("verify")
+    (workdir / "g.graph").write_text("directed 5 4\n()\n0 1 (\n1 2 )\n2 3 (\n3 4 )\n0 4\n")
+    (workdir / "d2.cfg").write_text("S -> '(' S ')' | '(' ')' | S S\n")
+    payload = {"format": "lcreach-witness", "version": 2, "start": 0, "derivation": nodes,
+               "steps": [[0, False], [1, False], [2, False], [3, False]]}
+    (workdir / "w.json").write_text(json.dumps(payload))
+    argv = ["verify", "--graph", str(workdir / "g.graph"), "--grammar", str(workdir / "d2.cfg"),
+            "--witness", str(workdir / "w.json")]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert dispatch(argv) == 0
+    assert out.getvalue().startswith("decision: verified\n")
