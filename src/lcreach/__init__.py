@@ -58,7 +58,7 @@ from .grammar import (
 )
 from .languages import (
     BUILTIN_NAMES,
-    BuiltinLanguage,
+    Language,
     abstar_dfa,
     abstar_member,
     adjacency_bits,

@@ -12,7 +12,8 @@ Subcommands:
 * ``verify`` — replay a witness file against a graph and language.
 
 Exit codes: 0 reachable/member/success, 1 unreachable/non-member/rejected,
-2 usage or format errors, 3 bounded search exhausted without an answer.
+2 usage or format errors, 3 bounded search exhausted without an answer,
+4 internal error (a bug, never an answer).
 
 Reports are deterministic byte-for-byte for identical inputs; wall-clock
 timing is only included under ``--timings``.
@@ -25,15 +26,10 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import generators
-from .errors import (
-    CorruptWitnessError,
-    ForeignSymbolError,
-    LcreachError,
-    NoRespectingPathError,
-)
+from .errors import CorruptWitnessError, LcreachError, NoRespectingPathError
 from .graph import (
     DIRECTED,
     UNDIRECTED,
@@ -45,17 +41,8 @@ from .graph import (
     path_yield,
     render_graph,
 )
-from .grammar import (
-    Cfg,
-    Dfa,
-    NormalForm,
-    cyk_member,
-    dfa_accepts,
-    normalize,
-    parse_cfg,
-    parse_dfa,
-)
-from .languages import BUILTIN_NAMES, builtin_language
+from .grammar import cyk_member, dfa_accepts, normalize, parse_cfg, parse_dfa
+from .languages import BUILTIN_NAMES, Language, builtin_language
 from .reductions import (
     d2reach_to_dd2_ureach,
     mcvp_to_d2_reach,
@@ -83,6 +70,7 @@ EXIT_REACHABLE = 0
 EXIT_UNREACHABLE = 1
 EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
+EXIT_INTERNAL = 4
 
 WITNESS_FORMAT = "lcreach-witness"
 
@@ -186,52 +174,29 @@ def _attach_path(report: SolveReport, g: LabeledGraph, p: Path) -> None:
 # --- language sources --------------------------------------------------------
 
 
-@dataclass
-class LanguageSource:
-    """A language plus the routines the CLI needs from it."""
-
-    label: str
-    member: Callable[[str], bool]
-    grammar: Optional[Cfg] = None
-    dfa: Optional[Dfa] = None
-    normal_form: Optional[NormalForm] = None  # set for grammar files only
-
-
 def _read(path: str) -> str:
     with open(path) as fh:
         return fh.read()
 
 
-def _total_dfa_member(d: Dfa) -> Callable[[str], bool]:
-    def member(w: str) -> bool:
-        try:
-            return dfa_accepts(d, w)
-        except ForeignSymbolError:
-            return False
-
-    return member
-
-
-def _load_language(args: argparse.Namespace) -> LanguageSource:
+def _load_language(args: argparse.Namespace) -> Language:
     if args.grammar is not None:
         cfg = parse_cfg(_read(args.grammar))
         nf = normalize(cfg)
-        return LanguageSource(
-            label=f"grammar:{args.grammar}",
-            member=lambda w: cyk_member(nf, w),
-            grammar=cfg,
-            normal_form=nf,
-        )
+        return Language(args.grammar, lambda w: cyk_member(nf, w), grammar=cfg, normal_form=nf)
     if args.dfa is not None:
         d = parse_dfa(_read(args.dfa))
-        return LanguageSource(label=f"dfa:{args.dfa}", member=_total_dfa_member(d), dfa=d)
-    lang = builtin_language(args.builtin)
-    return LanguageSource(
-        label=f"builtin:{lang.name}", member=lang.member, grammar=lang.grammar, dfa=lang.dfa
-    )
+        return Language(args.dfa, lambda w: set(w) <= d.alphabet and dfa_accepts(d, w), dfa=d)
+    return builtin_language(args.builtin)
 
 
-def _derivation_proves(g: LabeledGraph, lang: LanguageSource, p: Path, derivation) -> bool:
+def _source(args: argparse.Namespace) -> str:
+    """The language source as the command line named it, e.g. ``builtin:d2``."""
+    flag = "grammar" if args.grammar is not None else "dfa" if args.dfa is not None else "builtin"
+    return f"{flag}:{getattr(args, flag)}"
+
+
+def _derivation_proves(g: LabeledGraph, lang: Language, p: Path, derivation) -> bool:
     """True when ``derivation`` derives exactly ``p`` under the grammar file.
 
     Any other outcome, including a malformed derivation, leaves the verdict
@@ -255,86 +220,83 @@ def _add_language_flags(parser: argparse.ArgumentParser) -> None:
 # --- solve -------------------------------------------------------------------
 
 
-def _solve_cfl(g: LabeledGraph, lang: LanguageSource, args: argparse.Namespace, report: SolveReport) -> int:
+# Each mode's runner fills in its stats and returns the walk it found (None
+# when it found none, or found one too long to expand) plus, for a grammar
+# file in mode cfl, the derivation that proves it.  A runner that decides
+# something other than "unreachable" on a None walk says so in the report.
+Found = tuple[Optional[Path], Optional[list]]
+
+
+def _run_cfl(g: LabeledGraph, lang: Language, args: argparse.Namespace, report: SolveReport) -> Found:
     if lang.grammar is None:
-        raise _Usage(f"mode cfl needs a grammar; {lang.label} does not provide one")
+        raise _Usage(f"mode cfl needs a grammar; {_source(args)} does not provide one")
     stats: dict = {}
     witness = cfl_reach(g, lang.normal_form or lang.grammar, stats=stats)
-    report.stats["facts_count"] = stats["facts"]
-    report.stats["worklist_pops"] = stats["pops"]
+    report.stats.update(facts_count=stats["facts"], worklist_pops=stats["pops"])
     if witness is None:
-        report.decision = "unreachable"
-        return EXIT_UNREACHABLE
-    report.decision = "reachable"
+        return None, None
     expanded = expand_witness(witness, step_limit=args.expand_limit)
     if isinstance(expanded, ExpansionLimitExceeded):
+        report.decision = "reachable"
         report.notes.append(
             "witness expansion skipped: "
             f"{expanded.expanded_steps} steps exceed the limit of {args.expand_limit}; "
             f"shared derivation has {expanded.shared_size} facts"
         )
-        return EXIT_REACHABLE
-    derivation = None
-    if lang.normal_form is not None:
-        # A grammar file's derivation proves membership in linear time.
-        derivation = witness_derivation(witness)
-        proved = _derivation_proves(g, lang, expanded, derivation)
-    else:
-        proved = lang.member(path_yield(g, expanded))
-    if not proved:
-        raise CorruptWitnessError("internal check failed: witness yield is not a member")
-    _attach_path(report, g, expanded)
-    if args.witness_out:
-        _write_witness_file(args.witness_out, expanded, derivation)
-    return EXIT_REACHABLE
+        return None, None
+    # A grammar file's derivation proves membership in linear time.
+    return expanded, witness_derivation(witness) if lang.normal_form is not None else None
 
 
-def _solve_enum(g: LabeledGraph, lang: LanguageSource, args: argparse.Namespace, report: SolveReport) -> int:
+def _run_regular(g: LabeledGraph, lang: Language, args: argparse.Namespace, report: SolveReport) -> Found:
+    if lang.dfa is None:
+        raise _Usage(f"mode regular needs a DFA; {_source(args)} does not provide one")
     stats: dict = {}
-    if args.mode == "regular":
-        if lang.dfa is None:
-            raise _Usage(f"mode regular needs a DFA; {lang.label} does not provide one")
-        found = regular_reach(g, lang.dfa, stats=stats)
-        report.stats["facts_count"] = stats.get("states", 0)
-        report.stats["worklist_pops"] = stats.get("pops", 0)
-    elif args.mode == "dag-enum":
-        found = dag_enum_reach(g, lang.member, stats=stats)
-        report.stats["facts_count"] = 0
-        report.stats["worklist_pops"] = stats.get("paths_examined", 0)
-    elif args.mode == "bounded-enum":
-        if args.max_len is None:
-            raise _Usage("mode bounded-enum requires --max-len")
-        found = bounded_enum_reach(g, lang.member, args.max_len, stats=stats)
-        report.stats["facts_count"] = stats.get("states_examined", 0)
-        report.stats["worklist_pops"] = stats.get("states_examined", 0)
-    else:
-        try:
-            found = tree_reach(g, lang.member)
-        except NoRespectingPathError:
-            report.decision = "unreachable"
-            report.notes.append("the unique tree path violates an edge direction")
-            report.stats["facts_count"] = 0
-            report.stats["worklist_pops"] = 1
-            return EXIT_UNREACHABLE
-        report.stats["facts_count"] = 0
-        report.stats["worklist_pops"] = 1
+    found = regular_reach(g, lang.dfa, stats=stats)
+    report.stats.update(facts_count=stats.get("states", 0), worklist_pops=stats.get("pops", 0))
+    return found, None
 
+
+def _run_dag_enum(g: LabeledGraph, lang: Language, args: argparse.Namespace, report: SolveReport) -> Found:
+    stats: dict = {}
+    found = dag_enum_reach(g, lang.member, stats=stats)
+    report.stats.update(facts_count=0, worklist_pops=stats.get("paths_examined", 0))
+    return found, None
+
+
+def _run_bounded_enum(g: LabeledGraph, lang: Language, args: argparse.Namespace, report: SolveReport) -> Found:
+    if args.max_len is None:
+        raise _Usage("mode bounded-enum requires --max-len")
+    if args.max_len < 0:
+        raise _Usage("--max-len must be nonnegative")
+    stats: dict = {}
+    found = bounded_enum_reach(g, lang.member, args.max_len, stats=stats)
+    examined = stats.get("states_examined", 0)
+    report.stats.update(facts_count=examined, worklist_pops=examined)
     if found is None:
-        if args.mode == "bounded-enum":
-            report.decision = "unknown-bounded"
-            report.notes.append(f"no accepted walk of length <= {args.max_len}")
-            return EXIT_UNKNOWN
-        report.decision = "unreachable"
-        return EXIT_UNREACHABLE
-    text = path_yield(g, found)
-    checker = lang.member if args.mode != "regular" else _total_dfa_member(lang.dfa)
-    if path_endpoints(g, found) != (g.source, g.target) or not checker(text):
-        raise CorruptWitnessError("internal check failed: solver returned an invalid path")
-    report.decision = "reachable"
-    _attach_path(report, g, found)
-    if args.witness_out:
-        _write_witness_file(args.witness_out, found)
-    return EXIT_REACHABLE
+        report.decision = "unknown-bounded"
+        report.notes.append(f"no accepted walk of length <= {args.max_len}")
+    return found, None
+
+
+def _run_tree(g: LabeledGraph, lang: Language, args: argparse.Namespace, report: SolveReport) -> Found:
+    try:
+        found = tree_reach(g, lang.member)
+    except NoRespectingPathError:
+        found = None
+        report.notes.append("the unique tree path violates an edge direction")
+    report.stats.update(facts_count=0, worklist_pops=1)
+    return found, None
+
+
+_RUNNERS = {
+    "cfl": _run_cfl,
+    "regular": _run_regular,
+    "dag-enum": _run_dag_enum,
+    "bounded-enum": _run_bounded_enum,
+    "tree": _run_tree,
+}
+_EXIT_CODES = {"reachable": EXIT_REACHABLE, "unreachable": EXIT_UNREACHABLE, "unknown-bounded": EXIT_UNKNOWN}
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -344,14 +306,22 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise _Usage("--max-len only applies to bounded-enum")
     report = SolveReport(decision="unreachable")
     started = time.perf_counter()
-    if args.mode == "cfl":
-        code = _solve_cfl(g, lang, args, report)
-    else:
-        code = _solve_enum(g, lang, args, report)
+    found, derivation = _RUNNERS[args.mode](g, lang, args, report)
+    if found is not None:
+        if derivation is not None:
+            proved = _derivation_proves(g, lang, found, derivation)
+        else:
+            proved = path_endpoints(g, found) == (g.source, g.target) and lang.member(path_yield(g, found))
+        if not proved:
+            raise RuntimeError("internal check failed: solver returned an invalid witness")
+        report.decision = "reachable"
+        _attach_path(report, g, found)
+        if args.witness_out:
+            _write_witness_file(args.witness_out, found, derivation)
     if args.timings:
         report.stats["wall_time"] = round(time.perf_counter() - started, 6)
     _emit(report, args.json)
-    return code
+    return _EXIT_CODES[report.decision]
 
 
 # --- member ------------------------------------------------------------------
@@ -400,19 +370,22 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     import random
 
     rng = random.Random(args.seed)
-    if args.kind == "graph":
-        g = generators.random_graph(
-            rng, args.n, args.m, args.alphabet, kind=args.graph_kind, self_loops=args.self_loops
-        )
-        text = render_graph(g)
-    elif args.kind == "dag":
-        text = render_graph(generators.random_dag(rng, args.n, args.m, args.alphabet))
-    elif args.kind == "circuit":
-        text = render_circuit(generators.random_circuit(rng, args.inputs, args.gates))
-    elif args.kind == "vc":
-        text = render_vc(generators.random_vc_instance(rng, args.n, args.m, args.k))
-    else:
-        text = generators.random_nbc_string(rng, args.blocks) + "\n"
+    try:  # the generators reject impossible sizes with ValueError
+        if args.kind == "graph":
+            g = generators.random_graph(
+                rng, args.n, args.m, args.alphabet, kind=args.graph_kind, self_loops=args.self_loops
+            )
+            text = render_graph(g)
+        elif args.kind == "dag":
+            text = render_graph(generators.random_dag(rng, args.n, args.m, args.alphabet))
+        elif args.kind == "circuit":
+            text = render_circuit(generators.random_circuit(rng, args.inputs, args.gates))
+        elif args.kind == "vc":
+            text = render_vc(generators.random_vc_instance(rng, args.n, args.m, args.k))
+        else:
+            text = generators.random_nbc_string(rng, args.blocks) + "\n"
+    except ValueError as exc:
+        raise _Usage(str(exc)) from None
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -529,15 +502,12 @@ def dispatch(argv: Sequence[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _Usage as exc:
+    except (_Usage, LcreachError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except LcreachError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:  # a crash must never read as an answer
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

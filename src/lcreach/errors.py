@@ -6,6 +6,10 @@ that describes an inconsistent object.  Everything raised on purpose by this
 package derives from :class:`LcreachError`, so callers can catch one type.
 """
 
+from typing import Callable, Iterable, TypeVar
+
+T = TypeVar("T")
+
 
 class LcreachError(Exception):
     """Base class for all errors raised by this package."""
@@ -23,6 +27,33 @@ class ParseError(LcreachError):
 
 class SemanticError(ParseError):
     """Syntactically valid input describing an inconsistent object."""
+
+
+# The line-based file parsers share these three steps.
+
+
+def content_lines(text: str) -> list[str]:
+    """The lines of ``text``, without trailing blank lines."""
+    lines = text.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    return lines
+
+
+def parse_ints(tokens: Iterable[str], message: str, line: int) -> list[int]:
+    """``tokens`` as integers; otherwise a ParseError with ``message`` at ``line``."""
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise ParseError(message, line=line) from None
+
+
+def build_object(cls: Callable[..., T], *args) -> T:
+    """``cls(*args)``, reporting the ValueError of its invariant checks as a SemanticError."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise SemanticError(str(exc)) from None
 
 
 class UndeclaredSymbolError(SemanticError):

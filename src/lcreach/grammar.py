@@ -36,6 +36,9 @@ from .errors import (
     ParseError,
     SemanticError,
     UndeclaredSymbolError,
+    build_object,
+    content_lines,
+    parse_ints,
 )
 
 Production = tuple[str, tuple[str, ...]]
@@ -147,10 +150,7 @@ def parse_cfg(text: str) -> Cfg:
             raise UndeclaredSymbolError(
                 f"nonterminal {ident!r} is used but never defined", line=line_no
             )
-    try:
-        return Cfg(frozenset(nonterminals), frozenset(terminals), tuple(productions), heads[0])
-    except ValueError as exc:
-        raise SemanticError(str(exc)) from None
+    return build_object(Cfg, frozenset(nonterminals), frozenset(terminals), tuple(productions), heads[0])
 
 
 def render_cfg(g: Cfg) -> str:
@@ -399,19 +399,14 @@ def dfa_accepts(d: Dfa, w: str) -> bool:
 
 def parse_dfa(text: str) -> Dfa:
     """Parse the DFA file format, completing partial tables with a dead state."""
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
+    lines = content_lines(text)
     if len(lines) < 4:
         raise ParseError("expected 'dfa <n>', alphabet, start, and accept lines", line=max(1, len(lines)))
 
     header = lines[0].split()
     if len(header) != 2 or header[0] != "dfa":
         raise ParseError("header must be 'dfa <state_count>'", line=1)
-    try:
-        declared = int(header[1])
-    except ValueError:
-        raise ParseError("state count must be an integer", line=1) from None
+    (declared,) = parse_ints(header[1:], "state count must be an integer", 1)
     if declared < 1:
         raise SemanticError("a DFA needs at least one state", line=1)
 
@@ -426,22 +421,15 @@ def parse_dfa(text: str) -> Dfa:
     accept_tokens = lines[3].split()
     if not accept_tokens or accept_tokens[0] != "accept":
         raise ParseError("fourth line must be 'accept <state> ...'", line=4)
-    try:
-        start = int(start_tokens[1])
-        accepting = frozenset(int(t) for t in accept_tokens[1:])
-    except ValueError:
-        raise ParseError("states must be integers", line=4) from None
+    (start,) = parse_ints(start_tokens[1:], "states must be integers", 3)
+    accepting = frozenset(parse_ints(accept_tokens[1:], "states must be integers", 4))
 
     delta: dict[tuple[int, str], int] = {}
-    for offset, raw in enumerate(lines[4:]):
-        line_no = 5 + offset
+    for line_no, raw in enumerate(lines[4:], start=5):
         tokens = raw.split()
         if len(tokens) != 3:
             raise ParseError("transition line must be '<q> <symbol> <q2>'", line=line_no)
-        try:
-            q, q2 = int(tokens[0]), int(tokens[2])
-        except ValueError:
-            raise ParseError("states must be integers", line=line_no) from None
+        q, q2 = parse_ints((tokens[0], tokens[2]), "states must be integers", line_no)
         ch = tokens[1]
         if len(ch) != 1 or ch not in alphabet:
             raise SemanticError(f"transition symbol {ch!r} is not in the alphabet", line=line_no)
@@ -461,7 +449,4 @@ def parse_dfa(text: str) -> Dfa:
         for ch in sorted(alphabet):
             delta[(dead, ch)] = dead
 
-    try:
-        return Dfa(state_count, alphabet, delta, start, accepting)
-    except ValueError as exc:
-        raise SemanticError(str(exc)) from None
+    return build_object(Dfa, state_count, alphabet, delta, start, accepting)

@@ -28,7 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
-from .errors import InvalidPathError, KindError, ParseError, SemanticError
+from .errors import (
+    InvalidPathError,
+    KindError,
+    ParseError,
+    SemanticError,
+    build_object,
+    content_lines,
+    parse_ints,
+)
 
 DIRECTED = "directed"
 UNDIRECTED = "undirected"
@@ -200,9 +208,7 @@ def string_path(word: str, fresh_offset: int = 0) -> PathFragment:
 
 def parse_graph(text: str) -> LabeledGraph:
     """Parse the line-based graph format described in the module docstring."""
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
+    lines = content_lines(text)
     if len(lines) < 3:
         raise ParseError("expected a header, an alphabet line, and a source/target line", line=max(1, len(lines)))
     header = lines[0].split()
@@ -211,10 +217,7 @@ def parse_graph(text: str) -> LabeledGraph:
     kind_word, n_text, m_text = header
     if kind_word not in (DIRECTED, UNDIRECTED, "dag"):
         raise ParseError(f"unknown graph kind {kind_word!r}", line=1)
-    try:
-        n, m = int(n_text), int(m_text)
-    except ValueError:
-        raise ParseError("vertex and edge counts must be integers", line=1) from None
+    n, m = parse_ints((n_text, m_text), "vertex and edge counts must be integers", 1)
     if n < 1:
         raise SemanticError("a graph needs at least one vertex", line=1)
     if m < 0:
@@ -254,18 +257,12 @@ def parse_graph(text: str) -> LabeledGraph:
     tokens = lines[m + 2].split()
     if len(tokens) != 2:
         raise ParseError("final line must be '<source> <target>'", line=last_no)
-    try:
-        s, t = int(tokens[0]), int(tokens[1])
-    except ValueError:
-        raise ParseError("source and target must be integers", line=last_no) from None
+    s, t = parse_ints(tokens, "source and target must be integers", last_no)
     if not (0 <= s < n and 0 <= t < n):
         raise SemanticError("source or target out of range", line=last_no)
 
     kind = UNDIRECTED if kind_word == UNDIRECTED else DIRECTED
-    try:
-        g = LabeledGraph(kind, n, tuple(edges), s, t, alphabet)
-    except ValueError as exc:
-        raise SemanticError(str(exc)) from None
+    g = build_object(LabeledGraph, kind, n, tuple(edges), s, t, alphabet)
     if kind_word == "dag" and is_dag(g) is None:
         raise SemanticError("graph declared 'dag' contains a directed cycle")
     return g

@@ -1,6 +1,9 @@
 """Built-in languages: recognizers plus grammar/automaton constructors.
 
-Five languages ship with the package, addressable by name from the CLI:
+:class:`Language` bundles a recognizer with the grammar or DFA that
+describes it, where there is one; grammar files, DFA files and built-in names
+all load as one.  Five languages ship with the package, addressable by name
+from the CLI through :func:`builtin_language`:
 
 ``d2``
     Nonempty balanced strings over two bracket pairs ``()`` and ``[]``.
@@ -26,12 +29,12 @@ Five languages ship with the package, addressable by name from the CLI:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .errors import BlockSyntaxError
-from .grammar import Cfg, Dfa, cyk_member, normalize
+from .grammar import Cfg, Dfa, NormalForm, cyk_member, normalize
 
 D2_ALPHABET = frozenset("()[]")
 DD2_ALPHABET = frozenset("()[]abcd")
@@ -123,8 +126,6 @@ def abstar_member(w: str) -> bool:
 
 # --- block-choice strings -------------------------------------------------
 
-NBC_ALPHABET = frozenset("()[]{}#")
-
 
 def parse_nbc(w: str) -> tuple[str, tuple[tuple[str, ...], ...]]:
     """Split a block-choice string into (prefix, blocks of choices).
@@ -181,8 +182,6 @@ def _nbc_member_total(w: str) -> bool:
 
 
 # --- vertex-cover certificate strings --------------------------------------
-
-LANG_A_ALPHABET = frozenset("01#")
 
 
 def adjacency_bits(n: int, edges: Iterable[tuple[int, int]]) -> str:
@@ -270,29 +269,35 @@ def lang_a_member(w: str) -> bool:
 
 
 @dataclass(frozen=True)
-class BuiltinLanguage:
-    """A named language with a recognizer and, where they exist, finite
-    descriptions usable by the grammar and automaton solvers."""
+class Language:
+    """A language as the solve modes see it.
+
+    ``member`` is a total recognizer: it answers False, never raises, for
+    strings with foreign symbols.  ``grammar`` (for mode ``cfl``) and ``dfa``
+    (for mode ``regular``) are finite descriptions, where they exist.
+    ``normal_form`` is set for languages read from a grammar file only; their
+    witnesses are proved by derivation rather than by ``member``.
+    """
 
     name: str
     member: Callable[[str], bool]
-    alphabet: frozenset[str]
     grammar: Optional[Cfg] = None
     dfa: Optional[Dfa] = None
+    normal_form: Optional[NormalForm] = None
 
 
 @lru_cache(maxsize=None)
-def builtin_language(name: str) -> BuiltinLanguage:
+def builtin_language(name: str) -> Language:
     if name == "d2":
-        return BuiltinLanguage("d2", d2_member, D2_ALPHABET, grammar=d2_grammar())
+        return Language("d2", d2_member, grammar=d2_grammar())
     if name == "dd2":
-        return BuiltinLanguage("dd2", dd2_member, DD2_ALPHABET, grammar=dd2_grammar())
+        return Language("dd2", dd2_member, grammar=dd2_grammar())
     if name == "nbc-d2":
-        return BuiltinLanguage("nbc-d2", _nbc_member_total, NBC_ALPHABET)
+        return Language("nbc-d2", _nbc_member_total)
     if name == "lang-a":
-        return BuiltinLanguage("lang-a", lang_a_member, LANG_A_ALPHABET)
+        return Language("lang-a", lang_a_member)
     if name == "abstar":
-        return BuiltinLanguage("abstar", abstar_member, frozenset("ab"), dfa=abstar_dfa())
+        return Language("abstar", abstar_member, dfa=abstar_dfa())
     raise KeyError(f"unknown builtin language {name!r}")
 
 

@@ -44,8 +44,10 @@ from .errors import (
     ParseError,
     PathMismatchError,
     PortConflictError,
-    SemanticError,
     TooLargeError,
+    build_object,
+    content_lines,
+    parse_ints,
 )
 from .graph import DIRECTED, UNDIRECTED, Edge, LabeledGraph, Path, path_endpoints, path_yield
 from .languages import adjacency_bits, parse_nbc
@@ -134,6 +136,9 @@ def eval_circuit(c: Circuit) -> int:
     return values[c.output]
 
 
+_GATE_WORDS = {"input": (InputGate, 1), "and": (AndGate, 4), "or": (OrGate, 4)}
+
+
 def parse_circuit(text: str) -> Circuit:
     """Parse the circuit file format.
 
@@ -141,46 +146,28 @@ def parse_circuit(text: str) -> Circuit:
     ``and <l> <lport> <r> <rport>``, ``or <l> <lport> <r> <rport>`` with
     0-based gate references), then ``output <g>``.
     """
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
+    lines = content_lines(text)
     if len(lines) < 2:
         raise ParseError("expected 'circuit <n>', gate lines, and 'output <g>'", line=max(1, len(lines)))
     header = lines[0].split()
     if len(header) != 2 or header[0] != "circuit":
         raise ParseError("header must be 'circuit <gate_count>'", line=1)
-    try:
-        count = int(header[1])
-    except ValueError:
-        raise ParseError("gate count must be an integer", line=1) from None
+    (count,) = parse_ints(header[1:], "gate count must be an integer", 1)
     if len(lines) != count + 2:
         raise ParseError(f"expected {count} gate lines plus an output line", line=len(lines))
 
     gates: list[Gate] = []
-    for i in range(count):
-        line_no = 2 + i
-        tokens = lines[1 + i].split()
-        try:
-            if tokens[0] == "input" and len(tokens) == 2:
-                gates.append(InputGate(int(tokens[1])))
-            elif tokens[0] in ("and", "or") and len(tokens) == 5:
-                cls = AndGate if tokens[0] == "and" else OrGate
-                gates.append(cls(int(tokens[1]), int(tokens[2]), int(tokens[3]), int(tokens[4])))
-            else:
-                raise ParseError(f"bad gate line {lines[1 + i]!r}", line=line_no)
-        except ValueError:
-            raise ParseError("gate operands must be integers", line=line_no) from None
+    for line_no, raw in enumerate(lines[1 : count + 1], start=2):
+        tokens = raw.split() or [""]
+        cls, arity = _GATE_WORDS.get(tokens[0], (None, 0))
+        if cls is None or len(tokens) != arity + 1:
+            raise ParseError(f"bad gate line {raw!r}", line=line_no)
+        gates.append(cls(*parse_ints(tokens[1:], "gate operands must be integers", line_no)))
     tokens = lines[count + 1].split()
     if len(tokens) != 2 or tokens[0] != "output":
         raise ParseError("final line must be 'output <gate>'", line=count + 2)
-    try:
-        output = int(tokens[1])
-    except ValueError:
-        raise ParseError("output gate must be an integer", line=count + 2) from None
-    try:
-        return Circuit(tuple(gates), output)
-    except ValueError as exc:
-        raise SemanticError(str(exc)) from None
+    (output,) = parse_ints(tokens[1:], "output gate must be an integer", count + 2)
+    return build_object(Circuit, tuple(gates), output)
 
 
 def render_circuit(c: Circuit) -> str:
@@ -233,34 +220,22 @@ def vc_brute(inst: VcInstance) -> bool:
 
 def parse_vc(text: str) -> VcInstance:
     """Parse ``vc <n> <m> <k>`` followed by m lines ``<i> <j>`` (1-based)."""
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
+    lines = content_lines(text)
     if not lines:
         raise ParseError("empty vertex cover file", line=1)
     header = lines[0].split()
     if len(header) != 4 or header[0] != "vc":
         raise ParseError("header must be 'vc <n> <m> <k>'", line=1)
-    try:
-        n, m, k = int(header[1]), int(header[2]), int(header[3])
-    except ValueError:
-        raise ParseError("counts must be integers", line=1) from None
+    n, m, k = parse_ints(header[1:], "counts must be integers", 1)
     if len(lines) != m + 1:
         raise ParseError(f"expected {m} edge lines", line=len(lines))
     edges = set()
-    for i in range(m):
-        tokens = lines[1 + i].split()
+    for line_no, raw in enumerate(lines[1:], start=2):
+        tokens = raw.split()
         if len(tokens) != 2:
-            raise ParseError("edge line must be '<i> <j>'", line=2 + i)
-        try:
-            a, b = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError("edge endpoints must be integers", line=2 + i) from None
-        edges.add((a, b))
-    try:
-        return VcInstance(n, frozenset(edges), k)
-    except ValueError as exc:
-        raise SemanticError(str(exc)) from None
+            raise ParseError("edge line must be '<i> <j>'", line=line_no)
+        edges.add(tuple(parse_ints(tokens, "edge endpoints must be integers", line_no)))
+    return build_object(VcInstance, n, frozenset(edges), k)
 
 
 def render_vc(inst: VcInstance) -> str:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, KeysView, NamedTuple, Optional, Union
 
 from .errors import (
     AlphabetMismatchError,
@@ -70,10 +70,12 @@ class ReachTable:
 
     ``provenance`` is insertion-ordered by discovery, and a fact's
     justification only ever references earlier facts, so the structure is
-    acyclic by construction.  ``pops`` counts worklist extractions.
+    acyclic by construction.  ``facts`` is the key view of ``provenance``, not
+    a copy: it supports membership, ``len``, iteration and equality with
+    sets.  ``pops`` counts worklist extractions.
     """
 
-    facts: frozenset[Fact]
+    facts: KeysView[Fact]
     provenance: dict[Fact, Justification]
     pops: int
 
@@ -172,7 +174,7 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, order: str = "fifo") -> Rea
                 u0 = bit.bit_length() - 1
                 add((u0, a, v), BinarySplit((u0, b2, u), fact))
 
-    return ReachTable(facts=frozenset(provenance), provenance=provenance, pops=pops)
+    return ReachTable(facts=provenance.keys(), provenance=provenance, pops=pops)
 
 
 def cfl_reach(

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lcreach import parse_graph, parse_vc
+from lcreach import Path, parse_graph, parse_vc
 from lcreach.cli import dispatch
 
 CHAIN_SQUARE = "directed 3 2\n[]\n0 1 [\n1 2 ]\n0 2\n"
@@ -98,6 +98,13 @@ def test_regular_mode_with_dfa_file(files, capsys):
     code, out, _ = run(capsys, "solve", "--graph", g, "--dfa", d, "--mode", "regular")
     assert code == 0
     assert "yield: ab" in out
+
+
+def test_dfa_file_membership_is_total(files, capsys):
+    d = files("a.dfa", ABSTAR_DFA)
+    assert run(capsys, "member", "--dfa", d, "--string", "ab")[0] == 0
+    code, out, err = run(capsys, "member", "--dfa", d, "--string", "abx")
+    assert (code, out, err) == (1, "decision: non-member\n", "")
 
 
 def test_regular_mode_with_builtin_dfa(files, capsys):
@@ -437,6 +444,13 @@ def test_reduce_bad_input_is_a_format_error(files, capsys, tmp_path):
     assert "error:" in err
 
 
+def test_reduce_circuit_with_a_blank_gate_line(files, capsys, tmp_path):
+    src = files("c.circuit", "circuit 2\n\ninput 1\noutput 0\n")
+    code, _, err = run(capsys, "reduce", "mcvp-to-d2", "--in", src, "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert err.startswith("error: line 2: ")
+
+
 # --- gen -----------------------------------------------------------------------
 
 
@@ -507,3 +521,43 @@ def test_unknown_builtin_is_usage(files, capsys):
     g = files("g.graph", CHAIN_SQUARE)
     code, _, _ = run(capsys, "solve", "--graph", g, "--builtin", "nosuch")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "graph", "--seed", "1", "--n", "0"),
+        ("gen", "dag", "--seed", "1", "--n", "1"),
+        ("gen", "vc", "--seed", "1", "--n", "3", "--k", "9"),
+        ("gen", "circuit", "--seed", "1", "--inputs", "0"),
+        ("gen", "nbc", "--seed", "1", "--blocks", "-2"),
+        ("solve", "--graph", "{graph}", "--builtin", "d2", "--mode", "bounded-enum", "--max-len", "-1"),
+    ],
+)
+def test_impossible_sizes_are_usage_errors(files, capsys, argv):
+    g = files("g.graph", CHAIN_SQUARE)
+    code, out, err = run(capsys, *(a.format(graph=g) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_an_internal_crash_is_not_an_answer(files, capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr("lcreach.cli.cfl_reach", crash)
+    g = files("g.graph", CHAIN_SQUARE)
+    code, out, err = run(capsys, "solve", "--graph", g, "--builtin", "d2")
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: injected\n"
+
+
+def test_a_witness_failing_the_self_check_is_an_internal_error(files, capsys, monkeypatch):
+    monkeypatch.setattr("lcreach.cli.dag_enum_reach", lambda g, member, stats: Path(0, ()))
+    g = files("g.graph", CHAIN_SQUARE)
+    code, out, err = run(capsys, "solve", "--graph", g, "--builtin", "d2", "--mode", "dag-enum")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: RuntimeError: internal check failed")

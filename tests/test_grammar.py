@@ -225,6 +225,15 @@ def test_parse_dfa_completes_partial_tables_with_dead_state():
     assert not dfa_accepts(d, "aa")
 
 
+def test_parse_dfa_reports_the_line_of_a_bad_state():
+    with pytest.raises(ParseError, match="^line 3: states must be integers"):
+        parse_dfa("dfa 2\nab\nstart x\naccept 0\n")
+    with pytest.raises(ParseError, match="^line 4: states must be integers"):
+        parse_dfa("dfa 2\nab\nstart 0\naccept 0 y\n")
+    with pytest.raises(ParseError, match="^line 5: states must be integers"):
+        parse_dfa("dfa 2\nab\nstart 0\naccept 0\nq a 1\n")
+
+
 def test_parse_dfa_rejects_duplicate_transitions():
     with pytest.raises(SemanticError):
         parse_dfa("dfa 2\nab\nstart 0\naccept 1\n0 a 1\n0 a 0")

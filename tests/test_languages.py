@@ -6,6 +6,7 @@ import random
 import pytest
 
 from lcreach import (
+    Language,
     BlockSyntaxError,
     VcInstance,
     abstar_dfa,
@@ -175,6 +176,9 @@ def test_builtin_registry_names():
         assert callable(lang.member)
     assert builtin_language("d2").grammar is not None
     assert builtin_language("abstar").dfa is not None
+    # a builtin's witnesses are checked by its recognizer, not by derivation
+    assert all(builtin_language(name).normal_form is None for name in BUILTIN_NAMES)
+    assert isinstance(builtin_language("d2"), Language)
 
 
 # --- cover certificates --------------------------------------------------------------

@@ -273,6 +273,11 @@ def test_circuit_parse_errors():
         parse_circuit("circuit 1\ninput 5\noutput 0")
 
 
+def test_blank_gate_line_is_a_parse_error():
+    with pytest.raises(ParseError, match="^line 2: bad gate line"):
+        parse_circuit("circuit 2\n\ninput 1\noutput 0\n")
+
+
 def test_circuit_value_matches_bracket_reachability():
     rng = random.Random(20260817)
     outcomes = set()

@@ -164,6 +164,14 @@ def test_mismatched_pair_fact_is_not_derived():
     assert (0, "S", 2) not in table.facts
 
 
+def test_facts_are_the_provenance_keys_not_a_copy():
+    g = graph(DIRECTED, 3, [(0, 1, "("), (1, 2, ")")], 0, 2, "()")
+    table = cfl_reach_table(g, D2_NF)
+    assert table.facts == table.provenance.keys()
+    table.provenance[(2, "S", 0)] = None
+    assert (2, "S", 0) in table.facts
+
+
 def test_edgeless_graph_yields_no_facts():
     g = graph(DIRECTED, 3, [], 0, 2, "()")
     table = cfl_reach_table(g, D2_NF)
