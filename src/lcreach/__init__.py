@@ -33,7 +33,6 @@ from .graph import (
     Edge,
     LabeledGraph,
     Path,
-    PathFragment,
     Step,
     adjacency,
     is_dag,
@@ -41,7 +40,6 @@ from .graph import (
     path_endpoints,
     path_yield,
     render_graph,
-    string_path,
 )
 from .grammar import (
     Cfg,
@@ -74,11 +72,8 @@ from .languages import (
     parse_nbc,
 )
 from .solve import (
-    BinarySplit,
-    EpsilonAt,
     ExpansionLimitExceeded,
     ReachTable,
-    TerminalStep,
     Witness,
     bounded_enum_reach,
     cfl_reach,

@@ -304,6 +304,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     lang = _load_language(args)
     if args.max_len is not None and args.mode != "bounded-enum":
         raise _Usage("--max-len only applies to bounded-enum")
+    if args.expand_limit < 0:
+        raise _Usage("--expand-limit must be nonnegative")
     report = SolveReport(decision="unreachable")
     started = time.perf_counter()
     found, derivation = _RUNNERS[args.mode](g, lang, args, report)

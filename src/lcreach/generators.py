@@ -7,9 +7,8 @@ no other source of randomness, so a fixed seed pins the full output stream.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
 
-from .graph import DIRECTED, UNDIRECTED, Edge, LabeledGraph
+from .graph import DIRECTED, Edge, LabeledGraph
 from .grammar import Cfg
 from .languages import D2_ALPHABET
 from .reductions import AndGate, Circuit, Gate, InputGate, OrGate, VcInstance
@@ -28,6 +27,8 @@ def random_graph(
     """Uniform random multigraph with a random source/target pair."""
     if n < 1:
         raise ValueError("need at least one vertex")
+    if m < 0:
+        raise ValueError("edge count must be nonnegative")
     symbols = sorted(set(alphabet))
     if not symbols:
         raise ValueError("need a nonempty alphabet")
@@ -58,6 +59,8 @@ def random_dag(
     """
     if n < 2:
         raise ValueError("need at least two vertices for a forward edge")
+    if m < 0:
+        raise ValueError("edge count must be nonnegative")
     symbols = sorted(set(alphabet))
     if not symbols:
         raise ValueError("need a nonempty alphabet")
@@ -96,6 +99,8 @@ def random_circuit(rng: random.Random, n_inputs: int, n_gates: int) -> Circuit:
 
 def random_vc_instance(rng: random.Random, n: int, m: int, k: int) -> VcInstance:
     """Random simple-graph vertex cover instance (m capped at C(n,2))."""
+    if m < 0:
+        raise ValueError("edge count must be nonnegative")
     all_pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     m = min(m, len(all_pairs))
     edges = frozenset(rng.sample(all_pairs, m))

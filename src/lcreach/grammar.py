@@ -28,8 +28,8 @@ an implicit dead state so that every :class:`Dfa` in memory is total.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .errors import (
     ForeignSymbolError,

@@ -108,15 +108,6 @@ class Path:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
-class PathFragment:
-    """A fresh chain of vertices spelling a word, for use in constructions."""
-
-    first: int
-    last: int
-    edges: tuple[Edge, ...]
-
-
 def adjacency(g: LabeledGraph) -> list[list[tuple[int, int, str, bool]]]:
     """Outgoing moves per vertex as ``(edge_index, head, label, reverse)``.
 
@@ -191,19 +182,6 @@ def is_dag(g: LabeledGraph) -> Optional[tuple[int, ...]]:
     if len(order) != g.vertex_count:
         return None
     return tuple(order)
-
-
-def string_path(word: str, fresh_offset: int = 0) -> PathFragment:
-    """A chain of ``len(word) + 1`` fresh vertices whose edges spell ``word``.
-
-    Vertex ids run ``fresh_offset .. fresh_offset + len(word)``; the chain's
-    only maximal path reads exactly ``word``.  The empty word gives a single
-    vertex and no edges.
-    """
-    for ch in word:
-        _check_symbol(ch)
-    edges = tuple(Edge(fresh_offset + i, fresh_offset + i + 1, ch) for i, ch in enumerate(word))
-    return PathFragment(first=fresh_offset, last=fresh_offset + len(word), edges=edges)
 
 
 def parse_graph(text: str) -> LabeledGraph:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Union
 
 from .errors import (
     EmptyChoiceError,

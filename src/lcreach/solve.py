@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, KeysView, NamedTuple, Optional, Union
+from typing import Callable, KeysView, Optional, Union
 
 from .errors import (
     AlphabetMismatchError,
@@ -38,45 +38,27 @@ from .graph import DIRECTED, UNDIRECTED, LabeledGraph, Path, Step, adjacency, is
 from .grammar import NormalForm, normalize
 
 Fact = tuple[int, str, int]
+# How a fact was derived: ("t", edge, reverse) reads one edge, ("b", left,
+# right) splits by a rule A -> B C into two earlier facts, ("e",) is the
+# empty walk.  These are the node tails of a version 2 witness file.
+Tail = tuple
 Member = Callable[[str], bool]
-
-
-class TerminalStep(NamedTuple):
-    """Fact justified by a single edge traversal."""
-
-    edge: int
-    reverse: bool
-
-
-class BinarySplit(NamedTuple):
-    """Fact justified by a rule A -> B C splitting at an inner vertex."""
-
-    left: Fact
-    right: Fact
-
-
-class EpsilonAt(NamedTuple):
-    """Fact (u, start, u) justified by the empty walk at ``vertex``."""
-
-    vertex: int
-
-
-Justification = Union[TerminalStep, BinarySplit, EpsilonAt]
 
 
 @dataclass
 class ReachTable:
     """Least fixpoint of derivation facts, with first-found provenance.
 
-    ``provenance`` is insertion-ordered by discovery, and a fact's
-    justification only ever references earlier facts, so the structure is
-    acyclic by construction.  ``facts`` is the key view of ``provenance``, not
-    a copy: it supports membership, ``len``, iteration and equality with
-    sets.  ``pops`` counts worklist extractions.
+    ``provenance`` maps each fact to its :data:`Tail`.  It is
+    insertion-ordered by discovery, and a ``"b"`` tail only ever references
+    earlier facts, so the structure is acyclic by construction.  ``facts`` is
+    the key view of ``provenance``, not a copy: it supports membership,
+    ``len``, iteration and equality with sets.  ``pops`` counts worklist
+    extractions.
     """
 
     facts: KeysView[Fact]
-    provenance: dict[Fact, Justification]
+    provenance: dict[Fact, Tail]
     pops: int
 
 
@@ -118,7 +100,7 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, order: str = "fifo") -> Rea
     Seeds: ``(u, A, v)`` for every rule ``A -> a`` and edge ``u -a-> v`` (both
     traversal directions when ``g`` is undirected), plus ``(u, start, u)``
     for every vertex when the start symbol is nullable.  Closure: ``A -> B C``
-    combines ``(u, B, w)`` with ``(w, C, v)``.  The first justification found
+    combines ``(u, B, w)`` with ``(w, C, v)``.  The first derivation found
     for a fact is kept.  ``order`` picks the worklist discipline ("fifo" or
     "lifo"); the resulting fact set is the same either way.
     """
@@ -131,12 +113,12 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, order: str = "fifo") -> Rea
         )
     by_char, by_first, by_second = _join_indices(nf)
 
-    provenance: dict[Fact, Justification] = {}
+    provenance: dict[Fact, Tail] = {}
     rows: dict[tuple[str, int], int] = {}  # (A, u) -> bitmask of v with (u, A, v)
     cols: dict[tuple[str, int], int] = {}  # (A, v) -> bitmask of u with (u, A, v)
     work: deque[Fact] = deque()
 
-    def add(fact: Fact, why: Justification) -> None:
+    def add(fact: Fact, why: Tail) -> None:
         if fact in provenance:
             return
         provenance[fact] = why
@@ -147,12 +129,12 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, order: str = "fifo") -> Rea
 
     if nf.start_nullable:
         for u in range(g.vertex_count):
-            add((u, nf.start, u), EpsilonAt(u))
+            add((u, nf.start, u), ("e",))
     for idx, e in enumerate(g.edges):
         for a in by_char.get(e.label, ()):
-            add((e.u, a, e.v), TerminalStep(idx, False))
+            add((e.u, a, e.v), ("t", idx, False))
             if g.kind == UNDIRECTED:
-                add((e.v, a, e.u), TerminalStep(idx, True))
+                add((e.v, a, e.u), ("t", idx, True))
 
     pops = 0
     while work:
@@ -165,14 +147,14 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, order: str = "fifo") -> Rea
                 bit = candidates & -candidates
                 candidates ^= bit
                 w = bit.bit_length() - 1
-                add((u, a, w), BinarySplit(fact, (v, c, w)))
+                add((u, a, w), ("b", fact, (v, c, w)))
         for a, b2 in by_second.get(b, ()):
             candidates = cols.get((b2, u), 0) & ~cols.get((a, v), 0)
             while candidates:
                 bit = candidates & -candidates
                 candidates ^= bit
                 u0 = bit.bit_length() - 1
-                add((u0, a, v), BinarySplit((u0, b2, u), fact))
+                add((u0, a, v), ("b", (u0, b2, u), fact))
 
     return ReachTable(facts=provenance.keys(), provenance=provenance, pops=pops)
 
@@ -198,41 +180,61 @@ def cfl_reach(
     return Witness(root=root, table=table)
 
 
-def _derivation_postorder(w: Witness) -> list[Fact]:
-    """Facts the witness derivation touches, children before parents.
+def witness_derivation(w: Witness) -> list[tuple]:
+    """The witness derivation as nodes in postorder, for :func:`check_derivation`.
 
-    Validates every provenance reference and rejects cyclic provenance,
-    which a well-formed table can never contain.
+    Every node is a fact ``(u, A, v)`` followed by its provenance tail, with
+    the facts of a ``"b"`` tail replaced by the indices of their nodes:
+    ``(u, A, v, "b", left, right)``, ``(u, A, v, "t", edge, reverse)`` or
+    ``(u, A, v, "e")``.  Children come before their parents and the root is
+    last.  Every provenance reference is validated, and cyclic provenance,
+    which a well-formed table can never contain, is rejected.
     """
     prov = w.table.provenance
     if w.root not in prov:
         raise CorruptWitnessError(f"root fact {w.root} is not in the table")
-    OPEN, DONE = 0, 1
-    state: dict[Fact, int] = {}
-    order: list[Fact] = []
+    OPEN = -1
+    index: dict[Fact, int] = {}  # node index, or OPEN until the children are done
+    nodes: list[tuple] = []
     stack: list[Fact] = [w.root]
     while stack:
         fact = stack[-1]
-        status = state.get(fact)
-        if status is None:
-            state[fact] = OPEN
-            why = prov[fact]
-            if isinstance(why, BinarySplit):
-                for ref in (why.right, why.left):
+        at = index.get(fact)
+        tail = prov[fact]
+        if at is None:
+            index[fact] = OPEN
+            if tail[0] == "b":
+                for ref in (tail[2], tail[1]):
                     if ref not in prov:
                         raise CorruptWitnessError(f"dangling provenance reference {ref}")
-                    ref_status = state.get(ref)
-                    if ref_status == OPEN:
+                    ref_at = index.get(ref)
+                    if ref_at == OPEN:
                         raise CorruptWitnessError("cyclic provenance")
-                    if ref_status is None:
+                    if ref_at is None:
                         stack.append(ref)
-        elif status == OPEN:
-            state[fact] = DONE
-            order.append(fact)
-            stack.pop()
         else:
             stack.pop()
-    return order
+            if at == OPEN:
+                index[fact] = len(nodes)
+                if tail[0] == "b":
+                    nodes.append((*fact, "b", index[tail[1]], index[tail[2]]))
+                else:
+                    nodes.append((*fact, *tail))
+    return nodes
+
+
+def _flatten(nodes) -> tuple[Step, ...]:
+    """The steps a postorder derivation spells, read from its root, the last node."""
+    steps: list[Step] = []
+    stack = [len(nodes) - 1]
+    while stack:
+        node = nodes[stack.pop()]
+        if node[3] == "t":
+            steps.append(Step(node[4], node[5]))
+        elif node[3] == "b":
+            stack.append(node[5])
+            stack.append(node[4])
+    return tuple(steps)
 
 
 def expand_witness(w: Witness, step_limit: int = 10**6) -> Union[Path, ExpansionLimitExceeded]:
@@ -243,55 +245,14 @@ def expand_witness(w: Witness, step_limit: int = 10**6) -> Union[Path, Expansion
     result reports both the shared-derivation size and that exact length
     instead of materializing the walk.
     """
-    facts = _derivation_postorder(w)
-    prov = w.table.provenance
-
-    size: dict[Fact, int] = {}
-    for fact in facts:  # children precede parents
-        why = prov[fact]
-        if isinstance(why, TerminalStep):
-            size[fact] = 1
-        elif isinstance(why, EpsilonAt):
-            size[fact] = 0
-        else:
-            size[fact] = size[why.left] + size[why.right]
-    total = size[w.root]
-    if total > step_limit:
-        return ExpansionLimitExceeded(shared_size=len(facts), expanded_steps=total)
-
-    steps: list[Step] = []
-    stack: list[Fact] = [w.root]
-    while stack:
-        why = prov[stack.pop()]
-        if isinstance(why, TerminalStep):
-            steps.append(Step(why.edge, why.reverse))
-        elif isinstance(why, BinarySplit):
-            stack.append(why.right)
-            stack.append(why.left)
-    return Path(start=w.root[0], steps=tuple(steps))
-
-
-def witness_derivation(w: Witness) -> list[tuple]:
-    """The witness derivation as nodes in postorder, for :func:`check_derivation`.
-
-    Every node starts with its fact ``(u, A, v)`` and a kind:
-    ``(u, A, v, "b", left, right)`` splits by a rule ``A -> B C`` whose
-    children are the nodes at indices ``left`` and ``right``;
-    ``(u, A, v, "t", edge, reverse)`` reads one edge; ``(u, A, v, "e")`` is
-    the empty walk.  Children come before their parents and the root is last.
-    """
-    facts = _derivation_postorder(w)
-    index = {fact: i for i, fact in enumerate(facts)}
-    nodes: list[tuple] = []
-    for fact in facts:
-        why = w.table.provenance[fact]
-        if isinstance(why, TerminalStep):
-            nodes.append((*fact, "t", why.edge, why.reverse))
-        elif isinstance(why, BinarySplit):
-            nodes.append((*fact, "b", index[why.left], index[why.right]))
-        else:
-            nodes.append((*fact, "e"))
-    return nodes
+    nodes = witness_derivation(w)
+    sizes: list[int] = []
+    for node in nodes:  # children precede parents
+        kind = node[3]
+        sizes.append(1 if kind == "t" else 0 if kind == "e" else sizes[node[4]] + sizes[node[5]])
+    if sizes[-1] > step_limit:
+        return ExpansionLimitExceeded(shared_size=len(nodes), expanded_steps=sizes[-1])
+    return Path(start=w.root[0], steps=_flatten(nodes))
 
 
 def _is_index(x) -> bool:
@@ -364,16 +325,7 @@ def check_derivation(
             f"derivation flattens to {sizes[-1]} steps, over the limit of {step_limit}"
         )
 
-    steps: list[Step] = []
-    stack = [len(nodes) - 1]
-    while stack:
-        node = nodes[stack.pop()]
-        if node[3] == "t":
-            steps.append(Step(node[4], node[5]))
-        elif node[3] == "b":
-            stack.append(node[5])
-            stack.append(node[4])
-    return tuple(steps)
+    return _flatten(nodes)
 
 
 def regular_reach(

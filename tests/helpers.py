@@ -16,10 +16,10 @@ from lcreach import (
     DIRECTED,
     Cfg,
     Dfa,
+    Edge,
     LabeledGraph,
     VcInstance,
     d2_member,
-    string_path,
 )
 
 
@@ -120,13 +120,12 @@ def universal_dfa(alphabet: str) -> Dfa:
 
 def fragment_graph(word: str, alphabet: Optional[str] = None) -> LabeledGraph:
     """A straight-line graph spelling ``word`` from vertex 0 to the last."""
-    frag = string_path(word)
     return LabeledGraph(
         DIRECTED,
         len(word) + 1,
-        frag.edges,
-        frag.first,
-        frag.last,
+        tuple(Edge(i, i + 1, ch) for i, ch in enumerate(word)),
+        0,
+        len(word),
         frozenset(alphabet if alphabet is not None else word),
     )
 

@@ -532,6 +532,10 @@ def test_unknown_builtin_is_usage(files, capsys):
         ("gen", "circuit", "--seed", "1", "--inputs", "0"),
         ("gen", "nbc", "--seed", "1", "--blocks", "-2"),
         ("solve", "--graph", "{graph}", "--builtin", "d2", "--mode", "bounded-enum", "--max-len", "-1"),
+        ("gen", "graph", "--seed", "1", "--m", "-3"),
+        ("gen", "dag", "--seed", "1", "--m", "-3"),
+        ("gen", "vc", "--seed", "1", "--m", "-2"),
+        ("solve", "--graph", "{graph}", "--builtin", "d2", "--expand-limit", "-5"),
     ],
 )
 def test_impossible_sizes_are_usage_errors(files, capsys, argv):

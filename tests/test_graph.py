@@ -25,7 +25,6 @@ from lcreach import (
     random_dag,
     random_graph,
     render_graph,
-    string_path,
 )
 
 from .helpers import fragment_graph, has_directed_cycle
@@ -261,27 +260,7 @@ def test_yield_length_equals_step_count(data):
     assert len(path_yield(g, p)) == len(p.steps)
 
 
-# --- string_path ------------------------------------------------------------------
-
-
-def test_empty_string_fragment_is_one_vertex():
-    frag = string_path("")
-    assert frag.first == frag.last == 0
-    assert frag.edges == ()
-
-
-def test_bracket_pair_fragment():
-    frag = string_path("()")
-    assert frag.first == 0
-    assert frag.last == 2
-    assert [e.label for e in frag.edges] == ["(", ")"]
-
-
-def test_fresh_offset_shifts_all_vertices():
-    frag = string_path("ab", fresh_offset=10)
-    assert frag.first == 10
-    assert frag.last == 12
-    assert frag.edges[0] == Edge(10, 11, "a")
+# --- fragment_graph ---------------------------------------------------------------
 
 
 def test_fragment_spells_its_word():

@@ -8,7 +8,6 @@ from lcreach import (
     DIRECTED,
     UNDIRECTED,
     AlphabetMismatchError,
-    BinarySplit,
     Cfg,
     CorruptWitnessError,
     Edge,
@@ -41,9 +40,10 @@ from lcreach import (
     random_dag,
     random_graph,
     regular_reach,
-    string_path,
     tree_reach,
 )
+
+from lcreach.solve import witness_derivation
 
 from .helpers import fragment_graph, random_total_dfa, universal_dfa, walk_budget
 
@@ -210,15 +210,40 @@ def test_worklist_order_does_not_change_the_fact_set():
 
 
 def test_provenance_references_only_earlier_facts():
+    # Provenance values are the node tails of a version 2 witness file, so
+    # the table and the file layout cannot drift apart.
+    nullable_nf = normalize(parse_cfg("S -> '(' S ')' S | '[' S ']' S |"))
     rng = random.Random(43)
-    for _ in range(20):
-        g = random_graph(rng, rng.randint(2, 6), rng.randint(0, 10), "()[]")
-        table = cfl_reach_table(g, D2_NF)
-        position = {fact: i for i, fact in enumerate(table.provenance)}
-        for fact, why in table.provenance.items():
-            if isinstance(why, BinarySplit):
-                assert position[why.left] < position[fact]
-                assert position[why.right] < position[fact]
+    roots = 0
+    for i in range(20):
+        kind = UNDIRECTED if i % 3 == 0 else DIRECTED
+        nf = nullable_nf if i % 2 else D2_NF
+        g = random_graph(rng, rng.randint(2, 6), rng.randint(0, 10), "()[]", kind=kind)
+        table = cfl_reach_table(g, nf)
+        prov = table.provenance
+        position = {fact: n for n, fact in enumerate(prov)}
+        for fact, tail in prov.items():
+            if tail[0] == "b":
+                assert len(tail) == 3
+                assert position[tail[1]] < position[fact]
+                assert position[tail[2]] < position[fact]
+            elif tail[0] == "t":
+                assert len(tail) == 3 and isinstance(tail[2], bool)
+                e = g.edges[tail[1]]
+                assert (fact[0], fact[2]) == ((e.v, e.u) if tail[2] else (e.u, e.v))
+            else:
+                assert tail == ("e",) and fact[0] == fact[2]
+        root = (g.source, nf.start, g.target)
+        if root in prov:
+            roots += 1
+            nodes = witness_derivation(Witness(root, table))
+            facts = [node[:3] for node in nodes]
+            for fact, node in zip(facts, nodes):
+                tail = prov[fact]
+                if tail[0] == "b":
+                    tail = ("b", facts.index(tail[1]), facts.index(tail[2]))
+                assert node == (*fact, *tail)
+    assert roots, "no reachable root was checked"
 
 
 def test_every_fact_expands_to_a_path_its_nonterminal_derives():
@@ -397,7 +422,7 @@ def test_dangling_provenance_is_reported():
     f = (0, "S", 0)
     table = ReachTable(
         facts=frozenset([f]),
-        provenance={f: BinarySplit((1, "X", 1), (2, "Y", 2))},
+        provenance={f: ("b", (1, "X", 1), (2, "Y", 2))},
         pops=0,
     )
     with pytest.raises(CorruptWitnessError):
@@ -406,7 +431,7 @@ def test_dangling_provenance_is_reported():
 
 def test_cyclic_provenance_is_reported():
     f = (0, "S", 0)
-    table = ReachTable(facts=frozenset([f]), provenance={f: BinarySplit(f, f)}, pops=0)
+    table = ReachTable(facts=frozenset([f]), provenance={f: ("b", f, f)}, pops=0)
     with pytest.raises(CorruptWitnessError):
         expand_witness(Witness(f, table))
 
