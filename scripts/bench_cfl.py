@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Benchmark the fixpoint solver on seeded random bracket graphs.
 
-Prints one row per (n, m) size: solve time, table size, worklist pops, and
-whether the instance was reachable.  Sizes are given as ``n:m`` pairs.
+Prints one row per draw: fixpoint time, table size, row deltas joined
+(``pops``), whether the instance was reachable, the time to rebuild
+and flatten the witness, and the witness length.  Sizes are given as ``n:m``
+pairs.
 
 Example:
 
-    python3 scripts/bench_cfl.py --sizes 50:250,100:500,200:1000,400:2000
+    PYTHONPATH=src python3 scripts/bench_cfl.py --sizes 50:250,100:500,200:1000,400:2000
 """
 
 import argparse
@@ -38,7 +40,6 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=2)
     parser.add_argument("--sizes", default="50:250,100:500,200:1000,400:2000")
     parser.add_argument("--alphabet", default="()[]")
-    parser.add_argument("--order", choices=("fifo", "lifo"), default="fifo")
     parser.add_argument(
         "--repeats", type=int, default=3, help="draws per size (fresh graph each time)"
     )
@@ -46,25 +47,28 @@ def main() -> int:
 
     nf = normalize(d2_grammar())
     rng = random.Random(args.seed)
-    print(f"{'n':>6} {'m':>6} {'seconds':>8} {'facts':>8} {'pops':>9} {'reachable':>9} {'walk':>6}")
+    print(
+        f"{'n':>6} {'m':>6} {'seconds':>8} {'facts':>8} {'pops':>8}"
+        f" {'reachable':>9} {'witness_s':>9} {'walk':>6}"
+    )
     for n, m in parse_sizes(args.sizes):
         for _ in range(args.repeats):
             g = random_graph(rng, n, m, args.alphabet)
             started = time.perf_counter()
-            table = cfl_reach_table(g, nf, order=args.order)
+            table = cfl_reach_table(g, nf)
             elapsed = time.perf_counter() - started
-            facts = len(table.facts)
-            pops = table.pops
             root = (g.source, nf.start, g.target)
             if root not in table.facts:
-                walk = "-"
-                reachable = "no"
+                reachable, witness_s, walk = "no", "-", "-"
             else:
                 reachable = "yes"
+                started = time.perf_counter()
                 expanded = expand_witness(Witness(root=root, table=table))
+                witness_s = f"{time.perf_counter() - started:.4f}"
                 walk = str(len(expanded.steps)) if isinstance(expanded, Path) else ">limit"
             print(
-                f"{n:>6} {m:>6} {elapsed:>8.3f} {facts:>8} {pops:>9} {reachable:>9} {walk:>6}"
+                f"{n:>6} {m:>6} {elapsed:>8.3f} {len(table.facts):>8} {table.pops:>8}"
+                f" {reachable:>9} {witness_s:>9} {walk:>6}"
             )
     return 0
 

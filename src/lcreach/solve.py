@@ -8,12 +8,15 @@ Four solver families live here:
 
 * :func:`regular_reach` — breadth-first search of the product of graph
   vertices and DFA states; returns a minimum-length accepted walk.
-* :func:`cfl_reach_table` / :func:`cfl_reach` — the worklist fixpoint over
-  facts ``(u, A, v)`` meaning "some u-to-v walk derives from nonterminal A".
-  Witnesses come back as a derivation shared across facts, because on cyclic
-  graphs the flattened walk can be exponentially longer than the derivation;
-  :func:`expand_witness` flattens under an explicit step budget, and
-  :func:`check_derivation` checks a derivation rule by rule in linear time.
+* :func:`cfl_reach_table` / :func:`cfl_reach` — the least fixpoint of facts
+  ``(u, A, v)`` meaning "some u-to-v walk derives from nonterminal A", run
+  one round at a time over bitmask rows.  A fact's round is one less than
+  its minimum derivation height, and that is all the table keeps about how
+  it was derived: :func:`witness_derivation` rebuilds a derivation, shared
+  across facts, from the rounds on demand.  On cyclic graphs the flattened
+  walk can be exponentially longer than the derivation; :func:`expand_witness`
+  flattens under an explicit step budget, and :func:`check_derivation`
+  checks a derivation rule by rule in linear time.
 * :func:`dag_enum_reach` / :func:`bounded_enum_reach` — exhaustive walk
   enumeration against a black-box membership predicate, for acyclic graphs
   and for a hard length bound respectively.
@@ -23,9 +26,12 @@ Four solver families live here:
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Callable, KeysView, Optional, Union
+from collections import defaultdict, deque
+from collections.abc import Set
+from dataclasses import dataclass, field
+from itertools import compress, count
+from operator import itemgetter
+from typing import Callable, Iterator, Optional, Union
 
 from .errors import (
     AlphabetMismatchError,
@@ -38,36 +44,90 @@ from .graph import DIRECTED, UNDIRECTED, LabeledGraph, Path, Step, adjacency, is
 from .grammar import NormalForm, normalize
 
 Fact = tuple[int, str, int]
-# How a fact was derived: ("t", edge, reverse) reads one edge, ("b", left,
-# right) splits by a rule A -> B C into two earlier facts, ("e",) is the
-# empty walk.  These are the node tails of a version 2 witness file.
-Tail = tuple
 Member = Callable[[str], bool]
 
 
-@dataclass
-class ReachTable:
-    """Least fixpoint of derivation facts, with first-found provenance.
+class FactSet(Set):
+    """The facts ``(u, A, v)`` of a :class:`ReachTable`, read off its rows.
 
-    ``provenance`` maps each fact to its :data:`Tail`.  It is
-    insertion-ordered by discovery, and a ``"b"`` tail only ever references
-    earlier facts, so the structure is acyclic by construction.  ``facts`` is
-    the key view of ``provenance``, not a copy: it supports membership,
-    ``len``, iteration and equality with sets.  ``pops`` counts worklist
-    extractions.
+    ``rows[i][u]`` is the bitmask of the ``v`` with ``(u, names[i], v)``.  A
+    read-only set: membership, ``len``, iteration ordered by nonterminal name,
+    then ``u``, then ``v``, and equality with any other set.  When the start
+    symbol is nullable, every ``(u, start, u)`` is a fact for the empty walk
+    whether or not the rows hold it too.
     """
 
-    facts: KeysView[Fact]
-    provenance: dict[Fact, Tail]
+    def __init__(
+        self, names: tuple[str, ...], rows: list[list[int]], nullable_start: Optional[int], size: int
+    ):
+        self.names = names
+        self.ids = {a: i for i, a in enumerate(names)}
+        self.rows = rows
+        self._empty = nullable_start  # id of the start symbol when it is nullable
+        self._len = size
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __contains__(self, fact) -> bool:
+        try:
+            u, a, v = fact
+            i = self.ids[a]
+        except (TypeError, ValueError, KeyError):
+            return False
+        if not (type(u) is int and type(v) is int and 0 <= u < len(self.rows[i]) and v >= 0):
+            return False
+        return bool(self.rows[i][u] >> v & 1) or (i == self._empty and u == v)
+
+    def __iter__(self) -> Iterator[Fact]:
+        for i, a in enumerate(self.names):  # names are sorted
+            for u, row in enumerate(self.rows[i]):
+                if i == self._empty:
+                    row |= 1 << u
+                for v in _bits(row):
+                    yield (u, a, v)
+
+    def __repr__(self) -> str:
+        return f"FactSet({len(self)} facts)"
+
+
+@dataclass(frozen=True)
+class ReachTable:
+    """Least fixpoint of derivation facts, as bit rows with birth rounds.
+
+    ``facts`` is the read-only set of facts.  ``births[i][u]`` lists
+    ``(round, bits)`` pairs in round order: the ``v`` whose fact ``(u, A,
+    v)`` was born in that round, for ``A = facts.names[i]``.  Round 0 reads
+    one edge; round ``r`` joins two facts born before ``r``, so a fact's
+    round is its minimum derivation height minus one.  Empty-walk facts are
+    never joined and have no round.  The table keeps no provenance:
+    :func:`witness_derivation` rebuilds a derivation from the rounds.
+    ``pops`` counts the row deltas joined, at most one per fact.
+    """
+
+    graph: LabeledGraph
+    normal_form: NormalForm
+    facts: FactSet
+    births: list[dict[int, list[tuple[int, int]]]]
     pops: int
+
+    def born(self, fact: Fact) -> Optional[int]:
+        """The round in which ``fact`` was derived, or None (empty walk or no fact)."""
+        u, a, v = fact
+        i = self.facts.ids.get(a)
+        return None if i is None else _born(self.births[i].get(u, ()), v)
 
 
 @dataclass
 class Witness:
-    """A reachability certificate: a root fact plus the table deriving it."""
+    """A reachability certificate: a root fact plus the table deriving it.
+
+    ``nodes`` caches the derivation once :func:`witness_derivation` built it.
+    """
 
     root: Fact
     table: ReachTable
+    nodes: Optional[list[tuple]] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -82,96 +142,162 @@ class ExpansionLimitExceeded:
     expanded_steps: int
 
 
-def _join_indices(nf: NormalForm):
-    by_char: dict[str, tuple[str, ...]] = {}
-    for a, ch in nf.terminal_rules:
-        by_char[ch] = by_char.get(ch, ()) + (a,)
-    by_first: dict[str, tuple[tuple[str, str], ...]] = {}
-    by_second: dict[str, tuple[tuple[str, str], ...]] = {}
-    for a, b, c in nf.binary_rules:
-        by_first[b] = by_first.get(b, ()) + ((a, c),)
-        by_second[c] = by_second.get(c, ()) + ((a, b),)
-    return by_char, by_first, by_second
+def _bits(x: int) -> list[int]:
+    """The positions of the set bits of ``x >= 0``, lowest first.
 
-
-def cfl_reach_table(g: LabeledGraph, nf: NormalForm, order: str = "fifo") -> ReachTable:
-    """Worklist least fixpoint of facts ``(u, A, v)`` over ``g`` and ``nf``.
-
-    Seeds: ``(u, A, v)`` for every rule ``A -> a`` and edge ``u -a-> v`` (both
-    traversal directions when ``g`` is undirected), plus ``(u, start, u)``
-    for every vertex when the start symbol is nullable.  Closure: ``A -> B C``
-    combines ``(u, B, w)`` with ``(w, C, v)``.  The first derivation found
-    for a fact is kept.  ``order`` picks the worklist discipline ("fifo" or
-    "lifo"); the resulting fact set is the same either way.
+    Rows of deep sparse graphs are long ints with a few bits, so the top
+    bits are peeled one at a time; a mask still left after four is read off
+    its binary digits instead.
     """
-    if order not in ("fifo", "lifo"):
-        raise ValueError(f"order must be 'fifo' or 'lifo', got {order!r}")
+    top = []
+    while x:
+        if len(top) == 4:
+            rest = [i for i, ch in enumerate(bin(x)[:1:-1]) if ch == "1"]
+            top.reverse()
+            return rest + top
+        high = x.bit_length() - 1
+        top.append(high)
+        x ^= 1 << high
+    top.reverse()
+    return top
+
+
+def _born(chunks, v: int) -> Optional[int]:
+    """The round of the first ``(round, bits)`` chunk holding bit ``v``."""
+    for rnd, bits in chunks:
+        if bits >> v & 1:
+            return rnd
+    return None
+
+
+def _born_before(chunks, rnd: int) -> int:
+    """The bits of the chunks born before round ``rnd``."""
+    acc = 0
+    for r, bits in chunks:
+        if r >= rnd:
+            break
+        acc |= bits
+    return acc
+
+
+def cfl_reach_table(g: LabeledGraph, nf: NormalForm) -> ReachTable:
+    """Least fixpoint of facts ``(u, A, v)`` over ``g`` and ``nf``, a round at a time.
+
+    Round 0 holds ``(u, A, v)`` for every rule ``A -> a`` and edge ``u -a->
+    v`` (both traversal directions when ``g`` is undirected).  Round ``r``
+    joins the facts born in round ``r - 1`` under every rule ``A -> B C``:
+    a new row ``(B, u)`` ORs in the ``C``-rows of its new bits, and a new row
+    ``(C, w)`` is ORed into the ``A``-row of every ``u`` with an older fact
+    ``(u, B, w)``.  Work per round follows the new bits, never the vertex
+    count.  When the start symbol is nullable, ``(u, start, u)`` is a fact
+    for every vertex, but it is never joined: the normal form already
+    derives every non-empty walk.
+    """
     if not g.alphabet <= nf.terminals:
         extra = "".join(sorted(g.alphabet - nf.terminals))
         raise AlphabetMismatchError(
             f"graph labels {extra!r} are outside the grammar's alphabet"
         )
-    by_char, by_first, by_second = _join_indices(nf)
+    names = tuple(sorted(nf.nonterminals))
+    ids = {a: i for i, a in enumerate(names)}
+    n = g.vertex_count
+    by_first: list[list[tuple[int, int]]] = [[] for _ in names]  # B -> [(A, C)]
+    by_second: list[list[tuple[int, int]]] = [[] for _ in names]  # C -> [(A, B)]
+    for a, b, c in nf.binary_rules:
+        by_first[ids[b]].append((ids[a], ids[c]))
+        by_second[ids[c]].append((ids[a], ids[b]))
+    heads: dict[str, list[int]] = {}
+    for a, ch in nf.terminal_rules:
+        heads.setdefault(ch, []).append(ids[a])
 
-    provenance: dict[Fact, Tail] = {}
-    rows: dict[tuple[str, int], int] = {}  # (A, u) -> bitmask of v with (u, A, v)
-    cols: dict[tuple[str, int], int] = {}  # (A, v) -> bitmask of u with (u, A, v)
-    work: deque[Fact] = deque()
+    rows = [[0] * n for _ in names]
+    # cols[B][w] lists the u of the facts (u, B, w) born before the last
+    # round, for the symbols B that lead a rule body.
+    cols: list[defaultdict[int, list[int]]] = [defaultdict(list) for _ in names]
+    births: list[dict[int, list[tuple[int, int]]]] = [{} for _ in names]
+    found: defaultdict[int, dict[int, int]] = defaultdict(dict)  # A -> {u: bits found}
+    undirected = g.kind == UNDIRECTED
+    for e in g.edges:
+        for a in heads.get(e.label, ()):
+            fa = found[a]
+            fa[e.u] = fa.get(e.u, 0) | 1 << e.v
+            if undirected:
+                fa[e.v] = fa.get(e.v, 0) | 1 << e.u
 
-    def add(fact: Fact, why: Tail) -> None:
-        if fact in provenance:
-            return
-        provenance[fact] = why
-        u, a, v = fact
-        rows[(a, u)] = rows.get((a, u), 0) | (1 << v)
-        cols[(a, v)] = cols.get((a, v), 0) | (1 << u)
-        work.append(fact)
+    size = pops = rnd = 0
+    while True:
+        # The bits found that are new were born in this round.
+        delta: dict[int, dict[int, int]] = {}
+        for a, fa in found.items():
+            da: dict[int, int] = {}
+            rows_a, births_a = rows[a], births[a]
+            for u, bits in fa.items():
+                row = rows_a[u]
+                old = bits & row
+                if old:
+                    bits ^= old
+                    if not bits:
+                        continue
+                da[u] = bits
+                rows_a[u] = row | bits
+                chunks = births_a.get(u)
+                if chunks is None:
+                    births_a[u] = [(rnd, bits)]
+                else:
+                    chunks.append((rnd, bits))
+            if da:
+                delta[a] = da
+                pops += len(da)
+        if not delta:
+            break
+        rnd += 1
+        found = defaultdict(dict)
+        for c, dc in delta.items():
+            for a, b in by_second[c]:  # every older (u, B, w) joined with new (w, C, v)
+                cols_b, fa = cols[b], found[a]
+                for w, bits in dc.items():
+                    for u in cols_b.get(w, ()):
+                        prev = fa.get(u)
+                        fa[u] = bits if prev is None else prev | bits
+        for b, db in delta.items():
+            rules, cols_b = by_first[b], cols[b]
+            if not rules:
+                size += sum(bits.bit_count() for bits in db.values())
+                continue
+            for u, bits in db.items():
+                ws = _bits(bits)
+                size += len(ws)
+                for w in ws:  # new (u, B, w) joined with every (w, C, v)
+                    cols_b[w].append(u)
+                for a, c in rules:
+                    rows_c = rows[c]
+                    acc = rows_c[ws[0]]
+                    for w in ws[1:]:
+                        acc |= rows_c[w]
+                    if acc:
+                        fa = found[a]
+                        prev = fa.get(u)
+                        fa[u] = acc if prev is None else prev | acc
 
-    if nf.start_nullable:
-        for u in range(g.vertex_count):
-            add((u, nf.start, u), ("e",))
-    for idx, e in enumerate(g.edges):
-        for a in by_char.get(e.label, ()):
-            add((e.u, a, e.v), ("t", idx, False))
-            if g.kind == UNDIRECTED:
-                add((e.v, a, e.u), ("t", idx, True))
-
-    pops = 0
-    while work:
-        fact = work.popleft() if order == "fifo" else work.pop()
-        pops += 1
-        u, b, v = fact
-        for a, c in by_first.get(b, ()):
-            candidates = rows.get((c, v), 0) & ~rows.get((a, u), 0)
-            while candidates:
-                bit = candidates & -candidates
-                candidates ^= bit
-                w = bit.bit_length() - 1
-                add((u, a, w), ("b", fact, (v, c, w)))
-        for a, b2 in by_second.get(b, ()):
-            candidates = cols.get((b2, u), 0) & ~cols.get((a, v), 0)
-            while candidates:
-                bit = candidates & -candidates
-                candidates ^= bit
-                u0 = bit.bit_length() - 1
-                add((u0, a, v), ("b", (u0, b2, u), fact))
-
-    return ReachTable(facts=provenance.keys(), provenance=provenance, pops=pops)
+    start = ids[nf.start] if nf.start_nullable else None
+    if start is not None:
+        size += sum(not row >> u & 1 for u, row in enumerate(rows[start]))
+    return ReachTable(g, nf, FactSet(names, rows, start, size), births, pops)
 
 
 def cfl_reach(
-    g: LabeledGraph, grammar, order: str = "fifo", stats: Optional[dict] = None
+    g: LabeledGraph, grammar, stats: Optional[dict] = None
 ) -> Optional[Witness]:
     """Grammar-constrained reachability against a ``Cfg`` or a ``NormalForm``.
 
     A ``Cfg`` is normalized first.  Returns a witness rooted at ``(source,
     start, target)`` when the fact is derivable, else None.  When source
     equals target and the start symbol is nullable, the empty-walk witness is
-    the one returned.  ``stats`` receives the table size and worklist pops
-    for both outcomes.
+    the one returned.  ``stats`` receives the table size and the row deltas
+    joined for both outcomes.
     """
     nf = grammar if isinstance(grammar, NormalForm) else normalize(grammar)
-    table = cfl_reach_table(g, nf, order=order)
+    table = cfl_reach_table(g, nf)
     if stats is not None:
         stats.update(facts=len(table.facts), pops=table.pops)
     root = (g.source, nf.start, g.target)
@@ -183,44 +309,112 @@ def cfl_reach(
 def witness_derivation(w: Witness) -> list[tuple]:
     """The witness derivation as nodes in postorder, for :func:`check_derivation`.
 
-    Every node is a fact ``(u, A, v)`` followed by its provenance tail, with
-    the facts of a ``"b"`` tail replaced by the indices of their nodes:
-    ``(u, A, v, "b", left, right)``, ``(u, A, v, "t", edge, reverse)`` or
-    ``(u, A, v, "e")``.  Children come before their parents and the root is
-    last.  Every provenance reference is validated, and cyclic provenance,
-    which a well-formed table can never contain, is rejected.
+    Every node is a fact ``(u, A, v)`` followed by how it is derived:
+    ``(u, A, v, "b", left, right)`` splits it by a rule ``A -> B C`` into the
+    nodes at indices ``left`` and ``right``, ``(u, A, v, "t", edge,
+    reverse)`` reads one edge, and ``(u, A, v, "e")`` is the empty walk, only
+    ever the whole derivation.  Children come before their parents and the
+    root is last.
+
+    The derivation is rebuilt from the table's birth rounds alone.  A fact
+    born in round 0 reads the lowest-numbered edge that spells it.  Any other
+    fact takes the first rule of the normal form, then the lowest split
+    vertex, whose two children were both born in earlier rounds, so the
+    rebuild always ends.  It costs about the derivation's size times the
+    row width.  The nodes are cached on ``w``.
     """
-    prov = w.table.provenance
-    if w.root not in prov:
-        raise CorruptWitnessError(f"root fact {w.root} is not in the table")
-    OPEN = -1
-    index: dict[Fact, int] = {}  # node index, or OPEN until the children are done
-    nodes: list[tuple] = []
-    stack: list[Fact] = [w.root]
+    if w.nodes is None:
+        w.nodes = _derive(w.table, w.root)
+    return w.nodes
+
+
+def _derive(table: ReachTable, root: Fact) -> list[tuple]:
+    facts, nf = table.facts, table.normal_form
+    if root not in facts:
+        raise CorruptWitnessError(f"root fact {root} is not in the table")
+    if nf.start_nullable and root[1] == nf.start and root[0] == root[2]:
+        return [(*root, "e")]
+    names, ids, births = facts.names, facts.ids, table.births
+    splits: list[list[tuple[int, int]]] = [[] for _ in names]  # A -> [(B, C)] in rule order
+    for a, b, c in nf.binary_rules:
+        splits[ids[a]].append((ids[b], ids[c]))
+
+    index: dict[tuple[int, int, int], int] = {}
+    reads: list[int] = []  # the round-0 nodes, whose edges are looked up below
+    nodes: list = []
+    # Entries are (fact, None) to expand a fact, (fact, children) to emit it.
+    stack: list[tuple] = [((root[0], ids[root[1]], root[2]), None)]
     while stack:
-        fact = stack[-1]
-        at = index.get(fact)
-        tail = prov[fact]
-        if at is None:
-            index[fact] = OPEN
-            if tail[0] == "b":
-                for ref in (tail[2], tail[1]):
-                    if ref not in prov:
-                        raise CorruptWitnessError(f"dangling provenance reference {ref}")
-                    ref_at = index.get(ref)
-                    if ref_at == OPEN:
-                        raise CorruptWitnessError("cyclic provenance")
-                    if ref_at is None:
-                        stack.append(ref)
-        else:
-            stack.pop()
-            if at == OPEN:
-                index[fact] = len(nodes)
-                if tail[0] == "b":
-                    nodes.append((*fact, "b", index[tail[1]], index[tail[2]]))
-                else:
-                    nodes.append((*fact, *tail))
+        key, kids = stack.pop()
+        u, a, v = key
+        if kids is not None:
+            index[key] = len(nodes)
+            nodes.append((u, names[a], v, "b", index[kids[0]], index[kids[1]]))
+            continue
+        if key in index:
+            continue
+        rnd = _born(births[a].get(u, ()), v)
+        if rnd is None:
+            raise CorruptWitnessError(f"fact {(u, names[a], v)} has no birth round")
+        if rnd == 0:
+            index[key] = len(nodes)
+            reads.append(len(nodes))
+            nodes.append((u, names[a], v))
+            continue
+        kids = _split(table, splits[a], key, rnd)
+        stack += ((key, kids), (kids[1], None), (kids[0], None))
+    _read_edges(table.graph, nf, nodes, reads)
     return nodes
+
+
+def _split(table: ReachTable, rules, key, rnd: int) -> tuple:
+    """Children of ``key``: the first rule, then the lowest split vertex, both born before ``rnd``."""
+    u, a, v = key
+    births, rows = table.births, table.facts.rows
+    for b, c in rules:
+        rows_c, births_c = rows[c], births[c]
+        for w in _bits(_born_before(births[b].get(u, ()), rnd)):
+            if rows_c[w] >> v & 1:
+                born = _born(births_c.get(w, ()), v)
+                if born is not None and born < rnd:
+                    return (u, b, w), (w, c, v)
+    raise CorruptWitnessError(
+        f"fact {(u, table.facts.names[a], v)} has no split into facts born before round {rnd}"
+    )
+
+
+def _read_edges(g: LabeledGraph, nf: NormalForm, nodes: list, reads: list[int]) -> None:
+    """Complete each round-0 node ``(u, A, v)`` with the lowest-numbered edge spelling it.
+
+    Only the edges leaving a vertex some node starts from are looked at; a
+    forward reading of an edge comes before its reverse.
+    """
+    chars: dict[str, set[str]] = {}
+    for a, ch in nf.terminal_rules:
+        chars.setdefault(a, set()).add(ch)
+    todo: dict[int, list[int]] = {}  # u -> the round-0 nodes that start at u
+    for at in reads:
+        todo.setdefault(nodes[at][0], []).append(at)
+    edges, undirected = g.edges, g.kind == UNDIRECTED
+
+    def leaving(end: int):  # indices of the edges whose end ``end`` is a tail in todo
+        return compress(count(), map(todo.__contains__, map(itemgetter(end), edges)))
+
+    hits = sorted({*leaving(0), *leaving(1)}) if undirected else leaving(0)
+    left = len(reads)
+    for edge in hits:
+        e = edges[edge]
+        for reverse, tail, head in ((False, e.u, e.v), (True, e.v, e.u))[: 1 + undirected]:
+            waiting = todo.get(tail)
+            for at in list(waiting or ()):
+                u, a, v = nodes[at]
+                if v == head and e.label in chars.get(a, ()):
+                    nodes[at] = (u, a, v, "t", edge, reverse)
+                    waiting.remove(at)
+                    left -= 1
+        if not left:
+            return
+    raise CorruptWitnessError("a fact born in round 0 reads no edge")
 
 
 def _flatten(nodes) -> tuple[Step, ...]:

@@ -9,7 +9,7 @@ the fast library code against these slow-but-obvious routines.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
+from collections import defaultdict, deque
 from typing import Iterable, Iterator, Optional
 
 from lcreach import (
@@ -167,3 +167,47 @@ def walk_budget(g: LabeledGraph, max_len: int, cap: int = 10**6) -> int:
         if total > cap:
             return cap + 1
     return total
+
+
+def worklist_facts(g: LabeledGraph, nf, order: str = "fifo") -> frozenset:
+    """Every fact ``(u, A, v)`` of the grammar fixpoint, derived one fact at a time.
+
+    The oracle for :func:`lcreach.cfl_reach_table`: a worklist of single
+    facts over plain sets, popped first-in-first-out (``"fifo"``) or
+    last-in-first-out (``"lifo"``); the fact set must not depend on which.
+    Empty-walk facts ``(u, start, u)`` of a nullable start are facts but are
+    never joined, since the normal form derives every non-empty walk.
+    """
+    if order not in ("fifo", "lifo"):
+        raise ValueError(f"order must be 'fifo' or 'lifo', got {order!r}")
+    facts: set = set()
+    ends = defaultdict(set)  # (A, u) -> {v}
+    starts = defaultdict(set)  # (A, v) -> {u}
+    work: deque = deque()
+
+    def add(fact) -> None:
+        if fact not in facts:
+            facts.add(fact)
+            u, a, v = fact
+            ends[(a, u)].add(v)
+            starts[(a, v)].add(u)
+            work.append(fact)
+
+    for e in g.edges:
+        for a, ch in nf.terminal_rules:
+            if ch == e.label:
+                add((e.u, a, e.v))
+                if g.kind != DIRECTED:
+                    add((e.v, a, e.u))
+    while work:
+        u, b, v = work.popleft() if order == "fifo" else work.pop()
+        for a, left, right in nf.binary_rules:
+            if left == b:
+                for w in list(ends[(right, v)]):
+                    add((u, a, w))
+            if right == b:
+                for w in list(starts[(left, u)]):
+                    add((w, a, v))
+    if nf.start_nullable:
+        facts.update((u, nf.start, u) for u in range(g.vertex_count))
+    return frozenset(facts)

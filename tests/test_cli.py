@@ -278,6 +278,18 @@ def test_grammar_witness_v2_round_trip_needs_no_cyk(files, capsys, tmp_path, mon
     assert json.loads(out)["witness"] == report["witness"]
 
 
+def test_grammar_solve_builds_its_derivation_once(files, capsys, tmp_path, monkeypatch):
+    # expand_witness, the witness file and the self-check share one rebuild.
+    from lcreach import solve
+
+    builds = []
+    derive = solve._derive
+    monkeypatch.setattr(solve, "_derive", lambda *a: builds.append(a) or derive(*a))
+    _, _, wfile, report = _solve_v2(files, capsys, tmp_path)
+    assert report["decision"] == "reachable" and len(builds) == 1
+    assert json.loads(open(wfile).read())["version"] == 2
+
+
 def test_handwritten_v1_file_verifies_with_a_grammar(files, capsys, tmp_path):
     g = files("g.graph", NESTED)
     cfg = files("d2.cfg", D2_CFG)

@@ -18,7 +18,9 @@ from lcreach import (
     ExpansionLimitExceeded,
     LabeledGraph,
     Path,
+    Witness,
     cfl_reach,
+    cfl_reach_table,
     cyk_member,
     d2_grammar,
     expand_witness,
@@ -30,6 +32,8 @@ from lcreach import (
 )
 from lcreach.cli import dispatch
 from lcreach.solve import check_derivation, witness_derivation
+
+from .helpers import worklist_facts
 
 D2_NF = normalize(d2_grammar())
 
@@ -49,7 +53,8 @@ def derivation_of(g, nf):
 
 @st.composite
 def instances(draw):
-    """A random grammar over "ab" and a random small graph over the same labels."""
+    """A random grammar over "ab", a random small graph over the same labels, and
+    a worklist order for the oracle."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     cfg = random_cfg(
         rng, draw(st.integers(1, 4)), draw(st.integers(1, 7)), "ab",
@@ -65,8 +70,8 @@ def instances(draw):
 @settings(max_examples=400, deadline=None)
 @given(instances())
 def test_every_solver_witness_passes_the_check(instance):
-    g, nf, order = instance
-    w = cfl_reach(g, nf, order=order)
+    g, nf, _ = instance
+    w = cfl_reach(g, nf)
     if w is None:
         return
     expanded = expand_witness(w)
@@ -80,6 +85,24 @@ def test_every_solver_witness_passes_the_check(instance):
     assert cyk_member(nf, path_yield(g, Path(g.source, steps)))
     # the JSON form a witness file carries checks the same way
     assert check_derivation(g, nf, json.loads(json.dumps(nodes))) == steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances())
+def test_fact_set_equals_the_worklist_oracle(instance):
+    # Random grammars (nullable ones included) on directed and undirected
+    # multigraphs with self-loops, against a fact-at-a-time worklist.
+    g, nf, order = instance
+    table = cfl_reach_table(g, nf)
+    assert table.facts == worklist_facts(g, nf, order)
+    assert len(table.facts) == len(list(table.facts)) >= table.pops
+    for fact in table.facts:
+        nodes = witness_derivation(Witness(fact, table))
+        for node in nodes:
+            if node[3] == "b":
+                born = table.born(node[:3])
+                assert table.born(nodes[node[4]][:3]) < born
+                assert table.born(nodes[node[5]][:3]) < born
 
 
 def test_empty_walk_certificate():

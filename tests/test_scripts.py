@@ -1,0 +1,24 @@
+"""The scripts under ``scripts/`` still run against the library."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_bench_cfl_runs_at_a_tiny_size():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_cfl.py"), "--sizes", "6:12,10:30", "--repeats", "2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["n", "m", "seconds", "facts", "pops", "reachable", "witness_s", "walk"]
+    assert len(rows) == 4
+    for row in rows:
+        n, m, _, facts, pops, reachable, *_ = row.split()
+        assert (n, m) in {("6", "12"), ("10", "30")}
+        assert int(facts) >= int(pops) and reachable in ("yes", "no")

@@ -1,5 +1,6 @@
 """Solvers: product BFS, grammar fixpoint, enumeration, trees, witnesses."""
 
+import collections.abc
 import random
 
 import pytest
@@ -18,7 +19,6 @@ from lcreach import (
     NotADagError,
     NotATreeError,
     Path,
-    ReachTable,
     Witness,
     abstar_dfa,
     abstar_member,
@@ -37,6 +37,7 @@ from lcreach import (
     parse_graph,
     path_endpoints,
     path_yield,
+    random_cfg,
     random_dag,
     random_graph,
     regular_reach,
@@ -45,7 +46,7 @@ from lcreach import (
 
 from lcreach.solve import witness_derivation
 
-from .helpers import fragment_graph, random_total_dfa, universal_dfa, walk_budget
+from .helpers import fragment_graph, random_total_dfa, universal_dfa, walk_budget, worklist_facts
 
 D2 = d2_grammar()
 D2_NF = normalize(D2)
@@ -164,12 +165,17 @@ def test_mismatched_pair_fact_is_not_derived():
     assert (0, "S", 2) not in table.facts
 
 
-def test_facts_are_the_provenance_keys_not_a_copy():
+def test_facts_are_a_read_only_view_of_the_rows():
     g = graph(DIRECTED, 3, [(0, 1, "("), (1, 2, ")")], 0, 2, "()")
     table = cfl_reach_table(g, D2_NF)
-    assert table.facts == table.provenance.keys()
-    table.provenance[(2, "S", 0)] = None
-    assert (2, "S", 0) in table.facts
+    facts = table.facts
+    assert isinstance(facts, collections.abc.Set) and not hasattr(facts, "add")
+    assert facts == {(0, "_t_(", 1), (1, "_t_)", 2), (0, "S", 2)} and len(facts) == 3
+    assert list(facts) == [(0, "S", 2), (0, "_t_(", 1), (1, "_t_)", 2)]
+    for absent in [(2, "S", 0), (0, "Z", 2), (0, "S", -1), (9, "S", 2), ("0", "S", 2), (0, "S"), None]:
+        assert absent not in facts
+    facts.rows[facts.ids["S"]][2] |= 1 << 0  # membership reads the rows, not a copy
+    assert (2, "S", 0) in facts
 
 
 def test_edgeless_graph_yields_no_facts():
@@ -184,6 +190,19 @@ def test_nullable_start_seeds_every_vertex():
     table = cfl_reach_table(g, nf)
     for u in range(3):
         assert (u, "S", u) in table.facts
+        assert table.born((u, "S", u)) is None  # an empty walk is never joined
+    assert len(table.facts) == 3 and table.pops == 0
+
+
+def test_empty_walk_facts_are_never_joined():
+    # The helper _b1 -> S S of S -> S S S derives no empty walk, but joining
+    # two empty walks (u, S, u) would claim (u, _b1, u).
+    nf = normalize(parse_cfg("S -> S S S | '(' S ')' |"))
+    assert ("_b1", "S", "S") in nf.binary_rules
+    g = graph(DIRECTED, 2, [(0, 1, "(")], 0, 1, "()")
+    facts = cfl_reach_table(g, nf).facts
+    assert facts == {(0, "S", 0), (1, "S", 1), (0, "_t_(", 1)}
+    assert facts == worklist_facts(g, nf)
 
 
 def test_undirected_edges_seed_both_directions():
@@ -204,14 +223,13 @@ def test_worklist_order_does_not_change_the_fact_set():
     for i in range(30):
         kind = UNDIRECTED if i % 3 == 0 else DIRECTED
         g = random_graph(rng, rng.randint(2, 6), rng.randint(0, 10), "()[]", kind=kind)
-        fifo = cfl_reach_table(g, D2_NF, order="fifo")
-        lifo = cfl_reach_table(g, D2_NF, order="lifo")
-        assert fifo.facts == lifo.facts, i
+        facts = cfl_reach_table(g, D2_NF).facts
+        assert facts == worklist_facts(g, D2_NF, "fifo") == worklist_facts(g, D2_NF, "lifo"), i
 
 
 def test_provenance_references_only_earlier_facts():
-    # Provenance values are the node tails of a version 2 witness file, so
-    # the table and the file layout cannot drift apart.
+    # A rebuilt derivation is in the version 2 node layout, and every binary
+    # node splits its fact into two facts born in strictly earlier rounds.
     nullable_nf = normalize(parse_cfg("S -> '(' S ')' S | '[' S ']' S |"))
     rng = random.Random(43)
     roots = 0
@@ -220,44 +238,54 @@ def test_provenance_references_only_earlier_facts():
         nf = nullable_nf if i % 2 else D2_NF
         g = random_graph(rng, rng.randint(2, 6), rng.randint(0, 10), "()[]", kind=kind)
         table = cfl_reach_table(g, nf)
-        prov = table.provenance
-        position = {fact: n for n, fact in enumerate(prov)}
-        for fact, tail in prov.items():
-            if tail[0] == "b":
-                assert len(tail) == 3
-                assert position[tail[1]] < position[fact]
-                assert position[tail[2]] < position[fact]
-            elif tail[0] == "t":
-                assert len(tail) == 3 and isinstance(tail[2], bool)
-                e = g.edges[tail[1]]
-                assert (fact[0], fact[2]) == ((e.v, e.u) if tail[2] else (e.u, e.v))
-            else:
-                assert tail == ("e",) and fact[0] == fact[2]
-        root = (g.source, nf.start, g.target)
-        if root in prov:
-            roots += 1
-            nodes = witness_derivation(Witness(root, table))
-            facts = [node[:3] for node in nodes]
-            for fact, node in zip(facts, nodes):
-                tail = prov[fact]
-                if tail[0] == "b":
-                    tail = ("b", facts.index(tail[1]), facts.index(tail[2]))
-                assert node == (*fact, *tail)
+        for fact in table.facts:
+            nodes = witness_derivation(Witness(fact, table))
+            assert nodes[-1][:3] == fact
+            if nodes[-1][3] == "e":
+                assert nodes == [(*fact, "e")] and fact[1] == nf.start and fact[0] == fact[2]
+                continue
+            for at, node in enumerate(nodes):
+                born = table.born(node[:3])
+                if node[3] == "b":
+                    u, a, v, _, left, right = node
+                    assert left < at and right < at
+                    (u1, b, w1), (w2, c, v2) = nodes[left][:3], nodes[right][:3]
+                    assert (a, b, c) in nf.binary_rules and (u1, w1, v2) == (u, w2, v)
+                    assert table.born((u1, b, w1)) < born and table.born((w2, c, v2)) < born
+                else:
+                    u, a, v, tag, edge, reverse = node
+                    assert tag == "t" and born == 0 and isinstance(reverse, bool)
+                    e = g.edges[edge]
+                    assert (u, v) == ((e.v, e.u) if reverse else (e.u, e.v))
+                    assert (a, e.label) in nf.terminal_rules
+        roots += (g.source, nf.start, g.target) in table.facts
     assert roots, "no reachable root was checked"
 
 
 def test_every_fact_expands_to_a_path_its_nonterminal_derives():
+    # Nullable grammars included: only the start symbol may spell the empty walk.
     rng = random.Random(44)
-    for i in range(40):
+    nullable = 0
+    for i in range(80):
         kind = UNDIRECTED if i % 4 == 0 else DIRECTED
-        g = random_graph(rng, rng.randint(2, 5), rng.randint(0, 8), "()[]", kind=kind)
-        table = cfl_reach_table(g, D2_NF)
+        if i % 2:
+            nf, alphabet = D2_NF, "()[]"
+        else:
+            cfg = random_cfg(rng, rng.randint(1, 4), rng.randint(1, 8), "ab", epsilon_bias=0.3)
+            nf, alphabet = normalize(cfg), "".join(sorted(cfg.terminals))
+            nullable += nf.start_nullable
+        g = random_graph(rng, rng.randint(2, 5), rng.randint(0, 8), alphabet, kind=kind)
+        table = cfl_reach_table(g, nf)
         for fact in table.facts:
             u, sym, v = fact
             p = expand_witness(Witness(fact, table), step_limit=10**6)
             assert isinstance(p, Path)
             assert path_endpoints(g, p) == (u, v)
-            assert cyk_derives(D2_NF, path_yield(g, p), sym), fact
+            if p.steps:
+                assert cyk_derives(nf, path_yield(g, p), sym), fact
+            else:
+                assert sym == nf.start and nf.start_nullable, fact
+    assert nullable > 5
 
 
 def test_solver_is_deterministic_across_runs():
@@ -266,8 +294,20 @@ def test_solver_is_deterministic_across_runs():
     t1 = cfl_reach_table(g, D2_NF)
     t2 = cfl_reach_table(g, D2_NF)
     assert t1.facts == t2.facts
-    assert list(t1.provenance.items()) == list(t2.provenance.items())
+    assert list(t1.facts) == list(t2.facts)
+    assert t1.births == t2.births
     assert t1.pops == t2.pops
+    for fact in t1.facts:
+        assert witness_derivation(Witness(fact, t1)) == witness_derivation(Witness(fact, t2))
+
+
+def test_pops_count_row_deltas_not_facts():
+    rng = random.Random(46)
+    for i in range(20):
+        g = random_graph(rng, rng.randint(2, 8), rng.randint(0, 20), "()[]")
+        table = cfl_reach_table(g, D2_NF)
+        deltas = sum(len(chunks) for rows in table.births for chunks in rows.values())
+        assert table.pops == deltas <= len(table.facts)
 
 
 # --- grammar reachability entry point ----------------------------------------------
@@ -418,28 +458,42 @@ def test_exponential_expansion_is_exact_at_the_boundary():
     assert isinstance(expand_witness(w, step_limit=2**10 - 1), ExpansionLimitExceeded)
 
 
+def _corrupted(table, fact, rnd):
+    """``table`` with ``fact`` claimed to be born in round ``rnd``."""
+    u, a, v = fact
+    facts = table.facts
+    facts.rows[facts.ids[a]][u] |= 1 << v
+    table.births[facts.ids[a]][u] = [(rnd, 1 << v)]
+    return table
+
+
 def test_dangling_provenance_is_reported():
-    f = (0, "S", 0)
-    table = ReachTable(
-        facts=frozenset([f]),
-        provenance={f: ("b", (1, "X", 1), (2, "Y", 2))},
-        pops=0,
-    )
-    with pytest.raises(CorruptWitnessError):
-        expand_witness(Witness(f, table))
+    # A fact claimed by a later round with no split into earlier facts, or
+    # claimed by round 0 with no edge to read.
+    g = graph(DIRECTED, 2, [(0, 1, "(")], 0, 1, "()")
+    table = _corrupted(cfl_reach_table(g, D2_NF), (0, "S", 1), 1)
+    with pytest.raises(CorruptWitnessError, match="no split"):
+        expand_witness(Witness((0, "S", 1), table))
+    table = _corrupted(cfl_reach_table(g, D2_NF), (0, "_t_)", 1), 0)
+    with pytest.raises(CorruptWitnessError, match="reads no edge"):
+        expand_witness(Witness((0, "_t_)", 1), table))
 
 
 def test_cyclic_provenance_is_reported():
-    f = (0, "S", 0)
-    table = ReachTable(facts=frozenset([f]), provenance={f: ("b", f, f)}, pops=0)
-    with pytest.raises(CorruptWitnessError):
-        expand_witness(Witness(f, table))
+    # (0, S, 0) -> S S splits only into itself; a split must come from
+    # strictly earlier rounds, so the rebuild rejects it instead of looping.
+    nf = normalize(parse_cfg("S -> S S | 'a'"))
+    g = graph(DIRECTED, 1, [(0, 0, "a")], 0, 0, "a")
+    table = _corrupted(cfl_reach_table(g, nf), (0, "S", 0), 1)
+    with pytest.raises(CorruptWitnessError, match="no split into facts born before round 1"):
+        expand_witness(Witness((0, "S", 0), table))
 
 
 def test_missing_root_is_reported():
-    table = ReachTable(facts=frozenset(), provenance={}, pops=0)
-    with pytest.raises(CorruptWitnessError):
-        expand_witness(Witness((9, "Z", 9), table))
+    table = cfl_reach_table(graph(DIRECTED, 2, [(0, 1, "(")], 0, 1, "()"), D2_NF)
+    for root in [(9, "Z", 9), (0, "S", 1), (1, "_t_(", 0)]:
+        with pytest.raises(CorruptWitnessError, match="not in the table"):
+            expand_witness(Witness(root, table))
 
 
 def test_linear_grammars_expand_to_the_chain_length():
