@@ -47,7 +47,6 @@ from .grammar import (
     NormalForm,
     cyk_derives,
     cyk_member,
-    dfa_accepts,
     is_linear,
     normalize,
     parse_cfg,

@@ -26,6 +26,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import generators
@@ -41,8 +42,8 @@ from .graph import (
     path_yield,
     render_graph,
 )
-from .grammar import cyk_member, dfa_accepts, normalize, parse_cfg, parse_dfa
-from .languages import BUILTIN_NAMES, Language, builtin_language
+from .grammar import cyk_member, normalize, parse_cfg, parse_dfa
+from .languages import BUILTIN_NAMES, Language, builtin_language, dfa_recognizer, yield_recognizer
 from .reductions import (
     d2reach_to_dd2_ureach,
     mcvp_to_d2_reach,
@@ -142,8 +143,7 @@ def _write_witness_file(path: str, p: Path, derivation: Optional[list] = None) -
         payload["version"] = 2
         payload["derivation"] = derivation
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _load_witness_file(path: str) -> tuple[Path, object]:
@@ -186,7 +186,8 @@ def _load_language(args: argparse.Namespace) -> Language:
         return Language(args.grammar, lambda w: cyk_member(nf, w), grammar=cfg, normal_form=nf)
     if args.dfa is not None:
         d = parse_dfa(_read(args.dfa))
-        return Language(args.dfa, lambda w: set(w) <= d.alphabet and dfa_accepts(d, w), dfa=d)
+        rec = dfa_recognizer(d)
+        return Language(args.dfa, rec.member, dfa=d, recognizer=rec)
     return builtin_language(args.builtin)
 
 
@@ -253,7 +254,7 @@ def _run_regular(g: LabeledGraph, lang: Language, args: argparse.Namespace, repo
         raise _Usage(f"mode regular needs a DFA; {_source(args)} does not provide one")
     stats: dict = {}
     found = regular_reach(g, lang.dfa, stats=stats)
-    report.stats.update(facts_count=stats.get("states", 0), worklist_pops=stats.get("pops", 0))
+    report.stats.update(facts_count=stats["states"], worklist_pops=stats["states_examined"])
     return found, None
 
 
@@ -270,8 +271,9 @@ def _run_bounded_enum(g: LabeledGraph, lang: Language, args: argparse.Namespace,
     if args.max_len < 0:
         raise _Usage("--max-len must be nonnegative")
     stats: dict = {}
-    found = bounded_enum_reach(g, lang.member, args.max_len, stats=stats)
-    examined = stats.get("states_examined", 0)
+    rec = lang.recognizer or yield_recognizer(lang.member)
+    found = bounded_enum_reach(g, rec, args.max_len, stats=stats)
+    examined = stats["states_examined"]
     report.stats.update(facts_count=examined, worklist_pops=examined)
     if found is None:
         report.decision = "unknown-bounded"
@@ -496,10 +498,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser tree, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def dispatch(argv: Sequence[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parser().parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
-    ForeignSymbolError,
     ParseError,
     SemanticError,
     UndeclaredSymbolError,
@@ -385,16 +384,6 @@ class Dfa:
             for ch in self.alphabet:
                 if (q, ch) not in self.delta:
                     raise ValueError(f"delta is not total: missing ({q}, {ch!r})")
-
-
-def dfa_accepts(d: Dfa, w: str) -> bool:
-    """Run ``d`` on ``w``; symbols outside its alphabet are an error."""
-    q = d.start
-    for ch in w:
-        if ch not in d.alphabet:
-            raise ForeignSymbolError(f"symbol {ch!r} is outside the DFA alphabet")
-        q = d.delta[(q, ch)]
-    return q in d.accepting
 
 
 def parse_dfa(text: str) -> Dfa:

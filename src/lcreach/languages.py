@@ -1,9 +1,9 @@
-"""Built-in languages: recognizers plus grammar/automaton constructors.
+"""Built-in languages: online recognizers plus grammar/automaton constructors.
 
-:class:`Language` bundles a recognizer with the grammar or DFA that
-describes it, where there is one; grammar files, DFA files and built-in names
-all load as one.  Five languages ship with the package, addressable by name
-from the CLI through :func:`builtin_language`:
+:class:`Language` bundles a membership test with the grammar, DFA or online
+:class:`Recognizer` that describes it, where there is one; grammar files, DFA
+files and built-in names all load as one.  Five languages ship with the
+package, addressable by name from the CLI through :func:`builtin_language`:
 
 ``d2``
     Nonempty balanced strings over two bracket pairs ``()`` and ``[]``.
@@ -11,7 +11,7 @@ from the CLI through :func:`builtin_language`:
     A doubled variant of ``d2``: every ``(`` is immediately followed by
     ``a``, every ``)`` immediately preceded by ``b``, and similarly ``[``/``c``
     and ``]``/``d``.  Useful because direction of travel becomes visible in
-    the yield of an undirected walk.
+    the yield of an undirected walk.  Both are stack matchers.
 ``nbc-d2``
     Block-choice strings: a bracket prefix followed by blocks written
     ``{x#y}``; a string is a member when some per-block choice concatenates
@@ -29,35 +29,76 @@ from the CLI through :func:`builtin_language`:
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Hashable, Iterable, NamedTuple, Optional
 
 from .errors import BlockSyntaxError
-from .grammar import Cfg, Dfa, NormalForm, cyk_member, normalize
+from .grammar import Cfg, Dfa, NormalForm
 
 D2_ALPHABET = frozenset("()[]")
 DD2_ALPHABET = frozenset("()[]abcd")
 _CLOSE_OF = {"(": ")", "[": "]"}
 
 
-def d2_member(w: str) -> bool:
-    """Stack matcher for nonempty balanced bracket strings over ()[].
+class Recognizer(NamedTuple):
+    """An online recognizer that reads a string one symbol at a time.
 
-    Symbols outside the four brackets make the answer False.
+    ``step(state, ch)`` returns the next hashable state, or None when no
+    extension of the input is accepted; ``accepts(state)`` decides the input
+    read so far.  Two inputs in one state are accepted after the same
+    suffixes, which is what lets a walk search keep one walk per state.
     """
-    if not w:
-        return False
-    stack: list[str] = []
-    for ch in w:
-        if ch in "([":
-            stack.append(ch)
-        elif ch in ")]":
-            if not stack or _CLOSE_OF[stack.pop()] != ch:
+
+    start: Hashable
+    step: Callable[[Hashable, str], Optional[Hashable]]
+    accepts: Callable[[Hashable], bool]
+
+    def member(self, w: str) -> bool:
+        """Fold ``w`` through the recognizer: accepted, and never dead on the way."""
+        state = self.start
+        for ch in w:
+            state = self.step(state, ch)
+            if state is None:
                 return False
-        else:
-            return False
-    return not stack
+        return self.accepts(state)
+
+
+def yield_recognizer(member: Callable[[str], bool]) -> Recognizer:
+    """The fallback for a black-box ``member``: the state is the yield itself, never dead."""
+    return Recognizer("", operator.add, member)
+
+
+def dfa_recognizer(d: Dfa) -> Recognizer:
+    """The states of ``d``; a symbol outside its alphabet is dead."""
+    delta = d.delta
+    return Recognizer(d.start, lambda q, ch: delta.get((q, ch)), d.accepting.__contains__)
+
+
+def _d2_step(state: str, ch: str) -> Optional[str]:
+    """The open brackets after a ``$``; only the empty input is ``""``."""
+    if ch in ("(", "["):
+        return (state or "$") + ch
+    if len(state) > 1 and _CLOSE_OF[state[-1]] == ch:
+        return state[:-1]
+    return None
+
+
+# A dd2 symbol that starts a pair: the d2 bracket it spells and the symbol owed next.
+_DD2_PAIR = {"(": ("(", "a"), "[": ("[", "c"), "b": (")", ")"), "d": ("]", "]")}
+
+
+def _dd2_step(state: tuple[str, str], ch: str) -> Optional[tuple[str, str]]:
+    """A d2 state and the symbol owed next, if any: dd2 spells each bracket as a pair."""
+    stack, owed = state
+    if owed:
+        return (stack, "") if ch == owed else None
+    if ch not in _DD2_PAIR:
+        return None
+    bracket, owed = _DD2_PAIR[ch]
+    stack = _d2_step(stack, bracket)
+    return None if stack is None else (stack, owed)
 
 
 def d2_grammar() -> Cfg:
@@ -86,18 +127,6 @@ def dd2_grammar() -> Cfg:
     return Cfg(frozenset({s}), DD2_ALPHABET, prods, s)
 
 
-@lru_cache(maxsize=None)
-def _dd2_normal_form():
-    return normalize(dd2_grammar())
-
-
-def dd2_member(w: str) -> bool:
-    """Membership in ``dd2``, decided by CYK on the normalized grammar."""
-    if not w or any(ch not in DD2_ALPHABET for ch in w):
-        return False
-    return cyk_member(_dd2_normal_form(), w)
-
-
 def abstar_dfa() -> Dfa:
     """Total three-state DFA for ``(ab)*`` (state 2 is the dead state)."""
     delta = {
@@ -111,17 +140,12 @@ def abstar_dfa() -> Dfa:
     return Dfa(3, frozenset("ab"), delta, 0, frozenset({0}))
 
 
-def abstar_member(w: str) -> bool:
-    """Membership in ``(ab)*``; symbols outside {a, b} make it False."""
-    state = 0
-    for ch in w:
-        if ch == "a" and state == 0:
-            state = 1
-        elif ch == "b" and state == 1:
-            state = 0
-        else:
-            return False
-    return state == 0
+D2 = Recognizer("", _d2_step, "$".__eq__)
+DD2 = Recognizer(("", ""), _dd2_step, ("$", "").__eq__)
+ABSTAR = dfa_recognizer(abstar_dfa())
+d2_member = D2.member
+dd2_member = DD2.member
+abstar_member = ABSTAR.member
 
 
 # --- block-choice strings -------------------------------------------------
@@ -272,9 +296,11 @@ def lang_a_member(w: str) -> bool:
 class Language:
     """A language as the solve modes see it.
 
-    ``member`` is a total recognizer: it answers False, never raises, for
-    strings with foreign symbols.  ``grammar`` (for mode ``cfl``) and ``dfa``
-    (for mode ``regular``) are finite descriptions, where they exist.
+    ``member`` is a total membership test: it answers False, never raises,
+    for strings with foreign symbols.  ``grammar`` (for mode ``cfl``) and
+    ``dfa`` (for mode ``regular``) are finite descriptions, where they exist.
+    ``recognizer`` reads a walk's yield one symbol at a time, for
+    ``bounded-enum``; without one, that search keys walks by their yield.
     ``normal_form`` is set for languages read from a grammar file only; their
     witnesses are proved by derivation rather than by ``member``.
     """
@@ -284,20 +310,21 @@ class Language:
     grammar: Optional[Cfg] = None
     dfa: Optional[Dfa] = None
     normal_form: Optional[NormalForm] = None
+    recognizer: Optional[Recognizer] = None
 
 
 @lru_cache(maxsize=None)
 def builtin_language(name: str) -> Language:
     if name == "d2":
-        return Language("d2", d2_member, grammar=d2_grammar())
+        return Language("d2", d2_member, grammar=d2_grammar(), recognizer=D2)
     if name == "dd2":
-        return Language("dd2", dd2_member, grammar=dd2_grammar())
+        return Language("dd2", dd2_member, grammar=dd2_grammar(), recognizer=DD2)
     if name == "nbc-d2":
         return Language("nbc-d2", _nbc_member_total)
     if name == "lang-a":
         return Language("lang-a", lang_a_member)
     if name == "abstar":
-        return Language("abstar", abstar_member, dfa=abstar_dfa())
+        return Language("abstar", abstar_member, dfa=abstar_dfa(), recognizer=ABSTAR)
     raise KeyError(f"unknown builtin language {name!r}")
 
 

@@ -6,8 +6,10 @@ vertices and edges, and the empty walk counts when source equals target.
 
 Four solver families live here:
 
-* :func:`regular_reach` — breadth-first search of the product of graph
-  vertices and DFA states; returns a minimum-length accepted walk.
+* :func:`regular_reach` / :func:`bounded_enum_reach` — one breadth-first
+  search of the product of graph vertices and online recognizer states: a
+  DFA's states without a bound, or any recognizer's under a length bound.
+  Either returns the first accepted walk by length, then edge order.
 * :func:`cfl_reach_table` / :func:`cfl_reach` — the least fixpoint of facts
   ``(u, A, v)`` meaning "some u-to-v walk derives from nonterminal A", run
   one round at a time over bitmask rows.  A fact's round is one less than
@@ -17,15 +19,15 @@ Four solver families live here:
   walk can be exponentially longer than the derivation; :func:`expand_witness`
   flattens under an explicit step budget, and :func:`check_derivation`
   checks a derivation rule by rule in linear time.
-* :func:`dag_enum_reach` / :func:`bounded_enum_reach` — exhaustive walk
-  enumeration against a black-box membership predicate, for acyclic graphs
-  and for a hard length bound respectively.
+* :func:`dag_enum_reach` — exhaustive path enumeration of an acyclic graph
+  against a black-box membership predicate.
 * :func:`tree_reach` — on trees there is exactly one candidate walk; find it
   and run the predicate on its yield.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict, deque
 from collections.abc import Set
 from dataclasses import dataclass, field
@@ -41,7 +43,8 @@ from .errors import (
     NotATreeError,
 )
 from .graph import DIRECTED, UNDIRECTED, LabeledGraph, Path, Step, adjacency, is_dag, path_yield
-from .grammar import NormalForm, normalize
+from .grammar import Dfa, NormalForm, normalize
+from .languages import Recognizer, dfa_recognizer
 
 Fact = tuple[int, str, int]
 Member = Callable[[str], bool]
@@ -522,39 +525,71 @@ def check_derivation(
     return _flatten(nodes)
 
 
-def regular_reach(
-    g: LabeledGraph, d, stats: Optional[dict] = None
+def _product_search(
+    g: LabeledGraph, rec: Recognizer, max_len: Optional[int], stats: Optional[dict]
 ) -> Optional[Path]:
-    """BFS over (vertex, DFA state) pairs; returns a minimum-length accepted walk."""
+    """Breadth-first search of (vertex, recognizer state) pairs from ``(source, start)``.
+
+    Walks are taken by length, then edge order, and only the first walk to
+    reach a pair is extended: two prefixes in one state accept the same
+    suffixes, so the walk returned is the first accepted one.  Dead states
+    are dropped, and under a bound so are walks that cannot reach the
+    target in the steps left.  ``stats`` receives the pairs reached
+    (``states``) and examined (``states_examined``).
+    """
+    adj = adjacency(g)
+    if max_len is None:
+        max_len, dist = math.inf, [0] * g.vertex_count
+    else:  # steps from each vertex to the target
+        dist = [math.inf] * g.vertex_count
+        dist[g.target] = 0
+        back: list[list[int]] = [[] for _ in adj]
+        for u, hops in enumerate(adj):
+            for hop in hops:
+                back[hop[1]].append(u)
+        queue = deque([g.target])
+        while queue:
+            v = queue.popleft()
+            for u in back[v]:
+                if dist[u] == math.inf:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+    step, accepts, target = rec.step, rec.accepts, g.target
+    parent: dict = {(g.source, rec.start): None} if dist[g.source] <= max_len else {}
+    frontier, examined, length, found = list(parent), 0, 0, None
+    while frontier and found is None:
+        reached = []
+        for key in frontier:
+            examined += 1
+            v, q = key
+            if v == target and accepts(q):
+                found = key
+                break
+            for edge, head, label, reverse in adj[v]:
+                if dist[head] + length < max_len:
+                    nxt = (head, step(q, label))
+                    if nxt[1] is not None and nxt not in parent:
+                        parent[nxt] = (key, edge, reverse)
+                        reached.append(nxt)
+        frontier = reached
+        length += 1
+    if stats is not None:
+        stats.update(states=len(parent), states_examined=examined)
+    if found is None:
+        return None
+    steps: list[Step] = []
+    while parent[found] is not None:
+        found, edge, reverse = parent[found]
+        steps.append(Step(edge, reverse))
+    return Path(start=g.source, steps=tuple(reversed(steps)))
+
+
+def regular_reach(g: LabeledGraph, d: Dfa, stats: Optional[dict] = None) -> Optional[Path]:
+    """A minimum-length walk whose yield ``d`` accepts: the product search, unbounded."""
     if not g.alphabet <= d.alphabet:
         extra = "".join(sorted(g.alphabet - d.alphabet))
         raise AlphabetMismatchError(f"graph labels {extra!r} are outside the DFA alphabet")
-    adj = adjacency(g)
-    start = (g.source, d.start)
-    parent: dict[tuple[int, int], Optional[tuple[tuple[int, int], int, bool]]] = {start: None}
-    queue: deque[tuple[int, int]] = deque([start])
-    pops = 0
-    while queue:
-        v, q = queue.popleft()
-        pops += 1
-        if v == g.target and q in d.accepting:
-            steps: list[Step] = []
-            key = (v, q)
-            while parent[key] is not None:
-                prev, edge, reverse = parent[key]
-                steps.append(Step(edge, reverse))
-                key = prev
-            if stats is not None:
-                stats.update(states=len(parent), pops=pops)
-            return Path(start=g.source, steps=tuple(reversed(steps)))
-        for edge, head, label, reverse in adj[v]:
-            key = (head, d.delta[(q, label)])
-            if key not in parent:
-                parent[key] = ((v, q), edge, reverse)
-                queue.append(key)
-    if stats is not None:
-        stats.update(states=len(parent), pops=pops)
-    return None
+    return _product_search(g, dfa_recognizer(d), None, stats)
 
 
 def iter_st_paths(g: LabeledGraph):
@@ -597,75 +632,12 @@ def dag_enum_reach(
 
 
 def bounded_enum_reach(
-    g: LabeledGraph, member: Member, max_len: int, stats: Optional[dict] = None
+    g: LabeledGraph, rec: Recognizer, max_len: int, stats: Optional[dict] = None
 ) -> Optional[Path]:
-    """First accepted walk of length at most ``max_len``, or None.
-
-    Walks are considered in order of length, then lexicographic edge order.
-    Two walks reaching the same vertex with the same yield are
-    interchangeable for every later decision, so only the first is extended;
-    the walk returned is still the globally first accepted one.  Vertices
-    that cannot reach the target within the remaining budget are pruned.
-    None only means "no accepted walk within the bound".
-    """
+    """The first walk of at most ``max_len`` steps that ``rec`` accepts; None means none within the bound."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    adj = adjacency(g)
-
-    inf = max_len + 1
-    dist = [inf] * g.vertex_count
-    dist[g.target] = 0
-    back: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for e in g.edges:
-        back[e.v].append(e.u)
-        if g.kind == UNDIRECTED and e.u != e.v:
-            back[e.u].append(e.v)
-    queue = deque([g.target])
-    while queue:
-        v = queue.popleft()
-        for u in back[v]:
-            if dist[u] == inf:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-
-    if dist[g.source] > max_len:
-        if stats is not None:
-            stats.update(states_examined=0)
-        return None
-
-    # A frontier entry is (vertex, yield, linked-list node of steps).
-    Node = tuple  # (parent_node | None, Step)
-    frontier: list[tuple[int, str, Optional[Node]]] = [(g.source, "", None)]
-    seen: set[tuple[int, str]] = {(g.source, "")}
-    examined = 0
-    for length in range(max_len + 1):
-        next_frontier: list[tuple[int, str, Optional[Node]]] = []
-        for v, y, node in frontier:
-            examined += 1
-            if v == g.target and member(y):
-                steps: list[Step] = []
-                while node is not None:
-                    node, step = node[0], node[1]
-                    steps.append(step)
-                if stats is not None:
-                    stats.update(states_examined=examined)
-                return Path(start=g.source, steps=tuple(reversed(steps)))
-            if length == max_len:
-                continue
-            budget = max_len - length - 1
-            for edge, head, label, reverse in adj[v]:
-                if dist[head] > budget:
-                    continue
-                key = (head, y + label)
-                if key not in seen:
-                    seen.add(key)
-                    next_frontier.append((head, y + label, (node, Step(edge, reverse))))
-        frontier = next_frontier
-        if not frontier:
-            break
-    if stats is not None:
-        stats.update(states_examined=examined)
-    return None
+    return _product_search(g, rec, max_len, stats)
 
 
 def tree_reach(g: LabeledGraph, member: Member) -> Optional[Path]:

@@ -18,7 +18,10 @@ from lcreach import (
     Dfa,
     Edge,
     LabeledGraph,
+    Path,
+    Step,
     VcInstance,
+    adjacency,
     d2_member,
 )
 
@@ -143,6 +146,40 @@ def random_total_dfa(rng, n_states: int, alphabet: str) -> Dfa:
     return Dfa(n_states, frozenset(alphabet), delta, 0, accepting)
 
 
+def run_dfa(d: Dfa, w: str) -> bool:
+    """Membership by reading the transition table directly."""
+    state = d.start
+    for ch in w:
+        state = d.delta[(state, ch)]
+    return state in d.accepting
+
+
+def first_accepted_walk(g: LabeledGraph, member, max_len: int) -> Optional[Path]:
+    """The first walk of length <= max_len whose yield ``member`` accepts, or None.
+
+    The oracle for :func:`lcreach.bounded_enum_reach` and
+    :func:`lcreach.regular_reach`: walks are taken by length, then edge order
+    (the order of :func:`lcreach.adjacency`), and keyed by (vertex, yield)
+    alone, so it knows nothing of a language's states.  Two walks to one
+    vertex with one yield are interchangeable, and only the first is kept.
+    """
+    adj = adjacency(g)
+    frontier = [(g.source, "", ())]
+    seen = {(g.source, "")}
+    for length in range(max_len + 1):
+        reached = []
+        for v, spelled, steps in frontier:
+            if v == g.target and member(spelled):
+                return Path(g.source, steps)
+            for edge, head, label, reverse in adj[v] if length < max_len else ():
+                key = (head, spelled + label)
+                if key not in seen:
+                    seen.add(key)
+                    reached.append((*key, steps + (Step(edge, reverse),)))
+        frontier = reached
+    return None
+
+
 def walk_budget(g: LabeledGraph, max_len: int, cap: int = 10**6) -> int:
     """Number of walks from the source of length <= max_len, capped at ``cap``.
 
@@ -150,8 +187,6 @@ def walk_budget(g: LabeledGraph, max_len: int, cap: int = 10**6) -> int:
     cheap feasibility screen before running the enumerator on a random
     instance.
     """
-    from lcreach import adjacency
-
     counts = [0] * g.vertex_count
     counts[g.source] = 1
     adj = adjacency(g)

@@ -17,6 +17,7 @@ from lcreach import (
     Path,
     abstar_dfa,
     bounded_enum_reach,
+    builtin_language,
     cfl_reach,
     cfl_reach_table,
     cyk_member,
@@ -98,7 +99,7 @@ def test_criterion_02_bounded_search_never_beats_the_fixpoint():
         if walk_budget(g, 12, cap=20000) > 20000:
             continue  # enumeration at this bound would be infeasible; redraw
         checked += 1
-        enum = bounded_enum_reach(g, d2_member, 12)
+        enum = bounded_enum_reach(g, builtin_language("d2").recognizer, 12)
         witness = cfl_reach(g, D2)
         if enum is not None:
             positives += 1

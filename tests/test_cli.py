@@ -5,6 +5,7 @@ import json
 import pytest
 
 from lcreach import Path, parse_graph, parse_vc
+from lcreach import cli
 from lcreach.cli import dispatch
 
 CHAIN_SQUARE = "directed 3 2\n[]\n0 1 [\n1 2 ]\n0 2\n"
@@ -70,6 +71,25 @@ def test_solve_json_is_deterministic(files, capsys):
     assert payload["witness"]["start"] == 0
     assert payload["witness"]["steps"] == [[0, 0], [1, 0]]
     assert "wall_time" not in payload["stats"]
+
+
+def test_dispatch_reuses_one_parser_with_the_bytes_of_fresh_ones(files, capsys):
+    g = files("g.graph", CHAIN_SQUARE)
+    argvs = [
+        ("solve", "--graph", g, "--builtin", "d2", "--max-len", "3"),  # usage error
+        ("solve", "--graph", g),  # argparse error: no language
+        ("solve", "--graph", g, "--builtin", "d2", "--json"),
+        ("solve", "--graph", g, "--builtin", "d2"),
+        ("member", "--builtin", "d2", "--string", "()"),
+    ]
+    shared = [run(capsys, *argv) for argv in argvs]
+    assert cli._parser.cache_info().misses <= 1
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 2, 0, 0, 0]
 
 
 def test_timings_flag_adds_wall_time(files, capsys):

@@ -7,7 +7,6 @@ import pytest
 from lcreach import (
     Cfg,
     Dfa,
-    ForeignSymbolError,
     ParseError,
     SemanticError,
     UndeclaredSymbolError,
@@ -15,7 +14,6 @@ from lcreach import (
     cyk_member,
     d2_grammar,
     dd2_grammar,
-    dfa_accepts,
     is_linear,
     normalize,
     parse_cfg,
@@ -23,6 +21,7 @@ from lcreach import (
     random_cfg,
     render_cfg,
 )
+from lcreach.languages import dfa_recognizer
 
 from .helpers import derivable_strings, language_upto
 
@@ -193,16 +192,18 @@ def test_concatenation_rule_is_not_linear():
 
 def test_alternating_pair_dfa_examples():
     d = abstar_dfa()
-    assert dfa_accepts(d, "")
-    assert dfa_accepts(d, "ab")
-    assert dfa_accepts(d, "abab")
-    assert not dfa_accepts(d, "a")
-    assert not dfa_accepts(d, "ba")
+    assert dfa_recognizer(d).member("")
+    assert dfa_recognizer(d).member("ab")
+    assert dfa_recognizer(d).member("abab")
+    assert not dfa_recognizer(d).member("a")
+    assert not dfa_recognizer(d).member("ba")
 
 
-def test_dfa_rejects_foreign_symbols_loudly():
-    with pytest.raises(ForeignSymbolError):
-        dfa_accepts(abstar_dfa(), "abx")
+def test_dfa_recognizer_treats_foreign_symbols_as_dead():
+    rec = dfa_recognizer(abstar_dfa())
+    assert rec.step(rec.start, "x") is None
+    assert not rec.member("abx")
+    assert not rec.member("x")
 
 
 def test_dfa_must_be_total():
@@ -213,16 +214,16 @@ def test_dfa_must_be_total():
 def test_parse_dfa_basic():
     d = parse_dfa("dfa 2\nab\nstart 0\naccept 0\n0 a 1\n1 b 0\n0 b 0\n1 a 1")
     assert d.state_count == 2
-    assert dfa_accepts(d, "ab")
-    assert not dfa_accepts(d, "a")
+    assert dfa_recognizer(d).member("ab")
+    assert not dfa_recognizer(d).member("a")
 
 
 def test_parse_dfa_completes_partial_tables_with_dead_state():
     d = parse_dfa("dfa 2\nab\nstart 0\naccept 1\n0 a 1")
     assert d.state_count == 3
-    assert dfa_accepts(d, "a")
-    assert not dfa_accepts(d, "ab")
-    assert not dfa_accepts(d, "aa")
+    assert dfa_recognizer(d).member("a")
+    assert not dfa_recognizer(d).member("ab")
+    assert not dfa_recognizer(d).member("aa")
 
 
 def test_parse_dfa_reports_the_line_of_a_bad_state():
@@ -241,4 +242,4 @@ def test_parse_dfa_rejects_duplicate_transitions():
 
 def test_dfa_acceptance_is_stable_across_calls():
     d = abstar_dfa()
-    assert all(dfa_accepts(d, "ab" * 5) for _ in range(3))
+    assert all(dfa_recognizer(d).member("ab" * 5) for _ in range(3))

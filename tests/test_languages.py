@@ -19,7 +19,6 @@ from lcreach import (
     d2_member,
     dd2_grammar,
     dd2_member,
-    dfa_accepts,
     encode_lang_a,
     lang_a_member,
     nbc_d2_member,
@@ -28,8 +27,9 @@ from lcreach import (
     parse_nbc,
     vc_brute,
 )
+from lcreach.languages import dfa_recognizer
 
-from .helpers import dd2_decode_member, language_upto, strings_over
+from .helpers import dd2_decode_member, language_upto, random_total_dfa, run_dfa, strings_over
 
 
 # --- plain brackets -----------------------------------------------------------
@@ -101,13 +101,75 @@ def test_doubled_brackets_agree_with_pair_decoding():
         checked += 1
 
 
+def test_doubled_bracket_matcher_equals_cyk_up_to_length_5():
+    nf = normalize(dd2_grammar())
+    for length in range(6):
+        for w in strings_over("()[]abcdx", length):  # x is foreign
+            assert dd2_member(w) == cyk_member(nf, w), w
+
+
+# --- online recognizer states ---------------------------------------------------
+
+
+def state_after(rec, w):
+    """The state ``rec`` reaches on ``w``, or None once it is dead."""
+    state = rec.start
+    for ch in w:
+        state = rec.step(state, ch)
+        if state is None:
+            return None
+    return state
+
+
+def dfa_members(d, max_len):
+    alphabet = "".join(d.alphabet)
+    return {w for k in range(max_len + 1) for w in strings_over(alphabet, k) if run_dfa(d, w)}
+
+
+def random_dfas():
+    return [random_total_dfa(random.Random(seed), 1 + seed % 4, "ab") for seed in range(8)]
+
+
+@pytest.mark.parametrize(
+    "rec, alphabet, members, prefix_len, suffix_len",
+    [
+        (builtin_language("d2").recognizer, "()[]", language_upto(d2_grammar(), 10), 5, 5),
+        (builtin_language("dd2").recognizer, "()[]abcd", language_upto(dd2_grammar(), 8), 4, 4),
+        (builtin_language("abstar").recognizer, "ab", {"ab" * i for i in range(7)}, 6, 6),
+    ]
+    + [(dfa_recognizer(d), "ab", dfa_members(d, 10), 5, 5) for d in random_dfas()],
+)
+def test_inputs_in_one_state_get_one_verdict_on_every_suffix(rec, alphabet, members, prefix_len, suffix_len):
+    # ``members`` holds every member of length up to prefix_len + suffix_len,
+    # from a source that shares no code with the recognizer.
+    heads = {w[:i] for w in members for i in range(len(w) + 1)}
+    suffixes = [s for k in range(suffix_len + 1) for s in strings_over(alphabet, k)]
+    verdicts: dict = {}
+    for length in range(prefix_len + 1):
+        for u in strings_over(alphabet + "x", length):  # x is foreign
+            state = state_after(rec, u)
+            if state is None:  # dead: no member starts with u
+                assert u not in heads, u
+                continue
+            assert rec.accepts(state) == (u in members), u
+            row = tuple(u + s in members for s in suffixes)
+            assert verdicts.setdefault(state, row) == row, u
+
+
+def test_empty_input_and_a_bracket_pair_are_different_d2_states():
+    rec = builtin_language("d2").recognizer
+    assert state_after(rec, "") != state_after(rec, "()")
+    assert not rec.accepts(state_after(rec, "")) and rec.accepts(state_after(rec, "()"))
+    assert not d2_member("") and d2_member("()") and d2_member("()()")
+
+
 # --- alternating pairs ------------------------------------------------------------
 
 
 def test_alternating_pair_language():
-    d = abstar_dfa()
-    assert dfa_accepts(d, "abab")
-    assert not dfa_accepts(d, "ba")
+    d = dfa_recognizer(abstar_dfa())
+    assert d.member("abab")
+    assert not d.member("ba")
     assert abstar_member("")
     assert abstar_member("ab")
     assert not abstar_member("a")
@@ -115,10 +177,10 @@ def test_alternating_pair_language():
 
 
 def test_alternating_pair_dfa_matches_direct_recognizer():
-    d = abstar_dfa()
+    d = dfa_recognizer(abstar_dfa())
     for length in range(0, 10):
-        for w in strings_over("ab", length):
-            assert dfa_accepts(d, w) == abstar_member(w), w
+        for w in strings_over("abx", length):
+            assert d.member(w) == abstar_member(w) == (w == "ab" * (length // 2)), w
 
 
 # --- block choice ------------------------------------------------------------------

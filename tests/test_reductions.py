@@ -57,6 +57,7 @@ from lcreach import (
     vc_brute,
     vc_to_a_dagreach,
 )
+from lcreach.languages import yield_recognizer
 
 from .helpers import universal_dfa
 
@@ -86,7 +87,7 @@ def test_backwards_edge_does_not_become_reachable():
     g = graph(DIRECTED, 2, [(1, 0, "x")], 0, 1, "x")
     out = reach_to_abstar_ureach(g)
     assert regular_reach(out, abstar_dfa()) is None
-    assert bounded_enum_reach(out, lambda w: w in ("", "ab", "abab"), 4) is None
+    assert bounded_enum_reach(out, yield_recognizer(lambda w: w in ("", "ab", "abab")), 4) is None
 
 
 def test_two_hop_chain_reads_two_alternations():

@@ -2,8 +2,11 @@
 
 import collections.abc
 import random
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcreach import (
     DIRECTED,
@@ -23,12 +26,14 @@ from lcreach import (
     abstar_dfa,
     abstar_member,
     bounded_enum_reach,
+    builtin_language,
     cfl_reach,
     cfl_reach_table,
     cyk_derives,
     d2_grammar,
     d2_member,
     dag_enum_reach,
+    dd2_grammar,
     expand_witness,
     is_linear,
     iter_st_paths,
@@ -44,12 +49,23 @@ from lcreach import (
     tree_reach,
 )
 
+from lcreach.languages import dfa_recognizer, yield_recognizer
 from lcreach.solve import witness_derivation
 
-from .helpers import fragment_graph, random_total_dfa, universal_dfa, walk_budget, worklist_facts
+from .helpers import (
+    first_accepted_walk,
+    fragment_graph,
+    random_total_dfa,
+    run_dfa,
+    universal_dfa,
+    walk_budget,
+    worklist_facts,
+)
 
 D2 = d2_grammar()
 D2_NF = normalize(D2)
+D2_REC = builtin_language("d2").recognizer
+DD2_NF = normalize(dd2_grammar())
 
 
 def graph(kind, n, edges, s, t, alphabet):
@@ -118,7 +134,7 @@ def test_stats_report_product_exploration():
     stats = {}
     regular_reach(g, abstar_dfa(), stats=stats)
     assert stats["states"] >= 3
-    assert stats["pops"] >= 1
+    assert stats["states_examined"] >= 1
 
 
 def test_product_bfs_agrees_with_bounded_walk_enumeration():
@@ -134,15 +150,8 @@ def test_product_bfs_agrees_with_bounded_walk_enumeration():
         d = random_total_dfa(rng, n_states, alphabet)
         max_len = n * n_states
         found = regular_reach(g, d)
-
-        def accepts(w, d=d):
-            state = d.start
-            for ch in w:
-                state = d.delta[(state, ch)]
-            return state in d.accepting
-
-        enum = bounded_enum_reach(g, accepts, max_len)
-        assert (found is None) == (enum is None), i
+        accepts = partial(run_dfa, d)
+        assert found == first_accepted_walk(g, accepts, max_len), i
         if found is not None:
             positives += 1
             assert accepts(path_yield(g, found))
@@ -378,7 +387,7 @@ def test_bounded_search_success_implies_fixpoint_reachable():
         if walk_budget(g, 12, cap=20000) > 20000:
             continue  # enumeration would be infeasible; redraw
         checked += 1
-        enum = bounded_enum_reach(g, d2_member, 12)
+        enum = bounded_enum_reach(g, D2_REC, 12)
         w = cfl_reach(g, D2)
         if enum is not None:
             positives += 1
@@ -580,29 +589,29 @@ def test_source_equal_target_enumerates_only_the_empty_path():
 
 def test_cycle_walk_is_found_within_bound():
     g = graph(DIRECTED, 2, [(0, 1, "("), (1, 0, ")")], 0, 0, "()")
-    p = bounded_enum_reach(g, d2_member, 4)
+    p = bounded_enum_reach(g, D2_REC, 4)
     assert p is not None
     assert path_yield(g, p) == "()"
 
 
 def test_bound_zero_means_only_the_empty_walk():
     g = fragment_graph("a", alphabet="a")
-    assert bounded_enum_reach(g, lambda w: True, 0) is None
+    assert bounded_enum_reach(g, yield_recognizer(lambda w: True), 0) is None
     g2 = graph(DIRECTED, 2, [(0, 1, "a")], 0, 0, "a")
-    p = bounded_enum_reach(g2, lambda w: w == "", 0)
+    p = bounded_enum_reach(g2, yield_recognizer(lambda w: w == ""), 0)
     assert p == Path(0)
 
 
 def test_bound_is_tight():
     g = fragment_graph("()", alphabet="()")
-    assert bounded_enum_reach(g, d2_member, 1) is None
-    assert bounded_enum_reach(g, d2_member, 2) is not None
+    assert bounded_enum_reach(g, D2_REC, 1) is None
+    assert bounded_enum_reach(g, D2_REC, 2) is not None
 
 
 def test_negative_bound_is_rejected():
     g = fragment_graph("a", alphabet="a")
     with pytest.raises(ValueError):
-        bounded_enum_reach(g, lambda w: True, -1)
+        bounded_enum_reach(g, yield_recognizer(lambda w: True), -1)
 
 
 def test_bounded_enumeration_agrees_with_exhaustive_on_dags():
@@ -611,7 +620,7 @@ def test_bounded_enumeration_agrees_with_exhaustive_on_dags():
         n = rng.randint(2, 6)
         g = random_dag(rng, n, rng.randint(1, 10), "()[]")
         exhaustive = dag_enum_reach(g, d2_member)
-        bounded = bounded_enum_reach(g, d2_member, n)
+        bounded = bounded_enum_reach(g, D2_REC, n)
         assert (exhaustive is None) == (bounded is None), i
         if bounded is not None:
             assert d2_member(path_yield(g, bounded))
@@ -628,9 +637,74 @@ def test_shorter_accepted_walk_wins():
         3,
         "()",
     )
-    p = bounded_enum_reach(g, d2_member, 6)
+    p = bounded_enum_reach(g, D2_REC, 6)
     assert p is not None
     assert path_yield(g, p) == "()"
+
+
+# Each language: the labels its graphs use, an independent membership test, and
+# words worth planting so that accepted walks occur.
+SEARCH_LANGUAGES = {
+    "d2": ("()[]", lambda w: cyk_derives(D2_NF, w, D2_NF.start), ["()", "([])", "()[]"]),
+    "dd2": ("()[]abcd", lambda w: cyk_derives(DD2_NF, w, DD2_NF.start), ["(ab)", "[c(ab)d]"]),
+    "abstar": ("ab", lambda w: w == "ab" * (len(w) // 2), ["ab", "abab"]),
+    "lambda": ("ab", lambda w: w.count("a") == 2 * w.count("b"), ["aab", "aba"]),
+}
+
+
+def planted_graph(rng, kind, n, m, alphabet, word):
+    """A random multigraph with self-loops, plus ``word`` spelled along random waypoints."""
+    g = random_graph(rng, n, m, alphabet, kind=kind, self_loops=True)
+    stops = [g.source] + [rng.randrange(n) for _ in word[1:]] + [g.target]
+    planted = tuple(Edge(stops[i], stops[i + 1], ch) for i, ch in enumerate(word))
+    return LabeledGraph(kind, n, g.edges + planted, g.source, g.target, g.alphabet)
+
+
+@st.composite
+def bounded_searches(draw):
+    """A graph, a recognizer, an independent membership test, and a bound."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    name = draw(st.sampled_from(["d2", "dd2", "abstar", "dfa", "lambda"]))
+    if name == "dfa":
+        d = random_total_dfa(rng, rng.randint(1, 4), "ab")
+        alphabet, member, words = "ab", partial(run_dfa, d), ["a", "ab"]
+        rec = dfa_recognizer(d)
+    else:
+        alphabet, member, words = SEARCH_LANGUAGES[name]
+        rec = yield_recognizer(member) if name == "lambda" else builtin_language(name).recognizer
+    word = draw(st.sampled_from(["", *words]))  # "" plants nothing
+    kind = draw(st.sampled_from([DIRECTED, UNDIRECTED]))
+    g = planted_graph(rng, kind, draw(st.integers(1, 5)), draw(st.integers(0, 9)), alphabet, word)
+    return g, rec, member, draw(st.integers(0, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_searches())
+def test_bounded_search_returns_the_oracle_walk(case):
+    g, rec, member, max_len = case
+    stats = {}
+    found = bounded_enum_reach(g, rec, max_len, stats=stats)
+    assert found == first_accepted_walk(g, member, max_len)
+    assert stats["states_examined"] <= stats["states"]
+
+
+@st.composite
+def regular_searches(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    d = random_total_dfa(rng, draw(st.integers(1, 3)), "ab")
+    kind = draw(st.sampled_from([DIRECTED, UNDIRECTED]))
+    g = random_graph(rng, draw(st.integers(1, 4)), draw(st.integers(0, 8)), "ab", kind=kind, self_loops=True)
+    return g, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(regular_searches())
+def test_regular_reach_returns_the_oracle_walk_at_bound_n_times_q(case):
+    # A shortest accepted walk never repeats a (vertex, state) pair, so it
+    # has fewer than n * |Q| steps.
+    g, d = case
+    found = regular_reach(g, d)
+    assert found == first_accepted_walk(g, partial(run_dfa, d), g.vertex_count * d.state_count)
 
 
 # --- trees ---------------------------------------------------------------------------
