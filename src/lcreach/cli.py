@@ -140,8 +140,7 @@ def _write_witness_file(path: str, p: Path, derivation: Optional[list] = None) -
         "steps": [[s.edge, bool(s.reverse)] for s in p.steps],
     }
     if derivation is not None:
-        payload["version"] = 2
-        payload["derivation"] = derivation
+        payload.update(version=2, derivation=derivation)
     with open(path, "w") as fh:
         fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
@@ -165,7 +164,6 @@ def _load_witness_file(path: str) -> tuple[Path, object]:
 
 
 def _attach_path(report: SolveReport, g: LabeledGraph, p: Path) -> None:
-    report.yield_ = path_yield(g, p)
     report.witness_rendered = _render_path(g, p)
     report.witness_start = p.start
     report.witness_steps = [[s.edge, int(s.reverse)] for s in p.steps]
@@ -181,9 +179,8 @@ def _read(path: str) -> str:
 
 def _load_language(args: argparse.Namespace) -> Language:
     if args.grammar is not None:
-        cfg = parse_cfg(_read(args.grammar))
-        nf = normalize(cfg)
-        return Language(args.grammar, lambda w: cyk_member(nf, w), grammar=cfg, normal_form=nf)
+        nf = normalize(parse_cfg(_read(args.grammar)))
+        return Language(args.grammar, lambda w: cyk_member(nf, w), normal_form=nf)
     if args.dfa is not None:
         d = parse_dfa(_read(args.dfa))
         rec = dfa_recognizer(d)
@@ -197,18 +194,30 @@ def _source(args: argparse.Namespace) -> str:
     return f"{flag}:{getattr(args, flag)}"
 
 
-def _derivation_proves(g: LabeledGraph, lang: Language, p: Path, derivation) -> bool:
-    """True when ``derivation`` derives exactly ``p`` under the grammar file.
+def _check_walk(g: LabeledGraph, lang: Language, p: Path, derivation) -> tuple[Optional[str], Optional[str]]:
+    """Why ``p`` is no witness (None if it is one), and its yield if it runs source to target.
 
-    Any other outcome, including a malformed derivation, leaves the verdict
-    to the membership check, so a derivation can only spare that check.
+    The endpoints come first: a derivation is compared with the steps only.
+    Then ``derivation`` must derive exactly those steps under the normal
+    form, or else ``member`` accept the yield, so a malformed or foreign
+    derivation can only spare the membership check, never change the verdict.
     """
-    if derivation is None or lang.normal_form is None:
-        return False
     try:
-        return check_derivation(g, lang.normal_form, derivation, step_limit=len(p)) == p.steps
-    except CorruptWitnessError:
-        return False
+        endpoints = path_endpoints(g, p)
+    except LcreachError as exc:
+        return f"path does not fit the graph: {exc}", None
+    if endpoints != (g.source, g.target):
+        return "path endpoints are not the graph's source and target", None
+    text = path_yield(g, p)
+    proved = False
+    if derivation is not None and lang.normal_form is not None:
+        try:
+            proved = check_derivation(g, lang.normal_form, derivation, step_limit=len(p)) == p.steps
+        except CorruptWitnessError:
+            pass
+    if not (proved or lang.member(text)):
+        return "path yield is not in the language", text
+    return None, text
 
 
 def _add_language_flags(parser: argparse.ArgumentParser) -> None:
@@ -222,17 +231,17 @@ def _add_language_flags(parser: argparse.ArgumentParser) -> None:
 
 
 # Each mode's runner fills in its stats and returns the walk it found (None
-# when it found none, or found one too long to expand) plus, for a grammar
-# file in mode cfl, the derivation that proves it.  A runner that decides
-# something other than "unreachable" on a None walk says so in the report.
+# when it found none, or found one too long to expand) plus, in mode cfl,
+# the derivation that proves it.  A runner that decides something other
+# than "unreachable" on a None walk says so in the report.
 Found = tuple[Optional[Path], Optional[list]]
 
 
 def _run_cfl(g: LabeledGraph, lang: Language, args: argparse.Namespace, report: SolveReport) -> Found:
-    if lang.grammar is None:
+    if lang.normal_form is None:
         raise _Usage(f"mode cfl needs a grammar; {_source(args)} does not provide one")
     stats: dict = {}
-    witness = cfl_reach(g, lang.normal_form or lang.grammar, stats=stats)
+    witness = cfl_reach(g, lang.normal_form, stats=stats)
     report.stats.update(facts_count=stats["facts"], worklist_pops=stats["pops"])
     if witness is None:
         return None, None
@@ -245,8 +254,7 @@ def _run_cfl(g: LabeledGraph, lang: Language, args: argparse.Namespace, report: 
             f"shared derivation has {expanded.shared_size} facts"
         )
         return None, None
-    # A grammar file's derivation proves membership in linear time.
-    return expanded, witness_derivation(witness) if lang.normal_form is not None else None
+    return expanded, witness_derivation(witness)
 
 
 def _run_regular(g: LabeledGraph, lang: Language, args: argparse.Namespace, report: SolveReport) -> Found:
@@ -312,13 +320,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     found, derivation = _RUNNERS[args.mode](g, lang, args, report)
     if found is not None:
-        if derivation is not None:
-            proved = _derivation_proves(g, lang, found, derivation)
-        else:
-            proved = path_endpoints(g, found) == (g.source, g.target) and lang.member(path_yield(g, found))
-        if not proved:
-            raise RuntimeError("internal check failed: solver returned an invalid witness")
-        report.decision = "reachable"
+        note, text = _check_walk(g, lang, found, derivation)
+        if note is not None:
+            raise RuntimeError(f"internal check failed: solver returned an invalid witness: {note}")
+        report.decision, report.yield_ = "reachable", text
         _attach_path(report, g, found)
         if args.witness_out:
             _write_witness_file(args.witness_out, found, derivation)
@@ -345,18 +350,18 @@ def _cmd_member(args: argparse.Namespace) -> int:
 # --- reduce ------------------------------------------------------------------
 
 
+# Each reduction reads its input file's text and returns the reduced graph.
+_REDUCTIONS = {
+    "reach-to-abstar": lambda text: reach_to_abstar_ureach(parse_graph(text)),
+    "nbc-to-d2": lambda text: nbc_to_d2_dagreach(text.strip("\n")),
+    "mcvp-to-d2": lambda text: mcvp_to_d2_reach(parse_circuit(text)),
+    "d2-to-dd2": lambda text: d2reach_to_dd2_ureach(parse_graph(text)),
+    "vc-to-a": lambda text: vc_to_a_dagreach(parse_vc(text)),
+}
+
+
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    text = _read(args.infile)
-    if args.kind == "reach-to-abstar":
-        out = reach_to_abstar_ureach(parse_graph(text))
-    elif args.kind == "nbc-to-d2":
-        out = nbc_to_d2_dagreach(text.strip("\n"))
-    elif args.kind == "mcvp-to-d2":
-        out = mcvp_to_d2_reach(parse_circuit(text))
-    elif args.kind == "d2-to-dd2":
-        out = d2reach_to_dd2_ureach(parse_graph(text))
-    else:
-        out = vc_to_a_dagreach(parse_vc(text))
+    out = _REDUCTIONS[args.kind](_read(args.infile))
     with open(args.outfile, "w") as fh:
         fh.write(render_graph(out))
     summary = {"kind": args.kind, "vertices": out.vertex_count, "edges": len(out.edges)}
@@ -405,27 +410,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.graph))
     lang = _load_language(args)
     witness, derivation = _load_witness_file(args.witness)
-    report = SolveReport(decision="rejected")
-    try:
-        endpoints = path_endpoints(g, witness)
-        text = path_yield(g, witness)
-    except LcreachError as exc:
-        report.notes.append(f"path does not fit the graph: {exc}")
-        _emit(report, args.json)
-        return EXIT_UNREACHABLE
-    if endpoints != (g.source, g.target):
-        report.notes.append("path endpoints are not the graph's source and target")
-        _emit(report, args.json)
-        return EXIT_UNREACHABLE
-    if not _derivation_proves(g, lang, witness, derivation) and not lang.member(text):
-        report.notes.append("path yield is not in the language")
-        report.yield_ = text
-        _emit(report, args.json)
-        return EXIT_UNREACHABLE
-    report.decision = "verified"
-    _attach_path(report, g, witness)
+    note, text = _check_walk(g, lang, witness, derivation)
+    report = SolveReport(decision="rejected", yield_=text)
+    if note is None:
+        report.decision = "verified"
+        _attach_path(report, g, witness)
+    else:
+        report.notes.append(note)
     _emit(report, args.json)
-    return EXIT_REACHABLE
+    return EXIT_REACHABLE if note is None else EXIT_UNREACHABLE
 
 
 # --- parser ------------------------------------------------------------------
@@ -464,10 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     member.set_defaults(func=_cmd_member)
 
     reduce_ = sub.add_parser("reduce", help="transform an instance into a reachability instance")
-    reduce_.add_argument(
-        "kind",
-        choices=("reach-to-abstar", "nbc-to-d2", "mcvp-to-d2", "d2-to-dd2", "vc-to-a"),
-    )
+    reduce_.add_argument("kind", choices=tuple(_REDUCTIONS))
     reduce_.add_argument("--in", dest="infile", required=True, metavar="FILE")
     reduce_.add_argument("--out", dest="outfile", required=True, metavar="FILE")
     reduce_.add_argument("--json", action="store_true")

@@ -1,9 +1,10 @@
 """Built-in languages: online recognizers plus grammar/automaton constructors.
 
-:class:`Language` bundles a membership test with the grammar, DFA or online
-:class:`Recognizer` that describes it, where there is one; grammar files, DFA
-files and built-in names all load as one.  Five languages ship with the
-package, addressable by name from the CLI through :func:`builtin_language`:
+:class:`Language` bundles a membership test with the grammar normal form,
+DFA or online :class:`Recognizer` that describes it, where there is one;
+grammar files, DFA files and built-in names all load as one.  Five languages
+ship with the package, addressable by name from the CLI through
+:func:`builtin_language`:
 
 ``d2``
     Nonempty balanced strings over two bracket pairs ``()`` and ``[]``.
@@ -35,7 +36,7 @@ from functools import lru_cache
 from typing import Callable, Hashable, Iterable, NamedTuple, Optional
 
 from .errors import BlockSyntaxError
-from .grammar import Cfg, Dfa, NormalForm
+from .grammar import Cfg, Dfa, NormalForm, normalize
 
 D2_ALPHABET = frozenset("()[]")
 DD2_ALPHABET = frozenset("()[]abcd")
@@ -46,9 +47,10 @@ class Recognizer(NamedTuple):
     """An online recognizer that reads a string one symbol at a time.
 
     ``step(state, ch)`` returns the next hashable state, or None when no
-    extension of the input is accepted; ``accepts(state)`` decides the input
-    read so far.  Two inputs in one state are accepted after the same
-    suffixes, which is what lets a walk search keep one walk per state.
+    extension of the input is accepted (``start`` is None when no input at
+    all is); ``accepts(state)`` decides the input read so far.  Two inputs
+    in one state are accepted after the same suffixes, which is what lets a
+    walk search keep one walk per state.
     """
 
     start: Hashable
@@ -71,9 +73,18 @@ def yield_recognizer(member: Callable[[str], bool]) -> Recognizer:
 
 
 def dfa_recognizer(d: Dfa) -> Recognizer:
-    """The states of ``d``; a symbol outside its alphabet is dead."""
-    delta = d.delta
-    return Recognizer(d.start, lambda q, ch: delta.get((q, ch)), d.accepting.__contains__)
+    """The states of ``d`` that can reach an accepting one; other states and foreign symbols are dead."""
+    back: dict[int, set[int]] = {}
+    for (q, _), r in d.delta.items():
+        back.setdefault(r, set()).add(q)
+    live, todo = set(d.accepting), list(d.accepting)
+    while todo:  # a state is live when some symbol leads to a live state
+        new = back.get(todo.pop(), set()) - live
+        live |= new
+        todo += new
+    delta = {key: r for key, r in d.delta.items() if r in live}
+    start = d.start if d.start in live else None
+    return Recognizer(start, lambda q, ch: delta.get((q, ch)), d.accepting.__contains__)
 
 
 def _d2_step(state: str, ch: str) -> Optional[str]:
@@ -297,17 +308,15 @@ class Language:
     """A language as the solve modes see it.
 
     ``member`` is a total membership test: it answers False, never raises,
-    for strings with foreign symbols.  ``grammar`` (for mode ``cfl``) and
-    ``dfa`` (for mode ``regular``) are finite descriptions, where they exist.
-    ``recognizer`` reads a walk's yield one symbol at a time, for
-    ``bounded-enum``; without one, that search keys walks by their yield.
-    ``normal_form`` is set for languages read from a grammar file only; their
-    witnesses are proved by derivation rather than by ``member``.
+    for strings with foreign symbols.  ``normal_form`` (for mode ``cfl``,
+    whose witnesses it proves by derivation) and ``dfa`` (for mode
+    ``regular``) are finite descriptions, where they exist.  ``recognizer``
+    reads a walk's yield one symbol at a time, for ``bounded-enum``; without
+    one, that search keys walks by their yield.
     """
 
     name: str
     member: Callable[[str], bool]
-    grammar: Optional[Cfg] = None
     dfa: Optional[Dfa] = None
     normal_form: Optional[NormalForm] = None
     recognizer: Optional[Recognizer] = None
@@ -316,9 +325,9 @@ class Language:
 @lru_cache(maxsize=None)
 def builtin_language(name: str) -> Language:
     if name == "d2":
-        return Language("d2", d2_member, grammar=d2_grammar(), recognizer=D2)
+        return Language("d2", d2_member, normal_form=normalize(d2_grammar()), recognizer=D2)
     if name == "dd2":
-        return Language("dd2", dd2_member, grammar=dd2_grammar(), recognizer=DD2)
+        return Language("dd2", dd2_member, normal_form=normalize(dd2_grammar()), recognizer=DD2)
     if name == "nbc-d2":
         return Language("nbc-d2", _nbc_member_total)
     if name == "lang-a":

@@ -1,10 +1,11 @@
 """End-to-end command-line behaviour: exit codes, reports, file round trips."""
 
+import dataclasses
 import json
 
 import pytest
 
-from lcreach import Path, parse_graph, parse_vc
+from lcreach import Path, Step, builtin_language, parse_graph, parse_vc
 from lcreach import cli
 from lcreach.cli import dispatch
 
@@ -346,6 +347,25 @@ def test_tampered_v2_gives_the_v1_verdict(files, capsys, tmp_path):
     assert verdicts == {0, 1}
 
 
+def test_a_v2_file_with_a_tampered_start_is_rejected(files, capsys, tmp_path):
+    # check_derivation compares steps only, so the walk's start is checked first.
+    g, cfg, wfile, _ = _solve_v2(files, capsys, tmp_path)
+    payload = json.loads(open(wfile).read())
+    code, out = _verify(capsys, g, cfg, {**payload, "start": 1}, tmp_path, "moved.json")
+    assert code == 1
+    assert json.loads(out)["notes"][0].startswith("path does not fit the graph")
+
+    # An empty walk's derivation proves any start, so only the endpoint check catches a moved one.
+    loop = files("loop.graph", "directed 2 1\n()\n0 1 (\n0 0\n")
+    nullable = files("nullable.cfg", "S -> '(' S ')' | \n")
+    empty = {**payload, "steps": [], "derivation": [[0, "S", 0, "e"]]}
+    assert _verify(capsys, loop, nullable, {**empty, "start": 0}, tmp_path, "empty.json")[0] == 0
+    for start, note in ((1, "path endpoints are not"), (5, "path does not fit the graph")):
+        code, out = _verify(capsys, loop, nullable, {**empty, "start": start}, tmp_path, f"empty_{start}.json")
+        assert code == 1
+        assert json.loads(out)["notes"][0].startswith(note), start
+
+
 @pytest.mark.parametrize("other, expected", [(D2_RENAMED_CFG, 0), (ROUND_ONLY_CFG, 1)])
 def test_v2_against_another_grammar_gives_the_v1_verdict(files, capsys, tmp_path, other, expected):
     g, _, wfile, _ = _solve_v2(files, capsys, tmp_path)
@@ -356,15 +376,24 @@ def test_v2_against_another_grammar_gives_the_v1_verdict(files, capsys, tmp_path
     assert v2[0] == expected
 
 
-def test_builtin_witness_file_stays_v1(files, capsys, tmp_path):
+def test_builtin_witness_file_is_v2(files, capsys, tmp_path, monkeypatch):
     g = files("g.graph", NESTED)
     wfile = str(tmp_path / "w.json")
     code, _, _ = run(capsys, "solve", "--graph", g, "--builtin", "d2", "--witness-out", wfile)
     assert code == 0
     assert open(wfile).read() == (
-        '{"format": "lcreach-witness", "start": 0, "steps": '
-        '[[0, false], [1, false], [2, false], [3, false]], "version": 1}\n'
+        '{"derivation": [[0, "_t_[", 1, "t", 0, false], [1, "_t_(", 2, "t", 1, false], '
+        '[2, "_t_)", 3, "t", 2, false], [1, "S", 3, "b", 1, 2], [3, "_t_]", 4, "t", 3, false], '
+        '[1, "_b2", 4, "b", 3, 4], [0, "S", 4, "b", 0, 5]], "format": "lcreach-witness", '
+        '"start": 0, "steps": [[0, false], [1, false], [2, false], [3, false]], "version": 2}\n'
     )
+
+    def refuse(*args):
+        raise AssertionError("a checked derivation must spare the membership check")
+
+    d2 = builtin_language("d2")
+    monkeypatch.setattr("lcreach.cli.builtin_language", lambda name: dataclasses.replace(d2, member=refuse))
+    monkeypatch.setattr("lcreach.cli.cyk_member", refuse)
     code, out, _ = run(capsys, "verify", "--graph", g, "--builtin", "d2", "--witness", wfile, "--json")
     assert code == 0
     assert out == (
@@ -597,3 +626,15 @@ def test_a_witness_failing_the_self_check_is_an_internal_error(files, capsys, mo
     assert code == 4
     assert out == ""
     assert err.startswith("internal error: RuntimeError: internal check failed")
+
+
+def test_a_solver_walk_that_does_not_fit_the_graph_is_an_internal_error(files, capsys, monkeypatch):
+    monkeypatch.setattr("lcreach.cli.dag_enum_reach", lambda g, member, stats: Path(0, (Step(9, False),)))
+    g = files("g.graph", CHAIN_SQUARE)
+    code, out, err = run(capsys, "solve", "--graph", g, "--builtin", "d2", "--mode", "dag-enum")
+    assert code == 4
+    assert out == ""
+    assert err == (
+        "internal error: RuntimeError: internal check failed: solver returned an invalid witness: "
+        "path does not fit the graph: step 0 references edge 9, which does not exist\n"
+    )

@@ -151,6 +151,7 @@ def test_inputs_in_one_state_get_one_verdict_on_every_suffix(rec, alphabet, memb
             if state is None:  # dead: no member starts with u
                 assert u not in heads, u
                 continue
+            assert u in heads, u  # live: some member within the bound starts with u
             assert rec.accepts(state) == (u in members), u
             row = tuple(u + s in members for s in suffixes)
             assert verdicts.setdefault(state, row) == row, u
@@ -236,10 +237,12 @@ def test_builtin_registry_names():
         lang = builtin_language(name)
         assert lang.name == name
         assert callable(lang.member)
-    assert builtin_language("d2").grammar is not None
     assert builtin_language("abstar").dfa is not None
-    # a builtin's witnesses are checked by its recognizer, not by derivation
-    assert all(builtin_language(name).normal_form is None for name in BUILTIN_NAMES)
+    # the bracket languages carry their normal form, which proves their cfl witnesses
+    assert builtin_language("d2").normal_form == normalize(d2_grammar())
+    assert builtin_language("dd2").normal_form == normalize(dd2_grammar())
+    assert not hasattr(builtin_language("d2"), "grammar")
+    assert all(builtin_language(name).normal_form is None for name in ("nbc-d2", "lang-a", "abstar"))
     assert isinstance(builtin_language("d2"), Language)
 
 
