@@ -155,8 +155,9 @@ def _load_witness_file(path: str) -> tuple[Path, object]:
     if not isinstance(payload, dict) or payload.get("format") != WITNESS_FORMAT:
         raise CorruptWitnessError("not a witness file")
     try:
-        start = int(payload["start"])
-        steps = tuple(Step(int(e), bool(r)) for e, r in payload["steps"])
+        start, steps = payload["start"], tuple(Step(e, r) for e, r in payload["steps"])
+        if type(start) is not int or not all(type(e) is int and type(r) is bool for e, r in steps):
+            raise TypeError("start and edge indices must be integers, reverse flags booleans")
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptWitnessError(f"malformed witness file: {exc}") from None
     derivation = payload.get("derivation") if payload.get("version") == 2 else None

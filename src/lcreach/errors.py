@@ -48,12 +48,24 @@ def parse_ints(tokens: Iterable[str], message: str, line: int) -> list[int]:
         raise ParseError(message, line=line) from None
 
 
-def build_object(cls: Callable[..., T], *args) -> T:
-    """``cls(*args)``, reporting the ValueError of its invariant checks as a SemanticError."""
+class InvariantError(ValueError):
+    """A constructor's invariant check failed on item ``index`` of field ``field``."""
+
+    def __init__(self, message: str, field: str, index: int = 0):
+        super().__init__(message)
+        self.field, self.index = field, index
+
+
+def build_object(cls: Callable[..., T], *args, **lines: int) -> T:
+    """``cls(*args)``, reporting the ValueError of its invariant checks as a SemanticError.
+
+    ``lines`` maps a field to the line of its first item; item ``i`` is ``i`` lines on.
+    """
     try:
         return cls(*args)
     except ValueError as exc:
-        raise SemanticError(str(exc)) from None
+        line = lines.get(getattr(exc, "field", None))
+        raise SemanticError(str(exc), line=None if line is None else line + exc.index) from None
 
 
 class UndeclaredSymbolError(SemanticError):

@@ -7,8 +7,8 @@ self-loops are allowed (edges form a multiset).  Undirected edges are stored
 with their endpoints in canonical ``(min, max)`` order and read the same
 label in both traversal directions.
 
-A :class:`Path` is a walk: a start vertex plus a sequence of steps, each
-naming an edge index and a traversal direction.  Walks may repeat vertices
+A :class:`Path` is a walk: a start vertex plus a tuple of :class:`Step`,
+each naming an edge index and a traversal direction.  Walks may repeat vertices
 and edges.  The empty path is a valid path from a vertex to itself, and its
 yield is the empty string.
 
@@ -20,7 +20,9 @@ File format (strict line positions, trailing blank lines ignored)::
     <source> <target>
 
 The ``dag`` kind parses as a directed graph plus a parse-time acyclicity
-check.
+check.  :func:`parse_graph` checks the shape of each line, and
+:class:`LabeledGraph` is the one place that checks graph invariants, so a
+file's line-shape faults are reported before its semantic ones.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .errors import (
     InvalidPathError,
+    InvariantError,
     KindError,
     ParseError,
     SemanticError,
@@ -55,13 +58,10 @@ class Step(NamedTuple):
     reverse: bool = False
 
 
-def _check_symbol(ch: str) -> None:
-    if len(ch) != 1 or not ch.isprintable() or ch.isspace():
-        raise ValueError(f"labels must be single printable non-whitespace characters, got {ch!r}")
-
-
 @dataclass(frozen=True)
 class LabeledGraph:
+    """An edge-labeled graph, checked on construction; ``alphabet`` may be a string of symbols."""
+
     kind: str
     vertex_count: int
     edges: tuple[Edge, ...]
@@ -70,39 +70,36 @@ class LabeledGraph:
     alphabet: frozenset[str]
 
     def __post_init__(self):
+        n = self.vertex_count
         if self.kind not in (DIRECTED, UNDIRECTED):
-            raise ValueError(f"kind must be {DIRECTED!r} or {UNDIRECTED!r}, got {self.kind!r}")
-        if self.vertex_count < 1:
-            raise ValueError("a graph needs at least one vertex")
-        object.__setattr__(self, "alphabet", frozenset(self.alphabet))
+            raise InvariantError(f"kind must be {DIRECTED!r} or {UNDIRECTED!r}, got {self.kind!r}", "kind")
+        if n < 1:
+            raise InvariantError("a graph needs at least one vertex", "vertex_count")
         for ch in self.alphabet:
-            _check_symbol(ch)
-        edges = []
-        for e in self.edges:
-            e = Edge(*e)
-            if not (0 <= e.u < self.vertex_count and 0 <= e.v < self.vertex_count):
-                raise ValueError(f"edge {e} has an endpoint outside 0..{self.vertex_count - 1}")
-            if e.label not in self.alphabet:
-                raise ValueError(f"edge label {e.label!r} is not in the declared alphabet")
-            if self.kind == UNDIRECTED and e.u > e.v:
-                e = Edge(e.v, e.u, e.label)
-            edges.append(e)
+            if len(ch) != 1 or not ch.isprintable() or ch.isspace():
+                raise InvariantError(f"bad alphabet character {ch!r}", "alphabet")
+        alphabet = frozenset(self.alphabet)
+        object.__setattr__(self, "alphabet", alphabet)
+        edges = list(self.edges)
+        for i, (u, v, label) in enumerate(edges):
+            if not (0 <= u < n and 0 <= v < n):
+                raise InvariantError(f"vertex id out of range in edge {u} {v}", "edges", i)
+            if label not in alphabet:
+                raise InvariantError(f"label {label!r} is not in the declared alphabet", "edges", i)
+            if u > v and self.kind == UNDIRECTED:
+                edges[i] = Edge(v, u, label)
         object.__setattr__(self, "edges", tuple(edges))
         for name in ("source", "target"):
-            v = getattr(self, name)
-            if not 0 <= v < self.vertex_count:
-                raise ValueError(f"{name} vertex {v} out of range")
+            if not 0 <= getattr(self, name) < n:
+                raise InvariantError("source or target out of range", name)
 
 
 @dataclass(frozen=True)
 class Path:
-    """A walk given by its start vertex and a sequence of steps."""
+    """A walk given by its start vertex and a tuple of :class:`Step`."""
 
     start: int
     steps: tuple[Step, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(Step(*s) for s in self.steps))
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -196,51 +193,38 @@ def parse_graph(text: str) -> LabeledGraph:
     if kind_word not in (DIRECTED, UNDIRECTED, "dag"):
         raise ParseError(f"unknown graph kind {kind_word!r}", line=1)
     n, m = parse_ints((n_text, m_text), "vertex and edge counts must be integers", 1)
-    if n < 1:
-        raise SemanticError("a graph needs at least one vertex", line=1)
     if m < 0:
         raise SemanticError("negative edge count", line=1)
-
     alpha = lines[1].strip()
     if len(set(alpha)) != len(alpha):
         raise ParseError("alphabet characters must be distinct", line=2)
-    for ch in alpha:
-        if not ch.isprintable() or ch.isspace():
-            raise ParseError(f"bad alphabet character {ch!r}", line=2)
-    alphabet = frozenset(alpha)
-
     if len(lines) != m + 3:
         raise ParseError(f"expected {m} edge lines plus a final source/target line", line=len(lines))
 
     edges = []
-    for i in range(m):
-        line_no = 3 + i
-        tokens = lines[2 + i].split()
+    for line_no, line in enumerate(lines[2:-1], 3):
+        tokens = line.split()
         if len(tokens) != 3:
             raise ParseError("edge line must be '<u> <v> <label>'", line=line_no)
+        u, v, label = tokens
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            u, v = int(u), int(v)
         except ValueError:
             raise ParseError("edge endpoints must be integers", line=line_no) from None
-        label = tokens[2]
         if len(label) != 1:
             raise ParseError("edge label must be a single character", line=line_no)
-        if not (0 <= u < n and 0 <= v < n):
-            raise SemanticError(f"vertex id out of range in edge {u} {v}", line=line_no)
-        if label not in alphabet:
-            raise SemanticError(f"label {label!r} is not in the declared alphabet", line=line_no)
         edges.append(Edge(u, v, label))
 
-    last_no = m + 3
-    tokens = lines[m + 2].split()
+    tokens = lines[-1].split()
     if len(tokens) != 2:
-        raise ParseError("final line must be '<source> <target>'", line=last_no)
-    s, t = parse_ints(tokens, "source and target must be integers", last_no)
-    if not (0 <= s < n and 0 <= t < n):
-        raise SemanticError("source or target out of range", line=last_no)
+        raise ParseError("final line must be '<source> <target>'", line=len(lines))
+    s, t = parse_ints(tokens, "source and target must be integers", len(lines))
 
     kind = UNDIRECTED if kind_word == UNDIRECTED else DIRECTED
-    g = build_object(LabeledGraph, kind, n, tuple(edges), s, t, alphabet)
+    g = build_object(
+        LabeledGraph, kind, n, edges, s, t, alpha,
+        vertex_count=1, alphabet=2, edges=3, source=len(lines), target=len(lines),
+    )
     if kind_word == "dag" and is_dag(g) is None:
         raise SemanticError("graph declared 'dag' contains a directed cycle")
     return g

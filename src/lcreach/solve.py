@@ -592,8 +592,8 @@ def regular_reach(g: LabeledGraph, d: Dfa, stats: Optional[dict] = None) -> Opti
     return _product_search(g, dfa_recognizer(d), None, stats)
 
 
-def iter_st_paths(g: LabeledGraph):
-    """All source-to-target paths of a DAG, in lexicographic edge order.
+def iter_st_paths(g: LabeledGraph) -> Iterator[tuple[Path, str]]:
+    """All source-to-target paths of a DAG with their yields, in lexicographic edge order.
 
     In an acyclic graph no walk revisits a vertex, so these are exactly the
     source-to-target walks, and none of them passes through the target twice.
@@ -602,15 +602,18 @@ def iter_st_paths(g: LabeledGraph):
         raise NotADagError("walk enumeration without a bound needs an acyclic graph")
     adj = adjacency(g)
     steps: list[Step] = []
+    labels: list[str] = []
 
     def rec(v: int):
         if v == g.target:
-            yield Path(start=g.source, steps=tuple(steps))
+            yield Path(start=g.source, steps=tuple(steps)), "".join(labels)
             return
-        for edge, head, _, reverse in adj[v]:
+        for edge, head, label, reverse in adj[v]:
             steps.append(Step(edge, reverse))
+            labels.append(label)
             yield from rec(head)
             steps.pop()
+            labels.pop()
 
     yield from rec(g.source)
 
@@ -619,11 +622,9 @@ def dag_enum_reach(
     g: LabeledGraph, member: Member, stats: Optional[dict] = None
 ) -> Optional[Path]:
     """Exhaustively test every source-to-target path of an acyclic graph."""
-    examined = 0
-    found = None
-    for p in iter_st_paths(g):
-        examined += 1
-        if member(path_yield(g, p)):
+    found, examined = None, 0
+    for examined, (p, text) in enumerate(iter_st_paths(g), 1):
+        if member(text):
             found = p
             break
     if stats is not None:

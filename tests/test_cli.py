@@ -256,6 +256,41 @@ def test_corrupt_witness_file_is_a_format_error(files, capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "start, steps",
+    [
+        (False, [[0, False], [True, False]]),
+        (0, [[0.9, False], [1, False]]),
+        (0.0, [[0, False], [1, False]]),
+        ("0", [[0, False], [1, False]]),
+        (0, [["0", False], [1, False]]),
+        (0, [[0, 0], [1, False]]),
+        (0, [[0, False], [1, "false"]]),
+        (0, [[0, False], [1, None]]),
+    ],
+    ids=["bools", "float edge", "float start", "string start", "string edge", "int flag", "string flag", "null flag"],
+)
+def test_witness_fields_of_the_wrong_type_are_a_format_error(files, capsys, tmp_path, start, steps):
+    g = files("g.graph", CHAIN_SQUARE)
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps({"format": "lcreach-witness", "version": 1, "start": start, "steps": steps}))
+    code, out, err = run(capsys, "verify", "--graph", g, "--builtin", "d2", "--witness", str(wfile))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed witness file: ")
+
+
+@pytest.mark.parametrize(
+    "start, steps", [(-1, [[0, False], [1, False]]), (0, [[0, False], [-1, False]])], ids=["start", "edge"]
+)
+def test_witness_indices_out_of_range_are_rejected_by_the_walk_check(files, capsys, tmp_path, start, steps):
+    g = files("g.graph", CHAIN_SQUARE)
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps({"format": "lcreach-witness", "version": 1, "start": start, "steps": steps}))
+    code, out, _ = run(capsys, "verify", "--graph", g, "--builtin", "d2", "--witness", str(wfile))
+    assert code == 1
+    assert "note: path does not fit the graph" in out
+
+
 D2_CFG = "S -> '(' S ')' | '[' S ']' | '(' ')' | '[' ']' | S S\n"
 # the same language under other names, and a grammar without "[]"
 D2_RENAMED_CFG = "T -> P T Q | P Q | R T E | R E | T T\nP -> '('\nQ -> ')'\nR -> '['\nE -> ']'\n"

@@ -278,6 +278,5 @@ def test_fragment_has_exactly_one_source_target_path():
     from lcreach import iter_st_paths
 
     g = fragment_graph("()[]")
-    paths = list(iter_st_paths(g))
-    assert len(paths) == 1
-    assert path_yield(g, paths[0]) == "()[]"
+    [(p, text)] = list(iter_st_paths(g))
+    assert text == path_yield(g, p) == "()[]"

@@ -1,8 +1,10 @@
-"""Every module of the package uses every name it imports.
+"""Every module of the package uses every name it imports, and every private name it defines.
 
 An unused import is dead weight, and in ``cli`` and ``solve`` it can hide a
 worse fault: the benchmark's tracer rebinds names those modules look up at
 call time, so a name imported but no longer called would silently read zero.
+A module-level private helper (``_name``) that nothing in the package reads
+is dead code left behind by a refactor.
 """
 
 import ast
@@ -25,3 +27,30 @@ def test_module_uses_every_imported_name(path):
             imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _module_level_private_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_module_name_is_referenced():
+    """A private helper that nothing in the package reads is dead code."""
+    defined, referenced = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined.update((path.name, name) for name in _module_level_private_names(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    assert sorted((module, name) for module, name in defined if name not in referenced) == []

@@ -392,9 +392,10 @@ def test_every_path_spells_a_wellformed_certificate():
     inst = VcInstance(3, frozenset({(1, 2)}), 1)
     out = vc_to_a_dagreach(inst)
     count = 0
-    for p in iter_st_paths(out):
+    for p, text in iter_st_paths(out):
         count += 1
-        view = parse_lang_a(path_yield(out, p))
+        assert text == path_yield(out, p)
+        view = parse_lang_a(text)
         assert view is not None
         assert view.n == 3
         assert view.k == 1
@@ -409,8 +410,8 @@ def test_decoding_reads_the_diamond_choices():
     seen = {}
     from lcreach import iter_st_paths
 
-    for p in iter_st_paths(out):
-        view = parse_lang_a(path_yield(out, p))
+    for p, text in iter_st_paths(out):
+        view = parse_lang_a(text)
         if view.cover_bits in want:
             seen[view.cover_bits] = decode_vc_witness(p, inst)
     assert seen == want
@@ -436,7 +437,7 @@ def test_foreign_paths_are_rejected_by_the_decoder():
     other = vc_to_a_dagreach(VcInstance(2, frozenset({(1, 2)}), 1))
     from lcreach import iter_st_paths
 
-    p = next(iter_st_paths(other))
+    p, _ = next(iter_st_paths(other))
     with pytest.raises(PathMismatchError):
         decode_vc_witness(p, inst)
     with pytest.raises(PathMismatchError):

@@ -562,8 +562,9 @@ def test_enumeration_visits_every_path_before_giving_up():
 def test_enumeration_order_is_lexicographic_in_edge_indices():
     edges = [(0, 1, "a"), (0, 1, "b"), (1, 2, "c"), (1, 2, "d")]
     g = graph(DIRECTED, 3, edges, 0, 2, "abcd")
-    yields = [path_yield(g, p) for p in iter_st_paths(g)]
-    assert yields == ["ac", "ad", "bc", "bd"]
+    pairs = list(iter_st_paths(g))
+    assert [text for _, text in pairs] == ["ac", "ad", "bc", "bd"]
+    assert all(path_yield(g, p) == text for p, text in pairs)
 
 
 def test_enumeration_requires_acyclic_graphs():
@@ -580,8 +581,7 @@ def test_enumeration_rejects_undirected_graphs():
 
 def test_source_equal_target_enumerates_only_the_empty_path():
     g = graph(DIRECTED, 2, [(0, 1, "a")], 0, 0, "a")
-    paths = list(iter_st_paths(g))
-    assert paths == [Path(0)]
+    assert list(iter_st_paths(g)) == [(Path(0), "")]
 
 
 # --- bounded enumeration --------------------------------------------------------------
