@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Benchmark the fixpoint solver on seeded random bracket graphs.
 
-Prints one row per draw: fixpoint time, table size, row deltas joined
-(``pops``), whether the instance was reachable, the time to rebuild
-and flatten the witness, and the witness length.  Sizes are given as ``n:m``
-pairs.
+Prints one row per draw: the time of the full least fixpoint, its table
+size, its row deltas joined (``pops``), whether the instance was reachable,
+the time to rebuild and flatten the witness, and the witness length; then
+the time of ``cfl_reach``, which stops the fixpoint in the round its root
+is born (``goal_s``), and the size of the table it stops with
+(``goal_facts``, the full size when unreachable).  Sizes are given as
+``n:m`` pairs.
 
 Example:
 
@@ -19,6 +22,7 @@ import time
 from lcreach import (
     Path,
     Witness,
+    cfl_reach,
     cfl_reach_table,
     d2_grammar,
     expand_witness,
@@ -49,7 +53,7 @@ def main() -> int:
     rng = random.Random(args.seed)
     print(
         f"{'n':>6} {'m':>6} {'seconds':>8} {'facts':>8} {'pops':>8}"
-        f" {'reachable':>9} {'witness_s':>9} {'walk':>6}"
+        f" {'reachable':>9} {'witness_s':>9} {'walk':>6} {'goal_s':>8} {'goal_facts':>10}"
     )
     for n, m in parse_sizes(args.sizes):
         for _ in range(args.repeats):
@@ -66,9 +70,13 @@ def main() -> int:
                 expanded = expand_witness(Witness(root=root, table=table))
                 witness_s = f"{time.perf_counter() - started:.4f}"
                 walk = str(len(expanded.steps)) if isinstance(expanded, Path) else ">limit"
+            stats: dict = {}
+            started = time.perf_counter()
+            cfl_reach(g, nf, stats=stats)
+            goal_s = time.perf_counter() - started
             print(
                 f"{n:>6} {m:>6} {elapsed:>8.3f} {len(table.facts):>8} {table.pops:>8}"
-                f" {reachable:>9} {witness_s:>9} {walk:>6}"
+                f" {reachable:>9} {witness_s:>9} {walk:>6} {goal_s:>8.3f} {stats['facts']:>10}"
             )
     return 0
 

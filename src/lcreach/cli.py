@@ -262,7 +262,7 @@ def _run_regular(g: LabeledGraph, lang: Language, args: argparse.Namespace, repo
     if lang.dfa is None:
         raise _Usage(f"mode regular needs a DFA; {_source(args)} does not provide one")
     stats: dict = {}
-    found = regular_reach(g, lang.dfa, stats=stats)
+    found = regular_reach(g, lang.dfa, stats=stats, rec=lang.recognizer)
     report.stats.update(facts_count=stats["states"], worklist_pops=stats["states_examined"])
     return found, None
 

@@ -6,7 +6,7 @@ that describes an inconsistent object.  Everything raised on purpose by this
 package derives from :class:`LcreachError`, so callers can catch one type.
 """
 
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -40,12 +40,30 @@ def content_lines(text: str) -> list[str]:
     return lines
 
 
-def parse_ints(tokens: Iterable[str], message: str, line: int) -> list[int]:
-    """``tokens`` as integers; otherwise a ParseError with ``message`` at ``line``."""
+def ascii_only_ints(text: str) -> bool:
+    """Whether bare ``int`` reads only ``-?[0-9]+`` from whitespace-free tokens of ``text``.
+
+    It also reads ``+1``, ``1_0`` and non-ASCII digits, which no file format
+    here describes.
+    """
+    return text.isascii() and "+" not in text and "_" not in text
+
+
+def ascii_int(token: str) -> int:
+    """``token``, from ``str.split``, as an integer if it is ``-?[0-9]+``; otherwise a ValueError."""
+    if not ascii_only_ints(token):
+        raise ValueError(f"not an ASCII integer: {token!r}")
+    return int(token)
+
+
+def parse_ints(tokens: Sequence[str], message: str, line: int) -> list[int]:
+    """``tokens``, from ``str.split``, as ASCII integers; otherwise a ParseError with ``message`` at ``line``."""
     try:
-        return [int(t) for t in tokens]
+        if ascii_only_ints("".join(tokens)):
+            return list(map(int, tokens))
     except ValueError:
-        raise ParseError(message, line=line) from None
+        pass
+    raise ParseError(message, line=line)
 
 
 class InvariantError(ValueError):

@@ -36,6 +36,8 @@ from .errors import (
     KindError,
     ParseError,
     SemanticError,
+    ascii_int,
+    ascii_only_ints,
     build_object,
     content_lines,
     parse_ints,
@@ -201,6 +203,7 @@ def parse_graph(text: str) -> LabeledGraph:
     if len(lines) != m + 3:
         raise ParseError(f"expected {m} edge lines plus a final source/target line", line=len(lines))
 
+    to_int = int if ascii_only_ints(text) else ascii_int  # bare int: one C call per endpoint
     edges = []
     for line_no, line in enumerate(lines[2:-1], 3):
         tokens = line.split()
@@ -208,7 +211,7 @@ def parse_graph(text: str) -> LabeledGraph:
             raise ParseError("edge line must be '<u> <v> <label>'", line=line_no)
         u, v, label = tokens
         try:
-            u, v = int(u), int(v)
+            u, v = to_int(u), to_int(v)
         except ValueError:
             raise ParseError("edge endpoints must be integers", line=line_no) from None
         if len(label) != 1:

@@ -312,7 +312,8 @@ class Language:
     whose witnesses it proves by derivation) and ``dfa`` (for mode
     ``regular``) are finite descriptions, where they exist.  ``recognizer``
     reads a walk's yield one symbol at a time, for ``bounded-enum``; without
-    one, that search keys walks by their yield.
+    one, that search keys walks by their yield.  Beside a ``dfa`` it is
+    ``dfa_recognizer(dfa)``, which mode ``regular`` searches.
     """
 
     name: str

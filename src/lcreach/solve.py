@@ -15,7 +15,9 @@ Four solver families live here:
   one round at a time over bitmask rows.  A fact's round is one less than
   its minimum derivation height, and that is all the table keeps about how
   it was derived: :func:`witness_derivation` rebuilds a derivation, shared
-  across facts, from the rounds on demand.  On cyclic graphs the flattened
+  across facts, from the rounds on demand.  Since a derivation reads only
+  facts of earlier rounds, :func:`cfl_reach` stops the fixpoint in the round
+  its root ``(source, start, target)`` is born.  On cyclic graphs the flattened
   walk can be exponentially longer than the derivation; :func:`expand_witness`
   flattens under an explicit step budget, and :func:`check_derivation`
   checks a derivation rule by rule in linear time.
@@ -98,6 +100,7 @@ class FactSet(Set):
 class ReachTable:
     """Least fixpoint of derivation facts, as bit rows with birth rounds.
 
+    A table stopped at a goal holds the facts of the rounds up to the goal's.
     ``facts`` is the read-only set of facts.  ``births[i][u]`` lists
     ``(round, bits)`` pairs in round order: the ``v`` whose fact ``(u, A,
     v)`` was born in that round, for ``A = facts.names[i]``.  Round 0 reads
@@ -105,7 +108,7 @@ class ReachTable:
     round is its minimum derivation height minus one.  Empty-walk facts are
     never joined and have no round.  The table keeps no provenance:
     :func:`witness_derivation` rebuilds a derivation from the rounds.
-    ``pops`` counts the row deltas joined, at most one per fact.
+    ``pops`` counts the row deltas, at most one per fact.
     """
 
     graph: LabeledGraph
@@ -183,7 +186,7 @@ def _born_before(chunks, rnd: int) -> int:
     return acc
 
 
-def cfl_reach_table(g: LabeledGraph, nf: NormalForm) -> ReachTable:
+def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None) -> ReachTable:
     """Least fixpoint of facts ``(u, A, v)`` over ``g`` and ``nf``, a round at a time.
 
     Round 0 holds ``(u, A, v)`` for every rule ``A -> a`` and edge ``u -a->
@@ -195,6 +198,13 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm) -> ReachTable:
     count.  When the start symbol is nullable, ``(u, start, u)`` is a fact
     for every vertex, but it is never joined: the normal form already
     derives every non-empty walk.
+
+    With a ``goal`` fact, the rounds stop right after the one in which the
+    goal is born, before any join; an empty-walk goal stops them before
+    round 0.  A fact's derivation reads only facts born in earlier rounds,
+    so every fact of the stopped table has the round it has in the full
+    one, and the goal's derivation is the same.  A goal that is never born
+    leaves the full fixpoint.
     """
     if not g.alphabet <= nf.terminals:
         extra = "".join(sorted(g.alphabet - nf.terminals))
@@ -227,6 +237,12 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm) -> ReachTable:
             if undirected:
                 fa[e.v] = fa.get(e.v, 0) | 1 << e.u
 
+    goal_row, goal_u, goal_bit = [0], 0, 1  # without a goal, a bit never set
+    if goal is not None:
+        goal_u, a, v = goal
+        goal_row, goal_bit = rows[ids[a]], 1 << v
+        if nf.start_nullable and a == nf.start and goal_u == v:
+            found.clear()  # the empty walk needs no round
     size = pops = rnd = 0
     while True:
         # The bits found that are new were born in this round.
@@ -252,6 +268,9 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm) -> ReachTable:
                 delta[a] = da
                 pops += len(da)
         if not delta:
+            break
+        if goal_row[goal_u] & goal_bit:  # the goal was born in this round
+            size += sum(bits.bit_count() for da in delta.values() for bits in da.values())
             break
         rnd += 1
         found = defaultdict(dict)
@@ -296,14 +315,16 @@ def cfl_reach(
     A ``Cfg`` is normalized first.  Returns a witness rooted at ``(source,
     start, target)`` when the fact is derivable, else None.  When source
     equals target and the start symbol is nullable, the empty-walk witness is
-    the one returned.  ``stats`` receives the table size and the row deltas
-    joined for both outcomes.
+    the one returned.  The fixpoint has that root as its goal, so it stops
+    in the round the root is born.  ``stats`` receives the table size and
+    the row deltas: up to the root's round when it is derivable, over the
+    whole least fixpoint when it is not.
     """
     nf = grammar if isinstance(grammar, NormalForm) else normalize(grammar)
-    table = cfl_reach_table(g, nf)
+    root = (g.source, nf.start, g.target)
+    table = cfl_reach_table(g, nf, goal=root)
     if stats is not None:
         stats.update(facts=len(table.facts), pops=table.pops)
-    root = (g.source, nf.start, g.target)
     if root not in table.facts:
         return None
     return Witness(root=root, table=table)
@@ -584,12 +605,17 @@ def _product_search(
     return Path(start=g.source, steps=tuple(reversed(steps)))
 
 
-def regular_reach(g: LabeledGraph, d: Dfa, stats: Optional[dict] = None) -> Optional[Path]:
-    """A minimum-length walk whose yield ``d`` accepts: the product search, unbounded."""
+def regular_reach(
+    g: LabeledGraph, d: Dfa, stats: Optional[dict] = None, rec: Optional[Recognizer] = None
+) -> Optional[Path]:
+    """A minimum-length walk whose yield ``d`` accepts: the product search, unbounded.
+
+    ``rec`` is ``dfa_recognizer(d)`` when the caller has built it already.
+    """
     if not g.alphabet <= d.alphabet:
         extra = "".join(sorted(g.alphabet - d.alphabet))
         raise AlphabetMismatchError(f"graph labels {extra!r} are outside the DFA alphabet")
-    return _product_search(g, dfa_recognizer(d), None, stats)
+    return _product_search(g, dfa_recognizer(d) if rec is None else rec, None, stats)
 
 
 def iter_st_paths(g: LabeledGraph) -> Iterator[tuple[Path, str]]:

@@ -8,6 +8,7 @@ import pytest
 from lcreach import Path, Step, builtin_language, parse_graph, parse_vc
 from lcreach import cli
 from lcreach.cli import dispatch
+from lcreach.languages import dfa_recognizer
 
 CHAIN_SQUARE = "directed 3 2\n[]\n0 1 [\n1 2 ]\n0 2\n"
 SINGLE_A = "directed 2 1\na\n0 1 a\n0 1\n"
@@ -119,6 +120,23 @@ def test_regular_mode_with_dfa_file(files, capsys):
     code, out, _ = run(capsys, "solve", "--graph", g, "--dfa", d, "--mode", "regular")
     assert code == 0
     assert "yield: ab" in out
+
+
+@pytest.mark.parametrize("flag, builds", [("--dfa", 1), ("--builtin", 0)])
+def test_regular_mode_builds_the_dfa_recognizer_once(files, capsys, monkeypatch, flag, builds):
+    g = files("g.graph", "directed 3 2\nab\n0 1 a\n1 2 b\n0 2\n")
+    source = files("m.dfa", ABSTAR_DFA) if flag == "--dfa" else "abstar"
+    built = []
+
+    def counted(d):
+        built.append(d)
+        return dfa_recognizer(d)
+
+    monkeypatch.setattr("lcreach.cli.dfa_recognizer", counted)
+    monkeypatch.setattr("lcreach.solve.dfa_recognizer", counted)
+    code, out, _ = run(capsys, "solve", "--graph", g, flag, source, "--mode", "regular")
+    assert code == 0 and "yield: ab" in out
+    assert len(built) == builds  # a file's language builds it; the built-in's exists at import
 
 
 def test_dfa_file_membership_is_total(files, capsys):

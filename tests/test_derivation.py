@@ -23,6 +23,7 @@ from lcreach import (
     cfl_reach_table,
     cyk_member,
     d2_grammar,
+    dd2_grammar,
     expand_witness,
     normalize,
     parse_cfg,
@@ -103,6 +104,91 @@ def test_fact_set_equals_the_worklist_oracle(instance):
                 born = table.born(node[:3])
                 assert table.born(nodes[node[4]][:3]) < born
                 assert table.born(nodes[node[5]][:3]) < born
+
+
+# --- the fixpoint stopped at its root ----------------------------------------------
+
+DD2_NF = normalize(dd2_grammar())
+NULLABLE_NF = normalize(parse_cfg("S -> '(' S ')' | '[' S ']' | S S |"))
+
+
+def check_goal_stop(g, nf):
+    """``cfl_reach`` stops at its root: a prefix of the full fixpoint's rounds."""
+    full = cfl_reach_table(g, nf)
+    root = (g.source, nf.start, g.target)
+    stats = {}
+    w = cfl_reach(g, nf, stats=stats)
+    if root not in full.facts:
+        assert w is None
+        assert stats == {"facts": len(full.facts), "pops": full.pops}
+        return
+    stopped = w.table
+    assert stats == {"facts": len(stopped.facts), "pops": stopped.pops}
+    assert len(stopped.facts) == len(list(stopped.facts)) >= stopped.pops >= 0
+    assert witness_derivation(w) == witness_derivation(Witness(root, full))
+    oracle = worklist_facts(g, nf)
+    last = stopped.born(root)  # None for the empty walk, which needs no round
+    if last is None:
+        assert nf.start_nullable and g.source == g.target and stopped.pops == 0
+    for fact in stopped.facts:
+        assert fact in oracle
+        born = stopped.born(fact)
+        if born is None:  # only empty-walk facts have no round
+            assert nf.start_nullable and fact[1] == nf.start and fact[0] == fact[2]
+        else:
+            assert born == full.born(fact) <= last
+    for fact in full.facts:
+        born = full.born(fact)
+        if born is not None and last is not None and born <= last:
+            assert fact in stopped.facts and stopped.born(fact) == born
+
+
+@st.composite
+def bracket_graphs(draw):
+    """A random graph for ``d2`` or ``dd2``, directed or undirected."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    nf, alphabet = draw(st.sampled_from([(D2_NF, "()[]"), (DD2_NF, "()[]abcd")]))
+    kind = draw(st.sampled_from([DIRECTED, UNDIRECTED]))
+    n = draw(st.integers(1, 9))
+    g = random_graph(rng, n, draw(st.integers(0, 5 * n)), alphabet, kind=kind, self_loops=True)
+    return g, nf
+
+
+@settings(max_examples=300, deadline=None)
+@given(bracket_graphs())
+def test_goal_stop_is_a_prefix_of_the_full_fixpoint(instance):
+    check_goal_stop(*instance)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([DIRECTED, UNDIRECTED]))
+def test_goal_stop_on_a_nullable_start_from_source_to_itself(seed, kind):
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    g = random_graph(rng, n, rng.randint(0, 4 * n), "()[]", kind=kind, self_loops=True)
+    g = LabeledGraph(g.kind, n, g.edges, g.source, g.source, g.alphabet)
+    check_goal_stop(g, NULLABLE_NF)
+    stats = {}
+    w = cfl_reach(g, NULLABLE_NF, stats=stats)
+    assert witness_derivation(w) == [(g.source, "S", g.source, "e")]
+    assert stats == {"facts": n, "pops": 0}
+
+
+def test_goal_stop_ends_in_the_round_of_the_root():
+    g = graph(DIRECTED, 5, [(0, 1, "("), (1, 2, ")"), (2, 3, "("), (3, 4, ")")], 0, 2, "()")
+    full, w = cfl_reach_table(g, D2_NF), cfl_reach(g, D2_NF)
+    last = w.table.born((0, "S", 2))
+    assert full.born((0, "S", 4)) > last
+    assert (0, "S", 4) not in w.table.facts
+    assert {f for f in full.facts if full.born(f) <= last} == set(w.table.facts)
+    check_goal_stop(g, D2_NF)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_goal_stop_with_random_grammars(instance):
+    g, nf, _ = instance
+    check_goal_stop(g, nf)
 
 
 def test_empty_walk_certificate():

@@ -233,6 +233,13 @@ def test_parse_dfa_reports_the_line_of_a_bad_state():
         parse_dfa("dfa 2\nab\nstart 0\naccept 0 y\n")
     with pytest.raises(ParseError, match="^line 5: states must be integers"):
         parse_dfa("dfa 2\nab\nstart 0\naccept 0\nq a 1\n")
+    # only ASCII integers: no sign "+", no "_", no other digits
+    with pytest.raises(ParseError, match="^line 1: state count must be an integer"):
+        parse_dfa("dfa \u0662\nab\nstart 0\naccept 0\n")
+    with pytest.raises(ParseError, match="^line 3: states must be integers"):
+        parse_dfa("dfa 2\nab\nstart +0\naccept 0\n")
+    with pytest.raises(ParseError, match="^line 5: states must be integers"):
+        parse_dfa("dfa 20\nab\nstart 0\naccept 0\n0 a 1_0\n")
 
 
 def test_parse_dfa_rejects_duplicate_transitions():

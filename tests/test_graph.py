@@ -112,6 +112,28 @@ def test_parse_error_carries_line_number():
     assert "line 3" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "edge_lines, message",
+    [
+        ("0 1 a\n1 +0 a\n1 0 a", "line 4: edge endpoints must be integers"),
+        ("0 1 a\n1 0_0 a\n1 0 ab", "line 4: edge endpoints must be integers"),
+        ("1 \u0660 aa\n0 1 a\n1 0", "line 3: edge endpoints must be integers"),
+        ("0 1 a\n1 0 ab\n1 +0 a", "line 4: edge label must be a single character"),
+    ],
+)
+def test_bad_endpoints_are_reported_at_the_first_faulty_line(edge_lines, message):
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_graph(f"directed 2 3\na\n{edge_lines}\n0 1\n")
+
+
+def test_plus_and_underscore_labels_keep_integer_endpoints():
+    text = "undirected 12 2\n+_\n0 11 +\n10 1 _\n-0 11\n"
+    g = parse_graph(text)
+    assert g.edges == (Edge(0, 11, "+"), Edge(1, 10, "_")) and (g.source, g.target) == (0, 11)
+    with pytest.raises(ParseError, match="^line 4: edge endpoints must be integers$"):
+        parse_graph(text.replace("10 1", "1_0 1"))
+
+
 def test_dag_kind_parses_as_directed_when_acyclic():
     g = parse_graph("dag 2 1\na\n0 1 a\n0 1")
     assert g.kind == DIRECTED

@@ -50,6 +50,9 @@ FAULTS = {
     "source out of range": ("directed 2 1\na\n0 1 a\n2 1\n", "line 4: source or target out of range"),
     "target out of range": ("undirected 2 0\na\n0 -1\n", "line 3: source or target out of range"),
     "cycle in a dag": ("dag 2 2\na\n0 1 a\n1 0 a\n0 1\n", "graph declared 'dag' contains a directed cycle"),
+    "underscore in an endpoint": ("directed 20 1\na\n0 1_0 a\n0 1\n", "line 3: edge endpoints must be integers"),
+    "plus sign in a count": ("directed +2 0\na\n0 1\n", "line 1: vertex and edge counts must be integers"),
+    "non-ASCII digit in the target": ("directed 2 0\na\n0 \u0661\n", "line 3: source and target must be integers"),
 }
 
 

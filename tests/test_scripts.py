@@ -16,12 +16,16 @@ def test_bench_cfl_runs_at_a_tiny_size():
     )
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
-    assert header.split() == ["n", "m", "seconds", "facts", "pops", "reachable", "witness_s", "walk"]
+    assert header.split() == [
+        "n", "m", "seconds", "facts", "pops", "reachable", "witness_s", "walk", "goal_s", "goal_facts"
+    ]
     assert len(rows) == 4
     for row in rows:
-        n, m, _, facts, pops, reachable, *_ = row.split()
+        n, m, _, facts, pops, reachable, *_, goal_facts = row.split()
         assert (n, m) in {("6", "12"), ("10", "30")}
         assert int(facts) >= int(pops) and reachable in ("yes", "no")
+        # the stopped table is a prefix of the full one, and all of it when unreachable
+        assert int(goal_facts) <= int(facts) if reachable == "yes" else goal_facts == facts
 
 
 def test_replicate_reductions_agrees_at_a_tiny_size():
