@@ -23,12 +23,19 @@ The ``dag`` kind parses as a directed graph plus a parse-time acyclicity
 check.  :func:`parse_graph` checks the shape of each line, and
 :class:`LabeledGraph` is the one place that checks graph invariants, so a
 file's line-shape faults are reported before its semantic ones.
+
+Both work on whole columns (a split per 4,096 edge lines, an ``int`` map per
+endpoint column, ``min``/``max``/set checks, :func:`as_edges`): no Python
+function runs per edge.  Only a failed check starts a per-line (or per-edge)
+loop, to name the first line at fault; faults keep their messages and order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from itertools import repeat
+from operator import gt, itemgetter
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
     InvalidPathError,
@@ -53,6 +60,17 @@ class Edge(NamedTuple):
     label: str
 
 
+def as_edges(triples: Iterable[tuple[int, int, str]]) -> tuple[Edge, ...]:
+    """``triples`` as :class:`Edge` tuples, built without a call of ``Edge.__new__`` per edge."""
+    # via a list: tuple(map(...)) re-tracks its growing tuple as young, and young collections walk it
+    return tuple(list(map(tuple.__new__, repeat(Edge), triples)))
+
+
+def columns(edges: Iterable[tuple[int, int, str]]) -> list[list]:
+    """Tails, heads and labels; ``zip(*edges)`` would make one GC-tracked iterator per edge."""
+    return [list(map(itemgetter(i), edges)) for i in range(3)]
+
+
 class Step(NamedTuple):
     """One move of a walk: which edge, and whether it is traversed v->u."""
 
@@ -75,6 +93,8 @@ class LabeledGraph:
         n = self.vertex_count
         if self.kind not in (DIRECTED, UNDIRECTED):
             raise InvariantError(f"kind must be {DIRECTED!r} or {UNDIRECTED!r}, got {self.kind!r}", "kind")
+        if type(n) is not int:
+            raise InvariantError(f"vertex count must be an integer, got {n!r}", "vertex_count")
         if n < 1:
             raise InvariantError("a graph needs at least one vertex", "vertex_count")
         for ch in self.alphabet:
@@ -82,17 +102,26 @@ class LabeledGraph:
                 raise InvariantError(f"bad alphabet character {ch!r}", "alphabet")
         alphabet = frozenset(self.alphabet)
         object.__setattr__(self, "alphabet", alphabet)
-        edges = list(self.edges)
-        for i, (u, v, label) in enumerate(edges):
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvariantError(f"vertex id out of range in edge {u} {v}", "edges", i)
-            if label not in alphabet:
-                raise InvariantError(f"label {label!r} is not in the declared alphabet", "edges", i)
-            if u > v and self.kind == UNDIRECTED:
-                edges[i] = Edge(v, u, label)
-        object.__setattr__(self, "edges", tuple(edges))
+        edges = tuple(self.edges)
+        us, vs, labels = columns(edges)
+        ends = us + vs
+        if not ({int}.issuperset(map(type, ends)) and 0 <= min(ends, default=0)
+                and max(ends, default=0) < n and alphabet.issuperset(labels)):
+            for i, (u, v, label) in enumerate(edges):  # name the first edge at fault
+                if type(u) is not int or type(v) is not int:
+                    raise InvariantError(f"vertex ids must be integers in edge {u!r} {v!r}", "edges", i)
+                if not (0 <= u < n and 0 <= v < n):
+                    raise InvariantError(f"vertex id out of range in edge {u} {v}", "edges", i)
+                if label not in alphabet:
+                    raise InvariantError(f"label {label!r} is not in the declared alphabet", "edges", i)
+        if self.kind == UNDIRECTED and any(map(gt, us, vs)):
+            edges = as_edges(zip(map(min, us, vs), map(max, us, vs), labels))
+        object.__setattr__(self, "edges", edges)
         for name in ("source", "target"):
-            if not 0 <= getattr(self, name) < n:
+            end = getattr(self, name)
+            if type(end) is not int:
+                raise InvariantError(f"{name} must be an integer, got {end!r}", name)
+            if not 0 <= end < n:
                 raise InvariantError("source or target out of range", name)
 
 
@@ -115,10 +144,11 @@ def adjacency(g: LabeledGraph) -> list[list[tuple[int, int, str, bool]]]:
     tie-breaking order every enumerating solver uses.
     """
     adj: list[list[tuple[int, int, str, bool]]] = [[] for _ in range(g.vertex_count)]
-    for i, e in enumerate(g.edges):
-        adj[e.u].append((i, e.v, e.label, False))
-        if g.kind == UNDIRECTED and e.u != e.v:
-            adj[e.v].append((i, e.u, e.label, True))
+    undirected = g.kind == UNDIRECTED
+    for i, (u, v, label) in enumerate(g.edges):
+        adj[u].append((i, v, label, False))
+        if undirected and u != v:
+            adj[v].append((i, u, label, True))
     return adj
 
 
@@ -166,9 +196,9 @@ def is_dag(g: LabeledGraph) -> Optional[tuple[int, ...]]:
         raise KindError("acyclicity is a directed-graph notion")
     indeg = [0] * g.vertex_count
     out: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for e in g.edges:
-        indeg[e.v] += 1
-        out[e.u].append(e.v)
+    for u, v, _ in g.edges:
+        indeg[v] += 1
+        out[u].append(v)
     queue = [v for v in range(g.vertex_count) if indeg[v] == 0]
     order: list[int] = []
     while queue:
@@ -181,6 +211,37 @@ def is_dag(g: LabeledGraph) -> Optional[tuple[int, ...]]:
     if len(order) != g.vertex_count:
         return None
     return tuple(order)
+
+
+def _edge_lines(body: list[str]) -> tuple[Edge, ...]:
+    """The edges of the edge lines ``body`` (line 3 on), or the ParseError of the first line at fault."""
+    edges: list[Edge] = []
+    try:
+        for at in range(0, len(body), 4096):  # chunks bound the token strings alive at once
+            # "\0" is never a label, so in one split of the lines joined by " \0 ", all are
+            # "<u> <v> <label>" exactly when the only "\0" tokens are every fourth one.
+            m, text = min(4096, len(body) - at), " \0 ".join(body[at:at + 4096])
+            tokens, to_int = text.split(), int if ascii_only_ints(text) else ascii_int
+            if not (len(tokens) == 4 * m - 1 and tokens.count("\0") == tokens[3::4].count("\0") == m - 1):
+                raise ValueError
+            labels = tokens[2::4]
+            if set(map(len, labels)) - {1}:
+                raise ValueError
+            edges += as_edges(zip(map(to_int, tokens[0::4]), map(to_int, tokens[1::4]), labels))
+            del tokens, labels  # before the next chunk's split
+        return tuple(edges)
+    except ValueError:
+        pass
+    triples = []  # the per-line parse, which names the first line at fault
+    for line_no, line in enumerate(body, 3):
+        tokens = line.split()
+        if len(tokens) != 3:
+            raise ParseError("edge line must be '<u> <v> <label>'", line=line_no)
+        u, v = parse_ints(tokens[:2], "edge endpoints must be integers", line_no)
+        if len(tokens[2]) != 1:
+            raise ParseError("edge label must be a single character", line=line_no)
+        triples.append((u, v, tokens[2]))
+    return as_edges(triples)
 
 
 def parse_graph(text: str) -> LabeledGraph:
@@ -203,20 +264,7 @@ def parse_graph(text: str) -> LabeledGraph:
     if len(lines) != m + 3:
         raise ParseError(f"expected {m} edge lines plus a final source/target line", line=len(lines))
 
-    to_int = int if ascii_only_ints(text) else ascii_int  # bare int: one C call per endpoint
-    edges = []
-    for line_no, line in enumerate(lines[2:-1], 3):
-        tokens = line.split()
-        if len(tokens) != 3:
-            raise ParseError("edge line must be '<u> <v> <label>'", line=line_no)
-        u, v, label = tokens
-        try:
-            u, v = to_int(u), to_int(v)
-        except ValueError:
-            raise ParseError("edge endpoints must be integers", line=line_no) from None
-        if len(label) != 1:
-            raise ParseError("edge label must be a single character", line=line_no)
-        edges.append(Edge(u, v, label))
+    edges = _edge_lines(lines[2:-1])
 
     tokens = lines[-1].split()
     if len(tokens) != 2:
@@ -236,6 +284,6 @@ def parse_graph(text: str) -> LabeledGraph:
 def render_graph(g: LabeledGraph) -> str:
     """Render ``g`` so that ``parse_graph(render_graph(g)) == g``."""
     lines = [f"{g.kind} {g.vertex_count} {len(g.edges)}", "".join(sorted(g.alphabet))]
-    lines.extend(f"{e.u} {e.v} {e.label}" for e in g.edges)
+    lines.extend(map("%d %d %s".__mod__, g.edges))
     lines.append(f"{g.source} {g.target}")
     return "\n".join(lines) + "\n"

@@ -49,7 +49,7 @@ from .errors import (
     content_lines,
     parse_ints,
 )
-from .graph import DIRECTED, UNDIRECTED, Edge, LabeledGraph, Path, path_endpoints, path_yield
+from .graph import DIRECTED, UNDIRECTED, Edge, LabeledGraph, Path, as_edges, columns, path_endpoints, path_yield
 from .languages import adjacency_bits, parse_nbc
 
 # --- circuits ---------------------------------------------------------------
@@ -259,7 +259,7 @@ class _Builder:
         return self.count - 1
 
     def edge(self, u: int, v: int, label: str) -> None:
-        self.edges.append(Edge(u, v, label))
+        self.edges.append(tuple.__new__(Edge, (u, v, label)))
 
     def chain_from(self, u: int, word: str) -> int:
         """Append a fresh chain spelling ``word`` starting at ``u``."""
@@ -271,17 +271,26 @@ class _Builder:
 
     def chain_between(self, u: int, v: int, word: str) -> None:
         """Spell nonempty ``word`` along a fresh branch from ``u`` to ``v``."""
-        for ch in word[:-1]:
-            nxt = self.vertex()
-            self.edge(u, nxt, ch)
-            u = nxt
-        self.edge(u, v, word[-1])
+        self.edge(self.chain_from(u, word[:-1]), v, word[-1])
 
     def build(self, source: int, target: int) -> LabeledGraph:
         return LabeledGraph(self.kind, self.count, tuple(self.edges), source, target, self.alphabet)
 
 
 # --- the five constructions ---------------------------------------------------
+
+
+def _subdivide(g: LabeledGraph, alphabet: str, halves: dict[str, tuple[str, str]]) -> LabeledGraph:
+    """Undirected ``g`` with edge ``i``, ``u -x-> v``, as ``u -first- mid -second- v``, where
+    ``(first, second)`` is ``halves[x]`` and ``mid = |V| + i``, so both halves are already canonical."""
+    n, m = g.vertex_count, len(g.edges)
+    us, vs, labels = columns(g.edges)
+    first, second = ({x: pair[i] for x, pair in halves.items()} for i in (0, 1))
+    mids = range(n, n + m)
+    edges = as_edges(itertools.chain.from_iterable(zip(
+        zip(us, mids, map(first.__getitem__, labels)), zip(vs, mids, map(second.__getitem__, labels))
+    )))
+    return LabeledGraph(UNDIRECTED, n + m, edges, g.source, g.target, frozenset(alphabet))
 
 
 def reach_to_abstar_ureach(g: LabeledGraph) -> LabeledGraph:
@@ -293,14 +302,7 @@ def reach_to_abstar_ureach(g: LabeledGraph) -> LabeledGraph:
     """
     if g.kind != DIRECTED:
         raise KindError("the midpoint construction starts from a directed graph")
-    b = _Builder(UNDIRECTED, "ab")
-    for _ in range(g.vertex_count):
-        b.vertex()
-    for e in g.edges:
-        mid = b.vertex()
-        b.edge(e.u, mid, "a")
-        b.edge(mid, e.v, "b")
-    return b.build(g.source, g.target)
+    return _subdivide(g, "ab", dict.fromkeys(g.alphabet, ("a", "b")))
 
 
 def nbc_to_d2_dagreach(w: str) -> LabeledGraph:
@@ -391,15 +393,7 @@ def d2reach_to_dd2_ureach(g: LabeledGraph) -> LabeledGraph:
         raise ForeignSymbolError(
             f"labels {''.join(sorted(foreign))!r} have no doubled-symbol pair"
         )
-    b = _Builder(UNDIRECTED, "()[]abcd")
-    for _ in range(g.vertex_count):
-        b.vertex()
-    for e in g.edges:
-        first, second = _DOUBLED_PAIR[e.label]
-        mid = b.vertex()
-        b.edge(e.u, mid, first)
-        b.edge(mid, e.v, second)
-    return b.build(g.source, g.target)
+    return _subdivide(g, "()[]abcd", _DOUBLED_PAIR)
 
 
 def vc_to_a_dagreach(inst: VcInstance) -> LabeledGraph:

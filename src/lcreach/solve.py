@@ -34,7 +34,7 @@ from collections import defaultdict, deque
 from collections.abc import Set
 from dataclasses import dataclass, field
 from itertools import compress, count
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Callable, Iterator, Optional, Union
 
 from .errors import (
@@ -678,12 +678,12 @@ def tree_reach(g: LabeledGraph, member: Member) -> Optional[Path]:
     directions, so the unique simple path is the only candidate walk.
     """
     n = g.vertex_count
-    if len(g.edges) != n - 1 or any(e.u == e.v for e in g.edges):
+    if len(g.edges) != n - 1 or any(map(eq, map(itemgetter(0), g.edges), map(itemgetter(1), g.edges))):
         raise NotATreeError("underlying structure is not a tree")
     nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (edge index, other end)
-    for i, e in enumerate(g.edges):
-        nbrs[e.u].append((i, e.v))
-        nbrs[e.v].append((i, e.u))
+    for i, (u, v, _) in enumerate(g.edges):
+        nbrs[u].append((i, v))
+        nbrs[v].append((i, u))
     parent: dict[int, Optional[tuple[int, int]]] = {g.source: None}
     queue = deque([g.source])
     while queue:
@@ -705,14 +705,12 @@ def tree_reach(g: LabeledGraph, member: Member) -> Optional[Path]:
 
     steps: list[Step] = []
     for tail, head, edge in hops:
-        e = g.edges[edge]
+        u, v, _ = g.edges[edge]
         if g.kind == DIRECTED:
-            if (e.u, e.v) != (tail, head):
-                raise NoRespectingPathError(
-                    f"tree edge {e.u}->{e.v} points against the unique path"
-                )
+            if (u, v) != (tail, head):
+                raise NoRespectingPathError(f"tree edge {u}->{v} points against the unique path")
             steps.append(Step(edge, False))
         else:
-            steps.append(Step(edge, e.u != tail))
+            steps.append(Step(edge, u != tail))
     path = Path(start=g.source, steps=tuple(steps))
     return path if member(path_yield(g, path)) else None

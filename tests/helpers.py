@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Optional
 
 from lcreach import (
     DIRECTED,
+    UNDIRECTED,
     Cfg,
     Dfa,
     Edge,
@@ -24,6 +25,7 @@ from lcreach import (
     adjacency,
     d2_member,
 )
+from lcreach.errors import ParseError, SemanticError, ascii_int, ascii_only_ints, content_lines, parse_ints
 
 
 def derivable_strings(g: Cfg, max_len: int) -> dict[str, set[str]]:
@@ -78,6 +80,69 @@ def dd2_decode_member(w: str) -> bool:
             return False
         decoded.append(bracket)
     return d2_member("".join(decoded))
+
+
+def parse_graph_per_line(text: str) -> LabeledGraph:
+    """The graph file parser one edge line at a time: the oracle for ``parse_graph``.
+
+    It splits and converts each edge line on its own, then checks what the
+    lines say in file order, so it raises the same error at the same line as
+    ``parse_graph`` for any file: every line-shape fault before any semantic
+    one, and among faults of one kind, the first line at fault.
+    """
+    lines = content_lines(text)
+    if len(lines) < 3:
+        raise ParseError("expected a header, an alphabet line, and a source/target line", line=max(1, len(lines)))
+    header = lines[0].split()
+    if len(header) != 3:
+        raise ParseError("header must be '<kind> <n> <m>'", line=1)
+    kind_word, n_text, m_text = header
+    if kind_word not in (DIRECTED, UNDIRECTED, "dag"):
+        raise ParseError(f"unknown graph kind {kind_word!r}", line=1)
+    n, m = parse_ints((n_text, m_text), "vertex and edge counts must be integers", 1)
+    if m < 0:
+        raise SemanticError("negative edge count", line=1)
+    alpha = lines[1].strip()
+    if len(set(alpha)) != len(alpha):
+        raise ParseError("alphabet characters must be distinct", line=2)
+    if len(lines) != m + 3:
+        raise ParseError(f"expected {m} edge lines plus a final source/target line", line=len(lines))
+    to_int = int if ascii_only_ints(text) else ascii_int
+    edges = []
+    for line_no, line in enumerate(lines[2:-1], 3):
+        tokens = line.split()
+        if len(tokens) != 3:
+            raise ParseError("edge line must be '<u> <v> <label>'", line=line_no)
+        u, v, label = tokens
+        try:
+            u, v = to_int(u), to_int(v)
+        except ValueError:
+            raise ParseError("edge endpoints must be integers", line=line_no) from None
+        if len(label) != 1:
+            raise ParseError("edge label must be a single character", line=line_no)
+        edges.append(Edge(u, v, label))
+    tokens = lines[-1].split()
+    if len(tokens) != 2:
+        raise ParseError("final line must be '<source> <target>'", line=len(lines))
+    s, t = parse_ints(tokens, "source and target must be integers", len(lines))
+
+    if n < 1:
+        raise SemanticError("a graph needs at least one vertex", line=1)
+    for ch in alpha:
+        if not ch.isprintable() or ch.isspace():
+            raise SemanticError(f"bad alphabet character {ch!r}", line=2)
+    for line_no, (u, v, label) in enumerate(edges, 3):
+        if not (0 <= u < n and 0 <= v < n):
+            raise SemanticError(f"vertex id out of range in edge {u} {v}", line=line_no)
+        if label not in alpha:
+            raise SemanticError(f"label {label!r} is not in the declared alphabet", line=line_no)
+    if not (0 <= s < n and 0 <= t < n):
+        raise SemanticError("source or target out of range", line=len(lines))
+    kind = UNDIRECTED if kind_word == UNDIRECTED else DIRECTED
+    g = LabeledGraph(kind, n, tuple(edges), s, t, frozenset(alpha))
+    if kind_word == "dag" and has_directed_cycle(g):
+        raise SemanticError("graph declared 'dag' contains a directed cycle")
+    return g
 
 
 def has_directed_cycle(g: LabeledGraph) -> bool:

@@ -27,7 +27,9 @@ from lcreach import (
     render_graph,
 )
 
-from .helpers import fragment_graph, has_directed_cycle
+from lcreach.errors import InvariantError
+
+from .helpers import fragment_graph, has_directed_cycle, parse_graph_per_line
 
 
 # --- construction and validation ---------------------------------------------
@@ -46,8 +48,36 @@ def test_edge_labels_must_be_declared():
 
 
 def test_undirected_edges_are_stored_canonically():
-    g = LabeledGraph(UNDIRECTED, 3, (Edge(2, 1, "x"),), 0, 2, frozenset("x"))
-    assert g.edges[0] == Edge(1, 2, "x")
+    g = LabeledGraph(UNDIRECTED, 3, (Edge(2, 1, "x"), Edge(0, 2, "x")), 0, 2, frozenset("x"))
+    assert g.edges == (Edge(1, 2, "x"), Edge(0, 2, "x"))
+    assert all(type(e) is Edge for e in g.edges)
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        ((DIRECTED, 2, (Edge(0.5, 1, "("),), 0, 1.0, "()"), "edges"),
+        ((DIRECTED, 2, (Edge(True, 1, "("),), 0, 1, "()"), "edges"),
+        ((UNDIRECTED, 2, (Edge(1, 0, "("), Edge(1, False, "(")), 0, 1, "()"), "edges"),
+        ((DIRECTED, 2, (), 0, 1.0, "()"), "target"),
+        ((DIRECTED, 2, (), True, 1, "()"), "source"),
+        ((DIRECTED, 2.0, (), 0, 1, "()"), "vertex_count"),
+        ((DIRECTED, True, (), 0, 0, "()"), "vertex_count"),
+    ],
+    ids=["float endpoint", "bool endpoint", "bool in a later edge", "float target", "bool source",
+         "float vertex count", "bool vertex count"],
+)
+def test_vertices_must_be_ints(args, field):
+    with pytest.raises(InvariantError) as exc:
+        LabeledGraph(*args)
+    assert exc.value.field == field
+
+
+def test_the_first_edge_at_fault_is_named():
+    edges = (Edge(0, 1, "a"), Edge(0, 7, "a"), Edge(0.5, 1, "z"))
+    with pytest.raises(InvariantError, match="^vertex id out of range in edge 0 7$") as exc:
+        LabeledGraph(DIRECTED, 2, edges, 0, 1, "a")
+    assert (exc.value.field, exc.value.index) == ("edges", 1)
 
 
 def test_labels_are_single_printable_symbols():
@@ -158,6 +188,90 @@ def test_parse_render_round_trip_on_random_graphs():
             self_loops=(i % 5 == 0),
         )
         assert parse_graph(render_graph(g)) == g
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([DIRECTED, UNDIRECTED]), st.integers(1, 6), st.data())
+def test_random_multigraphs_round_trip(kind, n, data):
+    """Self-loops, parallel edges, no edges at all, and digit labels."""
+    vertex = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(vertex, vertex, st.sampled_from("01()")), max_size=12))
+    g = LabeledGraph(kind, n, tuple(Edge(*e) for e in edges), data.draw(vertex), data.draw(vertex), "01()")
+    text = render_graph(g)
+    assert parse_graph(text) == g == parse_graph_per_line(text)
+    assert all(type(e) is Edge for e in parse_graph(text).edges)
+
+
+# One fault per kind, as an edge line built from the edge it replaces.
+LINE_FAULTS = {
+    "token count": lambda u, v, label, n: f"{u} {v}",
+    "extra token": lambda u, v, label, n: f"{u} {v} {label} {label}",
+    "blank line": lambda u, v, label, n: "",
+    "non-integer": lambda u, v, label, n: f"{u} {v}.0 {label}",
+    "non-ASCII digit": lambda u, v, label, n: f"\u0661 {v} {label}",
+    "two-character label": lambda u, v, label, n: f"{u} {v} {label}{label}",
+}
+SEMANTIC_FAULTS = {
+    "out-of-range endpoint": lambda u, v, label, n: f"{u} {n} {label}",
+    "negative endpoint": lambda u, v, label, n: f"-1 {v} {label}",
+    "foreign label": lambda u, v, label, n: f"{u} {v} z",
+    "NUL label": lambda u, v, label, n: f"{u} {v} \0",
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(sorted(LINE_FAULTS) + sorted(SEMANTIC_FAULTS) + ["line shape after a semantic fault"]),
+    st.sampled_from([DIRECTED, UNDIRECTED]),
+    st.data(),
+)
+def test_one_fault_in_a_long_file_is_named_as_the_per_line_oracle_names_it(seed, fault, kind, data):
+    rng = random.Random(seed)
+    n, m = 50, 2000
+    g = random_graph(rng, n, m, "ab()", kind=kind, self_loops=True)
+    lines = render_graph(g).splitlines()
+    for i in rng.sample(range(2, m + 2), 100):  # edge lines with tabs and runs of spaces
+        lines[i] = rng.choice([" ", "  ", "\t", " \t "]).join(lines[i].split())
+    at = data.draw(st.integers(0, m - 2), label="faulty edge")
+    injectors = {**LINE_FAULTS, **SEMANTIC_FAULTS}
+    if fault in injectors:
+        lines[2 + at] = injectors[fault](*g.edges[at], n)
+    else:
+        later = data.draw(st.integers(at + 1, m - 1), label="later edge")
+        lines[2 + at] = rng.choice(list(SEMANTIC_FAULTS.values()))(*g.edges[at], n)
+        lines[2 + later] = rng.choice(list(LINE_FAULTS.values()))(*g.edges[later], n)
+        at = later
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ParseError) as got:
+        parse_graph(text)
+    with pytest.raises(ParseError) as want:
+        parse_graph_per_line(text)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    assert str(got.value).startswith(f"line {3 + at}: ")
+
+
+@pytest.mark.parametrize(
+    "edge_lines, message",
+    [
+        ("0 1\n\0 0 1 a", "line 3: edge line must be '<u> <v> <label>'"),
+        ("0 1 \0\n0 1 a", "line 3: label '\\x00' is not in the declared alphabet"),
+    ],
+)
+def test_nul_tokens_do_not_hide_line_shapes(edge_lines, message):
+    """The split that checks thousands of edge lines at once marks their breaks with NUL tokens."""
+    text = f"directed 2 2\na\n{edge_lines}\n0 1\n"
+    for parse in (parse_graph, parse_graph_per_line):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
+
+def test_a_long_file_parses_as_the_per_line_oracle_parses_it():
+    """Its edge lines are split a few thousand at a time."""
+    g = random_graph(random.Random(5), 300, 9000, "ab()", kind=UNDIRECTED, self_loops=True)
+    text = render_graph(g)
+    assert parse_graph(text) == g == parse_graph_per_line(text)
 
 
 def test_render_ends_with_newline_and_parses_without_it():

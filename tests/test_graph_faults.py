@@ -53,6 +53,18 @@ FAULTS = {
     "underscore in an endpoint": ("directed 20 1\na\n0 1_0 a\n0 1\n", "line 3: edge endpoints must be integers"),
     "plus sign in a count": ("directed +2 0\na\n0 1\n", "line 1: vertex and edge counts must be integers"),
     "non-ASCII digit in the target": ("directed 2 0\na\n0 \u0661\n", "line 3: source and target must be integers"),
+    "out of range on the last edge line of a long file": (
+        "directed 3 5000\nab\n" + "0 1 a\n1 2 b\n" * 2499 + "0 1 a\n1 3 b\n0 2\n",
+        "line 5002: vertex id out of range in edge 1 3",
+    ),
+    "long label on the last edge line of a long file": (
+        "directed 3 5000\nab\n" + "0 1 a\n1 2 b\n" * 2499 + "0 1 a\n1 2 bb\n0 2\n",
+        "line 5002: edge label must be a single character",
+    ),
+    "edge lines separated by tabs and runs of spaces": (
+        "undirected 3 3\nab\n0\t1 a\n  2   1\tb  \n1 \t 1\t\ta\n0 3\n",
+        "line 6: source or target out of range",
+    ),
 }
 
 

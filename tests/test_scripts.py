@@ -1,5 +1,6 @@
 """The scripts under ``scripts/`` still run against the library."""
 
+import json
 import os
 import subprocess
 import sys
@@ -43,3 +44,29 @@ def test_replicate_reductions_agrees_at_a_tiny_size():
         name, trials, positive, negative, disagree, _ = row.split()
         assert (trials, disagree) == ("2", "0") and int(positive) + int(negative) == 2
     assert (blank, verdict) == ("", "all transformations agree with their oracles")
+
+
+def test_bench_writes_io_rows_at_a_tiny_size(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = tmp_path / "BENCH_io.json"
+    out.write_text('{"parent": []}\n')
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "--small", "--repeats", "1",
+         "--workload", "enum-mix", "--out", str(out), "--label", "change"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(out.read_text())
+    assert runs["parent"] == []  # other labels are kept
+    rows = runs["change"]
+    layers = [row["layer"] for row in rows]
+    assert layers == [
+        "graph.parse_graph", "graph.LabeledGraph", "graph.render_graph", "graph.adjacency",
+        "reductions.vc-to-a", "reductions.reach-to-abstar",
+    ]
+    for row in rows:
+        assert set(row) == {"workload", "layer", "seconds", "counters", "peak_rss"}
+        assert row["workload"] == "enum-mix" and row["seconds"] >= 0 and row["peak_rss"] > 0
+        assert set(row["counters"]) == {"calls", "edges", "gc_s"} and row["counters"]["calls"] > 0
+    graph_edges = {row["counters"]["edges"] for row in rows if row["layer"].startswith("graph.")}
+    assert len(graph_edges) == 1 and graph_edges.pop() > 0
