@@ -24,17 +24,18 @@ check.  :func:`parse_graph` checks the shape of each line, and
 :class:`LabeledGraph` is the one place that checks graph invariants, so a
 file's line-shape faults are reported before its semantic ones.
 
-Both work on whole columns (a split per 4,096 edge lines, an ``int`` map per
-endpoint column, ``min``/``max``/set checks, :func:`as_edges`): no Python
-function runs per edge.  Only a failed check starts a per-line (or per-edge)
-loop, to name the first line at fault; faults keep their messages and order.
+The parser reads edge lines by columns (a split per 4,096 lines, an ``int``
+map per endpoint column, ``Edge`` tuples built by ``tuple.__new__``), so no
+Python function runs per edge; only a failed check starts the per-line loop,
+to name the first line at fault.  The constructor checks all edges in one
+loop, which makes a new ``Edge`` only to swap an undirected one.  Either way
+faults keep their messages and their order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import gt, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
@@ -60,15 +61,10 @@ class Edge(NamedTuple):
     label: str
 
 
-def as_edges(triples: Iterable[tuple[int, int, str]]) -> tuple[Edge, ...]:
+def _as_edges(triples: Iterable[tuple[int, int, str]]) -> tuple[Edge, ...]:
     """``triples`` as :class:`Edge` tuples, built without a call of ``Edge.__new__`` per edge."""
     # via a list: tuple(map(...)) re-tracks its growing tuple as young, and young collections walk it
     return tuple(list(map(tuple.__new__, repeat(Edge), triples)))
-
-
-def columns(edges: Iterable[tuple[int, int, str]]) -> list[list]:
-    """Tails, heads and labels; ``zip(*edges)`` would make one GC-tracked iterator per edge."""
-    return [list(map(itemgetter(i), edges)) for i in range(3)]
 
 
 class Step(NamedTuple):
@@ -102,21 +98,17 @@ class LabeledGraph:
                 raise InvariantError(f"bad alphabet character {ch!r}", "alphabet")
         alphabet = frozenset(self.alphabet)
         object.__setattr__(self, "alphabet", alphabet)
-        edges = tuple(self.edges)
-        us, vs, labels = columns(edges)
-        ends = us + vs
-        if not ({int}.issuperset(map(type, ends)) and 0 <= min(ends, default=0)
-                and max(ends, default=0) < n and alphabet.issuperset(labels)):
-            for i, (u, v, label) in enumerate(edges):  # name the first edge at fault
-                if type(u) is not int or type(v) is not int:
-                    raise InvariantError(f"vertex ids must be integers in edge {u!r} {v!r}", "edges", i)
-                if not (0 <= u < n and 0 <= v < n):
-                    raise InvariantError(f"vertex id out of range in edge {u} {v}", "edges", i)
-                if label not in alphabet:
-                    raise InvariantError(f"label {label!r} is not in the declared alphabet", "edges", i)
-        if self.kind == UNDIRECTED and any(map(gt, us, vs)):
-            edges = as_edges(zip(map(min, us, vs), map(max, us, vs), labels))
-        object.__setattr__(self, "edges", edges)
+        edges = list(self.edges)
+        for i, (u, v, label) in enumerate(edges):
+            if type(u) is not int or type(v) is not int:
+                raise InvariantError(f"vertex ids must be integers in edge {u!r} {v!r}", "edges", i)
+            if not (0 <= u < n and 0 <= v < n):
+                raise InvariantError(f"vertex id out of range in edge {u} {v}", "edges", i)
+            if label not in alphabet:
+                raise InvariantError(f"label {label!r} is not in the declared alphabet", "edges", i)
+            if u > v and self.kind == UNDIRECTED:
+                edges[i] = tuple.__new__(Edge, (v, u, label))
+        object.__setattr__(self, "edges", tuple(edges))
         for name in ("source", "target"):
             end = getattr(self, name)
             if type(end) is not int:
@@ -196,9 +188,9 @@ def is_dag(g: LabeledGraph) -> Optional[tuple[int, ...]]:
         raise KindError("acyclicity is a directed-graph notion")
     indeg = [0] * g.vertex_count
     out: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for u, v, _ in g.edges:
-        indeg[v] += 1
-        out[u].append(v)
+    for e in g.edges:
+        indeg[e.v] += 1
+        out[e.u].append(e.v)
     queue = [v for v in range(g.vertex_count) if indeg[v] == 0]
     order: list[int] = []
     while queue:
@@ -227,8 +219,9 @@ def _edge_lines(body: list[str]) -> tuple[Edge, ...]:
             labels = tokens[2::4]
             if set(map(len, labels)) - {1}:
                 raise ValueError
-            edges += as_edges(zip(map(to_int, tokens[0::4]), map(to_int, tokens[1::4]), labels))
-            del tokens, labels  # before the next chunk's split
+            fields = zip(map(to_int, tokens[0::4]), map(to_int, tokens[1::4]), labels)
+            edges.extend(map(tuple.__new__, repeat(Edge), fields))
+            del tokens, labels, fields  # before the next chunk's split
         return tuple(edges)
     except ValueError:
         pass
@@ -241,7 +234,7 @@ def _edge_lines(body: list[str]) -> tuple[Edge, ...]:
         if len(tokens[2]) != 1:
             raise ParseError("edge label must be a single character", line=line_no)
         triples.append((u, v, tokens[2]))
-    return as_edges(triples)
+    return _as_edges(triples)
 
 
 def parse_graph(text: str) -> LabeledGraph:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Union
 
 from .errors import (
@@ -49,7 +50,7 @@ from .errors import (
     content_lines,
     parse_ints,
 )
-from .graph import DIRECTED, UNDIRECTED, Edge, LabeledGraph, Path, as_edges, columns, path_endpoints, path_yield
+from .graph import DIRECTED, UNDIRECTED, Edge, LabeledGraph, Path, _as_edges, path_endpoints, path_yield
 from .languages import adjacency_bits, parse_nbc
 
 # --- circuits ---------------------------------------------------------------
@@ -284,10 +285,10 @@ def _subdivide(g: LabeledGraph, alphabet: str, halves: dict[str, tuple[str, str]
     """Undirected ``g`` with edge ``i``, ``u -x-> v``, as ``u -first- mid -second- v``, where
     ``(first, second)`` is ``halves[x]`` and ``mid = |V| + i``, so both halves are already canonical."""
     n, m = g.vertex_count, len(g.edges)
-    us, vs, labels = columns(g.edges)
+    us, vs, labels = (list(map(itemgetter(i), g.edges)) for i in range(3))
     first, second = ({x: pair[i] for x, pair in halves.items()} for i in (0, 1))
     mids = range(n, n + m)
-    edges = as_edges(itertools.chain.from_iterable(zip(
+    edges = _as_edges(itertools.chain.from_iterable(zip(
         zip(us, mids, map(first.__getitem__, labels)), zip(vs, mids, map(second.__getitem__, labels))
     )))
     return LabeledGraph(UNDIRECTED, n + m, edges, g.source, g.target, frozenset(alphabet))

@@ -34,7 +34,7 @@ from collections import defaultdict, deque
 from collections.abc import Set
 from dataclasses import dataclass, field
 from itertools import compress, count
-from operator import eq, itemgetter
+from operator import itemgetter
 from typing import Callable, Iterator, Optional, Union
 
 from .errors import (
@@ -678,7 +678,7 @@ def tree_reach(g: LabeledGraph, member: Member) -> Optional[Path]:
     directions, so the unique simple path is the only candidate walk.
     """
     n = g.vertex_count
-    if len(g.edges) != n - 1 or any(map(eq, map(itemgetter(0), g.edges), map(itemgetter(1), g.edges))):
+    if len(g.edges) != n - 1 or any(e.u == e.v for e in g.edges):
         raise NotATreeError("underlying structure is not a tree")
     nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (edge index, other end)
     for i, (u, v, _) in enumerate(g.edges):
