@@ -45,8 +45,6 @@ from .grammar import (
     Cfg,
     Dfa,
     NormalForm,
-    cyk_derives,
-    cyk_member,
     is_linear,
     normalize,
     parse_cfg,
@@ -75,6 +73,7 @@ from .solve import (
     ReachTable,
     Witness,
     bounded_enum_reach,
+    cfl_member,
     cfl_reach,
     cfl_reach_table,
     dag_enum_reach,
@@ -104,7 +103,6 @@ from .reductions import (
 )
 from .generators import (
     random_balanced_string,
-    random_cfg,
     random_circuit,
     random_dag,
     random_graph,

@@ -6,10 +6,10 @@ no other source of randomness, so a fixed seed pins the full output stream.
 
 from __future__ import annotations
 
+import math
 import random
 
 from .graph import DIRECTED, Edge, LabeledGraph
-from .grammar import Cfg
 from .languages import D2_ALPHABET
 from .reductions import AndGate, Circuit, Gate, InputGate, OrGate, VcInstance
 
@@ -97,13 +97,24 @@ def random_circuit(rng: random.Random, n_inputs: int, n_gates: int) -> Circuit:
     return Circuit(tuple(gates), len(gates) - 1)
 
 
+def _pair(n: int, index: int) -> tuple[int, int]:
+    """The pair ``(i, j)``, ``1 <= i < j <= n``, at ``index`` in row-major order."""
+    back = math.comb(n, 2) - 1 - index  # counted from the last pair, (n - 1, n)
+    d = (math.isqrt(8 * back + 1) + 1) // 2  # the pair lies in row n - d, which holds d pairs
+    return n - d, n - back + d * (d - 1) // 2
+
+
 def random_vc_instance(rng: random.Random, n: int, m: int, k: int) -> VcInstance:
-    """Random simple-graph vertex cover instance (m capped at C(n,2))."""
+    """Random simple-graph vertex cover instance (m capped at C(n,2)).
+
+    The edges are drawn as indices into the row-major list of all pairs,
+    which is never built; ``sample`` reads a population only by its length
+    and by index, so the draws are those of sampling the list itself.
+    """
     if m < 0:
         raise ValueError("edge count must be nonnegative")
-    all_pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    m = min(m, len(all_pairs))
-    edges = frozenset(rng.sample(all_pairs, m))
+    total = math.comb(max(n, 0), 2)
+    edges = frozenset(_pair(n, index) for index in rng.sample(range(total), min(m, total)))
     return VcInstance(n, edges, k)
 
 
@@ -190,44 +201,3 @@ def random_nbc_string(
         out.append("{" + "#".join(seen) + "}")
     return "".join(out)
 
-
-def random_cfg(
-    rng: random.Random,
-    n_nonterminals: int,
-    n_rules: int,
-    alphabet: str,
-    max_body: int = 4,
-    epsilon_bias: float = 0.1,
-) -> Cfg:
-    """Random grammar over uppercase nonterminals N0..; bodies mix freely."""
-    if n_nonterminals < 1:
-        raise ValueError("need at least one nonterminal")
-    terminals = sorted(set(alphabet))
-    if not terminals:
-        raise ValueError("need a nonempty alphabet")
-    names = tuple(f"N{i}" for i in range(n_nonterminals))
-    # the file format declares nonterminals implicitly by their productions,
-    # so only names that head at least one rule may appear in rule bodies
-    heads = [names[0]] + [rng.choice(names) for _ in range(n_rules)]
-    usable = sorted(set(heads))
-    # first rule: the start symbol derives a terminal, which also pins the
-    # start symbol for the file format (start = head of the first rule)
-    productions = [(names[0], (rng.choice(terminals),))]
-    for head in heads[1:]:
-        if rng.random() < epsilon_bias:
-            productions.append((head, ()))
-            continue
-        body = tuple(
-            rng.choice(usable) if rng.random() < 0.5 else rng.choice(terminals)
-            for _ in range(rng.randint(1, max_body))
-        )
-        productions.append((head, body))
-    used_terminals = {
-        sym for _, body in productions for sym in body if sym not in usable
-    }
-    return Cfg(
-        nonterminals=frozenset(usable),
-        terminals=frozenset(used_terminals),
-        productions=tuple(productions),
-        start=names[0],
-    )

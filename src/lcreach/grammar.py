@@ -1,12 +1,14 @@
-"""Context-free grammars, a binary normal form, CYK membership, and DFAs.
+"""Context-free grammars, a binary normal form, and DFAs.
 
 Grammars are kept in two shapes.  :class:`Cfg` is the surface form: arbitrary
-productions whose right-hand sides mix terminals (single characters) and
-nonterminals (identifiers).  :class:`NormalForm` is the solver form: only
-``A -> B C`` and ``A -> a`` rules plus a flag recording whether the start
-symbol derives the empty string.  :func:`normalize` converts the former into
-the latter deterministically, keeping original nonterminal names and using a
-reserved ``_`` prefix for the symbols it has to invent.
+productions whose right-hand sides mix terminals (single printable, non-space
+characters, as edge labels are) and nonterminals (identifiers).
+:class:`NormalForm` is the solver form: only ``A -> B C`` and ``A -> a`` rules
+plus a flag recording whether the start symbol derives the empty string.
+:func:`normalize` converts the former into the latter deterministically,
+keeping original nonterminal names and using a reserved ``_`` prefix for the
+symbols it has to invent.  Membership in a grammar's language is a
+reachability question on a chain (:func:`lcreach.solve.cfl_member`).
 
 Grammar file format: one or more lines ``LHS -> item item | item ...`` where
 terminals are quoted like ``'('`` and nonterminals are bare identifiers.  An
@@ -58,9 +60,9 @@ class Cfg:
         )
         if self.nonterminals & self.terminals:
             raise ValueError("nonterminals and terminals must be disjoint")
-        for t in self.terminals:
-            if len(t) != 1:
-                raise ValueError(f"terminals are single characters, got {t!r}")
+        for t in self.terminals:  # the characters an edge label can be
+            if len(t) != 1 or not t.isprintable() or t.isspace():
+                raise ValueError(f"terminals are single printable, non-space characters, got {t!r}")
         if self.start not in self.nonterminals:
             raise ValueError(f"start symbol {self.start!r} is not a nonterminal")
         for lhs, rhs in self.productions:
@@ -311,48 +313,6 @@ def normalize(g: Cfg) -> NormalForm:
         start=g.start,
         terminals=g.terminals,
     )
-
-
-def cyk_derives(nf: NormalForm, w: str, root: str) -> bool:
-    """True when ``root`` derives ``w`` under ``nf``.
-
-    The empty string is tracked only for the start symbol (via
-    ``start_nullable``).  Symbols outside the grammar's alphabet make the
-    answer ``False`` rather than raising: no rule can ever cover them.
-    """
-    if not w:
-        return nf.start_nullable and root == nf.start
-    if any(ch not in nf.terminals for ch in w):
-        return False
-    n = len(w)
-    by_char: dict[str, frozenset[str]] = {}
-    for a, ch in nf.terminal_rules:
-        by_char[ch] = by_char.get(ch, frozenset()) | {a}
-    by_pair: dict[tuple[str, str], tuple[str, ...]] = {}
-    for a, b, c in nf.binary_rules:
-        by_pair[(b, c)] = by_pair.get((b, c), ()) + (a,)
-
-    table: list[list[set[str]]] = [[set() for _ in range(n + 1)] for _ in range(n)]
-    for i, ch in enumerate(w):
-        table[i][1] = set(by_char.get(ch, ()))
-    for span in range(2, n + 1):
-        for i in range(n - span + 1):
-            cell = table[i][span]
-            for split in range(1, span):
-                left = table[i][split]
-                right = table[i + split][span - split]
-                if not left or not right:
-                    continue
-                for b in left:
-                    for c in right:
-                        for a in by_pair.get((b, c), ()):
-                            cell.add(a)
-    return root in table[0][n]
-
-
-def cyk_member(nf: NormalForm, w: str) -> bool:
-    """Membership of ``w`` in the language of ``nf``'s start symbol."""
-    return cyk_derives(nf, w, nf.start)
 
 
 @dataclass(frozen=True)

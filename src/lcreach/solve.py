@@ -20,7 +20,9 @@ Four solver families live here:
   its root ``(source, start, target)`` is born.  On cyclic graphs the flattened
   walk can be exponentially longer than the derivation; :func:`expand_witness`
   flattens under an explicit step budget, and :func:`check_derivation`
-  checks a derivation rule by rule in linear time.
+  checks a derivation rule by rule in linear time.  :func:`cfl_member`
+  decides the membership of a word by the same fixpoint on the chain that
+  spells it.
 * :func:`dag_enum_reach` — exhaustive path enumeration of an acyclic graph
   against a black-box membership predicate.
 * :func:`tree_reach` — on trees there is exactly one candidate walk; find it
@@ -44,7 +46,7 @@ from .errors import (
     NotADagError,
     NotATreeError,
 )
-from .graph import DIRECTED, UNDIRECTED, LabeledGraph, Path, Step, adjacency, is_dag, path_yield
+from .graph import DIRECTED, UNDIRECTED, Edge, LabeledGraph, Path, Step, adjacency, is_dag, path_yield
 from .grammar import Dfa, NormalForm, normalize
 from .languages import Recognizer, dfa_recognizer
 
@@ -328,6 +330,21 @@ def cfl_reach(
     if root not in table.facts:
         return None
     return Witness(root=root, table=table)
+
+
+def cfl_member(nf: NormalForm, w: str) -> bool:
+    """Membership of ``w`` in the language of ``nf``, decided by :func:`cfl_reach` on a chain.
+
+    ``w`` is in the language exactly when the directed chain ``0 -w[0]-> 1
+    ... -> len(w)`` has a walk from its first vertex to its last whose yield
+    is in it.  The empty word is the chain's empty walk.  A symbol outside
+    ``nf.terminals`` answers False, since no rule reads it.
+    """
+    if not nf.terminals.issuperset(w):
+        return False
+    n = len(w)
+    chain = LabeledGraph(DIRECTED, n + 1, tuple(map(Edge, count(), count(1), w)), 0, n, nf.terminals)
+    return cfl_reach(chain, nf) is not None
 
 
 def witness_derivation(w: Witness) -> list[tuple]:

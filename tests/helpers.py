@@ -1,14 +1,16 @@
 """Shared oracles and builders for the test suite.
 
 These are deliberately written as independent, brute-force implementations:
-set-fixpoint string enumeration instead of CYK, walk enumeration instead of
-Kahn's algorithm, pair decoding instead of grammar parsing.  Tests compare
-the fast library code against these slow-but-obvious routines.
+set-fixpoint string enumeration instead of normalization, CYK instead of
+reachability on a chain, walk enumeration instead of Kahn's algorithm, pair
+decoding instead of grammar parsing.  Tests compare the fast library code
+against these slow-but-obvious routines.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from collections import defaultdict, deque
 from typing import Iterable, Iterator, Optional
 
@@ -19,6 +21,7 @@ from lcreach import (
     Dfa,
     Edge,
     LabeledGraph,
+    NormalForm,
     Path,
     Step,
     VcInstance,
@@ -60,6 +63,90 @@ def derivable_strings(g: Cfg, max_len: int) -> dict[str, set[str]]:
 
 def language_upto(g: Cfg, max_len: int) -> set[str]:
     return derivable_strings(g, max_len)[g.start]
+
+
+def cyk_derives(nf: NormalForm, w: str, root: str) -> bool:
+    """True when ``root`` derives ``w`` under ``nf``.
+
+    The empty string is tracked only for the start symbol (via
+    ``start_nullable``).  Symbols outside the grammar's alphabet make the
+    answer ``False`` rather than raising: no rule can ever cover them.
+    """
+    if not w:
+        return nf.start_nullable and root == nf.start
+    if any(ch not in nf.terminals for ch in w):
+        return False
+    n = len(w)
+    by_char: dict[str, frozenset[str]] = {}
+    for a, ch in nf.terminal_rules:
+        by_char[ch] = by_char.get(ch, frozenset()) | {a}
+    by_pair: dict[tuple[str, str], tuple[str, ...]] = {}
+    for a, b, c in nf.binary_rules:
+        by_pair[(b, c)] = by_pair.get((b, c), ()) + (a,)
+
+    table: list[list[set[str]]] = [[set() for _ in range(n + 1)] for _ in range(n)]
+    for i, ch in enumerate(w):
+        table[i][1] = set(by_char.get(ch, ()))
+    for span in range(2, n + 1):
+        for i in range(n - span + 1):
+            cell = table[i][span]
+            for split in range(1, span):
+                left = table[i][split]
+                right = table[i + split][span - split]
+                if not left or not right:
+                    continue
+                for b in left:
+                    for c in right:
+                        for a in by_pair.get((b, c), ()):
+                            cell.add(a)
+    return root in table[0][n]
+
+
+def cyk_member(nf: NormalForm, w: str) -> bool:
+    """Membership of ``w`` in the language of ``nf``'s start symbol."""
+    return cyk_derives(nf, w, nf.start)
+
+
+def random_cfg(
+    rng: random.Random,
+    n_nonterminals: int,
+    n_rules: int,
+    alphabet: str,
+    max_body: int = 4,
+    epsilon_bias: float = 0.1,
+) -> Cfg:
+    """Random grammar over uppercase nonterminals N0..; bodies mix freely."""
+    if n_nonterminals < 1:
+        raise ValueError("need at least one nonterminal")
+    terminals = sorted(set(alphabet))
+    if not terminals:
+        raise ValueError("need a nonempty alphabet")
+    names = tuple(f"N{i}" for i in range(n_nonterminals))
+    # the file format declares nonterminals implicitly by their productions,
+    # so only names that head at least one rule may appear in rule bodies
+    heads = [names[0]] + [rng.choice(names) for _ in range(n_rules)]
+    usable = sorted(set(heads))
+    # first rule: the start symbol derives a terminal, which also pins the
+    # start symbol for the file format (start = head of the first rule)
+    productions = [(names[0], (rng.choice(terminals),))]
+    for head in heads[1:]:
+        if rng.random() < epsilon_bias:
+            productions.append((head, ()))
+            continue
+        body = tuple(
+            rng.choice(usable) if rng.random() < 0.5 else rng.choice(terminals)
+            for _ in range(rng.randint(1, max_body))
+        )
+        productions.append((head, body))
+    used_terminals = {
+        sym for _, body in productions for sym in body if sym not in usable
+    }
+    return Cfg(
+        nonterminals=frozenset(usable),
+        terminals=frozenset(used_terminals),
+        productions=tuple(productions),
+        start=names[0],
+    )
 
 
 _DD2_PAIRS = {"(a": "(", "b)": ")", "[c": "[", "d]": "]"}

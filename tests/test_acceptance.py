@@ -20,7 +20,6 @@ from lcreach import (
     builtin_language,
     cfl_reach,
     cfl_reach_table,
-    cyk_member,
     d2_grammar,
     d2_member,
     d2reach_to_dd2_ureach,
@@ -37,7 +36,6 @@ from lcreach import (
     path_endpoints,
     path_yield,
     random_balanced_string,
-    random_cfg,
     random_circuit,
     random_dag,
     random_graph,
@@ -48,7 +46,7 @@ from lcreach import (
     vc_to_a_dagreach,
 )
 
-from .helpers import all_vc_instances, universal_dfa, walk_budget, worklist_facts
+from .helpers import all_vc_instances, cyk_member, random_cfg, universal_dfa, walk_budget, worklist_facts
 
 D2 = d2_grammar()
 DD2 = dd2_grammar()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -494,6 +495,43 @@ def test_member_json(capsys):
     code, out, _ = run(capsys, "member", "--builtin", "d2", "--string", "()", "--json")
     assert code == 0
     assert json.loads(out)["decision"] == "member"
+
+
+# --- grammar-file membership of long words --------------------------------------
+# Each call decides one 600-symbol word, which took cubic CYK 11-29 s.
+
+LONG_BALANCED = ("([" * 50 + "])" * 50 + "[()]" * 25) * 2
+
+
+def _timed(capsys, *argv):
+    started = time.perf_counter()
+    code = run(capsys, *argv)[0]
+    assert time.perf_counter() - started < 5
+    return code
+
+
+def test_member_with_grammar_file_decides_a_long_word(files, capsys):
+    cfg = files("d2.cfg", D2_CFG)
+    assert _timed(capsys, "member", "--grammar", cfg, "--string", LONG_BALANCED) == 0
+    flipped = LONG_BALANCED[:299] + "[" + LONG_BALANCED[300:]
+    assert _timed(capsys, "member", "--grammar", cfg, "--string", flipped) == 1
+
+
+def _long_chain(files):
+    edges = "".join(f"{i} {i + 1} {ch}\n" for i, ch in enumerate(LONG_BALANCED))
+    return files("chain.graph", f"directed 601 600\n()[]\n{edges}0 600\n")
+
+
+def test_tree_mode_with_grammar_file_decides_a_long_path(files, capsys):
+    g, cfg = _long_chain(files), files("d2.cfg", D2_CFG)
+    assert _timed(capsys, "solve", "--mode", "tree", "--graph", g, "--grammar", cfg) == 0
+
+
+def test_verify_of_a_long_v1_walk_with_grammar_file(files, capsys):
+    g, cfg = _long_chain(files), files("d2.cfg", D2_CFG)
+    payload = {"format": "lcreach-witness", "version": 1, "start": 0, "steps": [[i, False] for i in range(600)]}
+    w = files("v1.json", json.dumps(payload))
+    assert _timed(capsys, "verify", "--graph", g, "--grammar", cfg, "--witness", w) == 0
 
 
 # --- reduce --------------------------------------------------------------------

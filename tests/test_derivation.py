@@ -21,20 +21,18 @@ from lcreach import (
     Witness,
     cfl_reach,
     cfl_reach_table,
-    cyk_member,
     d2_grammar,
     dd2_grammar,
     expand_witness,
     normalize,
     parse_cfg,
     path_yield,
-    random_cfg,
     random_graph,
 )
 from lcreach.cli import dispatch
 from lcreach.solve import check_derivation, witness_derivation
 
-from .helpers import worklist_facts
+from .helpers import cyk_member, random_cfg, worklist_facts
 
 D2_NF = normalize(d2_grammar())
 

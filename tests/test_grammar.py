@@ -1,8 +1,10 @@
-"""Grammar parsing, normalization, CYK membership, and DFAs."""
+"""Grammar parsing, normalization, membership by chain reachability, and DFAs."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcreach import (
     Cfg,
@@ -11,19 +13,18 @@ from lcreach import (
     SemanticError,
     UndeclaredSymbolError,
     abstar_dfa,
-    cyk_member,
+    cfl_member,
     d2_grammar,
     dd2_grammar,
     is_linear,
     normalize,
     parse_cfg,
     parse_dfa,
-    random_cfg,
     render_cfg,
 )
 from lcreach.languages import dfa_recognizer
 
-from .helpers import derivable_strings, language_upto
+from .helpers import cyk_member, derivable_strings, language_upto, random_cfg
 
 
 # --- parsing -------------------------------------------------------------------
@@ -75,6 +76,8 @@ def test_cfg_validation_rejects_undeclared_symbols():
         Cfg(frozenset({"S"}), frozenset("a"), (("S", ("b",)),), "S")
     with pytest.raises(ValueError):
         Cfg(frozenset({"S"}), frozenset("a"), (("S", ("a",)),), "T")
+    with pytest.raises(ValueError, match="non-space"):  # no edge label, and so no chain, can spell it
+        Cfg(frozenset({"S"}), frozenset(" "), (("S", (" ",)),), "S")
 
 
 # --- normalization ---------------------------------------------------------------
@@ -105,16 +108,16 @@ def test_normalization_is_deterministic():
 def test_unit_chains_are_eliminated():
     g = parse_cfg("A -> B\nB -> C\nC -> 'c'")
     nf = normalize(g)
-    assert cyk_member(nf, "c")
-    assert not cyk_member(nf, "cc")
+    assert cfl_member(nf, "c")
+    assert not cfl_member(nf, "cc")
 
 
 def test_nullable_elimination_keeps_inner_epsilon_derivations():
     g = parse_cfg("S -> A 'b'\nA -> 'a' |")
     nf = normalize(g)
-    assert cyk_member(nf, "ab")
-    assert cyk_member(nf, "b")
-    assert not cyk_member(nf, "")
+    assert cfl_member(nf, "ab")
+    assert cfl_member(nf, "b")
+    assert not cfl_member(nf, "")
     assert nf.start_nullable is False
 
 
@@ -150,29 +153,42 @@ def test_shipped_grammars_survive_normalization():
             assert cyk_member(nf, w) == (w in members), w
 
 
-# --- CYK ------------------------------------------------------------------------
+# --- membership: reachability on the chain that spells the word ---------------------
 
 
 def test_bracket_membership_basics():
     nf = normalize(d2_grammar())
-    assert cyk_member(nf, "()")
-    assert not cyk_member(nf, "")
-    assert not cyk_member(nf, "([)]")
-    assert cyk_member(nf, "([])()")
+    assert cfl_member(nf, "()")
+    assert not cfl_member(nf, "")
+    assert not cfl_member(nf, "([)]")
+    assert cfl_member(nf, "([])()")
 
 
-def test_cyk_returns_false_on_foreign_symbols():
+def test_membership_is_false_on_foreign_symbols():
     nf = normalize(d2_grammar())
-    assert not cyk_member(nf, "(x)")
+    assert not cfl_member(nf, "(x)")
 
 
-def test_cyk_epsilon_follows_nullable_flag():
+def test_membership_of_the_empty_word_follows_nullable_flag():
     g = parse_cfg("S -> 'a' S |")
     nf = normalize(g)
     assert nf.start_nullable is True
-    assert cyk_member(nf, "")
-    assert cyk_member(nf, "aaa")
-    assert not cyk_member(nf, "b")
+    assert cfl_member(nf, "")
+    assert cfl_member(nf, "aaa")
+    assert not cfl_member(nf, "b")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.text("ab", max_size=10) | st.text("abx", max_size=10), min_size=1, max_size=8),
+)
+def test_chain_membership_equals_the_cyk_oracle(seed, words):
+    # "x" is never a terminal, and "b" is not one when no rule reads it
+    rng = random.Random(seed)
+    nf = normalize(random_cfg(rng, rng.randint(1, 4), rng.randint(1, 8), "ab", epsilon_bias=0.3))
+    for w in words:
+        assert cfl_member(nf, w) == cyk_member(nf, w), w
 
 
 # --- linearity --------------------------------------------------------------------

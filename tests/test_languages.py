@@ -14,7 +14,6 @@ from lcreach import (
     adjacency_bits,
     builtin_language,
     BUILTIN_NAMES,
-    cyk_member,
     d2_grammar,
     d2_member,
     dd2_grammar,
@@ -29,7 +28,7 @@ from lcreach import (
 )
 from lcreach.languages import dfa_recognizer
 
-from .helpers import dd2_decode_member, language_upto, random_total_dfa, run_dfa, strings_over
+from .helpers import cyk_member, dd2_decode_member, language_upto, random_total_dfa, run_dfa, strings_over
 
 
 # --- plain brackets -----------------------------------------------------------

@@ -476,6 +476,23 @@ def test_vc_file_round_trip():
         parse_vc("vc 2 1 5\n1 2")
 
 
+def test_random_vc_draws_equal_sampling_the_list_of_all_pairs():
+    # the generator samples indices of the row-major pairs instead of the pairs
+    for seed in range(40):
+        for n, m in ((1, 0), (2, 1), (5, 10), (9, 4), (12, 30), (40, 100)):
+            rng, ref = random.Random(seed), random.Random(seed)
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            expected = frozenset(ref.sample(pairs, min(m, len(pairs))))
+            assert random_vc_instance(rng, n, m, 0).edges == expected, (seed, n, m)
+            assert rng.random() == ref.random()
+
+
+def test_random_vc_instance_with_many_vertices_lists_no_pairs():
+    # all C(n, 2) pairs would be 5 * 10**9 tuples
+    inst = random_vc_instance(random.Random(1), 100_000, 5, 3)
+    assert len(inst.edges) == 5
+
+
 def test_reachability_matches_brute_force_exhaustively_small():
     for n in range(1, 4):
         pairs = list(itertools.combinations(range(1, n + 1), 2))

@@ -29,7 +29,6 @@ from lcreach import (
     builtin_language,
     cfl_reach,
     cfl_reach_table,
-    cyk_derives,
     d2_grammar,
     d2_member,
     dag_enum_reach,
@@ -42,7 +41,6 @@ from lcreach import (
     parse_graph,
     path_endpoints,
     path_yield,
-    random_cfg,
     random_dag,
     random_graph,
     regular_reach,
@@ -53,8 +51,10 @@ from lcreach.languages import dfa_recognizer, yield_recognizer
 from lcreach.solve import witness_derivation
 
 from .helpers import (
+    cyk_derives,
     first_accepted_walk,
     fragment_graph,
+    random_cfg,
     random_total_dfa,
     run_dfa,
     universal_dfa,
