@@ -23,17 +23,20 @@ DFA file format::
     accept <q> <q> ...
     <q> <symbol> <q'>        (one line per transition)
 
-Transition tables may be partial in the file; the parser completes them with
-an implicit dead state so that every :class:`Dfa` in memory is total.
+Transition tables may be partial, in the file and in memory: a missing
+transition rejects, as a move into a dead state would.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Collection, Iterable, Sequence
 
 from .errors import (
+    InvariantError,
     ParseError,
     SemanticError,
     UndeclaredSymbolError,
@@ -113,14 +116,7 @@ def parse_cfg(text: str) -> Cfg:
         line = raw.strip()
         if not line:
             continue
-        tokens = []
-        pos = 0
-        while pos < len(line):
-            m = _TOKEN.match(line, pos)
-            if m is None:
-                break
-            tokens.append(m.group(1))
-            pos = m.end()
+        tokens = _TOKEN.findall(line)
         if len(tokens) < 2 or not _IDENT.fullmatch(tokens[0]) or tokens[1] != "->":
             raise ParseError("expected a production of the form 'LHS -> ...'", line=line_no)
         lhs = tokens[0]
@@ -164,15 +160,10 @@ def render_cfg(g: Cfg) -> str:
     def item(sym: str) -> str:
         return f"'{sym}'" if sym in g.terminals else sym
 
-    lines: list[str] = []
-    run_head: Optional[str] = None
-    run_alts: list[str] = []
-    for lhs, rhs in g.productions + (("", ()),):
-        if lhs != run_head:
-            if run_head is not None:
-                lines.append(f"{run_head} -> " + " | ".join(run_alts))
-            run_head, run_alts = lhs, []
-        run_alts.append(" ".join(item(s) for s in rhs))
+    lines = [
+        f"{head} -> " + " | ".join(" ".join(map(item, rhs)) for _, rhs in run)
+        for head, run in itertools.groupby(g.productions, operator.itemgetter(0))
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -191,6 +182,19 @@ def _fresh(base: str, taken: set[str]) -> str:
     return name
 
 
+def _least_fixpoint(seed: Iterable[str], rules: Collection[tuple[str, Sequence[str]]]) -> set[str]:
+    """The least superset of ``seed`` closed under ``rules``.
+
+    A rule ``(head, body)`` puts ``head`` in the set once all of ``body`` is in it.
+    """
+    found = set(seed)
+    while True:
+        new = {head for head, body in rules if head not in found and found.issuperset(body)}
+        if not new:
+            return found
+        found |= new
+
+
 def normalize(g: Cfg) -> NormalForm:
     """Deterministic conversion of ``g`` to binary normal form.
 
@@ -201,9 +205,6 @@ def normalize(g: Cfg) -> NormalForm:
     start symbol are pruned, and the rule lists are sorted.
     """
     taken = set(g.nonterminals)
-    rules: list[tuple[str, list[str]]] = [(lhs, list(rhs)) for lhs, rhs in g.productions]
-
-    # Wrap terminals that occur in long bodies: A -> a B becomes A -> _t_a B.
     wrappers: dict[str, str] = {}
 
     def wrap(ch: str) -> str:
@@ -211,105 +212,44 @@ def normalize(g: Cfg) -> NormalForm:
             wrappers[ch] = _fresh(f"_t_{ch}", taken)
         return wrappers[ch]
 
-    wrapped: list[tuple[str, list[str]]] = []
-    for lhs, rhs in rules:
+    # Wrap terminals in long bodies (A -> a B becomes A -> _t_a B), then split
+    # bodies longer than two with numbered helpers (A -> B C D: A -> B _b1, _b1 -> C D).
+    rules: list[tuple[str, tuple[str, ...]]] = []
+    helpers = 0
+    for lhs, rhs in g.productions:
         if len(rhs) >= 2:
-            rhs = [wrap(s) if s in g.terminals else s for s in rhs]
-        wrapped.append((lhs, rhs))
-    for ch in sorted(wrappers):
-        wrapped.append((wrappers[ch], [ch]))
-
-    # Binarize long bodies with numbered helper symbols.
-    binned: list[tuple[str, list[str]]] = []
-    helper = 0
-    for lhs, rhs in wrapped:
+            rhs = tuple(wrap(s) if s in g.terminals else s for s in rhs)
         while len(rhs) > 2:
-            helper += 1
-            name = _fresh(f"_b{helper}", taken)
-            binned.append((lhs, [rhs[0], name]))
+            helpers += 1
+            name = _fresh(f"_b{helpers}", taken)
+            rules.append((lhs, (rhs[0], name)))
             lhs, rhs = name, rhs[1:]
-        binned.append((lhs, rhs))
+        rules.append((lhs, rhs))
+    rules += [(wrappers[ch], (ch,)) for ch in sorted(wrappers)]
 
-    # Nullable elimination: drop empty bodies, expand optional occurrences.
-    nonterminals = taken | {lhs for lhs, _ in binned}
-    nullable: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in binned:
-            if lhs not in nullable and all(s in nullable for s in rhs):
-                nullable.add(lhs)
-                changed = True
-    start_nullable = g.start in nullable
+    # Drop empty bodies; a pair with a nullable half also stands for its other half.
+    nullable = _least_fixpoint((), rules)
+    bodies = {(lhs, rhs) for lhs, rhs in rules if rhs}
+    bodies |= {
+        (lhs, (rhs[1 - i],)) for lhs, rhs in rules if len(rhs) == 2 for i in (0, 1) if rhs[i] in nullable
+    }
 
-    expanded: set[tuple[str, tuple[str, ...]]] = set()
-    for lhs, rhs in binned:
-        if len(rhs) == 1:
-            expanded.add((lhs, tuple(rhs)))
-        elif len(rhs) == 2:
-            a, b = rhs
-            expanded.add((lhs, (a, b)))
-            if a in nullable:
-                expanded.add((lhs, (b,)))
-            if b in nullable:
-                expanded.add((lhs, (a,)))
+    # Drop unit rules A -> B: a rule B -> body gives A -> body to each A that derives B by units.
+    units = {(lhs, rhs) for lhs, rhs in bodies if len(rhs) == 1 and rhs[0] in taken}
+    above = {b: _least_fixpoint((b,), units) for _, (b,) in units}
+    final = {(a, rhs) for b, rhs in bodies - units for a in above.get(b, (b,))}
 
-    # Unit elimination via reflexive-transitive closure of A -> B rules.
-    unit_next: dict[str, set[str]] = {a: set() for a in nonterminals}
-    non_unit: list[tuple[str, tuple[str, ...]]] = []
-    for lhs, rhs in sorted(expanded):
-        if len(rhs) == 1 and rhs[0] in nonterminals:
-            unit_next[lhs].add(rhs[0])
-        else:
-            non_unit.append((lhs, rhs))
-
-    def unit_closure(a: str) -> set[str]:
-        seen = {a}
-        stack = [a]
-        while stack:
-            for b in unit_next[stack.pop()]:
-                if b not in seen:
-                    seen.add(b)
-                    stack.append(b)
-        return seen
-
-    by_head: dict[str, list[tuple[str, ...]]] = {}
-    for lhs, rhs in non_unit:
-        by_head.setdefault(lhs, []).append(rhs)
-    final: set[tuple[str, tuple[str, ...]]] = set()
-    for a in sorted(nonterminals):
-        for b in unit_closure(a):
-            for rhs in by_head.get(b, ()):
-                final.add((a, rhs))
-
-    # Keep only rules that are productive and reachable from the start.
-    binary = {(lhs, rhs[0], rhs[1]) for lhs, rhs in final if len(rhs) == 2}
-    terminal = {(lhs, rhs[0]) for lhs, rhs in final if len(rhs) == 1}
-    productive = {a for a, _ in terminal}
-    changed = True
-    while changed:
-        changed = False
-        for a, b, c in binary:
-            if a not in productive and b in productive and c in productive:
-                productive.add(a)
-                changed = True
-    reachable = {g.start}
-    changed = True
-    while changed:
-        changed = False
-        for a, b, c in binary:
-            if a in reachable and b in productive and c in productive:
-                if not {b, c} <= reachable:
-                    reachable.update((b, c))
-                    changed = True
-    useful = reachable & (productive | {g.start})
-    binary = {(a, b, c) for a, b, c in binary if a in useful and b in useful and c in useful}
-    terminal = {(a, ch) for a, ch in terminal if a in useful}
-
+    # Keep only rules whose symbols the start reaches through pairs of productive
+    # halves; so every symbol kept, but perhaps the start, is productive.
+    binary = {(a, *rhs) for a, rhs in final if len(rhs) == 2}
+    terminal = {(a, rhs[0]) for a, rhs in final if len(rhs) == 1}
+    productive = _least_fixpoint({a for a, _ in terminal}, [(a, (b, c)) for a, b, c in binary])
+    halves = [(x, (a,)) for a, b, c in binary if b in productive and c in productive for x in (b, c)]
+    reachable = _least_fixpoint((g.start,), halves)
     return NormalForm(
-        binary_rules=tuple(sorted(binary)),
-        terminal_rules=tuple(sorted(terminal)),
-        start_nullable=start_nullable,
+        binary_rules=tuple(sorted(r for r in binary if reachable.issuperset(r))),
+        terminal_rules=tuple(sorted(r for r in terminal if r[0] in reachable)),
+        start_nullable=g.start in nullable,
         start=g.start,
         terminals=g.terminals,
     )
@@ -317,7 +257,10 @@ def normalize(g: Cfg) -> NormalForm:
 
 @dataclass(frozen=True)
 class Dfa:
-    """A total deterministic finite automaton over single-character symbols."""
+    """A deterministic finite automaton over single-character symbols.
+
+    ``delta`` may be partial: a missing transition rejects the input.
+    """
 
     state_count: int
     alphabet: frozenset[str]
@@ -331,23 +274,19 @@ class Dfa:
         if self.state_count < 1:
             raise ValueError("a DFA needs at least one state")
         if not 0 <= self.start < self.state_count:
-            raise ValueError("start state out of range")
+            raise InvariantError("start state out of range", "start")
         for q in self.accepting:
             if not 0 <= q < self.state_count:
-                raise ValueError(f"accepting state {q} out of range")
+                raise InvariantError(f"accepting state {q} out of range", "accepting")
         for (q, ch), q2 in self.delta.items():
             if not (0 <= q < self.state_count and 0 <= q2 < self.state_count):
                 raise ValueError(f"transition ({q}, {ch!r}) -> {q2} out of range")
             if ch not in self.alphabet:
                 raise ValueError(f"transition on {ch!r}, which is outside the alphabet")
-        for q in range(self.state_count):
-            for ch in self.alphabet:
-                if (q, ch) not in self.delta:
-                    raise ValueError(f"delta is not total: missing ({q}, {ch!r})")
 
 
 def parse_dfa(text: str) -> Dfa:
-    """Parse the DFA file format, completing partial tables with a dead state."""
+    """Parse the DFA file format; a transition the file leaves out rejects."""
     lines = content_lines(text)
     if len(lines) < 4:
         raise ParseError("expected 'dfa <n>', alphabet, start, and accept lines", line=max(1, len(lines)))
@@ -388,14 +327,4 @@ def parse_dfa(text: str) -> Dfa:
             raise SemanticError(f"duplicate transition for state {q} on {ch!r}", line=line_no)
         delta[(q, ch)] = q2
 
-    state_count = declared
-    missing = [(q, ch) for q in range(declared) for ch in sorted(alphabet) if (q, ch) not in delta]
-    if missing:
-        dead = declared
-        state_count = declared + 1
-        for q, ch in missing:
-            delta[(q, ch)] = dead
-        for ch in sorted(alphabet):
-            delta[(dead, ch)] = dead
-
-    return build_object(Dfa, state_count, alphabet, delta, start, accepting)
+    return build_object(Dfa, declared, alphabet, delta, start, accepting, start=3, accepting=4)

@@ -73,7 +73,7 @@ def yield_recognizer(member: Callable[[str], bool]) -> Recognizer:
 
 
 def dfa_recognizer(d: Dfa) -> Recognizer:
-    """The states of ``d`` that can reach an accepting one; other states and foreign symbols are dead."""
+    """The states of ``d`` that can reach an accepting one; other states and missing moves are dead."""
     back: dict[int, set[int]] = {}
     for (q, _), r in d.delta.items():
         back.setdefault(r, set()).add(q)
@@ -139,16 +139,8 @@ def dd2_grammar() -> Cfg:
 
 
 def abstar_dfa() -> Dfa:
-    """Total three-state DFA for ``(ab)*`` (state 2 is the dead state)."""
-    delta = {
-        (0, "a"): 1,
-        (0, "b"): 2,
-        (1, "a"): 2,
-        (1, "b"): 0,
-        (2, "a"): 2,
-        (2, "b"): 2,
-    }
-    return Dfa(3, frozenset("ab"), delta, 0, frozenset({0}))
+    """Two-state DFA for ``(ab)*``; every transition it lacks rejects."""
+    return Dfa(2, frozenset("ab"), {(0, "a"): 1, (1, "b"): 0}, 0, frozenset({0}))
 
 
 D2 = Recognizer("", _d2_step, "$".__eq__)

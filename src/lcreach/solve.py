@@ -691,8 +691,9 @@ def tree_reach(g: LabeledGraph, member: Member) -> Optional[Path]:
     self-loops, exactly n-1 edges, parallel edges count as a cycle).  On a
     directed tree every edge of the unique path must point along it;
     otherwise no walk exists at all and NoRespectingPathError is raised.
-    Backtracking cannot help on a tree: revisiting an edge needs both
-    directions, so the unique simple path is the only candidate walk.
+    Only that simple path is decided.  On a directed tree it is the only
+    walk, but on an undirected tree a walk may step back along an edge, and
+    such walks are missed even when ``member`` accepts their yield.
     """
     n = g.vertex_count
     if len(g.edges) != n - 1 or any(e.u == e.v for e in g.edges):

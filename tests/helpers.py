@@ -299,10 +299,10 @@ def random_total_dfa(rng, n_states: int, alphabet: str) -> Dfa:
 
 
 def run_dfa(d: Dfa, w: str) -> bool:
-    """Membership by reading the transition table directly."""
+    """Membership by reading the transition table directly; a missing transition rejects."""
     state = d.start
     for ch in w:
-        state = d.delta[(state, ch)]
+        state = d.delta.get((state, ch))
     return state in d.accepting
 
 

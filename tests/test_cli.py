@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -15,6 +18,7 @@ CHAIN_SQUARE = "directed 3 2\n[]\n0 1 [\n1 2 ]\n0 2\n"
 SINGLE_A = "directed 2 1\na\n0 1 a\n0 1\n"
 ABSTAR_DFA = "dfa 2\nab\nstart 0\naccept 0\n0 a 1\n1 b 0\n"
 TRIANGLE_VC1 = "vc 3 3 1\n1 2\n1 3\n2 3\n"
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture
@@ -147,6 +151,46 @@ def test_dfa_file_membership_is_total(files, capsys):
     assert (code, out, err) == (1, "decision: non-member\n", "")
 
 
+# Accepts only "a": the table has no transition on "b", nor any out of state 1.
+ONLY_A_DFA = "dfa 2\nab\nstart 0\naccept 1\n0 a 1\n"
+
+
+def test_member_rejects_a_missing_dfa_transition(files, capsys):
+    d = files("a.dfa", ONLY_A_DFA)
+    assert run(capsys, "member", "--dfa", d, "--string", "a") == (0, "decision: member\n", "")
+    assert run(capsys, "member", "--dfa", d, "--string", "ab") == (1, "decision: non-member\n", "")
+
+
+def test_regular_mode_is_unreachable_when_the_only_walk_needs_a_missing_transition(files, capsys):
+    d = files("a.dfa", ONLY_A_DFA)
+    g = files("g.graph", "directed 3 2\nab\n0 1 a\n1 2 b\n0 2\n")
+    code, out, _ = run(capsys, "solve", "--graph", g, "--dfa", d, "--mode", "regular")
+    assert code == 1 and "decision: unreachable" in out
+    g = files("g.graph", "directed 3 2\nab\n0 1 a\n1 2 b\n0 1\n")
+    assert run(capsys, "solve", "--graph", g, "--dfa", d, "--mode", "regular")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["member", "--string", "a"],
+        ["solve", "--mode", "regular"],
+        ["solve", "--mode", "bounded-enum", "--max-len", "4"],
+    ],
+    ids=["member", "regular", "bounded-enum"],
+)
+def test_dfa_file_declaring_a_trillion_states_answers_at_once(files, argv):
+    # Work must follow the transitions a file lists, not the states it declares.
+    d = files("big.dfa", "dfa 1000000000000\nab\nstart 0\naccept 999999999999\n0 a 999999999999\n")
+    if argv[0] == "solve":
+        argv = argv + ["--graph", files("g.graph", "directed 2 2\nab\n0 1 a\n1 0 b\n0 1\n")]
+    proc = subprocess.run(  # a process, so that a regression times out instead of hanging the suite
+        [sys.executable, "-m", "lcreach.cli", *argv, "--dfa", d],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=5,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_regular_mode_with_builtin_dfa(files, capsys):
     g = files("g.graph", "directed 2 2\nab\n0 1 a\n1 0 b\n0 0\n")
     code, out, _ = run(capsys, "solve", "--graph", g, "--builtin", "abstar", "--mode", "regular")
@@ -200,6 +244,18 @@ def test_tree_mode_direction_violation(files, capsys):
     assert code == 1
     assert "decision: unreachable" in out
     assert "violates an edge direction" in out
+
+
+def test_tree_mode_decides_the_simple_path_of_an_undirected_tree(files, capsys):
+    # The only simple path 0-1-2 spells "((", but a walk may step back along
+    # edge 2-3 and spell "(())"; tree mode misses it, cfl and bounded-enum find it.
+    g = files("g.graph", "undirected 4 3\n()[]\n0 1 (\n1 2 (\n2 3 )\n0 2\n")
+    code, out, _ = run(capsys, "solve", "--graph", g, "--builtin", "d2", "--mode", "tree")
+    assert code == 1 and "decision: unreachable" in out
+    walk = "witness: 0 --(--> 1 --(--> 2 --)--> 3 --)--> 2\n"
+    for mode in (["--mode", "cfl"], ["--mode", "bounded-enum", "--max-len", "4"]):
+        code, out, _ = run(capsys, "solve", "--graph", g, "--builtin", "d2", *mode)
+        assert code == 0 and "decision: reachable" in out and walk in out
 
 
 def test_cfl_mode_needs_a_grammar(files, capsys):

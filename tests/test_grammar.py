@@ -139,6 +139,94 @@ def _all_words(alphabet, length):
         yield "".join(combo)
 
 
+# The names normalize invents reach version 2 witness files, so each case pins
+# the exact rules: (binary_rules, terminal_rules, start_nullable).
+GOLDEN_NORMAL_FORMS = {
+    "d2": (
+        d2_grammar(),
+        (
+            ("S", "S", "S"),
+            ("S", "_t_(", "_b1"),
+            ("S", "_t_(", "_t_)"),
+            ("S", "_t_[", "_b2"),
+            ("S", "_t_[", "_t_]"),
+            ("_b1", "S", "_t_)"),
+            ("_b2", "S", "_t_]"),
+        ),
+        (("_t_(", "("), ("_t_)", ")"), ("_t_[", "["), ("_t_]", "]")),
+        False,
+    ),
+    "dd2": (
+        dd2_grammar(),
+        (
+            ("S", "S", "S"),
+            ("S", "_t_(", "_b1"),
+            ("S", "_t_(", "_b7"),
+            ("S", "_t_[", "_b4"),
+            ("S", "_t_[", "_b9"),
+            ("_b1", "_t_a", "_b2"),
+            ("_b10", "_t_d", "_t_]"),
+            ("_b2", "S", "_b3"),
+            ("_b3", "_t_b", "_t_)"),
+            ("_b4", "_t_c", "_b5"),
+            ("_b5", "S", "_b6"),
+            ("_b6", "_t_d", "_t_]"),
+            ("_b7", "_t_a", "_b8"),
+            ("_b8", "_t_b", "_t_)"),
+            ("_b9", "_t_c", "_b10"),
+        ),
+        (
+            ("_t_(", "("),
+            ("_t_)", ")"),
+            ("_t_[", "["),
+            ("_t_]", "]"),
+            ("_t_a", "a"),
+            ("_t_b", "b"),
+            ("_t_c", "c"),
+            ("_t_d", "d"),
+        ),
+        False,
+    ),
+    "nullable pair halves": (
+        parse_cfg("S -> A B\nA -> 'a' |\nB -> 'b' |"),
+        (("S", "A", "B"),),
+        (("A", "a"), ("B", "b"), ("S", "a"), ("S", "b")),
+        True,
+    ),
+    "unit cycle": (parse_cfg("S -> T\nT -> S | 'a'"), (), (("S", "a"),), False),
+    "own nonterminals with reserved names": (
+        Cfg(
+            frozenset({"S", "_b1", "_t_a"}),
+            frozenset("ab"),
+            (
+                ("S", ("a", "_b1", "_t_a", "b")),
+                ("_b1", ("a",)),
+                ("_t_a", ("b", "S")),
+                ("_t_a", ("b",)),
+            ),
+            "S",
+        ),
+        (
+            ("S", "_t_a2", "_b12"),
+            ("_b12", "_b1", "_b2"),
+            ("_b2", "_t_a", "_t_b"),
+            ("_t_a", "_t_b", "S"),
+        ),
+        (("_b1", "a"), ("_t_a", "b"), ("_t_a2", "a"), ("_t_b", "b")),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "g, binary, terminal, nullable", GOLDEN_NORMAL_FORMS.values(), ids=GOLDEN_NORMAL_FORMS.keys()
+)
+def test_golden_normal_form(g, binary, terminal, nullable):
+    nf = normalize(g)
+    assert (nf.binary_rules, nf.terminal_rules, nf.start_nullable) == (binary, terminal, nullable)
+    assert (nf.start, nf.terminals) == (g.start, g.terminals)
+
+
 def test_shipped_grammars_survive_normalization():
     # positive side: every enumerable derivation; negative side: random strings
     rng = random.Random(3)
@@ -222,9 +310,11 @@ def test_dfa_recognizer_treats_foreign_symbols_as_dead():
     assert not rec.member("x")
 
 
-def test_dfa_must_be_total():
-    with pytest.raises(ValueError):
-        Dfa(2, frozenset("ab"), {(0, "a"): 1}, 0, frozenset({1}))
+def test_dfa_accepts_a_partial_delta():
+    d = Dfa(2, frozenset("ab"), {(0, "a"): 1}, 0, frozenset({1}))
+    assert d.delta == {(0, "a"): 1}
+    assert dfa_recognizer(d).member("a")
+    assert not dfa_recognizer(d).member("b")  # (0, "b") is missing, so "b" is rejected
 
 
 def test_parse_dfa_basic():
@@ -234,9 +324,9 @@ def test_parse_dfa_basic():
     assert not dfa_recognizer(d).member("a")
 
 
-def test_parse_dfa_completes_partial_tables_with_dead_state():
+def test_parse_dfa_keeps_partial_tables():
     d = parse_dfa("dfa 2\nab\nstart 0\naccept 1\n0 a 1")
-    assert d.state_count == 3
+    assert (d.state_count, d.delta) == (2, {(0, "a"): 1})
     assert dfa_recognizer(d).member("a")
     assert not dfa_recognizer(d).member("ab")
     assert not dfa_recognizer(d).member("aa")
