@@ -2,12 +2,15 @@
 """Fixed-seed timings of the graph I/O layers and the reductions, per workload.
 
 The instances are those of the benchmark workloads (``perfbench/workloads.py``)
-at ``--seed``: every graph file an operation hands to ``solve`` (for a
-reduction, the reduced graph it writes) and every reduction input.  For each
-workload the script times, over all its instances:
+at ``--seed``, drawn from the generator seeded as ``perfbench`` seeds it: every
+graph file an operation hands to ``solve`` (for a reduction, the reduced graph
+it writes) and every reduction input.  For each workload the script times,
+over all its instances:
 
 * ``graph.parse_graph``: parsing each graph file;
-* ``graph.LabeledGraph``: building each parsed graph again from its fields;
+* ``graph.LabeledGraph``: building each parsed graph again from its edges as
+  ``(u, v, label)`` tuples;
+* ``graph.edges``: one pass over each graph's ``edges`` view;
 * ``graph.render_graph``: writing each graph back as text;
 * ``graph.adjacency``: the move lists every enumerating solver starts from;
 * ``reductions.<kind>``: each reduction, on its already parsed input.
@@ -15,8 +18,10 @@ workload the script times, over all its instances:
 A row is ``{workload, layer, seconds, counters, peak_rss}``.  ``seconds`` is
 the best of ``--repeats`` passes over the instances.  ``counters`` holds the
 calls and edges of one pass (input edges for a parse or build, output edges
-for a reduction) and the seconds the cyclic garbage collector ran in the best
-pass (``gc_s``).  ``peak_rss`` is the process's peak resident set in MB so far.
+for a reduction), the seconds the cyclic garbage collector ran in the best
+pass (``gc_s``), and the objects the collector tracks that the outputs of one
+pass keep alive (``tracked``), which each full collection walks.  ``peak_rss``
+is the process's peak resident set in MB so far.
 The rows go into the JSON object in ``--out`` under ``--label``; other labels
 already in the file are kept, so one file can hold two checkouts' numbers:
 
@@ -31,6 +36,7 @@ import random
 import resource
 import sys
 import time
+from collections import deque
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,7 +85,7 @@ class GcClock:
 def instances(workload: str, seed: int, small: bool) -> tuple[list, list]:
     """The workload's solver graph texts, and its reductions as ``(kind, parsed input)``."""
     graphs, reductions = [], []
-    for op in workloads.BUILDERS[workload](random.Random(seed), small):
+    for op in workloads.BUILDERS[workload](random.Random(f"{workload}:{seed}"), small):
         if op.reduce is None:
             graphs.append(op.files[op.graph_file])
             continue
@@ -99,22 +105,39 @@ def timed(calls: list, repeats: int, clock: GcClock) -> tuple[float, int, float]
         started = time.perf_counter()
         for call in calls:
             out = call()
-            edges += len(getattr(out, "edges", ()))
+            edges += len(getattr(out, "us", ()))
         elapsed = time.perf_counter() - started
         best = min(best, (elapsed, edges, clock.seconds - gc_before))
     return best
 
 
+def one_pass(edges) -> None:
+    """Iterate over ``edges`` once, keeping nothing."""
+    deque(edges, maxlen=0)
+
+
+def tracked(calls: list) -> int:
+    """Objects the collector tracks that the outputs of one pass over ``calls`` keep alive."""
+    outputs: list = []
+    gc.collect()
+    before = len(gc.get_objects())
+    for call in calls:
+        outputs.append(call())
+    gc.collect()
+    return len(gc.get_objects()) - before
+
+
 def bench(workload: str, seed: int, small: bool, repeats: int, clock: GcClock) -> list[dict]:
     texts, reductions = instances(workload, seed, small)
     parsed = [parse_graph(text) for text in texts]
-    edges = sum(len(g.edges) for g in parsed)
+    edges = sum(len(g.us) for g in parsed)
     layers = {
         "graph.parse_graph": [lambda t=t: parse_graph(t) for t in texts],
         "graph.LabeledGraph": [
-            lambda g=g: LabeledGraph(g.kind, g.vertex_count, g.edges, g.source, g.target, g.alphabet)
+            lambda g=g, e=tuple(g.edges): LabeledGraph(g.kind, g.vertex_count, e, g.source, g.target, g.alphabet)
             for g in parsed
         ],
+        "graph.edges": [lambda g=g: one_pass(g.edges) for g in parsed],
         "graph.render_graph": [lambda g=g: render_graph(g) for g in parsed],
         "graph.adjacency": [lambda g=g: adjacency(g) for g in parsed],
     }
@@ -131,6 +154,7 @@ def bench(workload: str, seed: int, small: bool, repeats: int, clock: GcClock) -
                 "calls": len(calls),
                 "edges": out_edges if layer.startswith("reductions.") else edges,
                 "gc_s": round(gc_s, 6),
+                "tracked": tracked(calls),
             },
             "peak_rss": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         })
@@ -152,8 +176,9 @@ def main() -> int:
     for workload in args.workload or workloads.BUILDERS:
         rows += bench(workload, args.seed, args.small, args.repeats, clock)
     for row in rows:
-        print(f"{row['workload']:17} {row['layer']:28} {row['seconds']:10.6f} s"
-              f"  edges {row['counters']['edges']:>8}  gc {row['counters']['gc_s']:.6f} s")
+        counters = row["counters"]
+        print(f"{row['workload']:17} {row['layer']:28} {row['seconds']:10.6f} s  edges {counters['edges']:>8}"
+              f"  gc {counters['gc_s']:.6f} s  tracked {counters['tracked']:>7}")
     out = Path(args.out)
     runs = json.loads(out.read_text()) if out.exists() else {}
     runs[args.label] = rows

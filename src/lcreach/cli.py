@@ -126,10 +126,8 @@ def _emit(report: SolveReport, as_json: bool) -> None:
 
 def _render_path(g: LabeledGraph, p: Path) -> str:
     parts = [str(p.start)]
-    for step in p.steps:
-        e = g.edges[step.edge]
-        head = e.u if step.reverse else e.v
-        parts.append(f"--{e.label}--> {head}")
+    for edge, reverse in p.steps:
+        parts.append(f"--{g.labels[edge]}--> {(g.us if reverse else g.vs)[edge]}")
     return " ".join(parts)
 
 
@@ -367,11 +365,11 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     out = _REDUCTIONS[args.kind](_read(args.infile))
     with open(args.outfile, "w") as fh:
         fh.write(render_graph(out))
-    summary = {"kind": args.kind, "vertices": out.vertex_count, "edges": len(out.edges)}
+    summary = {"kind": args.kind, "vertices": out.vertex_count, "edges": len(out.us)}
     if args.json:
         print(json.dumps(summary, sort_keys=True))
     else:
-        print(f"reduced: {args.kind}; vertices: {out.vertex_count}; edges: {len(out.edges)}")
+        print(f"reduced: {args.kind}; vertices: {out.vertex_count}; edges: {len(out.us)}")
     return EXIT_REACHABLE
 
 

@@ -6,7 +6,7 @@ that describes an inconsistent object.  Everything raised on purpose by this
 package derives from :class:`LcreachError`, so callers can catch one type.
 """
 
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Collection, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -72,6 +72,18 @@ class InvariantError(ValueError):
     def __init__(self, message: str, field: str, index: int = 0):
         super().__init__(message)
         self.field, self.index = field, index
+
+
+def symbol_alphabet(symbols: Collection[str]) -> frozenset[str]:
+    """``symbols`` as a set, if each is one printable, non-whitespace character.
+
+    Otherwise an InvariantError on field ``alphabet`` names the first symbol
+    at fault, in the order ``symbols`` gives them.
+    """
+    for ch in symbols:
+        if len(ch) != 1 or not ch.isprintable() or ch.isspace():
+            raise InvariantError(f"bad alphabet character {ch!r}", "alphabet")
+    return frozenset(symbols)
 
 
 def build_object(cls: Callable[..., T], *args, **lines: int) -> T:

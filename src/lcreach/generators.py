@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import random
 
-from .graph import DIRECTED, Edge, LabeledGraph
+from .graph import DIRECTED, LabeledGraph
 from .languages import D2_ALPHABET
 from .reductions import AndGate, Circuit, Gate, InputGate, OrGate, VcInstance
 
@@ -32,7 +32,7 @@ def random_graph(
     symbols = sorted(set(alphabet))
     if not symbols:
         raise ValueError("need a nonempty alphabet")
-    edges = []
+    us, vs, labels = [], [], []
     for _ in range(m):
         u = rng.randrange(n)
         v = rng.randrange(n)
@@ -40,10 +40,12 @@ def random_graph(
             if n == 1:
                 raise ValueError("cannot avoid self-loops on a single vertex")
             v = rng.randrange(n)
-        edges.append(Edge(u, v, rng.choice(symbols)))
+        us.append(u)
+        vs.append(v)
+        labels.append(rng.choice(symbols))
     source = rng.randrange(n)
     target = rng.randrange(n)
-    return LabeledGraph(kind, n, tuple(edges), source, target, frozenset(symbols))
+    return LabeledGraph.from_columns(kind, n, us, vs, "".join(labels), source, target, symbols)
 
 
 def random_dag(
@@ -64,12 +66,13 @@ def random_dag(
     symbols = sorted(set(alphabet))
     if not symbols:
         raise ValueError("need a nonempty alphabet")
-    edges = []
+    us, vs, labels = [], [], []
     for _ in range(m):
         u = rng.randrange(n - 1)
-        v = rng.randrange(u + 1, n)
-        edges.append(Edge(u, v, rng.choice(symbols)))
-    return LabeledGraph(DIRECTED, n, tuple(edges), 0, n - 1, frozenset(symbols))
+        us.append(u)
+        vs.append(rng.randrange(u + 1, n))
+        labels.append(rng.choice(symbols))
+    return LabeledGraph.from_columns(DIRECTED, n, us, vs, "".join(labels), 0, n - 1, symbols)
 
 
 def random_circuit(rng: random.Random, n_inputs: int, n_gates: int) -> Circuit:

@@ -43,6 +43,7 @@ from .errors import (
     build_object,
     content_lines,
     parse_ints,
+    symbol_alphabet,
 )
 
 Production = tuple[str, tuple[str, ...]]
@@ -269,10 +270,10 @@ class Dfa:
     accepting: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "alphabet", frozenset(self.alphabet))
         object.__setattr__(self, "accepting", frozenset(self.accepting))
         if self.state_count < 1:
             raise ValueError("a DFA needs at least one state")
+        object.__setattr__(self, "alphabet", symbol_alphabet(self.alphabet))
         if not 0 <= self.start < self.state_count:
             raise InvariantError("start state out of range", "start")
         for q in self.accepting:
@@ -301,7 +302,7 @@ def parse_dfa(text: str) -> Dfa:
     alpha = lines[1].strip()
     if len(set(alpha)) != len(alpha):
         raise ParseError("alphabet characters must be distinct", line=2)
-    alphabet = frozenset(alpha)
+    alphabet = frozenset(alpha)  # checked by Dfa, at line 2
 
     start_tokens = lines[2].split()
     if len(start_tokens) != 2 or start_tokens[0] != "start":
@@ -327,4 +328,4 @@ def parse_dfa(text: str) -> Dfa:
             raise SemanticError(f"duplicate transition for state {q} on {ch!r}", line=line_no)
         delta[(q, ch)] = q2
 
-    return build_object(Dfa, declared, alphabet, delta, start, accepting, start=3, accepting=4)
+    return build_object(Dfa, declared, alpha, delta, start, accepting, alphabet=2, start=3, accepting=4)

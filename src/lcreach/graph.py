@@ -24,19 +24,25 @@ check.  :func:`parse_graph` checks the shape of each line, and
 :class:`LabeledGraph` is the one place that checks graph invariants, so a
 file's line-shape faults are reported before its semantic ones.
 
-The parser reads edge lines by columns (a split per 4,096 lines, an ``int``
-map per endpoint column, ``Edge`` tuples built by ``tuple.__new__``), so no
-Python function runs per edge; only a failed check starts the per-line loop,
-to name the first line at fault.  The constructor checks all edges in one
-loop, which makes a new ``Edge`` only to swap an undirected one.  Either way
-faults keep their messages and their order.
+A graph stores its edges as three columns, so it holds no object per edge
+for the garbage collector to walk: ``us`` and ``vs``, tuples of ints, and
+``labels``, a string whose character ``i`` is edge ``i``'s label.
+``LabeledGraph.edges`` is a view that builds :class:`Edge` tuples from the
+columns on access.  The parser reads edge lines into the columns (a split per
+4,096 lines and an ``int`` map per endpoint column), and the constructor
+checks whole columns (their types, ``min``, ``max`` and label set), so no
+Python function runs per edge; only a failed check starts a per-line or
+per-edge loop, to name the first line or edge at fault.  Either way faults
+keep their messages and their order.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable, Iterator, NamedTuple, Optional
+from itertools import compress, count, repeat
+from operator import gt
+from typing import Collection, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
     InvalidPathError,
@@ -49,6 +55,7 @@ from .errors import (
     build_object,
     content_lines,
     parse_ints,
+    symbol_alphabet,
 )
 
 DIRECTED = "directed"
@@ -61,12 +68,6 @@ class Edge(NamedTuple):
     label: str
 
 
-def _as_edges(triples: Iterable[tuple[int, int, str]]) -> tuple[Edge, ...]:
-    """``triples`` as :class:`Edge` tuples, built without a call of ``Edge.__new__`` per edge."""
-    # via a list: tuple(map(...)) re-tracks its growing tuple as young, and young collections walk it
-    return tuple(list(map(tuple.__new__, repeat(Edge), triples)))
-
-
 class Step(NamedTuple):
     """One move of a walk: which edge, and whether it is traversed v->u."""
 
@@ -74,47 +75,125 @@ class Step(NamedTuple):
     reverse: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LabeledGraph:
-    """An edge-labeled graph, checked on construction; ``alphabet`` may be a string of symbols."""
+    """An edge-labeled graph, checked on construction; ``alphabet`` may be a string of symbols.
+
+    Edge ``i`` is ``us[i] -labels[i]-> vs[i]``.  ``LabeledGraph(kind, n,
+    edges, source, target, alphabet)`` takes the edges as ``(u, v, label)``
+    triples; :meth:`from_columns` takes the three columns.
+    """
 
     kind: str
     vertex_count: int
-    edges: tuple[Edge, ...]
+    us: tuple[int, ...]
+    vs: tuple[int, ...]
+    labels: str
     source: int
     target: int
     alphabet: frozenset[str]
 
-    def __post_init__(self):
-        n = self.vertex_count
-        if self.kind not in (DIRECTED, UNDIRECTED):
-            raise InvariantError(f"kind must be {DIRECTED!r} or {UNDIRECTED!r}, got {self.kind!r}", "kind")
+    def __init__(
+        self, kind: str, vertex_count: int, edges: Iterable[tuple[int, int, str]],
+        source: int, target: int, alphabet: Collection[str],
+    ):
+        us, vs, labels = tuple(zip(*edges, strict=True)) or ((), (), ())  # ValueError unless triples
+        self._init_checked(kind, vertex_count, us, vs, labels, source, target, alphabet)
+
+    @classmethod
+    def from_columns(
+        cls, kind: str, vertex_count: int, us: Sequence[int], vs: Sequence[int], labels: Sequence[str],
+        source: int, target: int, alphabet: Collection[str],
+    ) -> LabeledGraph:
+        """The graph whose edge ``i`` is ``us[i] -labels[i]-> vs[i]``; ``labels`` is usually a string."""
+        g = cls.__new__(cls)
+        g._init_checked(kind, vertex_count, us, vs, labels, source, target, alphabet)
+        return g
+
+    def _init_checked(self, kind, n, us, vs, labels, source, target, alphabet) -> None:
+        """Check the invariants and set the fields, undirected edges put in ``(min, max)`` order."""
+        if kind not in (DIRECTED, UNDIRECTED):
+            raise InvariantError(f"kind must be {DIRECTED!r} or {UNDIRECTED!r}, got {kind!r}", "kind")
         if type(n) is not int:
             raise InvariantError(f"vertex count must be an integer, got {n!r}", "vertex_count")
         if n < 1:
             raise InvariantError("a graph needs at least one vertex", "vertex_count")
-        for ch in self.alphabet:
-            if len(ch) != 1 or not ch.isprintable() or ch.isspace():
-                raise InvariantError(f"bad alphabet character {ch!r}", "alphabet")
-        alphabet = frozenset(self.alphabet)
-        object.__setattr__(self, "alphabet", alphabet)
-        edges = list(self.edges)
-        for i, (u, v, label) in enumerate(edges):
-            if type(u) is not int or type(v) is not int:
-                raise InvariantError(f"vertex ids must be integers in edge {u!r} {v!r}", "edges", i)
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvariantError(f"vertex id out of range in edge {u} {v}", "edges", i)
-            if label not in alphabet:
-                raise InvariantError(f"label {label!r} is not in the declared alphabet", "edges", i)
-            if u > v and self.kind == UNDIRECTED:
-                edges[i] = tuple.__new__(Edge, (v, u, label))
-        object.__setattr__(self, "edges", tuple(edges))
-        for name in ("source", "target"):
-            end = getattr(self, name)
+        alphabet = symbol_alphabet(alphabet)
+        if not len(us) == len(vs) == len(labels):
+            raise InvariantError("the edge columns differ in length", "edges")
+        # whole columns at once; the per-edge loop runs only to name the first edge at fault
+        if us and not (
+            set(map(type, us)) | set(map(type, vs)) <= {int}
+            and min(min(us), min(vs)) >= 0 and max(max(us), max(vs)) < n
+            and alphabet.issuperset(labels)
+        ):
+            _raise_first_edge_fault(n, us, vs, labels, alphabet)
+        if kind == UNDIRECTED:
+            swap = list(compress(count(), map(gt, us, vs)))
+            if swap:
+                us, vs = list(us), list(vs)
+                for i in swap:
+                    us[i], vs[i] = vs[i], us[i]
+        for name, end in (("source", source), ("target", target)):
             if type(end) is not int:
                 raise InvariantError(f"{name} must be an integer, got {end!r}", name)
             if not 0 <= end < n:
                 raise InvariantError("source or target out of range", name)
+        labels = labels if type(labels) is str else "".join(labels)
+        for name, value in zip(
+            ("kind", "vertex_count", "us", "vs", "labels", "source", "target", "alphabet"),
+            (kind, n, tuple(us), tuple(vs), labels, source, target, alphabet),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def edges(self) -> EdgeView:
+        """The edges as :class:`Edge` tuples, built from the columns on each access."""
+        return EdgeView(self)
+
+
+def _raise_first_edge_fault(n: int, us, vs, labels, alphabet: frozenset[str]) -> None:
+    for i, (u, v, label) in enumerate(zip(us, vs, labels)):
+        if type(u) is not int or type(v) is not int:
+            raise InvariantError(f"vertex ids must be integers in edge {u!r} {v!r}", "edges", i)
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvariantError(f"vertex id out of range in edge {u} {v}", "edges", i)
+        if label not in alphabet:
+            raise InvariantError(f"label {label!r} is not in the declared alphabet", "edges", i)
+
+
+class EdgeView(Sequence):
+    """A graph's edges as a read-only sequence of :class:`Edge`, built on each access.
+
+    ``len`` builds nothing; it equals a tuple of the same edges.
+    """
+
+    __slots__ = ("_g",)
+
+    def __init__(self, g: LabeledGraph):
+        self._g = g
+
+    def __len__(self) -> int:
+        return len(self._g.us)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        g = self._g
+        return tuple.__new__(Edge, (g.us[i], g.vs[i], g.labels[i]))
+
+    def __iter__(self) -> Iterator[Edge]:
+        g = self._g
+        return map(tuple.__new__, repeat(Edge), zip(g.us, g.vs, g.labels))
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == tuple(other) if isinstance(other, (tuple, EdgeView)) else NotImplemented
+
+    def __add__(self, other: tuple) -> tuple[Edge, ...]:
+        return tuple(self) + other
+
+    def __repr__(self) -> str:
+        return f"EdgeView({tuple(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -137,7 +216,7 @@ def adjacency(g: LabeledGraph) -> list[list[tuple[int, int, str, bool]]]:
     """
     adj: list[list[tuple[int, int, str, bool]]] = [[] for _ in range(g.vertex_count)]
     undirected = g.kind == UNDIRECTED
-    for i, (u, v, label) in enumerate(g.edges):
+    for i, u, v, label in zip(count(), g.us, g.vs, g.labels):
         adj[u].append((i, v, label, False))
         if undirected and u != v:
             adj[v].append((i, u, label, True))
@@ -149,19 +228,19 @@ def _walk(g: LabeledGraph, p: Path) -> Iterator[tuple[int, int, str]]:
     if not 0 <= p.start < g.vertex_count:
         raise InvalidPathError(f"start vertex {p.start} out of range")
     at = p.start
-    for n, step in enumerate(p.steps):
-        if not 0 <= step.edge < len(g.edges):
-            raise InvalidPathError(f"step {n} references edge {step.edge}, which does not exist")
-        e = g.edges[step.edge]
-        if step.reverse:
+    us, vs, labels = g.us, g.vs, g.labels
+    for n, (edge, reverse) in enumerate(p.steps):
+        if not 0 <= edge < len(us):
+            raise InvalidPathError(f"step {n} references edge {edge}, which does not exist")
+        if reverse:
             if g.kind != UNDIRECTED:
                 raise InvalidPathError(f"step {n} traverses a directed edge backwards")
-            tail, head = e.v, e.u
+            tail, head = vs[edge], us[edge]
         else:
-            tail, head = e.u, e.v
+            tail, head = us[edge], vs[edge]
         if tail != at:
             raise InvalidPathError(f"step {n} starts at vertex {tail}, but the walk is at {at}")
-        yield tail, head, e.label
+        yield tail, head, labels[edge]
         at = head
 
 
@@ -188,9 +267,9 @@ def is_dag(g: LabeledGraph) -> Optional[tuple[int, ...]]:
         raise KindError("acyclicity is a directed-graph notion")
     indeg = [0] * g.vertex_count
     out: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for e in g.edges:
-        indeg[e.v] += 1
-        out[e.u].append(e.v)
+    for u, v in zip(g.us, g.vs):
+        indeg[v] += 1
+        out[u].append(v)
     queue = [v for v in range(g.vertex_count) if indeg[v] == 0]
     order: list[int] = []
     while queue:
@@ -205,9 +284,11 @@ def is_dag(g: LabeledGraph) -> Optional[tuple[int, ...]]:
     return tuple(order)
 
 
-def _edge_lines(body: list[str]) -> tuple[Edge, ...]:
-    """The edges of the edge lines ``body`` (line 3 on), or the ParseError of the first line at fault."""
-    edges: list[Edge] = []
+def _edge_lines(body: list[str]) -> tuple[list[int], list[int], str]:
+    """The edge columns of the edge lines ``body`` (line 3 on), or the ParseError of the first line at fault."""
+    us: list[int] = []
+    vs: list[int] = []
+    labels: list[str] = []
     try:
         for at in range(0, len(body), 4096):  # chunks bound the token strings alive at once
             # "\0" is never a label, so in one split of the lines joined by " \0 ", all are
@@ -216,16 +297,17 @@ def _edge_lines(body: list[str]) -> tuple[Edge, ...]:
             tokens, to_int = text.split(), int if ascii_only_ints(text) else ascii_int
             if not (len(tokens) == 4 * m - 1 and tokens.count("\0") == tokens[3::4].count("\0") == m - 1):
                 raise ValueError
-            labels = tokens[2::4]
-            if set(map(len, labels)) - {1}:
+            chunk_labels = tokens[2::4]
+            if set(map(len, chunk_labels)) - {1}:
                 raise ValueError
-            fields = zip(map(to_int, tokens[0::4]), map(to_int, tokens[1::4]), labels)
-            edges.extend(map(tuple.__new__, repeat(Edge), fields))
-            del tokens, labels, fields  # before the next chunk's split
-        return tuple(edges)
+            us.extend(map(to_int, tokens[0::4]))
+            vs.extend(map(to_int, tokens[1::4]))
+            labels.append("".join(chunk_labels))
+            del tokens, chunk_labels  # before the next chunk's split
+        return us, vs, "".join(labels)
     except ValueError:
         pass
-    triples = []  # the per-line parse, which names the first line at fault
+    us, vs, labels = [], [], []  # the per-line parse, which names the first line at fault
     for line_no, line in enumerate(body, 3):
         tokens = line.split()
         if len(tokens) != 3:
@@ -233,8 +315,10 @@ def _edge_lines(body: list[str]) -> tuple[Edge, ...]:
         u, v = parse_ints(tokens[:2], "edge endpoints must be integers", line_no)
         if len(tokens[2]) != 1:
             raise ParseError("edge label must be a single character", line=line_no)
-        triples.append((u, v, tokens[2]))
-    return _as_edges(triples)
+        us.append(u)
+        vs.append(v)
+        labels.append(tokens[2])
+    return us, vs, "".join(labels)
 
 
 def parse_graph(text: str) -> LabeledGraph:
@@ -257,7 +341,7 @@ def parse_graph(text: str) -> LabeledGraph:
     if len(lines) != m + 3:
         raise ParseError(f"expected {m} edge lines plus a final source/target line", line=len(lines))
 
-    edges = _edge_lines(lines[2:-1])
+    us, vs, labels = _edge_lines(lines[2:-1])
 
     tokens = lines[-1].split()
     if len(tokens) != 2:
@@ -266,7 +350,7 @@ def parse_graph(text: str) -> LabeledGraph:
 
     kind = UNDIRECTED if kind_word == UNDIRECTED else DIRECTED
     g = build_object(
-        LabeledGraph, kind, n, edges, s, t, alpha,
+        LabeledGraph.from_columns, kind, n, us, vs, labels, s, t, alpha,
         vertex_count=1, alphabet=2, edges=3, source=len(lines), target=len(lines),
     )
     if kind_word == "dag" and is_dag(g) is None:
@@ -276,7 +360,8 @@ def parse_graph(text: str) -> LabeledGraph:
 
 def render_graph(g: LabeledGraph) -> str:
     """Render ``g`` so that ``parse_graph(render_graph(g)) == g``."""
-    lines = [f"{g.kind} {g.vertex_count} {len(g.edges)}", "".join(sorted(g.alphabet))]
-    lines.extend(map("%d %d %s".__mod__, g.edges))
-    lines.append(f"{g.source} {g.target}")
-    return "\n".join(lines) + "\n"
+    m = len(g.us)
+    fields: list = [None] * (3 * m)  # u, v and label of each edge in turn, for one format call
+    fields[0::3], fields[1::3], fields[2::3] = g.us, g.vs, g.labels
+    head = f"{g.kind} {g.vertex_count} {m}\n{''.join(sorted(g.alphabet))}\n"
+    return head + ("%d %d %s\n" * m) % tuple(fields) + f"{g.source} {g.target}\n"

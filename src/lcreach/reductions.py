@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Union
 
 from .errors import (
@@ -50,7 +49,7 @@ from .errors import (
     content_lines,
     parse_ints,
 )
-from .graph import DIRECTED, UNDIRECTED, Edge, LabeledGraph, Path, _as_edges, path_endpoints, path_yield
+from .graph import DIRECTED, UNDIRECTED, LabeledGraph, Path, path_endpoints, path_yield
 from .languages import adjacency_bits, parse_nbc
 
 # --- circuits ---------------------------------------------------------------
@@ -253,14 +252,18 @@ class _Builder:
         self.kind = kind
         self.alphabet = frozenset(alphabet)
         self.count = 0
-        self.edges: list[Edge] = []
+        self.us: list[int] = []
+        self.vs: list[int] = []
+        self.labels: list[str] = []
 
     def vertex(self) -> int:
         self.count += 1
         return self.count - 1
 
     def edge(self, u: int, v: int, label: str) -> None:
-        self.edges.append(tuple.__new__(Edge, (u, v, label)))
+        self.us.append(u)
+        self.vs.append(v)
+        self.labels.append(label)
 
     def chain_from(self, u: int, word: str) -> int:
         """Append a fresh chain spelling ``word`` starting at ``u``."""
@@ -275,7 +278,9 @@ class _Builder:
         self.edge(self.chain_from(u, word[:-1]), v, word[-1])
 
     def build(self, source: int, target: int) -> LabeledGraph:
-        return LabeledGraph(self.kind, self.count, tuple(self.edges), source, target, self.alphabet)
+        return LabeledGraph.from_columns(
+            self.kind, self.count, self.us, self.vs, "".join(self.labels), source, target, self.alphabet
+        )
 
 
 # --- the five constructions ---------------------------------------------------
@@ -284,14 +289,12 @@ class _Builder:
 def _subdivide(g: LabeledGraph, alphabet: str, halves: dict[str, tuple[str, str]]) -> LabeledGraph:
     """Undirected ``g`` with edge ``i``, ``u -x-> v``, as ``u -first- mid -second- v``, where
     ``(first, second)`` is ``halves[x]`` and ``mid = |V| + i``, so both halves are already canonical."""
-    n, m = g.vertex_count, len(g.edges)
-    us, vs, labels = (list(map(itemgetter(i), g.edges)) for i in range(3))
-    first, second = ({x: pair[i] for x, pair in halves.items()} for i in (0, 1))
-    mids = range(n, n + m)
-    edges = _as_edges(itertools.chain.from_iterable(zip(
-        zip(us, mids, map(first.__getitem__, labels)), zip(vs, mids, map(second.__getitem__, labels))
-    )))
-    return LabeledGraph(UNDIRECTED, n + m, edges, g.source, g.target, frozenset(alphabet))
+    n, m = g.vertex_count, len(g.us)
+    ends, mids = [0] * (2 * m), [0] * (2 * m)
+    ends[0::2], ends[1::2] = g.us, g.vs
+    mids[0::2] = mids[1::2] = range(n, n + m)
+    labels = g.labels.translate({ord(x): first + second for x, (first, second) in halves.items()})
+    return LabeledGraph.from_columns(UNDIRECTED, n + m, ends, mids, labels, g.source, g.target, alphabet)
 
 
 def reach_to_abstar_ureach(g: LabeledGraph) -> LabeledGraph:

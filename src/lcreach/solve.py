@@ -36,7 +36,7 @@ from collections import defaultdict, deque
 from collections.abc import Set
 from dataclasses import dataclass, field
 from itertools import compress, count
-from operator import itemgetter
+from operator import eq
 from typing import Callable, Iterator, Optional, Union
 
 from .errors import (
@@ -46,7 +46,7 @@ from .errors import (
     NotADagError,
     NotATreeError,
 )
-from .graph import DIRECTED, UNDIRECTED, Edge, LabeledGraph, Path, Step, adjacency, is_dag, path_yield
+from .graph import DIRECTED, UNDIRECTED, LabeledGraph, Path, Step, adjacency, is_dag, path_yield
 from .grammar import Dfa, NormalForm, normalize
 from .languages import Recognizer, dfa_recognizer
 
@@ -232,12 +232,12 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
     births: list[dict[int, list[tuple[int, int]]]] = [{} for _ in names]
     found: defaultdict[int, dict[int, int]] = defaultdict(dict)  # A -> {u: bits found}
     undirected = g.kind == UNDIRECTED
-    for e in g.edges:
-        for a in heads.get(e.label, ()):
+    for u, v, label in zip(g.us, g.vs, g.labels):
+        for a in heads.get(label, ()):
             fa = found[a]
-            fa[e.u] = fa.get(e.u, 0) | 1 << e.v
+            fa[u] = fa.get(u, 0) | 1 << v
             if undirected:
-                fa[e.v] = fa.get(e.v, 0) | 1 << e.u
+                fa[v] = fa.get(v, 0) | 1 << u
 
     goal_row, goal_u, goal_bit = [0], 0, 1  # without a goal, a bit never set
     if goal is not None:
@@ -343,7 +343,7 @@ def cfl_member(nf: NormalForm, w: str) -> bool:
     if not nf.terminals.issuperset(w):
         return False
     n = len(w)
-    chain = LabeledGraph(DIRECTED, n + 1, tuple(map(Edge, count(), count(1), w)), 0, n, nf.terminals)
+    chain = LabeledGraph.from_columns(DIRECTED, n + 1, range(n), range(1, n + 1), w, 0, n, nf.terminals)
     return cfl_reach(chain, nf) is not None
 
 
@@ -436,20 +436,20 @@ def _read_edges(g: LabeledGraph, nf: NormalForm, nodes: list, reads: list[int]) 
     todo: dict[int, list[int]] = {}  # u -> the round-0 nodes that start at u
     for at in reads:
         todo.setdefault(nodes[at][0], []).append(at)
-    edges, undirected = g.edges, g.kind == UNDIRECTED
+    us, vs, labels, undirected = g.us, g.vs, g.labels, g.kind == UNDIRECTED
 
-    def leaving(end: int):  # indices of the edges whose end ``end`` is a tail in todo
-        return compress(count(), map(todo.__contains__, map(itemgetter(end), edges)))
+    def leaving(ends):  # indices of the edges whose end in ``ends`` is a tail in todo
+        return compress(count(), map(todo.__contains__, ends))
 
-    hits = sorted({*leaving(0), *leaving(1)}) if undirected else leaving(0)
+    hits = sorted({*leaving(us), *leaving(vs)}) if undirected else leaving(us)
     left = len(reads)
     for edge in hits:
-        e = edges[edge]
-        for reverse, tail, head in ((False, e.u, e.v), (True, e.v, e.u))[: 1 + undirected]:
+        eu, ev, label = us[edge], vs[edge], labels[edge]
+        for reverse, tail, head in ((False, eu, ev), (True, ev, eu))[: 1 + undirected]:
             waiting = todo.get(tail)
             for at in list(waiting or ()):
                 u, a, v = nodes[at]
-                if v == head and e.label in chars.get(a, ()):
+                if v == head and label in chars.get(a, ()):
                     nodes[at] = (u, a, v, "t", edge, reverse)
                     waiting.remove(at)
                     left -= 1
@@ -536,14 +536,13 @@ def check_derivation(
             sizes.append(min(sizes[left] + sizes[right], step_limit + 1))  # no huge ints
         elif kind == "t" and len(rest) == 2:
             edge, reverse = rest
-            if not (_is_index(edge) and edge < len(g.edges) and isinstance(reverse, bool)):
+            if not (_is_index(edge) and edge < len(g.us) and isinstance(reverse, bool)):
                 raise CorruptWitnessError(f"derivation node {i} names no edge of the graph")
             if reverse and g.kind == DIRECTED:
                 raise CorruptWitnessError(f"derivation node {i} reverses a directed edge")
-            e = g.edges[edge]
-            if (a, e.label) not in terminal:
-                raise CorruptWitnessError(f"derivation node {i}: no rule {a} -> {e.label!r}")
-            if (u, v) != ((e.v, e.u) if reverse else (e.u, e.v)):
+            if (a, g.labels[edge]) not in terminal:
+                raise CorruptWitnessError(f"derivation node {i}: no rule {a} -> {g.labels[edge]!r}")
+            if (u, v) != ((g.vs[edge], g.us[edge]) if reverse else (g.us[edge], g.vs[edge])):
                 raise CorruptWitnessError(f"derivation node {i} does not match edge {edge}")
             sizes.append(1)
         elif kind == "e" and not rest:
@@ -696,10 +695,10 @@ def tree_reach(g: LabeledGraph, member: Member) -> Optional[Path]:
     such walks are missed even when ``member`` accepts their yield.
     """
     n = g.vertex_count
-    if len(g.edges) != n - 1 or any(e.u == e.v for e in g.edges):
+    if len(g.us) != n - 1 or any(map(eq, g.us, g.vs)):
         raise NotATreeError("underlying structure is not a tree")
     nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (edge index, other end)
-    for i, (u, v, _) in enumerate(g.edges):
+    for i, u, v in zip(count(), g.us, g.vs):
         nbrs[u].append((i, v))
         nbrs[v].append((i, u))
     parent: dict[int, Optional[tuple[int, int]]] = {g.source: None}
@@ -723,7 +722,7 @@ def tree_reach(g: LabeledGraph, member: Member) -> Optional[Path]:
 
     steps: list[Step] = []
     for tail, head, edge in hops:
-        u, v, _ = g.edges[edge]
+        u, v = g.us[edge], g.vs[edge]
         if g.kind == DIRECTED:
             if (u, v) != (tail, head):
                 raise NoRespectingPathError(f"tree edge {u}->{v} points against the unique path")

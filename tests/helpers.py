@@ -28,7 +28,15 @@ from lcreach import (
     adjacency,
     d2_member,
 )
-from lcreach.errors import ParseError, SemanticError, ascii_int, ascii_only_ints, content_lines, parse_ints
+from lcreach.errors import (
+    InvariantError,
+    ParseError,
+    SemanticError,
+    ascii_int,
+    ascii_only_ints,
+    content_lines,
+    parse_ints,
+)
 
 
 def derivable_strings(g: Cfg, max_len: int) -> dict[str, set[str]]:
@@ -230,6 +238,24 @@ def parse_graph_per_line(text: str) -> LabeledGraph:
     if kind_word == "dag" and has_directed_cycle(g):
         raise SemanticError("graph declared 'dag' contains a directed cycle")
     return g
+
+
+def check_edges_per_edge(kind: str, n: int, edges, alphabet: frozenset[str]) -> tuple[Edge, ...]:
+    """The graph constructor's edge checks, one edge at a time: the oracle for its column checks.
+
+    Returns the edges as stored, undirected ones in ``(min, max)`` order, or
+    raises the InvariantError of the first edge at fault.
+    """
+    stored = []
+    for i, (u, v, label) in enumerate(edges):
+        if type(u) is not int or type(v) is not int:
+            raise InvariantError(f"vertex ids must be integers in edge {u!r} {v!r}", "edges", i)
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvariantError(f"vertex id out of range in edge {u} {v}", "edges", i)
+        if label not in alphabet:
+            raise InvariantError(f"label {label!r} is not in the declared alphabet", "edges", i)
+        stored.append(Edge(v, u, label) if kind == UNDIRECTED and u > v else Edge(u, v, label))
+    return tuple(stored)
 
 
 def has_directed_cycle(g: LabeledGraph) -> bool:

@@ -18,6 +18,7 @@ FAULTS = {
         "dfa 2\naba\nstart 0\naccept 0\n",
         "line 2: alphabet characters must be distinct",
     ),
+    "space in the alphabet": ("dfa 1\na b\nstart 0\naccept 0\n0 a 0\n", "line 2: bad alphabet character ' '"),
     "start line shape": ("dfa 2\nab\nbegin 0\naccept 0\n", "line 3: third line must be 'start <state>'"),
     "non-integer start": ("dfa 2\nab\nstart x\naccept 0\n", "line 3: states must be integers"),
     "start out of range": ("dfa 2\nab\nstart 5\naccept 1\n", "line 3: start state out of range"),

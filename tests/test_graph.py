@@ -1,5 +1,6 @@
 """Graph data model, path machinery, and the graph file format."""
 
+import gc
 import random
 
 import pytest
@@ -24,12 +25,13 @@ from lcreach import (
     path_yield,
     random_dag,
     random_graph,
+    reach_to_abstar_ureach,
     render_graph,
 )
 
 from lcreach.errors import InvariantError
 
-from .helpers import fragment_graph, has_directed_cycle, parse_graph_per_line
+from .helpers import check_edges_per_edge, fragment_graph, has_directed_cycle, parse_graph_per_line
 
 
 # --- construction and validation ---------------------------------------------
@@ -78,6 +80,69 @@ def test_the_first_edge_at_fault_is_named():
     with pytest.raises(InvariantError, match="^vertex id out of range in edge 0 7$") as exc:
         LabeledGraph(DIRECTED, 2, edges, 0, 1, "a")
     assert (exc.value.field, exc.value.index) == ("edges", 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([DIRECTED, UNDIRECTED]),
+    st.integers(1, 4),
+    st.lists(st.tuples(
+        st.one_of(st.integers(-2, 5), st.booleans()),
+        st.one_of(st.integers(-2, 5), st.booleans()),
+        st.sampled_from(["a", "%", "c", "a%", ""]),
+    ), max_size=8),
+)
+def test_both_constructors_check_edges_as_the_per_edge_loop_does(kind, n, edges):
+    """Bools, negative and out-of-range ids, foreign and multi-character labels, and a ``%`` label."""
+    try:
+        expected = check_edges_per_edge(kind, n, edges, frozenset("a%"))
+    except InvariantError as exc:
+        expected = (str(exc), exc.field, exc.index)
+    us, vs, labels = ([e[i] for e in edges] for i in range(3))
+    if all(len(label) == 1 for label in labels):
+        labels = "".join(labels)  # the usual label column
+    built = []
+    for build in (
+        lambda: LabeledGraph(kind, n, edges, 0, n - 1, "a%"),
+        lambda: LabeledGraph.from_columns(kind, n, us, vs, labels, 0, n - 1, "a%"),
+    ):
+        try:
+            g = build()
+        except InvariantError as exc:
+            assert (str(exc), exc.field, exc.index) == expected
+            continue
+        assert g.edges == expected and all(type(e) is Edge for e in g.edges)
+        assert parse_graph(render_graph(g)) == g
+        built.append(g)
+    assert len(built) in (0, 2) and built[:1] == built[1:]
+
+
+def test_edges_view_builds_edges_from_the_columns():
+    g = LabeledGraph.from_columns(UNDIRECTED, 3, [2, 0], [1, 2], "xy", 0, 2, "xy")
+    assert (g.us, g.vs, g.labels) == ((1, 0), (2, 2), "xy")
+    assert len(g.edges) == 2 and g.edges[-1] == Edge(0, 2, "y") and g.edges[:1] == (Edge(1, 2, "x"),)
+    assert list(g.edges) == [Edge(1, 2, "x"), Edge(0, 2, "y")] and Edge(0, 2, "y") in g.edges
+    assert g.edges + (Edge(0, 0, "x"),) == (Edge(1, 2, "x"), Edge(0, 2, "y"), Edge(0, 0, "x"))
+    with pytest.raises(InvariantError, match="^the edge columns differ in length$"):
+        LabeledGraph.from_columns(DIRECTED, 3, [0, 1], [1], "xy", 0, 2, "xy")
+
+
+@pytest.mark.parametrize("edges", [[(0, 1, "a"), (0, 1, "a", "b")], [(0, 1, "a"), (0, 1)], [(0, 1)]])
+def test_edges_must_be_triples(edges):
+    with pytest.raises(ValueError):
+        LabeledGraph(DIRECTED, 2, edges, 0, 1, "ab")
+
+
+def test_parsed_and_reduced_graphs_keep_no_tracked_object_per_edge():
+    """Each full collection walks every object the collector tracks."""
+    text = render_graph(random_graph(random.Random(5), 1000, 5000, "ab"))
+    gc.collect()
+    before = len(gc.get_objects())
+    g = parse_graph(text)
+    reduced = reach_to_abstar_ureach(g)
+    gc.collect()
+    assert len(gc.get_objects()) - before <= 10
+    assert len(reduced.edges) == 2 * len(g.edges) == 10_000
 
 
 def test_labels_are_single_printable_symbols():

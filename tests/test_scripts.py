@@ -61,12 +61,14 @@ def test_bench_writes_io_rows_at_a_tiny_size(tmp_path):
     rows = runs["change"]
     layers = [row["layer"] for row in rows]
     assert layers == [
-        "graph.parse_graph", "graph.LabeledGraph", "graph.render_graph", "graph.adjacency",
+        "graph.parse_graph", "graph.LabeledGraph", "graph.edges", "graph.render_graph", "graph.adjacency",
         "reductions.vc-to-a", "reductions.reach-to-abstar",
     ]
     for row in rows:
         assert set(row) == {"workload", "layer", "seconds", "counters", "peak_rss"}
         assert row["workload"] == "enum-mix" and row["seconds"] >= 0 and row["peak_rss"] > 0
-        assert set(row["counters"]) == {"calls", "edges", "gc_s"} and row["counters"]["calls"] > 0
+        assert set(row["counters"]) == {"calls", "edges", "gc_s", "tracked"} and row["counters"]["calls"] > 0
     graph_edges = {row["counters"]["edges"] for row in rows if row["layer"].startswith("graph.")}
     assert len(graph_edges) == 1 and graph_edges.pop() > 0
+    parse = rows[0]["counters"]  # a parsed graph keeps no tracked object per edge alive
+    assert parse["tracked"] <= 3 * parse["calls"] < parse["edges"]
