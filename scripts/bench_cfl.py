@@ -5,9 +5,10 @@ Prints one row per draw: the time of the full least fixpoint, its table
 size, its row deltas joined (``pops``), whether the instance was reachable,
 the time to rebuild and flatten the witness, and the witness length; then
 the time of ``cfl_reach``, which stops the fixpoint in the round its root
-is born (``goal_s``), and the size of the table it stops with
-(``goal_facts``, the full size when unreachable).  Sizes are given as
-``n:m`` pairs.
+is born (``goal_s``), the size of the table it stops with (``goal_facts``:
+the facts born before the root's round plus the root, the full size when
+unreachable), and the root's round (``goal_round``, ``-`` when
+unreachable).  Sizes are given as ``n:m`` pairs.
 
 Example:
 
@@ -54,6 +55,7 @@ def main() -> int:
     print(
         f"{'n':>6} {'m':>6} {'seconds':>8} {'facts':>8} {'pops':>8}"
         f" {'reachable':>9} {'witness_s':>9} {'walk':>6} {'goal_s':>8} {'goal_facts':>10}"
+        f" {'goal_round':>10}"
     )
     for n, m in parse_sizes(args.sizes):
         for _ in range(args.repeats):
@@ -72,11 +74,13 @@ def main() -> int:
                 walk = str(len(expanded.steps)) if isinstance(expanded, Path) else ">limit"
             stats: dict = {}
             started = time.perf_counter()
-            cfl_reach(g, nf, stats=stats)
+            w = cfl_reach(g, nf, stats=stats)
             goal_s = time.perf_counter() - started
+            goal_round = "-" if w is None else str(w.table.born(root))
             print(
                 f"{n:>6} {m:>6} {elapsed:>8.3f} {len(table.facts):>8} {table.pops:>8}"
                 f" {reachable:>9} {witness_s:>9} {walk:>6} {goal_s:>8.3f} {stats['facts']:>10}"
+                f" {goal_round:>10}"
             )
     return 0
 

@@ -74,14 +74,19 @@ class InvariantError(ValueError):
         self.field, self.index = field, index
 
 
+def is_symbol(ch: str) -> bool:
+    """Whether ``ch`` is one printable, non-whitespace character, as every label and terminal is."""
+    return len(ch) == 1 and ch.isprintable() and not ch.isspace()
+
+
 def symbol_alphabet(symbols: Collection[str]) -> frozenset[str]:
-    """``symbols`` as a set, if each is one printable, non-whitespace character.
+    """``symbols`` as a set, if each is a symbol (:func:`is_symbol`).
 
     Otherwise an InvariantError on field ``alphabet`` names the first symbol
     at fault, in the order ``symbols`` gives them.
     """
     for ch in symbols:
-        if len(ch) != 1 or not ch.isprintable() or ch.isspace():
+        if not is_symbol(ch):
             raise InvariantError(f"bad alphabet character {ch!r}", "alphabet")
     return frozenset(symbols)
 

@@ -42,6 +42,7 @@ from .errors import (
     UndeclaredSymbolError,
     build_object,
     content_lines,
+    is_symbol,
     parse_ints,
     symbol_alphabet,
 )
@@ -65,7 +66,7 @@ class Cfg:
         if self.nonterminals & self.terminals:
             raise ValueError("nonterminals and terminals must be disjoint")
         for t in self.terminals:  # the characters an edge label can be
-            if len(t) != 1 or not t.isprintable() or t.isspace():
+            if not is_symbol(t):
                 raise ValueError(f"terminals are single printable, non-space characters, got {t!r}")
         if self.start not in self.nonterminals:
             raise ValueError(f"start symbol {self.start!r} is not a nonterminal")
@@ -128,7 +129,7 @@ def parse_cfg(text: str) -> Cfg:
                 alternatives.append([])
             elif tok.startswith("'") and tok.endswith("'") and len(tok) == 3:
                 ch = tok[1]
-                if not ch.isprintable() or ch.isspace():
+                if not is_symbol(ch):
                     raise ParseError(f"bad terminal character {ch!r}", line=line_no)
                 terminals.add(ch)
                 alternatives[-1].append(ch)

@@ -16,13 +16,13 @@ Four solver families live here:
   its minimum derivation height, and that is all the table keeps about how
   it was derived: :func:`witness_derivation` rebuilds a derivation, shared
   across facts, from the rounds on demand.  Since a derivation reads only
-  facts of earlier rounds, :func:`cfl_reach` stops the fixpoint in the round
-  its root ``(source, start, target)`` is born.  On cyclic graphs the flattened
-  walk can be exponentially longer than the derivation; :func:`expand_witness`
-  flattens under an explicit step budget, and :func:`check_derivation`
-  checks a derivation rule by rule in linear time.  :func:`cfl_member`
-  decides the membership of a word by the same fixpoint on the chain that
-  spells it.
+  facts of earlier rounds, :func:`cfl_reach` stops the fixpoint as soon as
+  those split its root ``(source, start, target)``, before the join of the
+  root's round.  On cyclic graphs the flattened walk can be exponentially
+  longer than the derivation; :func:`expand_witness` flattens under an
+  explicit step budget, and :func:`check_derivation` checks a derivation
+  rule by rule in linear time.  :func:`cfl_member` decides the membership
+  of a word by the same fixpoint on the chain that spells it.
 * :func:`dag_enum_reach` — exhaustive path enumeration of an acyclic graph
   against a black-box membership predicate.
 * :func:`tree_reach` — on trees there is exactly one candidate walk; find it
@@ -102,7 +102,8 @@ class FactSet(Set):
 class ReachTable:
     """Least fixpoint of derivation facts, as bit rows with birth rounds.
 
-    A table stopped at a goal holds the facts of the rounds up to the goal's.
+    A table stopped at a goal holds the facts born before the goal's round
+    and the goal itself, or all of round 0 when the goal is born there.
     ``facts`` is the read-only set of facts.  ``births[i][u]`` lists
     ``(round, bits)`` pairs in round order: the ``v`` whose fact ``(u, A,
     v)`` was born in that round, for ``A = facts.names[i]``.  Round 0 reads
@@ -201,12 +202,16 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
     for every vertex, but it is never joined: the normal form already
     derives every non-empty walk.
 
-    With a ``goal`` fact, the rounds stop right after the one in which the
-    goal is born, before any join; an empty-walk goal stops them before
-    round 0.  A fact's derivation reads only facts born in earlier rounds,
-    so every fact of the stopped table has the round it has in the full
-    one, and the goal's derivation is the same.  A goal that is never born
-    leaves the full fixpoint.
+    With a ``goal`` fact ``(u, A, v)``, each round from round 1 on starts by
+    testing whether the facts born before it split the goal by a rule ``A
+    -> B C``, at the cost of ``A``'s rules times the width of ``u``'s row.
+    If they do, the goal is born in that round: it is added as one fact and
+    one row delta, and the rounds stop before the join.  A goal born in
+    round 0 stops them after that round, and an empty-walk goal before it.
+    A fact's derivation reads only facts born in earlier rounds, so every
+    fact of the stopped table has the round it has in the full one, and the
+    goal's derivation is the same.  A goal that is never born leaves the
+    full fixpoint.
     """
     if not g.alphabet <= nf.terminals:
         extra = "".join(sorted(g.alphabet - nf.terminals))
@@ -239,12 +244,15 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
             if undirected:
                 fa[v] = fa.get(v, 0) | 1 << u
 
-    goal_row, goal_u, goal_bit = [0], 0, 1  # without a goal, a bit never set
+    goal_row, goal_births, goal_u, goal_v = [0], {}, 0, 0  # without a goal, a bit never set
+    goal_rules: list[tuple[int, int]] = []  # the (B, C) of the goal's rules A -> B C, in rule order
     if goal is not None:
-        goal_u, a, v = goal
-        goal_row, goal_bit = rows[ids[a]], 1 << v
-        if nf.start_nullable and a == nf.start and goal_u == v:
+        goal_u, a, goal_v = goal
+        goal_row, goal_births = rows[ids[a]], births[ids[a]]
+        goal_rules = [(ids[b], ids[c]) for head, b, c in nf.binary_rules if head == a]
+        if nf.start_nullable and a == nf.start and goal_u == goal_v:
             found.clear()  # the empty walk needs no round
+    goal_bit = 1 << goal_v
     size = pops = rnd = 0
     while True:
         # The bits found that are new were born in this round.
@@ -269,12 +277,18 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
             if da:
                 delta[a] = da
                 pops += len(da)
-        if not delta:
-            break
-        if goal_row[goal_u] & goal_bit:  # the goal was born in this round
-            size += sum(bits.bit_count() for da in delta.values() for bits in da.values())
+                size += sum(map(int.bit_count, da.values()))
+        if not delta or goal_row[goal_u] & goal_bit:  # a goal born here is born in round 0
             break
         rnd += 1
+        # rows now holds the facts born before this round, so the goal is
+        # born in it exactly when they split it: stop before the join.
+        if goal_rules and _first_split(goal_rules, rows, births, goal_u, goal_v, rnd) is not None:
+            goal_row[goal_u] |= goal_bit
+            goal_births.setdefault(goal_u, []).append((rnd, goal_bit))
+            size += 1
+            pops += 1
+            break
         found = defaultdict(dict)
         for c, dc in delta.items():
             for a, b in by_second[c]:  # every older (u, B, w) joined with new (w, C, v)
@@ -286,11 +300,9 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
         for b, db in delta.items():
             rules, cols_b = by_first[b], cols[b]
             if not rules:
-                size += sum(bits.bit_count() for bits in db.values())
                 continue
             for u, bits in db.items():
                 ws = _bits(bits)
-                size += len(ws)
                 for w in ws:  # new (u, B, w) joined with every (w, C, v)
                     cols_b[w].append(u)
                 for a, c in rules:
@@ -318,9 +330,10 @@ def cfl_reach(
     start, target)`` when the fact is derivable, else None.  When source
     equals target and the start symbol is nullable, the empty-walk witness is
     the one returned.  The fixpoint has that root as its goal, so it stops
-    in the round the root is born.  ``stats`` receives the table size and
-    the row deltas: up to the root's round when it is derivable, over the
-    whole least fixpoint when it is not.
+    in the round the root is born, before that round's join.  ``stats``
+    receives the table size and the row deltas: of the facts born before the
+    root's round plus the root when it is derivable (all of round 0 when the
+    root is born there), of the whole least fixpoint when it is not.
     """
     nf = grammar if isinstance(grammar, NormalForm) else normalize(grammar)
     root = (g.source, nf.start, g.target)
@@ -375,7 +388,7 @@ def _derive(table: ReachTable, root: Fact) -> list[tuple]:
         raise CorruptWitnessError(f"root fact {root} is not in the table")
     if nf.start_nullable and root[1] == nf.start and root[0] == root[2]:
         return [(*root, "e")]
-    names, ids, births = facts.names, facts.ids, table.births
+    names, ids, births, rows = facts.names, facts.ids, table.births, facts.rows
     splits: list[list[tuple[int, int]]] = [[] for _ in names]  # A -> [(B, C)] in rule order
     for a, b, c in nf.binary_rules:
         splits[ids[a]].append((ids[b], ids[c]))
@@ -402,26 +415,38 @@ def _derive(table: ReachTable, root: Fact) -> list[tuple]:
             reads.append(len(nodes))
             nodes.append((u, names[a], v))
             continue
-        kids = _split(table, splits[a], key, rnd)
+        split = _first_split(splits[a], rows, births, u, v, rnd)
+        if split is None:
+            raise CorruptWitnessError(
+                f"fact {(u, names[a], v)} has no split into facts born before round {rnd}"
+            )
+        b, c, w = split
+        kids = (u, b, w), (w, c, v)
         stack += ((key, kids), (kids[1], None), (kids[0], None))
     _read_edges(table.graph, nf, nodes, reads)
     return nodes
 
 
-def _split(table: ReachTable, rules, key, rnd: int) -> tuple:
-    """Children of ``key``: the first rule, then the lowest split vertex, both born before ``rnd``."""
-    u, a, v = key
-    births, rows = table.births, table.facts.rows
+def _first_split(rules, rows, births, u: int, v: int, rnd: int) -> Optional[tuple[int, int, int]]:
+    """The first rule, then the lowest ``w``, splitting ``(u, A, v)`` into facts born before ``rnd``.
+
+    ``rules`` lists the ``(B, C)`` of the rules ``A -> B C`` in rule order,
+    and ``rows`` and ``births`` are a table's.  Returns ``(B, C, w)`` for the
+    facts ``(u, B, w)`` and ``(w, C, v)``, or None when no rule splits it.
+    """
     for b, c in rules:
-        rows_c, births_c = rows[c], births[c]
-        for w in _bits(_born_before(births[b].get(u, ()), rnd)):
+        left, chunks = rows[b][u], births[b].get(u)
+        if not left:
+            continue
+        if not chunks or chunks[-1][0] >= rnd:  # some of the row may be born too late
+            left = _born_before(chunks or (), rnd)
+        rows_c = rows[c]
+        for w in _bits(left):
             if rows_c[w] >> v & 1:
-                born = _born(births_c.get(w, ()), v)
+                born = _born(births[c].get(w, ()), v)
                 if born is not None and born < rnd:
-                    return (u, b, w), (w, c, v)
-    raise CorruptWitnessError(
-        f"fact {(u, table.facts.names[a], v)} has no split into facts born before round {rnd}"
-    )
+                    return b, c, w
+    return None
 
 
 def _read_edges(g: LabeledGraph, nf: NormalForm, nodes: list, reads: list[int]) -> None:

@@ -111,7 +111,13 @@ NULLABLE_NF = normalize(parse_cfg("S -> '(' S ')' | '[' S ']' | S S |"))
 
 
 def check_goal_stop(g, nf):
-    """``cfl_reach`` stops at its root: a prefix of the full fixpoint's rounds."""
+    """``cfl_reach`` stops in the round of its root, before the join of that round.
+
+    The stopped table holds exactly the facts the full fixpoint derives before
+    the root's round, and the root, each with its full-fixpoint round.  A root
+    of round 0 stops after that round, which then is whole; the empty walk
+    stops before any round.
+    """
     full = cfl_reach_table(g, nf)
     root = (g.source, nf.start, g.target)
     stats = {}
@@ -121,24 +127,32 @@ def check_goal_stop(g, nf):
         assert stats == {"facts": len(full.facts), "pops": full.pops}
         return
     stopped = w.table
+    deltas = sum(len(chunks) for rows in stopped.births for chunks in rows.values())
     assert stats == {"facts": len(stopped.facts), "pops": stopped.pops}
-    assert len(stopped.facts) == len(list(stopped.facts)) >= stopped.pops >= 0
+    assert len(stopped.facts) == len(list(stopped.facts)) >= stopped.pops == deltas
     assert witness_derivation(w) == witness_derivation(Witness(root, full))
-    oracle = worklist_facts(g, nf)
-    last = stopped.born(root)  # None for the empty walk, which needs no round
+
+    def empty_walk(fact):  # a fact of every table when the start is nullable
+        return nf.start_nullable and fact[1] == nf.start and fact[0] == fact[2]
+
+    last = None if empty_walk(root) else full.born(root)  # the empty walk needs no round
+    assert stopped.born(root) == last
     if last is None:
-        assert nf.start_nullable and g.source == g.target and stopped.pops == 0
+        assert stopped.pops == 0
+
+    def kept(fact):
+        born = full.born(fact)
+        return empty_walk(fact) or last is not None and (born < last or born == last == 0)
+
+    assert set(stopped.facts) == {f for f in full.facts if kept(f)} | {root}
+    oracle = worklist_facts(g, nf)
     for fact in stopped.facts:
         assert fact in oracle
         born = stopped.born(fact)
         if born is None:  # only empty-walk facts have no round
-            assert nf.start_nullable and fact[1] == nf.start and fact[0] == fact[2]
+            assert empty_walk(fact)
         else:
-            assert born == full.born(fact) <= last
-    for fact in full.facts:
-        born = full.born(fact)
-        if born is not None and last is not None and born <= last:
-            assert fact in stopped.facts and stopped.born(fact) == born
+            assert born == full.born(fact)
 
 
 @st.composite
@@ -173,12 +187,16 @@ def test_goal_stop_on_a_nullable_start_from_source_to_itself(seed, kind):
 
 
 def test_goal_stop_ends_in_the_round_of_the_root():
+    # "()()" on a chain: (0, S, 2) and (2, S, 4) are both born in round 1,
+    # and (0, S, 4) in round 2.
     g = graph(DIRECTED, 5, [(0, 1, "("), (1, 2, ")"), (2, 3, "("), (3, 4, ")")], 0, 2, "()")
-    full, w = cfl_reach_table(g, D2_NF), cfl_reach(g, D2_NF)
-    last = w.table.born((0, "S", 2))
-    assert full.born((0, "S", 4)) > last
-    assert (0, "S", 4) not in w.table.facts
-    assert {f for f in full.facts if full.born(f) <= last} == set(w.table.facts)
+    full, stats = cfl_reach_table(g, D2_NF), {}
+    w = cfl_reach(g, D2_NF, stats=stats)
+    assert full.born((0, "S", 2)) == full.born((2, "S", 4)) == w.table.born((0, "S", 2)) == 1
+    assert full.born((0, "S", 4)) == 2
+    assert (2, "S", 4) not in w.table.facts and (0, "S", 4) not in w.table.facts
+    assert set(w.table.facts) == {f for f in full.facts if full.born(f) == 0} | {(0, "S", 2)}
+    assert stats == {"facts": 5, "pops": 5}
     check_goal_stop(g, D2_NF)
 
 

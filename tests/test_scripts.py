@@ -18,15 +18,20 @@ def test_bench_cfl_runs_at_a_tiny_size():
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header.split() == [
-        "n", "m", "seconds", "facts", "pops", "reachable", "witness_s", "walk", "goal_s", "goal_facts"
+        "n", "m", "seconds", "facts", "pops", "reachable", "witness_s", "walk", "goal_s", "goal_facts",
+        "goal_round",
     ]
     assert len(rows) == 4
     for row in rows:
-        n, m, _, facts, pops, reachable, *_, goal_facts = row.split()
+        n, m, _, facts, pops, reachable, *_, goal_facts, goal_round = row.split()
         assert (n, m) in {("6", "12"), ("10", "30")}
         assert int(facts) >= int(pops) and reachable in ("yes", "no")
-        # the stopped table is a prefix of the full one, and all of it when unreachable
-        assert int(goal_facts) <= int(facts) if reachable == "yes" else goal_facts == facts
+        # the stopped table holds the facts born before the root's round and
+        # the root, a part of the full one; all of it when unreachable
+        if reachable == "yes":
+            assert int(goal_facts) <= int(facts) and int(goal_round) >= 0
+        else:
+            assert (goal_facts, goal_round) == (facts, "-")
 
 
 def test_replicate_reductions_agrees_at_a_tiny_size():
