@@ -13,15 +13,18 @@ over all its instances:
 * ``graph.edges``: one pass over each graph's ``edges`` view;
 * ``graph.render_graph``: writing each graph back as text;
 * ``graph.adjacency``: the move lists every enumerating solver starts from;
+* ``reductions.parse_circuit`` and ``reductions.parse_vc``: parsing each
+  circuit and vertex-cover input file;
 * ``reductions.<kind>``: each reduction, on its already parsed input.
 
 A row is ``{workload, layer, seconds, counters, peak_rss}``.  ``seconds`` is
 the best of ``--repeats`` passes over the instances.  ``counters`` holds the
 calls and edges of one pass (input edges for a parse or build, output edges
-for a reduction), the seconds the cyclic garbage collector ran in the best
-pass (``gc_s``), and the objects the collector tracks that the outputs of one
-pass keep alive (``tracked``), which each full collection walks.  ``peak_rss``
-is the process's peak resident set in MB so far.
+for a reduction, 0 for the circuit and vertex-cover parsers), the seconds the
+cyclic garbage collector ran in the best pass (``gc_s``), and the objects the
+collector tracks that the outputs of one pass keep alive (``tracked``), which
+each full collection walks.  ``peak_rss`` is the process's peak resident set
+in MB so far.
 The rows go into the JSON object in ``--out`` under ``--label``; other labels
 already in the file are kept, so one file can hold two checkouts' numbers:
 
@@ -65,6 +68,8 @@ REDUCTIONS = {
     "d2-to-dd2": (parse_graph, d2reach_to_dd2_ureach),
     "vc-to-a": (parse_vc, vc_to_a_dagreach),
 }
+# the input parsers that only reductions use, each timed as its own row
+INPUT_PARSERS = (parse_circuit, parse_vc)
 
 
 class GcClock:
@@ -83,7 +88,7 @@ class GcClock:
 
 
 def instances(workload: str, seed: int, small: bool) -> tuple[list, list]:
-    """The workload's solver graph texts, and its reductions as ``(kind, parsed input)``."""
+    """The workload's solver graph texts, and its reductions as ``(kind, input text, parsed input)``."""
     graphs, reductions = [], []
     for op in workloads.BUILDERS[workload](random.Random(f"{workload}:{seed}"), small):
         if op.reduce is None:
@@ -91,8 +96,9 @@ def instances(workload: str, seed: int, small: bool) -> tuple[list, list]:
             continue
         kind = op.reduce[1]
         parse, reduce = REDUCTIONS[kind]
-        parsed = parse(op.files[op.reduce[op.reduce.index("--in") + 1]])
-        reductions.append((kind, parsed))
+        text = op.files[op.reduce[op.reduce.index("--in") + 1]]
+        parsed = parse(text)
+        reductions.append((kind, text, parsed))
         graphs.append(render_graph(reduce(parsed)))
     return graphs, reductions
 
@@ -141,8 +147,11 @@ def bench(workload: str, seed: int, small: bool, repeats: int, clock: GcClock) -
         "graph.render_graph": [lambda g=g: render_graph(g) for g in parsed],
         "graph.adjacency": [lambda g=g: adjacency(g) for g in parsed],
     }
-    for kind, value in reductions:
-        layers.setdefault(f"reductions.{kind}", []).append(lambda f=REDUCTIONS[kind][1], x=value: f(x))
+    for kind, text, value in reductions:
+        parse, reduce = REDUCTIONS[kind]
+        if parse in INPUT_PARSERS:
+            layers.setdefault(f"reductions.{parse.__name__}", []).append(lambda f=parse, t=text: f(t))
+        layers.setdefault(f"reductions.{kind}", []).append(lambda f=reduce, x=value: f(x))
     rows = []
     for layer, calls in layers.items():
         seconds, out_edges, gc_s = timed(calls, repeats, clock)

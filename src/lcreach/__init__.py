@@ -83,10 +83,7 @@ from .solve import (
     tree_reach,
 )
 from .reductions import (
-    AndGate,
     Circuit,
-    InputGate,
-    OrGate,
     VcInstance,
     d2reach_to_dd2_ureach,
     decode_vc_witness,

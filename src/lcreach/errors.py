@@ -156,4 +156,4 @@ class PathMismatchError(LcreachError):
 
 
 class TooLargeError(LcreachError):
-    """Instance exceeds the hard size guard of a brute-force oracle."""
+    """Instance exceeds a hard size guard: a brute-force oracle's, or a reduction's output limit."""

@@ -11,7 +11,7 @@ import random
 
 from .graph import DIRECTED, LabeledGraph
 from .languages import D2_ALPHABET
-from .reductions import AndGate, Circuit, Gate, InputGate, OrGate, VcInstance
+from .reductions import Circuit, VcInstance
 
 _D2_SYMBOLS = "".join(sorted(D2_ALPHABET))
 
@@ -83,7 +83,7 @@ def random_circuit(rng: random.Random, n_inputs: int, n_gates: int) -> Circuit:
     """
     if n_inputs < 1 or n_gates < 0:
         raise ValueError("need at least one input and a nonnegative gate count")
-    gates: list[Gate] = [InputGate(rng.randrange(2)) for _ in range(n_inputs)]
+    gates: list[tuple] = [("input", rng.randrange(2)) for _ in range(n_inputs)]
     free: list[tuple[int, int]] = [(i, p) for i in range(n_inputs) for p in (1, 2)]
     for _ in range(n_gates):
         if len(free) < 2:
@@ -92,8 +92,8 @@ def random_circuit(rng: random.Random, n_inputs: int, n_gates: int) -> Circuit:
         left, left_port = free.pop(first)
         second = rng.randrange(len(free))
         right, right_port = free.pop(second)
-        cls = AndGate if rng.random() < 0.5 else OrGate
-        gates.append(cls(left, left_port, right, right_port))
+        word = "and" if rng.random() < 0.5 else "or"
+        gates.append((word, left, left_port, right, right_port))
         i = len(gates) - 1
         free.append((i, 1))
         free.append((i, 2))

@@ -20,7 +20,8 @@ File format (strict line positions, trailing blank lines ignored)::
     <source> <target>
 
 The ``dag`` kind parses as a directed graph plus a parse-time acyclicity
-check.  :func:`parse_graph` checks the shape of each line, and
+check.  A file may declare at most :data:`MAX_VERTICES` vertices.
+:func:`parse_graph` checks the shape of each line, and
 :class:`LabeledGraph` is the one place that checks graph invariants, so a
 file's line-shape faults are reported before its semantic ones.
 
@@ -60,6 +61,11 @@ from .errors import (
 
 DIRECTED = "directed"
 UNDIRECTED = "undirected"
+
+# The most vertices a graph file may declare, or ``vc_to_a_dagreach`` build: every
+# solver sizes its arrays by the vertex count, so a larger one must fail as input,
+# not as a MemoryError.
+MAX_VERTICES = 2**20
 
 
 class Edge(NamedTuple):
@@ -333,6 +339,8 @@ def parse_graph(text: str) -> LabeledGraph:
     if kind_word not in (DIRECTED, UNDIRECTED, "dag"):
         raise ParseError(f"unknown graph kind {kind_word!r}", line=1)
     n, m = parse_ints((n_text, m_text), "vertex and edge counts must be integers", 1)
+    if n > MAX_VERTICES:
+        raise SemanticError(f"vertex count {n} is over the limit of {MAX_VERTICES}", line=1)
     if m < 0:
         raise SemanticError("negative edge count", line=1)
     alpha = lines[1].strip()

@@ -25,16 +25,18 @@ whose constrained reachability answer matches the source answer:
    vertex.  Each source-to-target path spells a full certificate string, so
    paths correspond exactly to candidate covers.
 
-The module also carries the instance types (:class:`Circuit`,
-:class:`VcInstance`), their file formats, evaluation/brute-force oracles,
-and the witness decoder for construction 5.
+The module also carries the instance types (:class:`Circuit`, whose gates
+are the tuples their file lines spell, and :class:`VcInstance`), their file
+formats, evaluation/brute-force oracles, and the witness decoder for
+construction 5.  Construction 5 grows quadratically, so it refuses an
+instance whose graph would exceed ``graph.MAX_VERTICES`` vertices with a
+:class:`TooLargeError`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Union
 
 from .errors import (
     EmptyChoiceError,
@@ -49,52 +51,27 @@ from .errors import (
     content_lines,
     parse_ints,
 )
-from .graph import DIRECTED, UNDIRECTED, LabeledGraph, Path, path_endpoints, path_yield
+from .graph import DIRECTED, MAX_VERTICES, UNDIRECTED, LabeledGraph, Path, path_endpoints, path_yield
 from .languages import adjacency_bits, parse_nbc
 
 # --- circuits ---------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class InputGate:
-    value: int
-
-
-@dataclass(frozen=True)
-class AndGate:
-    left: int
-    left_port: int
-    right: int
-    right_port: int
-
-
-@dataclass(frozen=True)
-class OrGate:
-    left: int
-    left_port: int
-    right: int
-    right_port: int
-
-
-Gate = Union[InputGate, AndGate, OrGate]
-
-
-def _operands(gate: Gate) -> tuple[tuple[int, int], ...]:
-    if isinstance(gate, InputGate):
-        return ()
-    return ((gate.left, gate.left_port), (gate.right, gate.right_port))
+# Operands after each gate word, as a circuit file line spells them.
+_ARITY = {"input": 1, "and": 4, "or": 4}
 
 
 @dataclass(frozen=True)
 class Circuit:
     """A monotone circuit in topological order.
 
-    Each gate output offers two ports; a port feeds at most one consumer, so
-    fan-out is at most two and every consumer is identified by the (gate,
-    port) pair it draws from.
+    Each gate is the tuple its file line spells: ``("input", value)``, or
+    ``("and" | "or", left, left_port, right, right_port)``.  Each gate output
+    offers two ports; a port feeds at most one consumer, so fan-out is at
+    most two and every consumer is identified by the (gate, port) pair it
+    draws from.
     """
 
-    gates: tuple[Gate, ...]
+    gates: tuple[tuple, ...]
     output: int
 
     def __post_init__(self):
@@ -105,13 +82,14 @@ class Circuit:
             raise ValueError("output gate out of range")
         used_ports: set[tuple[int, int]] = set()
         for i, gate in enumerate(self.gates):
-            if isinstance(gate, InputGate):
-                if gate.value not in (0, 1):
+            word = gate[0] if isinstance(gate, tuple) and gate else None
+            if word not in _ARITY or len(gate) != _ARITY[word] + 1:
+                raise ValueError(f"gate {i}: unknown gate type {gate!r}")
+            if word == "input":
+                if gate[1] not in (0, 1):
                     raise ValueError(f"gate {i}: input value must be 0 or 1")
                 continue
-            if not isinstance(gate, (AndGate, OrGate)):
-                raise ValueError(f"gate {i}: unknown gate type {gate!r}")
-            for ref, port in _operands(gate):
+            for ref, port in (gate[1:3], gate[3:5]):
                 if not 0 <= ref < i:
                     raise ValueError(f"gate {i} references gate {ref}, which is not earlier")
                 if port not in (1, 2):
@@ -127,16 +105,13 @@ def eval_circuit(c: Circuit) -> int:
     """Topological evaluation; returns the output gate's bit."""
     values: list[int] = []
     for gate in c.gates:
-        if isinstance(gate, InputGate):
-            values.append(gate.value)
-        elif isinstance(gate, AndGate):
-            values.append(values[gate.left] & values[gate.right])
+        if gate[0] == "input":
+            values.append(gate[1])
+        elif gate[0] == "and":
+            values.append(values[gate[1]] & values[gate[3]])
         else:
-            values.append(values[gate.left] | values[gate.right])
+            values.append(values[gate[1]] | values[gate[3]])
     return values[c.output]
-
-
-_GATE_WORDS = {"input": (InputGate, 1), "and": (AndGate, 4), "or": (OrGate, 4)}
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -156,13 +131,12 @@ def parse_circuit(text: str) -> Circuit:
     if len(lines) != count + 2:
         raise ParseError(f"expected {count} gate lines plus an output line", line=len(lines))
 
-    gates: list[Gate] = []
+    gates: list[tuple] = []
     for line_no, raw in enumerate(lines[1 : count + 1], start=2):
-        tokens = raw.split() or [""]
-        cls, arity = _GATE_WORDS.get(tokens[0], (None, 0))
-        if cls is None or len(tokens) != arity + 1:
+        word, *operands = raw.split() or [""]
+        if len(operands) != _ARITY.get(word):
             raise ParseError(f"bad gate line {raw!r}", line=line_no)
-        gates.append(cls(*parse_ints(tokens[1:], "gate operands must be integers", line_no)))
+        gates.append((word, *parse_ints(operands, "gate operands must be integers", line_no)))
     tokens = lines[count + 1].split()
     if len(tokens) != 2 or tokens[0] != "output":
         raise ParseError("final line must be 'output <gate>'", line=count + 2)
@@ -172,12 +146,7 @@ def parse_circuit(text: str) -> Circuit:
 
 def render_circuit(c: Circuit) -> str:
     lines = [f"circuit {len(c.gates)}"]
-    for gate in c.gates:
-        if isinstance(gate, InputGate):
-            lines.append(f"input {gate.value}")
-        else:
-            word = "and" if isinstance(gate, AndGate) else "or"
-            lines.append(f"{word} {gate.left} {gate.left_port} {gate.right} {gate.right_port}")
+    lines.extend(" ".join(map(str, gate)) for gate in c.gates)
     lines.append(f"output {c.output}")
     return "\n".join(lines) + "\n"
 
@@ -351,30 +320,25 @@ def mcvp_to_d2_reach(c: Circuit) -> LabeledGraph:
     entry: list[int] = []
     exit_: list[int] = []
     for gate in c.gates:
-        if isinstance(gate, InputGate):
-            vin = b.vertex()
-            if gate.value:
+        vin = b.vertex()
+        if gate[0] == "input":
+            if gate[1]:
                 mid = b.vertex()
                 vout = b.vertex()
                 b.edge(vin, mid, "(")
                 b.edge(mid, vout, ")")
             else:
                 vout = b.vertex()
-        elif isinstance(gate, AndGate):
-            vin = b.vertex()
-            mid = b.vertex()
-            vout = b.vertex()
-            b.edge(vin, entry[gate.left], _OPEN_OF_PORT[gate.left_port])
-            b.edge(exit_[gate.left], mid, _CLOSE_OF_PORT[gate.left_port])
-            b.edge(mid, entry[gate.right], _OPEN_OF_PORT[gate.right_port])
-            b.edge(exit_[gate.right], vout, _CLOSE_OF_PORT[gate.right_port])
         else:
-            vin = b.vertex()
+            word, left, left_port, right, right_port = gate
+            # an AND wires its operands through (entry, mid) and (mid, exit), an OR both through (entry, exit)
+            mid = b.vertex() if word == "and" else None
             vout = b.vertex()
-            b.edge(vin, entry[gate.left], _OPEN_OF_PORT[gate.left_port])
-            b.edge(exit_[gate.left], vout, _CLOSE_OF_PORT[gate.left_port])
-            b.edge(vin, entry[gate.right], _OPEN_OF_PORT[gate.right_port])
-            b.edge(exit_[gate.right], vout, _CLOSE_OF_PORT[gate.right_port])
+            left_end, right_start = (mid, mid) if word == "and" else (vout, vin)
+            b.edge(vin, entry[left], _OPEN_OF_PORT[left_port])
+            b.edge(exit_[left], left_end, _CLOSE_OF_PORT[left_port])
+            b.edge(right_start, entry[right], _OPEN_OF_PORT[right_port])
+            b.edge(exit_[right], vout, _CLOSE_OF_PORT[right_port])
         entry.append(vin)
         exit_.append(vout)
     return b.build(entry[c.output], exit_[c.output])
@@ -406,8 +370,14 @@ def vc_to_a_dagreach(inst: VcInstance) -> LabeledGraph:
     Segment one spells the unary budget and a separator; segment two the
     adjacency bit-run and a separator; segment three is one diamond per
     vertex (parallel edges labeled 1 and 0) with separators between
-    consecutive diamonds and none at the end.
+    consecutive diamonds and none at the end.  That is C(n, 2) + 3n + 2
+    vertices, which must not exceed ``MAX_VERTICES`` (a TooLargeError).
     """
+    size = inst.n * (inst.n - 1) // 2 + 3 * inst.n + 2
+    if size > MAX_VERTICES:
+        raise TooLargeError(
+            f"vc-to-a on {inst.n} vertices would build {size} vertices, over the limit of {MAX_VERTICES}"
+        )
     b = _Builder(DIRECTED, "01#")
     source = b.vertex()
     at = b.chain_from(source, "1" * inst.k + "0" * (inst.n - inst.k) + "#")

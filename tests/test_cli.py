@@ -635,6 +635,19 @@ def test_reduce_circuit(files, capsys, tmp_path):
     assert code == 0
 
 
+def test_reduce_circuit_graph_is_pinned(files, capsys, tmp_path):
+    # a false and a true input, an OR reading both ports of the true input, and an AND
+    src = files("c.circuit", "circuit 4\ninput 0\ninput 1\nor 0 1 1 2\nand 2 1 1 1\noutput 3\n")
+    out_graph = tmp_path / "out.graph"
+    code, out, _ = run(capsys, "reduce", "mcvp-to-d2", "--in", src, "--out", str(out_graph))
+    assert (code, out) == (0, "reduced: mcvp-to-d2; vertices: 10; edges: 10\n")
+    assert out_graph.read_text() == (
+        "directed 10 10\n()[]\n"
+        "2 3 (\n3 4 )\n5 0 (\n1 6 )\n5 2 [\n4 6 ]\n7 5 (\n6 8 )\n8 2 (\n4 9 )\n"
+        "7 9\n"
+    )
+
+
 def test_reduce_d2_to_dd2(files, capsys, tmp_path):
     src = files("g.graph", "directed 3 2\n()\n0 1 (\n1 2 )\n0 2\n")
     out_graph = str(tmp_path / "out.graph")
@@ -693,6 +706,11 @@ def test_gen_nbc_and_circuit(capsys):
     code, out, _ = run(capsys, "gen", "circuit", "--seed", "11", "--inputs", "2", "--gates", "3")
     assert code == 0
     assert out.startswith("circuit ")
+
+
+def test_gen_circuit_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "gen", "circuit", "--seed", "11", "--inputs", "2", "--gates", "3")
+    assert (code, out) == (0, "circuit 5\ninput 1\ninput 1\nor 1 2 1 1\nor 0 2 0 1\nor 3 2 3 1\noutput 4\n")
 
 
 # --- usage and format errors -----------------------------------------------------

@@ -19,6 +19,11 @@ FAULTS = {
     "non-integer count": ("directed two 0\na\n0 1\n", "line 1: vertex and edge counts must be integers"),
     "no vertex": ("directed 0 0\na\n0 0\n", "line 1: a graph needs at least one vertex"),
     "negative vertex count": ("undirected -2 0\na\n0 0\n", "line 1: a graph needs at least one vertex"),
+    "vertex count over the limit": ("directed 1048577 0\na\n0 1\n", "line 1: vertex count 1048577 is over the limit of 1048576"),
+    "vertex count far over the limit": (
+        "directed 1000000000000 0\n()\n0 1\n",
+        "line 1: vertex count 1000000000000 is over the limit of 1048576",
+    ),
     "negative edge count": ("directed 2 -1\na\n0 1\n", "line 1: negative edge count"),
     "repeated alphabet character": ("directed 2 0\naba\n0 1\n", "line 2: alphabet characters must be distinct"),
     "space in the alphabet": ("directed 2 0\na b\n0 1\n", "line 2: bad alphabet character ' '"),

@@ -8,16 +8,13 @@ import pytest
 from lcreach import (
     DIRECTED,
     UNDIRECTED,
-    AndGate,
     BlockSyntaxError,
     Circuit,
     Edge,
     EmptyChoiceError,
     ForeignSymbolError,
-    InputGate,
     KindError,
     LabeledGraph,
-    OrGate,
     ParseError,
     Path,
     PathMismatchError,
@@ -187,7 +184,7 @@ def test_series_parallel_instances_match_brute_force():
 
 
 def test_constant_true_input_circuit():
-    c = Circuit((InputGate(1),), 0)
+    c = Circuit((("input", 1),), 0)
     assert eval_circuit(c) == 1
     out = mcvp_to_d2_reach(c)
     w = cfl_reach(out, D2)
@@ -196,38 +193,38 @@ def test_constant_true_input_circuit():
 
 
 def test_and_with_false_operand_is_unreachable():
-    c = Circuit((InputGate(1), InputGate(0), AndGate(0, 1, 1, 1)), 2)
+    c = Circuit((("input", 1), ("input", 0), ("and", 0, 1, 1, 1)), 2)
     assert eval_circuit(c) == 0
     assert cfl_reach(mcvp_to_d2_reach(c), D2) is None
 
 
 def test_or_with_one_true_operand_is_reachable():
-    c = Circuit((InputGate(0), InputGate(1), OrGate(0, 1, 1, 1)), 2)
+    c = Circuit((("input", 0), ("input", 1), ("or", 0, 1, 1, 1)), 2)
     assert eval_circuit(c) == 1
     assert cfl_reach(mcvp_to_d2_reach(c), D2) is not None
 
 
 def test_nested_evaluation():
     c = Circuit(
-        (InputGate(1), InputGate(0), AndGate(0, 1, 1, 1), InputGate(0), OrGate(2, 1, 3, 1)),
+        (("input", 1), ("input", 0), ("and", 0, 1, 1, 1), ("input", 0), ("or", 2, 1, 3, 1)),
         4,
     )
     assert eval_circuit(c) == 0
 
 
 def test_port_one_wraps_round_port_two_wraps_square():
-    c = Circuit((InputGate(1), InputGate(1), AndGate(0, 1, 1, 2)), 2)
+    c = Circuit((("input", 1), ("input", 1), ("and", 0, 1, 1, 2)), 2)
     out = mcvp_to_d2_reach(c)
     w = cfl_reach(out, D2)
     assert path_yield(out, expand_witness(w)) == "(())[()]"
-    c2 = Circuit((InputGate(1), InputGate(1), AndGate(0, 2, 1, 1)), 2)
+    c2 = Circuit((("input", 1), ("input", 1), ("and", 0, 2, 1, 1)), 2)
     out2 = mcvp_to_d2_reach(c2)
     w2 = cfl_reach(out2, D2)
     assert path_yield(out2, expand_witness(w2)) == "[()](())"
 
 
 def test_shared_gate_is_walked_twice():
-    c = Circuit((InputGate(1), AndGate(0, 1, 0, 2)), 1)
+    c = Circuit((("input", 1), ("and", 0, 1, 0, 2)), 1)
     out = mcvp_to_d2_reach(c)
     w = cfl_reach(out, D2)
     assert w is not None
@@ -240,22 +237,28 @@ def test_shared_gate_is_walked_twice():
 
 def test_port_reuse_is_rejected():
     with pytest.raises(PortConflictError):
-        Circuit((InputGate(1), AndGate(0, 1, 0, 1)), 1)
+        Circuit((("input", 1), ("and", 0, 1, 0, 1)), 1)
 
 
 def test_gate_references_must_point_backwards():
     with pytest.raises(ValueError):
-        Circuit((AndGate(0, 1, 1, 2), InputGate(1)), 0)
+        Circuit((("and", 0, 1, 1, 2), ("input", 1)), 0)
 
 
 def test_ports_must_be_one_or_two():
     with pytest.raises(ValueError):
-        Circuit((InputGate(1), InputGate(1), AndGate(0, 3, 1, 1)), 2)
+        Circuit((("input", 1), ("input", 1), ("and", 0, 3, 1, 1)), 2)
 
 
 def test_input_values_are_bits():
     with pytest.raises(ValueError):
-        Circuit((InputGate(7),), 0)
+        Circuit((("input", 7),), 0)
+
+
+def test_gates_are_file_line_tuples():
+    for gate in (("not", 1), ("input",), ("input", 1, 0), ("and", 0, 1, 0), ["input", 1], ()):
+        with pytest.raises(ValueError, match="^gate 0: unknown gate type"):
+            Circuit((gate,), 0)
 
 
 def test_circuit_file_round_trip():
