@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fixed-seed timings of the graph I/O layers and the reductions, per workload.
+"""Fixed-seed timings of the graph I/O layers, the reductions and the solve modes, per workload.
 
 The instances are those of the benchmark workloads (``perfbench/workloads.py``)
 at ``--seed``, drawn from the generator seeded as ``perfbench`` seeds it: every
@@ -15,16 +15,24 @@ over all its instances:
 * ``graph.adjacency``: the move lists every enumerating solver starts from;
 * ``reductions.parse_circuit`` and ``reductions.parse_vc``: parsing each
   circuit and vertex-cover input file;
-* ``reductions.<kind>``: each reduction, on its already parsed input.
+* ``reductions.<kind>``: each reduction, on its already parsed input;
+* ``solve.<mode>``: the runner ``lcreach solve`` calls for each operation of
+  that mode, with the arguments and the language the CLI builds from the
+  operation's command line, on the already parsed graph;
+* ``solve.fixpoint``: the full least fixpoint (``cfl_reach_table`` with no
+  goal) of each ``cfl`` operation's graph, which ``solve.cfl`` stops early.
 
 A row is ``{workload, layer, seconds, counters, peak_rss}``.  ``seconds`` is
 the best of ``--repeats`` passes over the instances.  ``counters`` holds the
-calls and edges of one pass (input edges for a parse or build, output edges
-for a reduction, 0 for the circuit and vertex-cover parsers), the seconds the
-cyclic garbage collector ran in the best pass (``gc_s``), and the objects the
-collector tracks that the outputs of one pass keep alive (``tracked``), which
-each full collection walks.  ``peak_rss`` is the process's peak resident set
-in MB so far.
+calls and edges of one pass (input edges for a parse, build or solve, output
+edges for a reduction, 0 for the circuit and vertex-cover parsers), the
+seconds the cyclic garbage collector ran in the best pass (``gc_s``), and the
+objects the collector tracks that the outputs of one pass keep alive
+(``tracked``), which each full collection walks.  A solve row adds the sums
+of the report's ``facts_count`` and ``worklist_pops`` (on ``solve.fixpoint``,
+the full table's facts and row deltas) and ``errors``, the calls that raised
+(the deep ``vc-to-a`` instance's ``RecursionError``).  ``peak_rss`` is the
+process's peak resident set in MB so far.
 The rows go into the JSON object in ``--out`` under ``--label``; other labels
 already in the file are kept, so one file can hold two checkouts' numbers:
 
@@ -38,6 +46,7 @@ import json
 import random
 import resource
 import sys
+import tempfile
 import time
 from collections import deque
 from pathlib import Path
@@ -45,10 +54,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-import workloads  # noqa: E402  (perfbench/ is not a package)
+import harness  # noqa: E402  (perfbench/ is not a package)
+import workloads  # noqa: E402
 from lcreach import (  # noqa: E402
     LabeledGraph,
+    Language,
+    NormalForm,
     adjacency,
+    cfl_reach_table,
+    cli,
     d2reach_to_dd2_ureach,
     mcvp_to_d2_reach,
     nbc_to_d2_dagreach,
@@ -87,34 +101,61 @@ class GcClock:
             self.seconds += time.perf_counter() - self._started
 
 
-def instances(workload: str, seed: int, small: bool) -> tuple[list, list]:
-    """The workload's solver graph texts, and its reductions as ``(kind, input text, parsed input)``."""
-    graphs, reductions = [], []
-    for op in workloads.BUILDERS[workload](random.Random(f"{workload}:{seed}"), small):
+def instances(workload: str, seed: int, small: bool, workdir: Path) -> tuple[list, list]:
+    """The workload's solves and reductions.
+
+    A solve is ``(graph text, args, language)``, a reduction ``(kind, input
+    text, parsed input)``.  ``args`` is what ``lcreach solve`` parses from
+    the operation's command line, and the language is what it loads from
+    there, with the operation's files written into ``workdir``.
+    """
+    ops = workloads.BUILDERS[workload](random.Random(f"{workload}:{seed}"), small)
+    harness.write_files(ops, workdir)
+    parser = cli.build_parser()
+    solves, reductions = [], []
+    for op in ops:
         if op.reduce is None:
-            graphs.append(op.files[op.graph_file])
-            continue
-        kind = op.reduce[1]
-        parse, reduce = REDUCTIONS[kind]
-        text = op.files[op.reduce[op.reduce.index("--in") + 1]]
-        parsed = parse(text)
-        reductions.append((kind, text, parsed))
-        graphs.append(render_graph(reduce(parsed)))
-    return graphs, reductions
+            text = op.files[op.graph_file]
+        else:
+            kind = op.reduce[1]
+            parse, reduce = REDUCTIONS[kind]
+            source = op.files[op.reduce[op.reduce.index("--in") + 1]]
+            parsed = parse(source)
+            reductions.append((kind, source, parsed))
+            text = render_graph(reduce(parsed))
+        args = parser.parse_args(op.solve)
+        with harness.inside(workdir):
+            solves.append((text, args, cli._load_language(args)))
+    return solves, reductions
 
 
-def timed(calls: list, repeats: int, clock: GcClock) -> tuple[float, int, float]:
-    """Best of ``repeats`` passes over ``calls`` (thunks): seconds, output edges, GC seconds."""
-    best = (float("inf"), 0, 0.0)
+def timed(calls: list, repeats: int, clock: GcClock) -> tuple[float, float]:
+    """Best of ``repeats`` passes over ``calls`` (thunks): seconds and GC seconds."""
+    best = (float("inf"), 0.0)
     for _ in range(repeats):
-        gc_before, edges = clock.seconds, 0
+        gc_before = clock.seconds
         started = time.perf_counter()
         for call in calls:
-            out = call()
-            edges += len(getattr(out, "us", ()))
-        elapsed = time.perf_counter() - started
-        best = min(best, (elapsed, edges, clock.seconds - gc_before))
+            call()
+        best = min(best, (time.perf_counter() - started, clock.seconds - gc_before))
     return best
+
+
+def run_solve(g: LabeledGraph, args: argparse.Namespace, lang: Language) -> tuple:
+    """The walk and derivation of ``lcreach solve``'s runner on ``g`` (None if it raised), and its counters."""
+    report = cli.SolveReport(decision="unreachable")
+    counters = {"edges": len(g.us), "facts_count": 0, "worklist_pops": 0, "errors": 0}
+    try:
+        found = cli._RUNNERS[args.mode](g, lang, args, report)
+    except Exception:  # the deep vc-to-a RecursionError (ROADMAP item 5) counts, and the next call runs
+        return None, dict(counters, errors=1)
+    return found, dict(counters, **report.stats)
+
+
+def full_fixpoint(g: LabeledGraph, nf: NormalForm) -> tuple:
+    """The least fixpoint of ``g`` under ``nf`` with no goal, and its counters."""
+    table = cfl_reach_table(g, nf)
+    return table, {"edges": len(g.us), "facts_count": len(table.facts), "worklist_pops": table.pops, "errors": 0}
 
 
 def one_pass(edges) -> None:
@@ -122,19 +163,20 @@ def one_pass(edges) -> None:
     deque(edges, maxlen=0)
 
 
-def tracked(calls: list) -> int:
-    """Objects the collector tracks that the outputs of one pass over ``calls`` keep alive."""
+def kept(calls: list) -> tuple[int, list]:
+    """The objects the collector tracks that the outputs of one pass over ``calls`` keep alive, and the outputs."""
     outputs: list = []
     gc.collect()
     before = len(gc.get_objects())
     for call in calls:
         outputs.append(call())
     gc.collect()
-    return len(gc.get_objects()) - before
+    return len(gc.get_objects()) - before, outputs
 
 
-def bench(workload: str, seed: int, small: bool, repeats: int, clock: GcClock) -> list[dict]:
-    texts, reductions = instances(workload, seed, small)
+def bench(workload: str, seed: int, small: bool, repeats: int, clock: GcClock, workdir: Path) -> list[dict]:
+    solves, reductions = instances(workload, seed, small, workdir)
+    texts = [text for text, _, _ in solves]
     parsed = [parse_graph(text) for text in texts]
     edges = sum(len(g.us) for g in parsed)
     layers = {
@@ -152,19 +194,24 @@ def bench(workload: str, seed: int, small: bool, repeats: int, clock: GcClock) -
         if parse in INPUT_PARSERS:
             layers.setdefault(f"reductions.{parse.__name__}", []).append(lambda f=parse, t=text: f(t))
         layers.setdefault(f"reductions.{kind}", []).append(lambda f=reduce, x=value: f(x))
+    for g, (_, args, lang) in zip(parsed, solves):
+        layers.setdefault(f"solve.{args.mode}", []).append(lambda g=g, a=args, lang=lang: run_solve(g, a, lang))
+        if args.mode == "cfl":
+            layers.setdefault("solve.fixpoint", []).append(lambda g=g, nf=lang.normal_form: full_fixpoint(g, nf))
     rows = []
     for layer, calls in layers.items():
-        seconds, out_edges, gc_s = timed(calls, repeats, clock)
+        seconds, gc_s = timed(calls, repeats, clock)
+        tracked, outputs = kept(calls)
+        counters = {"calls": len(calls), "edges": edges, "gc_s": round(gc_s, 6), "tracked": tracked}
+        if layer.startswith("reductions."):
+            counters["edges"] = sum(len(getattr(out, "us", ())) for out in outputs)
+        elif layer.startswith("solve."):
+            counters.update({key: sum(done[key] for _, done in outputs) for key in outputs[0][1]})
         rows.append({
             "workload": workload,
             "layer": layer,
             "seconds": round(seconds, 6),
-            "counters": {
-                "calls": len(calls),
-                "edges": out_edges if layer.startswith("reductions.") else edges,
-                "gc_s": round(gc_s, 6),
-                "tracked": tracked(calls),
-            },
+            "counters": counters,
             "peak_rss": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         })
     return rows
@@ -182,12 +229,15 @@ def main() -> int:
 
     clock = GcClock()
     rows = []
-    for workload in args.workload or workloads.BUILDERS:
-        rows += bench(workload, args.seed, args.small, args.repeats, clock)
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in args.workload or workloads.BUILDERS:
+            rows += bench(workload, args.seed, args.small, args.repeats, clock, Path(tmp) / workload)
     for row in rows:
         counters = row["counters"]
+        solved = "".join(f"  {key} {counters[key]}" for key in ("facts_count", "worklist_pops", "errors")
+                         if key in counters)
         print(f"{row['workload']:17} {row['layer']:28} {row['seconds']:10.6f} s  edges {counters['edges']:>8}"
-              f"  gc {counters['gc_s']:.6f} s  tracked {counters['tracked']:>7}")
+              f"  gc {counters['gc_s']:.6f} s  tracked {counters['tracked']:>7}{solved}")
     out = Path(args.out)
     runs = json.loads(out.read_text()) if out.exists() else {}
     runs[args.label] = rows

@@ -282,8 +282,7 @@ def _run_bounded_enum(g: LabeledGraph, lang: Language, args: argparse.Namespace,
     stats: dict = {}
     rec = lang.recognizer or yield_recognizer(lang.member)
     found = bounded_enum_reach(g, rec, args.max_len, stats=stats)
-    examined = stats["states_examined"]
-    report.stats.update(facts_count=examined, worklist_pops=examined)
+    report.stats.update(facts_count=stats["states"], worklist_pops=stats["states_examined"])
     if found is None:
         report.decision = "unknown-bounded"
         report.notes.append(f"no accepted walk of length <= {args.max_len}")

@@ -20,8 +20,8 @@ File format (strict line positions, trailing blank lines ignored)::
     <source> <target>
 
 The ``dag`` kind parses as a directed graph plus a parse-time acyclicity
-check.  A file may declare at most :data:`MAX_VERTICES` vertices.
-:func:`parse_graph` checks the shape of each line, and
+check.  A graph has at most :data:`MAX_VERTICES` vertices; a file declaring
+more fails on line 1.  :func:`parse_graph` checks the shape of each line, and
 :class:`LabeledGraph` is the one place that checks graph invariants, so a
 file's line-shape faults are reported before its semantic ones.
 
@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress, count, repeat
-from operator import gt
+from operator import gt, itemgetter
 from typing import Collection, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
@@ -51,6 +51,7 @@ from .errors import (
     KindError,
     ParseError,
     SemanticError,
+    TooLargeError,
     ascii_int,
     ascii_only_ints,
     build_object,
@@ -62,7 +63,7 @@ from .errors import (
 DIRECTED = "directed"
 UNDIRECTED = "undirected"
 
-# The most vertices a graph file may declare, or ``vc_to_a_dagreach`` build: every
+# The most vertices a graph may have, whether read, generated or reduced: every
 # solver sizes its arrays by the vertex count, so a larger one must fail as input,
 # not as a MemoryError.
 MAX_VERTICES = 2**20
@@ -103,7 +104,10 @@ class LabeledGraph:
         self, kind: str, vertex_count: int, edges: Iterable[tuple[int, int, str]],
         source: int, target: int, alphabet: Collection[str],
     ):
-        us, vs, labels = tuple(zip(*edges, strict=True)) or ((), (), ())  # ValueError unless triples
+        edges = tuple(edges)
+        if set(map(len, edges)) - {3}:
+            raise ValueError("edges must be (u, v, label) triples")
+        us, vs, labels = (tuple(map(itemgetter(i), edges)) for i in range(3))
         self._init_checked(kind, vertex_count, us, vs, labels, source, target, alphabet)
 
     @classmethod
@@ -124,6 +128,8 @@ class LabeledGraph:
             raise InvariantError(f"vertex count must be an integer, got {n!r}", "vertex_count")
         if n < 1:
             raise InvariantError("a graph needs at least one vertex", "vertex_count")
+        if n > MAX_VERTICES:
+            raise TooLargeError(f"vertex count {n} is over the limit of {MAX_VERTICES}")
         alphabet = symbol_alphabet(alphabet)
         if not len(us) == len(vs) == len(labels):
             raise InvariantError("the edge columns differ in length", "edges")

@@ -527,6 +527,35 @@ def test_cfl_stats_keys_are_the_same_for_both_outcomes(files, capsys, source, gr
     assert stats["facts_count"] >= stats["worklist_pops"] > 0
 
 
+@pytest.mark.parametrize(
+    "graph_text, argv, code, counts",
+    [
+        (CHAIN_SQUARE, ("--builtin", "d2", "--mode", "dag-enum"), 0, (0, 1)),
+        ("directed 2 1\n()\n1 0 (\n0 1\n", ("--builtin", "d2", "--mode", "dag-enum"), 1, (0, 0)),
+        # the answer is found with pairs (4, a) and (5, b) reached and unexamined
+        ("directed 6 5\nab\n0 1 a\n1 2 b\n0 3 a\n3 4 b\n4 5 a\n0 2\n",
+         ("--builtin", "abstar", "--mode", "regular"), 0, (5, 4)),
+        ("directed 3 2\nab\n0 1 a\n1 2 a\n0 2\n", ("--builtin", "abstar", "--mode", "regular"), 1, (2, 2)),
+        # the answer is found with pair (1, "((") reached and unexamined
+        ("directed 3 3\n()\n0 1 (\n1 2 )\n1 1 (\n0 2\n",
+         ("--builtin", "d2", "--mode", "bounded-enum", "--max-len", "4"), 0, (4, 3)),
+        ("directed 1 1\n(\n0 0 (\n0 0\n", ("--builtin", "d2", "--mode", "bounded-enum", "--max-len", "4"), 3, (5, 5)),
+        (CHAIN_SQUARE, ("--builtin", "d2", "--mode", "tree"), 0, (0, 1)),
+        ("directed 3 2\nab\n0 1 a\n0 2 b\n1 2\n", ("--builtin", "abstar", "--mode", "tree"), 1, (0, 1)),
+    ],
+    ids=["dag-enum-0", "dag-enum-1", "regular-0", "regular-1", "bounded-enum-0", "bounded-enum-3",
+         "tree-0", "tree-note"],
+)
+def test_every_mode_reports_the_same_stats_keys_for_every_outcome(files, capsys, graph_text, argv, code, counts):
+    g = files("g.graph", graph_text)
+    got, out, _ = run(capsys, "solve", "--graph", g, *argv, "--json")
+    assert got == code
+    assert json.loads(out)["stats"] == dict(zip(("facts_count", "worklist_pops"), counts))
+    got, out, _ = run(capsys, "solve", "--graph", g, *argv, "--json", "--timings")
+    assert got == code
+    assert sorted(json.loads(out)["stats"]) == ["facts_count", "wall_time", "worklist_pops"]
+
+
 # --- member --------------------------------------------------------------------
 
 
@@ -670,6 +699,23 @@ def test_reduce_circuit_with_a_blank_gate_line(files, capsys, tmp_path):
     code, _, err = run(capsys, "reduce", "mcvp-to-d2", "--in", src, "--out", str(tmp_path / "o"))
     assert code == 2
     assert err.startswith("error: line 2: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reduce", "reach-to-abstar", "--in", "{graph}", "--out", "{out}"),
+        ("gen", "graph", "--seed", "1", "--n", "1048577", "--m", "0", "--out", "{out}"),
+    ],
+    ids=["reduce", "gen"],
+)
+def test_an_output_over_the_vertex_limit_is_a_usage_error(files, capsys, tmp_path, argv):
+    g = files("g.graph", "directed 1048576 1\na\n0 1 a\n0 1\n")  # at the limit, and 1 more vertex reduced
+    target = tmp_path / "out.graph"
+    code, out, err = run(capsys, *(a.format(graph=g, out=target) for a in argv))
+    assert (code, out) == (2, "")
+    assert err == "error: vertex count 1048577 is over the limit of 1048576\n"
+    assert not target.exists()
 
 
 # --- gen -----------------------------------------------------------------------

@@ -9,31 +9,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_bench_cfl_runs_at_a_tiny_size():
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench_cfl.py"), "--sizes", "6:12,10:30", "--repeats", "2"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    header, *rows = proc.stdout.splitlines()
-    assert header.split() == [
-        "n", "m", "seconds", "facts", "pops", "reachable", "witness_s", "walk", "goal_s", "goal_facts",
-        "goal_round",
-    ]
-    assert len(rows) == 4
-    for row in rows:
-        n, m, _, facts, pops, reachable, *_, goal_facts, goal_round = row.split()
-        assert (n, m) in {("6", "12"), ("10", "30")}
-        assert int(facts) >= int(pops) and reachable in ("yes", "no")
-        # the stopped table holds the facts born before the root's round and
-        # the root, a part of the full one; all of it when unreachable
-        if reachable == "yes":
-            assert int(goal_facts) <= int(facts) and int(goal_round) >= 0
-        else:
-            assert (goal_facts, goal_round) == (facts, "-")
-
-
 def test_replicate_reductions_agrees_at_a_tiny_size():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
@@ -57,23 +32,46 @@ def test_bench_writes_io_rows_at_a_tiny_size(tmp_path):
     out.write_text('{"parent": []}\n')
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench.py"), "--small", "--repeats", "1",
-         "--workload", "enum-mix", "--out", str(out), "--label", "change"],
+         "--workload", "cfl-saturate", "--workload", "enum-mix", "--out", str(out), "--label", "change"],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     runs = json.loads(out.read_text())
     assert runs["parent"] == []  # other labels are kept
     rows = runs["change"]
-    layers = [row["layer"] for row in rows]
-    assert layers == [
-        "graph.parse_graph", "graph.LabeledGraph", "graph.edges", "graph.render_graph", "graph.adjacency",
-        "reductions.parse_vc", "reductions.vc-to-a", "reductions.reach-to-abstar",
+    counters = {(row["workload"], row["layer"]): row["counters"] for row in rows}
+    io = ["graph.parse_graph", "graph.LabeledGraph", "graph.edges", "graph.render_graph", "graph.adjacency"]
+    assert list(counters) == [
+        *(("cfl-saturate", layer) for layer in [
+            *io, "reductions.d2-to-dd2", "reductions.parse_circuit", "reductions.mcvp-to-d2",
+            "solve.cfl", "solve.fixpoint",
+        ]),
+        *(("enum-mix", layer) for layer in [
+            *io, "reductions.parse_vc", "reductions.vc-to-a", "reductions.reach-to-abstar",
+            "solve.dag-enum", "solve.bounded-enum", "solve.regular", "solve.tree",
+        ]),
     ]
     for row in rows:
         assert set(row) == {"workload", "layer", "seconds", "counters", "peak_rss"}
-        assert row["workload"] == "enum-mix" and row["seconds"] >= 0 and row["peak_rss"] > 0
-        assert set(row["counters"]) == {"calls", "edges", "gc_s", "tracked"} and row["counters"]["calls"] > 0
-    graph_edges = {row["counters"]["edges"] for row in rows if row["layer"].startswith("graph.")}
-    assert len(graph_edges) == 1 and graph_edges.pop() > 0
-    parse = rows[0]["counters"]  # a parsed graph keeps no tracked object per edge alive
-    assert parse["tracked"] <= 3 * parse["calls"] < parse["edges"]
+        assert row["seconds"] >= 0 and row["peak_rss"] > 0
+        keys = {"calls", "edges", "gc_s", "tracked"}
+        if row["layer"].startswith("solve."):
+            keys |= {"facts_count", "worklist_pops", "errors"}
+        assert set(row["counters"]) == keys and row["counters"]["calls"] > 0
+    for workload in ("cfl-saturate", "enum-mix"):
+        layers = {layer: c for (w, layer), c in counters.items() if w == workload}
+        (edges,) = {c["edges"] for layer, c in layers.items() if layer.startswith("graph.")}
+        assert edges > 0
+        # every graph is solved once, by the runner of its operation's mode
+        runners = [c for layer, c in layers.items() if layer.startswith("solve.") and layer != "solve.fixpoint"]
+        assert sum(c["edges"] for c in runners) == edges
+        parse = layers["graph.parse_graph"]  # a parsed graph keeps no tracked object per edge alive
+        assert parse["tracked"] <= 3 * parse["calls"] < parse["edges"]
+    goal, full = counters["cfl-saturate", "solve.cfl"], counters["cfl-saturate", "solve.fixpoint"]
+    # the goal-stopped tables are parts of the full ones
+    assert goal["facts_count"] >= goal["worklist_pops"] > 0 and full["facts_count"] >= full["worklist_pops"] > 0
+    assert full["facts_count"] >= goal["facts_count"] and full["calls"] == goal["calls"]
+    # the deep vc-to-a instance (drawn at every size) raises RecursionError, and no other call raises
+    assert {key: c["errors"] for key, c in counters.items() if key[1].startswith("solve.")} == {
+        key: int(key[1] == "solve.dag-enum") for key in counters if key[1].startswith("solve.")
+    }
