@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -26,9 +28,11 @@ def test_replicate_reductions_agrees_at_a_tiny_size():
     assert (blank, verdict) == ("", "all transformations agree with their oracles")
 
 
-def test_bench_writes_io_rows_at_a_tiny_size(tmp_path):
+@pytest.fixture(scope="module")
+def bench_runs(tmp_path_factory):
+    """``scripts/bench.py --small`` on cfl-saturate and enum-mix, run once for the tests below."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = tmp_path / "BENCH_io.json"
+    out = tmp_path_factory.mktemp("bench") / "BENCH_io.json"
     out.write_text('{"parent": []}\n')
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench.py"), "--small", "--repeats", "1",
@@ -36,9 +40,12 @@ def test_bench_writes_io_rows_at_a_tiny_size(tmp_path):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    runs = json.loads(out.read_text())
-    assert runs["parent"] == []  # other labels are kept
-    rows = runs["change"]
+    return json.loads(out.read_text())
+
+
+def test_bench_writes_io_rows_at_a_tiny_size(bench_runs):
+    assert bench_runs["parent"] == []  # other labels are kept
+    rows = bench_runs["change"]
     counters = {(row["workload"], row["layer"]): row["counters"] for row in rows}
     io = ["graph.parse_graph", "graph.LabeledGraph", "graph.edges", "graph.render_graph", "graph.adjacency"]
     assert list(counters) == [
@@ -62,11 +69,18 @@ def test_bench_writes_io_rows_at_a_tiny_size(tmp_path):
         layers = {layer: c for (w, layer), c in counters.items() if w == workload}
         (edges,) = {c["edges"] for layer, c in layers.items() if layer.startswith("graph.")}
         assert edges > 0
-        # every graph is solved once, by the runner of its operation's mode
-        runners = [c for layer, c in layers.items() if layer.startswith("solve.") and layer != "solve.fixpoint"]
-        assert sum(c["edges"] for c in runners) == edges
         parse = layers["graph.parse_graph"]  # a parsed graph keeps no tracked object per edge alive
         assert parse["tracked"] <= 3 * parse["calls"] < parse["edges"]
+
+
+def test_bench_times_every_solve_mode_at_a_tiny_size(bench_runs):
+    counters = {(row["workload"], row["layer"]): row["counters"] for row in bench_runs["change"]}
+    for workload in ("cfl-saturate", "enum-mix"):
+        layers = {layer: c for (w, layer), c in counters.items() if w == workload}
+        (edges,) = {c["edges"] for layer, c in layers.items() if layer.startswith("graph.")}
+        # every graph is solved once, by the runner of its operation's mode
+        runners = [c for layer, c in layers.items() if layer.startswith("solve.") and layer != "solve.fixpoint"]
+        assert runners and sum(c["edges"] for c in runners) == edges
     goal, full = counters["cfl-saturate", "solve.cfl"], counters["cfl-saturate", "solve.fixpoint"]
     # the goal-stopped tables are parts of the full ones
     assert goal["facts_count"] >= goal["worklist_pops"] > 0 and full["facts_count"] >= full["worklist_pops"] > 0
