@@ -12,7 +12,7 @@ over all its instances:
   ``(u, v, label)`` tuples;
 * ``graph.edges``: one pass over each graph's ``edges`` view;
 * ``graph.render_graph``: writing each graph back as text;
-* ``graph.adjacency``: the move lists every enumerating solver starts from;
+* ``graph.edge_ends``: the per-vertex edge-end index every walk search starts from;
 * ``reductions.parse_circuit`` and ``reductions.parse_vc``: parsing each
   circuit and vertex-cover input file;
 * ``reductions.<kind>``: each reduction, on its already parsed input;
@@ -60,10 +60,10 @@ from lcreach import (  # noqa: E402
     LabeledGraph,
     Language,
     NormalForm,
-    adjacency,
     cfl_reach_table,
     cli,
     d2reach_to_dd2_ureach,
+    edge_ends,
     mcvp_to_d2_reach,
     nbc_to_d2_dagreach,
     parse_circuit,
@@ -187,7 +187,7 @@ def bench(workload: str, seed: int, small: bool, repeats: int, clock: GcClock, w
         ],
         "graph.edges": [lambda g=g: one_pass(g.edges) for g in parsed],
         "graph.render_graph": [lambda g=g: render_graph(g) for g in parsed],
-        "graph.adjacency": [lambda g=g: adjacency(g) for g in parsed],
+        "graph.edge_ends": [lambda g=g: edge_ends(g) for g in parsed],
     }
     for kind, text, value in reductions:
         parse, reduce = REDUCTIONS[kind]

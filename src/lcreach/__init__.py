@@ -34,7 +34,7 @@ from .graph import (
     LabeledGraph,
     Path,
     Step,
-    adjacency,
+    edge_ends,
     is_dag,
     parse_graph,
     path_endpoints,

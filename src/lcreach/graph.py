@@ -34,7 +34,9 @@ columns on access.  The parser reads edge lines into the columns (a split per
 checks whole columns (their types, ``min``, ``max`` and label set), so no
 Python function runs per edge; only a failed check starts a per-line or
 per-edge loop, to name the first line or edge at fault.  Either way faults
-keep their messages and their order.
+keep their messages and their order.  Walk searches read :func:`edge_ends`,
+an index of ints built from the columns: end ``2e`` reads edge ``e`` forward
+and end ``2e + 1`` reads it in reverse.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress, count, repeat
-from operator import gt, itemgetter
+from operator import eq, gt, itemgetter
 from typing import Collection, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
@@ -219,20 +221,27 @@ class Path:
         return len(self.steps)
 
 
-def adjacency(g: LabeledGraph) -> list[list[tuple[int, int, str, bool]]]:
-    """Outgoing moves per vertex as ``(edge_index, head, label, reverse)``.
+def edge_ends(g: LabeledGraph, both: bool = False) -> tuple[list[list[int]], list[int]]:
+    """The edge ends leaving each vertex, and the head of every end.
 
-    For undirected graphs each non-loop edge contributes a move in both
-    directions.  Each vertex's list is ordered by edge index, which is the
-    tie-breaking order every enumerating solver uses.
+    End ``2e`` reads edge ``e`` forward and end ``2e + 1`` in reverse; both
+    read ``g.labels[e]``, and ``heads[k]`` is the vertex end ``k`` enters.  A
+    vertex's ends are in edge order, the tie-breaking order of every walk
+    search.  A directed graph lists only its forward ends unless ``both`` is
+    set; otherwise an edge is listed at both its endpoints, a self-loop once.
     """
-    adj: list[list[tuple[int, int, str, bool]]] = [[] for _ in range(g.vertex_count)]
-    undirected = g.kind == UNDIRECTED
-    for i, u, v, label in zip(count(), g.us, g.vs, g.labels):
-        adj[u].append((i, v, label, False))
-        if undirected and u != v:
-            adj[v].append((i, u, label, True))
-    return adj
+    n, m = g.vertex_count, len(g.us)
+    heads, tails = [0] * (2 * m), [0] * (2 * m)
+    heads[0::2], heads[1::2] = g.vs, g.us
+    tails[0::2], tails[1::2] = g.us, g.vs
+    for k in compress(count(1, 2), map(eq, g.us, g.vs)):  # a self-loop's reverse end goes to list n
+        tails[k] = n
+    step = 1 if both or g.kind == UNDIRECTED else 2  # 2 takes the forward ends alone
+    ends: list[list[int]] = [[] for _ in range(n + 1)]
+    for k, tail in zip(count(0, step), tails[::step]):
+        ends[tail].append(k)
+    ends.pop()  # list n
+    return ends, heads
 
 
 def _walk(g: LabeledGraph, p: Path) -> Iterator[tuple[int, int, str]]:
@@ -277,17 +286,17 @@ def is_dag(g: LabeledGraph) -> Optional[tuple[int, ...]]:
     """
     if g.kind != DIRECTED:
         raise KindError("acyclicity is a directed-graph notion")
+    ends, heads = edge_ends(g)
     indeg = [0] * g.vertex_count
-    out: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for u, v in zip(g.us, g.vs):
+    for v in g.vs:
         indeg[v] += 1
-        out[u].append(v)
     queue = [v for v in range(g.vertex_count) if indeg[v] == 0]
     order: list[int] = []
     while queue:
         v = queue.pop()
         order.append(v)
-        for w in out[v]:
+        for k in ends[v]:
+            w = heads[k]
             indeg[w] -= 1
             if indeg[w] == 0:
                 queue.append(w)

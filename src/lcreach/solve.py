@@ -4,7 +4,8 @@ The question answered throughout: does some walk from ``g.source`` to
 ``g.target`` have a yield inside the constraint language?  Walks may repeat
 vertices and edges, and the empty walk counts when source equals target.
 
-Four solver families live here:
+Four solver families live here.  All but the fixpoint walk the graph a move
+at a time over one index, :func:`lcreach.graph.edge_ends`:
 
 * :func:`regular_reach` / :func:`bounded_enum_reach` — one breadth-first
   search of the product of graph vertices and online recognizer states: a
@@ -46,7 +47,7 @@ from .errors import (
     NotADagError,
     NotATreeError,
 )
-from .graph import DIRECTED, UNDIRECTED, LabeledGraph, Path, Step, adjacency, is_dag, path_yield
+from .graph import DIRECTED, UNDIRECTED, LabeledGraph, Path, Step, edge_ends, is_dag, path_yield
 from .grammar import Dfa, NormalForm, normalize
 from .languages import Recognizer, dfa_recognizer
 
@@ -599,24 +600,22 @@ def _product_search(
     target in the steps left.  ``stats`` receives the pairs reached
     (``states``) and examined (``states_examined``).
     """
-    adj = adjacency(g)
+    ends, heads = edge_ends(g)
     if max_len is None:
         max_len, dist = math.inf, [0] * g.vertex_count
     else:  # steps from each vertex to the target
         dist = [math.inf] * g.vertex_count
         dist[g.target] = 0
-        back: list[list[int]] = [[] for _ in adj]
-        for u, hops in enumerate(adj):
-            for hop in hops:
-                back[hop[1]].append(u)
+        near, undirected = edge_ends(g, both=True)[0], g.kind == UNDIRECTED
         queue = deque([g.target])
         while queue:
             v = queue.popleft()
-            for u in back[v]:
-                if dist[u] == math.inf:
+            for k in near[v]:  # end k ^ 1 enters v from heads[k]: a move if g is undirected or k ^ 1 is forward
+                u = heads[k]
+                if dist[u] == math.inf and (undirected or k & 1):
                     dist[u] = dist[v] + 1
                     queue.append(u)
-    step, accepts, target = rec.step, rec.accepts, g.target
+    step, accepts, target, labels = rec.step, rec.accepts, g.target, g.labels
     parent: dict = {(g.source, rec.start): None} if dist[g.source] <= max_len else {}
     frontier, examined, length, found = list(parent), 0, 0, None
     while frontier and found is None:
@@ -627,11 +626,12 @@ def _product_search(
             if v == target and accepts(q):
                 found = key
                 break
-            for edge, head, label, reverse in adj[v]:
+            for k in ends[v]:
+                head = heads[k]
                 if dist[head] + length < max_len:
-                    nxt = (head, step(q, label))
+                    nxt = (head, step(q, labels[k >> 1]))
                     if nxt[1] is not None and nxt not in parent:
-                        parent[nxt] = (key, edge, reverse)
+                        parent[nxt] = (key, k)
                         reached.append(nxt)
         frontier = reached
         length += 1
@@ -641,8 +641,8 @@ def _product_search(
         return None
     steps: list[Step] = []
     while parent[found] is not None:
-        found, edge, reverse = parent[found]
-        steps.append(Step(edge, reverse))
+        found, k = parent[found]
+        steps.append(Step(k >> 1, bool(k & 1)))
     return Path(start=g.source, steps=tuple(reversed(steps)))
 
 
@@ -667,20 +667,20 @@ def iter_st_paths(g: LabeledGraph) -> Iterator[tuple[Path, str]]:
     """
     if is_dag(g) is None:
         raise NotADagError("walk enumeration without a bound needs an acyclic graph")
-    adj = adjacency(g)
+    (ends, heads), labels = edge_ends(g), g.labels
     steps: list[Step] = []
-    labels: list[str] = []
+    spelled: list[str] = []
 
     def rec(v: int):
         if v == g.target:
-            yield Path(start=g.source, steps=tuple(steps)), "".join(labels)
+            yield Path(start=g.source, steps=tuple(steps)), "".join(spelled)
             return
-        for edge, head, label, reverse in adj[v]:
-            steps.append(Step(edge, reverse))
-            labels.append(label)
-            yield from rec(head)
+        for k in ends[v]:  # forward ends only: the graph is directed
+            steps.append(Step(k >> 1))
+            spelled.append(labels[k >> 1])
+            yield from rec(heads[k])
             steps.pop()
-            labels.pop()
+            spelled.pop()
 
     yield from rec(g.source)
 
@@ -722,37 +722,26 @@ def tree_reach(g: LabeledGraph, member: Member) -> Optional[Path]:
     n = g.vertex_count
     if len(g.us) != n - 1 or any(map(eq, g.us, g.vs)):
         raise NotATreeError("underlying structure is not a tree")
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (edge index, other end)
-    for i, u, v in zip(count(), g.us, g.vs):
-        nbrs[u].append((i, v))
-        nbrs[v].append((i, u))
-    parent: dict[int, Optional[tuple[int, int]]] = {g.source: None}
+    ends, heads = edge_ends(g, both=True)
+    parent: dict[int, Optional[int]] = {g.source: None}  # vertex -> the end that first reached it
     queue = deque([g.source])
     while queue:
         v = queue.popleft()
-        for edge, other in nbrs[v]:
-            if other not in parent:
-                parent[other] = (v, edge)
-                queue.append(other)
+        for k in ends[v]:
+            if heads[k] not in parent:
+                parent[heads[k]] = k
+                queue.append(heads[k])
     if len(parent) != n:
         raise NotATreeError("underlying structure is disconnected")
 
-    hops: list[tuple[int, int, int]] = []  # (tail, head, edge index)
-    at = g.target
-    while parent[at] is not None:
-        prev, edge = parent[at]
-        hops.append((prev, at, edge))
-        at = prev
-    hops.reverse()
-
     steps: list[Step] = []
-    for tail, head, edge in hops:
-        u, v = g.us[edge], g.vs[edge]
-        if g.kind == DIRECTED:
-            if (u, v) != (tail, head):
-                raise NoRespectingPathError(f"tree edge {u}->{v} points against the unique path")
-            steps.append(Step(edge, False))
-        else:
-            steps.append(Step(edge, u != tail))
+    at = g.target
+    while (k := parent[at]) is not None:
+        steps.append(Step(k >> 1, bool(k & 1)))
+        at = heads[k ^ 1]  # the tail of end k
+    steps.reverse()
+    for e, reverse in steps if g.kind == DIRECTED else ():
+        if reverse:
+            raise NoRespectingPathError(f"tree edge {g.us[e]}->{g.vs[e]} points against the unique path")
     path = Path(start=g.source, steps=tuple(steps))
     return path if member(path_yield(g, path)) else None

@@ -25,7 +25,6 @@ from lcreach import (
     Path,
     Step,
     VcInstance,
-    adjacency,
     d2_member,
 )
 from lcreach.errors import (
@@ -332,16 +331,30 @@ def run_dfa(d: Dfa, w: str) -> bool:
     return state in d.accepting
 
 
+def moves(g: LabeledGraph) -> list[list[tuple[int, int, str, bool]]]:
+    """The moves ``(edge, head, label, reverse)`` leaving each vertex, read off the edge columns.
+
+    An undirected edge is a move from both its endpoints, a self-loop one
+    move.  Each vertex's moves are in edge order.
+    """
+    out: list[list[tuple[int, int, str, bool]]] = [[] for _ in range(g.vertex_count)]
+    for edge, (u, v, label) in enumerate(zip(g.us, g.vs, g.labels)):
+        out[u].append((edge, v, label, False))
+        if g.kind == UNDIRECTED and u != v:
+            out[v].append((edge, u, label, True))
+    return out
+
+
 def first_accepted_walk(g: LabeledGraph, member, max_len: int) -> Optional[Path]:
     """The first walk of length <= max_len whose yield ``member`` accepts, or None.
 
     The oracle for :func:`lcreach.bounded_enum_reach` and
     :func:`lcreach.regular_reach`: walks are taken by length, then edge order
-    (the order of :func:`lcreach.adjacency`), and keyed by (vertex, yield)
-    alone, so it knows nothing of a language's states.  Two walks to one
-    vertex with one yield are interchangeable, and only the first is kept.
+    (the order of :func:`moves`), and keyed by (vertex, yield) alone, so it
+    knows nothing of a language's states.  Two walks to one vertex with one
+    yield are interchangeable, and only the first is kept.
     """
-    adj = adjacency(g)
+    adj = moves(g)
     frontier = [(g.source, "", ())]
     seen = {(g.source, "")}
     for length in range(max_len + 1):
@@ -367,7 +380,7 @@ def walk_budget(g: LabeledGraph, max_len: int, cap: int = 10**6) -> int:
     """
     counts = [0] * g.vertex_count
     counts[g.source] = 1
-    adj = adjacency(g)
+    adj = moves(g)
     total = 1
     for _ in range(max_len):
         new = [0] * g.vertex_count

@@ -556,6 +556,28 @@ def test_every_mode_reports_the_same_stats_keys_for_every_outcome(files, capsys,
     assert sorted(json.loads(out)["stats"]) == ["facts_count", "wall_time", "worklist_pops"]
 
 
+DEEP = 5000  # edges of the chain below, well past the interpreter's recursion limit
+BRACKETS_DFA = "dfa 2\n[]\nstart 0\naccept 0 1\n0 [ 0\n0 ] 1\n1 ] 1\n"  # [*]*
+
+
+@pytest.mark.parametrize("argv", [
+    ("--mode", "cfl", "--builtin", "d2"),
+    ("--mode", "regular", "--dfa", "brackets.dfa"),
+    ("--mode", "bounded-enum", "--builtin", "d2", "--max-len", str(DEEP)),
+    ("--mode", "tree", "--builtin", "d2"),
+])
+def test_a_deep_chain_is_answered(files, capsys, argv):
+    word = "[" * (DEEP // 2) + "]" * (DEEP // 2)
+    edges = "".join(f"{i} {i + 1} {ch}\n" for i, ch in enumerate(word))
+    g = files("chain.graph", f"directed {DEEP + 1} {DEEP}\n[]\n{edges}0 {DEEP}\n")
+    dfa = files("brackets.dfa", BRACKETS_DFA)
+    code, out, err = run(capsys, "solve", "--graph", g, *(dfa if a == "brackets.dfa" else a for a in argv), "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["yield"] == word
+    assert payload["witness"]["steps"] == [[i, 0] for i in range(DEEP)]
+
+
 # --- member --------------------------------------------------------------------
 
 

@@ -18,7 +18,7 @@ from lcreach import (
     Path,
     SemanticError,
     Step,
-    adjacency,
+    edge_ends,
     is_dag,
     parse_graph,
     path_endpoints,
@@ -31,7 +31,7 @@ from lcreach import (
 
 from lcreach.errors import InvariantError
 
-from .helpers import check_edges_per_edge, fragment_graph, has_directed_cycle, parse_graph_per_line
+from .helpers import check_edges_per_edge, fragment_graph, has_directed_cycle, moves, parse_graph_per_line
 
 
 # --- construction and validation ---------------------------------------------
@@ -346,6 +346,39 @@ def test_render_ends_with_newline_and_parses_without_it():
     assert parse_graph(text.rstrip("\n")) == g
 
 
+# --- edge_ends -----------------------------------------------------------------
+
+
+def test_edge_ends_of_a_directed_graph_are_its_out_ends():
+    # edge 0: 0 -a-> 1, edge 1: 1 -b-> 1, edge 2: 0 -a-> 2, edge 3: 2 -b-> 0
+    g = LabeledGraph(DIRECTED, 3, ((0, 1, "a"), (1, 1, "b"), (0, 2, "a"), (2, 0, "b")), 0, 2, "ab")
+    ends, heads = edge_ends(g)
+    assert ends == [[0, 4], [2], [6]]  # forward ends 2e only, in edge order
+    assert heads == [1, 0, 1, 1, 2, 0, 0, 2]  # heads[2e] = vs[e], heads[2e + 1] = us[e]
+    # both directions: each edge at both endpoints, the self-loop once
+    assert edge_ends(g, both=True) == ([[0, 4, 7], [1, 2], [5, 6]], heads)
+
+
+def test_edge_ends_of_an_undirected_graph_list_both_ends_and_a_self_loop_once():
+    # stored as edge 0: 0 - 1, edge 1: 1 - 1, edge 2: 0 - 2, edge 3: 0 - 1
+    g = LabeledGraph(UNDIRECTED, 3, ((1, 0, "a"), (1, 1, "b"), (2, 0, "a"), (0, 1, "b")), 0, 2, "ab")
+    ends, heads = edge_ends(g)
+    assert ends == [[0, 4, 6], [1, 2, 7], [5]]
+    assert heads == [1, 0, 1, 1, 2, 0, 1, 0]
+    assert edge_ends(g, both=True) == (ends, heads)
+    assert [g.labels[k >> 1] for k in ends[1]] == ["a", "b", "b"]
+
+
+def test_edge_ends_agree_with_moves_read_off_the_edge_columns():
+    rng = random.Random(17)
+    for i in range(100):
+        kind = (DIRECTED, UNDIRECTED)[i % 2]
+        g = random_graph(rng, rng.randint(1, 6), rng.randint(0, 10), "ab", kind=kind, self_loops=True)
+        ends, heads = edge_ends(g)
+        assert len(heads) == 2 * len(g.us)
+        assert [[(k >> 1, heads[k], g.labels[k >> 1], k & 1 == 1) for k in out] for out in ends] == moves(g)
+
+
 # --- is_dag --------------------------------------------------------------------
 
 
@@ -446,8 +479,8 @@ def test_yield_length_equals_step_count(data):
     seed = data.draw(st.integers(0, 10**6))
     rng = random.Random(seed)
     g = random_graph(rng, rng.randint(2, 6), rng.randint(1, 10), "ab", self_loops=True)
-    # random walk of bounded length along the adjacency structure
-    adj = adjacency(g)
+    # random walk of bounded length along moves read off the edge columns
+    adj = moves(g)
     at = g.source
     steps = []
     for _ in range(data.draw(st.integers(0, 12))):

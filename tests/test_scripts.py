@@ -47,7 +47,7 @@ def test_bench_writes_io_rows_at_a_tiny_size(bench_runs):
     assert bench_runs["parent"] == []  # other labels are kept
     rows = bench_runs["change"]
     counters = {(row["workload"], row["layer"]): row["counters"] for row in rows}
-    io = ["graph.parse_graph", "graph.LabeledGraph", "graph.edges", "graph.render_graph", "graph.adjacency"]
+    io = ["graph.parse_graph", "graph.LabeledGraph", "graph.edges", "graph.render_graph", "graph.edge_ends"]
     assert list(counters) == [
         *(("cfl-saturate", layer) for layer in [
             *io, "reductions.d2-to-dd2", "reductions.parse_circuit", "reductions.mcvp-to-d2",
