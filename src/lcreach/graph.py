@@ -234,9 +234,10 @@ def edge_ends(g: LabeledGraph, both: bool = False) -> tuple[list[list[int]], lis
     heads, tails = [0] * (2 * m), [0] * (2 * m)
     heads[0::2], heads[1::2] = g.vs, g.us
     tails[0::2], tails[1::2] = g.us, g.vs
-    for k in compress(count(1, 2), map(eq, g.us, g.vs)):  # a self-loop's reverse end goes to list n
-        tails[k] = n
     step = 1 if both or g.kind == UNDIRECTED else 2  # 2 takes the forward ends alone
+    if step == 1:
+        for k in compress(count(1, 2), map(eq, g.us, g.vs)):  # a self-loop's reverse end goes to list n
+            tails[k] = n
     ends: list[list[int]] = [[] for _ in range(n + 1)]
     for k, tail in zip(count(0, step), tails[::step]):
         ends[tail].append(k)

@@ -19,11 +19,13 @@ at a time over one index, :func:`lcreach.graph.edge_ends`:
   across facts, from the rounds on demand.  Since a derivation reads only
   facts of earlier rounds, :func:`cfl_reach` stops the fixpoint as soon as
   those split its root ``(source, start, target)``, before the join of the
-  root's round.  On cyclic graphs the flattened walk can be exponentially
-  longer than the derivation; :func:`expand_witness` flattens under an
-  explicit step budget, and :func:`check_derivation` checks a derivation
-  rule by rule in linear time.  :func:`cfl_member` decides the membership
-  of a word by the same fixpoint on the chain that spells it.
+  root's round.  When the rows the root can read are few, it also seeds the
+  fixpoint only from the vertices of those rows: the magic-sets rewrite
+  applied to CFL reachability.  On cyclic graphs the flattened walk can be
+  exponentially longer than the derivation; :func:`expand_witness` flattens
+  under an explicit step budget, and :func:`check_derivation` checks a
+  derivation rule by rule in linear time.  :func:`cfl_member` decides the
+  membership of a word by the same fixpoint on the chain that spells it.
 * :func:`dag_enum_reach` — exhaustive path enumeration of an acyclic graph
   against a black-box membership predicate.
 * :func:`tree_reach` — on trees there is exactly one candidate walk; find it
@@ -105,6 +107,9 @@ class ReachTable:
 
     A table stopped at a goal holds the facts born before the goal's round
     and the goal itself, or all of round 0 when the goal is born there.
+    When the goal's demand probe closes (:func:`cfl_reach_table`), it holds
+    only those facts at the vertices the goal demands, and a fact of a row
+    the goal does not demand may be missing or have a later round.
     ``facts`` is the read-only set of facts.  ``births[i][u]`` lists
     ``(round, bits)`` pairs in round order: the ``v`` whose fact ``(u, A,
     v)`` was born in that round, for ``A = facts.names[i]``.  Round 0 reads
@@ -203,16 +208,26 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
     for every vertex, but it is never joined: the normal form already
     derives every non-empty walk.
 
-    With a ``goal`` fact ``(u, A, v)``, each round from round 1 on starts by
-    testing whether the facts born before it split the goal by a rule ``A
-    -> B C``, at the cost of ``A``'s rules times the width of ``u``'s row.
-    If they do, the goal is born in that round: it is added as one fact and
-    one row delta, and the rounds stop before the join.  A goal born in
-    round 0 stops them after that round, and an empty-walk goal before it.
-    A fact's derivation reads only facts born in earlier rounds, so every
-    fact of the stopped table has the round it has in the full one, and the
-    goal's derivation is the same.  A goal that is never born leaves the
-    full fixpoint.
+    With a ``goal`` fact ``(u, A, v)``, a round from round 1 on whose last
+    round gave new bits to a ``B``-row of ``u`` or ended a ``C``-row at
+    ``v``, for a rule ``A -> B C``, starts by testing whether the facts born
+    before it split the goal by such a rule, at the cost of ``A``'s rules
+    times the width of ``u``'s row.  If they do, the goal is born in that
+    round: it is added as one fact and one row delta, and the rounds stop
+    before the join.  A goal born in round 0 stops them after that round,
+    and an empty-walk goal before it.  A fact's derivation reads only facts
+    born in earlier rounds, so every fact of the stopped table has the round
+    it has in the full one, and the goal's derivation is the same.  A goal
+    that is never born leaves the full fixpoint.
+
+    A goal other than the empty walk is first given to a demand probe,
+    :func:`_demand`, which looks for the rows the goal's row can read.
+    When the probe closes within its budget, round 0 reads only the edges
+    leaving the vertices of those rows, and the table holds facts at those
+    vertices alone.  The demanded rows are whole up to the stop and keep
+    their full-table rounds, so the goal is born in the same round with the
+    same derivation; other rows may lack facts or hold them from later
+    rounds.  When the probe gives up, round 0 reads every edge.
     """
     if not g.alphabet <= nf.terminals:
         extra = "".join(sorted(g.alphabet - nf.terminals))
@@ -237,13 +252,24 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
     cols: list[defaultdict[int, list[int]]] = [defaultdict(list) for _ in names]
     births: list[dict[int, list[tuple[int, int]]]] = [{} for _ in names]
     found: defaultdict[int, dict[int, int]] = defaultdict(dict)  # A -> {u: bits found}
-    undirected = g.kind == UNDIRECTED
-    for u, v, label in zip(g.us, g.vs, g.labels):
-        for a in heads.get(label, ()):
-            fa = found[a]
-            fa[u] = fa.get(u, 0) | 1 << v
-            if undirected:
-                fa[v] = fa.get(v, 0) | 1 << u
+    demand = None
+    if goal is not None and not (nf.start_nullable and goal[1] == nf.start and goal[0] == goal[2]):
+        demand = _demand(g, nf, goal)
+    if demand is None:
+        undirected = g.kind == UNDIRECTED
+        for u, v, label in zip(g.us, g.vs, g.labels):
+            for a in heads.get(label, ()):
+                fa = found[a]
+                fa[u] = fa.get(u, 0) | 1 << v
+                if undirected:
+                    fa[v] = fa.get(v, 0) | 1 << u
+    else:  # only the edges leaving a demanded vertex
+        demanded, ends, tips = demand
+        for u in set().union(*demanded):
+            for k in ends[u]:
+                for a in heads.get(g.labels[k >> 1], ()):
+                    fa = found[a]
+                    fa[u] = fa.get(u, 0) | 1 << tips[k]
 
     goal_row, goal_births, goal_u, goal_v = [0], {}, 0, 0  # without a goal, a bit never set
     goal_rules: list[tuple[int, int]] = []  # the (B, C) of the goal's rules A -> B C, in rule order
@@ -253,11 +279,13 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
         goal_rules = [(ids[b], ids[c]) for head, b, c in nf.binary_rules if head == a]
         if nf.start_nullable and a == nf.start and goal_u == goal_v:
             found.clear()  # the empty walk needs no round
+    goal_bs, goal_cs = {b for b, _ in goal_rules}, {c for _, c in goal_rules}
     goal_bit = 1 << goal_v
     size = pops = rnd = 0
     while True:
         # The bits found that are new were born in this round.
         delta: dict[int, dict[int, int]] = {}
+        child = False  # whether a fact (goal_u, B, w) or (w, C, goal_v) of a goal rule was born
         for a, fa in found.items():
             da: dict[int, int] = {}
             rows_a, births_a = rows[a], births[a]
@@ -279,12 +307,16 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
                 delta[a] = da
                 pops += len(da)
                 size += sum(map(int.bit_count, da.values()))
+                if a in goal_bs and goal_u in da or a in goal_cs and any(map(goal_bit.__and__, da.values())):
+                    child = True
         if not delta or goal_row[goal_u] & goal_bit:  # a goal born here is born in round 0
             break
         rnd += 1
         # rows now holds the facts born before this round, so the goal is
-        # born in it exactly when they split it: stop before the join.
-        if goal_rules and _first_split(goal_rules, rows, births, goal_u, goal_v, rnd) is not None:
+        # born in it exactly when they split it: stop before the join.  A
+        # split with no child born in the last round would have been found
+        # in an earlier round, so only a round after such a birth tests.
+        if child and _first_split(goal_rules, rows, births, goal_u, goal_v, rnd) is not None:
             goal_row[goal_u] |= goal_bit
             goal_births.setdefault(goal_u, []).append((rnd, goal_bit))
             size += 1
@@ -322,6 +354,104 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
     return ReachTable(g, nf, FactSet(names, rows, start, size), births, pops)
 
 
+def _demand(g: LabeledGraph, nf: NormalForm, root: Fact, budget: Optional[tuple[float, float]] = None):
+    """The demand closure of the row of ``root = (u, A, v)`` with its facts, or None past the budget.
+
+    The closure is the least set ``D`` of pairs ``(u, A)`` that holds the
+    root's pair and, for every ``(u, A)`` in it and rule ``A -> B C``, holds
+    ``(u, B)`` and ``(w, C)`` for every fact ``(u, B, w)``.  A worklist of
+    row deltas, with no rounds, derives the facts of the rows in ``D`` while
+    it grows ``D``.  Every derivation of a demanded fact reads only demanded
+    rows, and a fact's leftmost leaf reads an edge leaving its first vertex,
+    so a fixpoint seeded from the edges leaving the vertices of ``D`` gives
+    each demanded fact its full-table round and holds no fact at any other
+    vertex.
+
+    The probe gives up once its rows hold more than ``m / 3`` facts or ``D``
+    more than ``n / 8`` vertices, for ``m`` edges and ``n`` vertices;
+    ``budget`` replaces the pair of limits.  On the benchmark's seed-1
+    graphs, closures of circuit outputs hold at most 0.26 m facts on 0.19 n
+    vertices (one is over n / 8; at seeds 2 and 3 none is over 0.114 n),
+    and those of random d2 graphs with a dead source at most 0.004 m facts
+    on 0.03 n.  Chains hold at least 2.2 m facts on all n vertices, other
+    random d2 graphs at least 31 m facts on 0.98 n, and undirected dd2
+    graphs at least 20 m facts: seeding them from ``D`` would save nothing,
+    so the probe stops early on them.
+
+    Returns ``(rows, ends, heads)``: ``rows[i]`` maps each ``u`` with ``(u,
+    A)`` in ``D``, for the ``i``-th nonterminal ``A`` by name, to the bits of
+    the ``v`` with a fact ``(u, A, v)``, and ``ends, heads`` is the index
+    :func:`lcreach.graph.edge_ends` built.
+    """
+    max_facts, max_vertices = (len(g.us) / 3, g.vertex_count / 8) if budget is None else budget
+    if max_vertices < 1:  # the root's vertex alone is over it
+        return None
+    ends, heads = edge_ends(g)
+    ids = {a: i for i, a in enumerate(sorted(nf.nonterminals))}
+    rules: list[list[tuple[int, int]]] = [[] for _ in ids]  # A -> [(B, C)]
+    by_first: list[list[tuple[int, int]]] = [[] for _ in ids]  # B -> [(A, C)]
+    for a, b, c in nf.binary_rules:
+        rules[ids[a]].append((ids[b], ids[c]))
+        by_first[ids[b]].append((ids[a], ids[c]))
+    reads: list[set[str]] = [set() for _ in ids]  # A -> the a of its rules A -> a
+    for a, ch in nf.terminal_rules:
+        reads[ids[a]].add(ch)
+    rows: list[dict[int, int]] = [{} for _ in ids]  # the bits taken in so far
+    users: list[defaultdict[int, list]] = [defaultdict(list) for _ in ids]  # C -> {w: [(u, A)]}
+    fresh: list[tuple[int, int]] = []  # demanded pairs whose rules are not read yet
+    work: list[tuple[int, int, int]] = []  # (u, A, bits) to take into a row
+    vertices: set[int] = set()
+    facts = 0
+
+    def need(u, a):
+        if u not in rows[a]:
+            rows[a][u] = 0
+            vertices.add(u)
+            fresh.append((u, a))
+
+    def link(w, c, u, a):  # row (u, A) takes in row (w, C), now and as it grows
+        need(w, c)
+        users[c][w].append((u, a))
+        if rows[c][w]:
+            work.append((u, a, rows[c][w]))
+
+    need(root[0], ids[root[1]])
+    while fresh or work:
+        if facts > max_facts or len(vertices) > max_vertices:
+            return None
+        if fresh:  # a pair's rules are read before any delta, so no delta is linked twice
+            u, a = fresh.pop()
+            if reads[a]:
+                bits = 0
+                for k in ends[u]:
+                    if g.labels[k >> 1] in reads[a]:
+                        bits |= 1 << heads[k]
+                if bits:
+                    work.append((u, a, bits))
+            for b, c in rules[a]:
+                row_b = rows[b]
+                if u not in row_b:
+                    row_b[u] = 0
+                    fresh.append((u, b))
+                elif row_b[u]:
+                    for w in _bits(row_b[u]):
+                        link(w, c, u, a)
+            continue
+        u, b, bits = work.pop()
+        new = bits & ~rows[b][u]
+        if not new:
+            continue
+        rows[b][u] |= new
+        facts += new.bit_count()
+        for ua in users[b].get(u, ()):
+            work.append((*ua, new))
+        if by_first[b]:
+            for a, c in [(a, c) for a, c in by_first[b] if u in rows[a]]:
+                for w in _bits(new):
+                    link(w, c, u, a)
+    return rows, ends, heads
+
+
 def cfl_reach(
     g: LabeledGraph, grammar, stats: Optional[dict] = None
 ) -> Optional[Witness]:
@@ -334,7 +464,9 @@ def cfl_reach(
     in the round the root is born, before that round's join.  ``stats``
     receives the table size and the row deltas: of the facts born before the
     root's round plus the root when it is derivable (all of round 0 when the
-    root is born there), of the whole least fixpoint when it is not.
+    root is born there), of the whole least fixpoint when it is not.  When
+    the root's demand probe closes, both count only the rows at the vertices
+    the root demands.
     """
     nf = grammar if isinstance(grammar, NormalForm) else normalize(grammar)
     root = (g.source, nf.start, g.target)

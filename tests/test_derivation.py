@@ -3,7 +3,11 @@
 import contextlib
 import io
 import json
+import math
 import random
+from collections import defaultdict
+from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,12 +27,16 @@ from lcreach import (
     cfl_reach_table,
     d2_grammar,
     dd2_grammar,
+    eval_circuit,
     expand_witness,
+    mcvp_to_d2_reach,
     normalize,
     parse_cfg,
     path_yield,
+    random_circuit,
     random_graph,
 )
+from lcreach import solve
 from lcreach.cli import dispatch
 from lcreach.solve import check_derivation, witness_derivation
 
@@ -110,49 +118,80 @@ DD2_NF = normalize(dd2_grammar())
 NULLABLE_NF = normalize(parse_cfg("S -> '(' S ')' | '[' S ']' | S S |"))
 
 
+def demand_closure(table, root):
+    """The pairs ``(u, A)`` the row of ``root`` demands, read off a full table.
+
+    The least set holding ``(u, A)`` of the root and, for each ``(u, A)`` in it
+    and rule ``A -> B C``, ``(u, B)`` and every ``(w, C)`` with a fact ``(u, B,
+    w)`` of some round (the empty walk is never joined).
+    """
+    rules, ends = defaultdict(list), defaultdict(list)
+    for a, b, c in table.normal_form.binary_rules:
+        rules[a].append((b, c))
+    for u, a, w in table.facts:
+        if table.born((u, a, w)) is not None:
+            ends[u, a].append(w)
+    closure, todo = set(), [root[:2]]
+    while todo:
+        pair = todo.pop()
+        if pair not in closure:
+            closure.add(pair)
+            u, a = pair
+            for b, c in rules[a]:
+                todo += [(u, b), *((w, c) for w in ends[u, b])]
+    return closure
+
+
 def check_goal_stop(g, nf):
     """``cfl_reach`` stops in the round of its root, before the join of that round.
 
-    The stopped table holds exactly the facts the full fixpoint derives before
-    the root's round, and the root, each with its full-fixpoint round.  A root
-    of round 0 stops after that round, which then is whole; the empty walk
-    stops before any round.
+    The stopped table is part of the full fixpoint, and none of its facts was
+    born earlier there.  The rows the root demands keep every fact the full
+    fixpoint derives before the root's round with its full round, so the
+    root's witness is the full table's.  A root of round 0 stops after that
+    round, and the empty walk stops before any round.  When the demand probe
+    gives up, the table holds exactly the facts the full fixpoint derives
+    before the root's round, and the root.
     """
     full = cfl_reach_table(g, nf)
     root = (g.source, nf.start, g.target)
     stats = {}
     w = cfl_reach(g, nf, stats=stats)
-    if root not in full.facts:
-        assert w is None
-        assert stats == {"facts": len(full.facts), "pops": full.pops}
-        return
-    stopped = w.table
+    assert (w is None) == (root not in full.facts)
+    stopped = cfl_reach_table(g, nf, goal=root) if w is None else w.table
     deltas = sum(len(chunks) for rows in stopped.births for chunks in rows.values())
     assert stats == {"facts": len(stopped.facts), "pops": stopped.pops}
     assert len(stopped.facts) == len(list(stopped.facts)) >= stopped.pops == deltas
-    assert witness_derivation(w) == witness_derivation(Witness(root, full))
+    assert set(stopped.facts) <= set(full.facts)
 
     def empty_walk(fact):  # a fact of every table when the start is nullable
         return nf.start_nullable and fact[1] == nf.start and fact[0] == fact[2]
 
-    last = None if empty_walk(root) else full.born(root)  # the empty walk needs no round
-    assert stopped.born(root) == last
-    if last is None:
-        assert stopped.pops == 0
+    last = None  # the root's round; None for an empty walk, and while the root is not born
+    if w is not None:
+        assert witness_derivation(w) == witness_derivation(Witness(root, full))
+        last = None if empty_walk(root) else full.born(root)
+        assert stopped.born(root) == last
+        if last is None:
+            assert stopped.pops == 0
 
-    def kept(fact):
-        born = full.born(fact)
-        return empty_walk(fact) or last is not None and (born < last or born == last == 0)
+    def kept(born):  # born in a round the stopped fixpoint runs
+        return w is None or last is not None and (born < last or born == last == 0)
 
-    assert set(stopped.facts) == {f for f in full.facts if kept(f)} | {root}
-    oracle = worklist_facts(g, nf)
     for fact in stopped.facts:
-        assert fact in oracle
         born = stopped.born(fact)
         if born is None:  # only empty-walk facts have no round
             assert empty_walk(fact)
         else:
-            assert born == full.born(fact)
+            assert born >= full.born(fact) and (fact == root or kept(born))
+    demanded = demand_closure(full, root)
+    for fact in full.facts:
+        born = full.born(fact)
+        if fact[:2] in demanded and born is not None and kept(born):
+            assert stopped.born(fact) == born
+    if empty_walk(root) or solve._demand(g, nf, root) is None:  # every edge was seeded
+        whole = {f for f in full.facts if empty_walk(f) or kept(full.born(f))}
+        assert set(stopped.facts) == (whole if w is None else whole | {root})
 
 
 @st.composite
@@ -205,6 +244,68 @@ def test_goal_stop_ends_in_the_round_of_the_root():
 def test_goal_stop_with_random_grammars(instance):
     g, nf, _ = instance
     check_goal_stop(g, nf)
+
+
+# --- the fixpoint seeded from the root's demand -------------------------------------
+
+UNLIMITED = (math.inf, math.inf)  # a probe budget that never gives up
+NO_PROBE = (-1, -1)  # one that gives up at once, so every edge is seeded
+
+
+def probe_budget(budget):
+    """Run ``cfl_reach_table``'s demand probe under ``budget`` instead of its own rule."""
+    return mock.patch.object(solve, "_demand", partial(solve._demand, budget=budget))
+
+
+def check_demand(g, nf):
+    """With its budget lifted, the probe closes on every root, and the fixpoint
+    seeded from the edges leaving the demanded vertices keeps the full
+    fixpoint's demanded rows, rounds and witness (``check_goal_stop``)."""
+    root = (g.source, nf.start, g.target)
+    full = cfl_reach_table(g, nf)
+    rows, _, _ = solve._demand(g, nf, root, budget=UNLIMITED)
+    names = full.facts.names
+    demanded = {(u, names[i]) for i, row in enumerate(rows) for u in row}
+    assert demanded == demand_closure(full, root)
+    for i, row in enumerate(rows):  # a demanded row holds all its facts
+        assert row == {u: full.facts.rows[i][u] for u in row}
+    with probe_budget(UNLIMITED):
+        check_goal_stop(g, nf)
+        seeded = cfl_reach_table(g, nf, goal=root)
+    oracle = worklist_facts(g, nf)
+    vertices = {u for u, _ in demanded}
+    for fact in seeded.facts:
+        assert fact in oracle
+        assert fact[0] in vertices or seeded.born(fact) is None  # or an empty walk
+
+
+@settings(max_examples=300, deadline=None)
+@given(bracket_graphs())
+def test_demand_seeded_fixpoint_on_bracket_graphs(instance):
+    check_demand(*instance)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_demand_seeded_fixpoint_with_random_grammars(instance):
+    g, nf, _ = instance
+    check_demand(g, nf)
+
+
+def test_a_circuit_output_takes_the_demand_path():
+    circuit = random_circuit(random.Random(11), 27, 100)
+    assert eval_circuit(circuit)
+    g = mcvp_to_d2_reach(circuit)
+    root = (g.source, D2_NF.start, g.target)
+    assert solve._demand(g, D2_NF, root) is not None  # under the probe's own budget
+    w = cfl_reach(g, D2_NF)
+    with probe_budget(NO_PROBE):
+        everywhere = cfl_reach(g, D2_NF)
+    assert set(w.table.facts) < set(everywhere.table.facts)
+    assert w.table.pops < everywhere.table.pops
+    assert witness_derivation(w) == witness_derivation(everywhere)
+    assert expand_witness(w) == expand_witness(everywhere)
+    check_goal_stop(g, D2_NF)
 
 
 def test_empty_walk_certificate():
