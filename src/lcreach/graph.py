@@ -231,15 +231,16 @@ def edge_ends(g: LabeledGraph, both: bool = False) -> tuple[list[list[int]], lis
     set; otherwise an edge is listed at both its endpoints, a self-loop once.
     """
     n, m = g.vertex_count, len(g.us)
-    heads, tails = [0] * (2 * m), [0] * (2 * m)
+    heads = [0] * (2 * m)
     heads[0::2], heads[1::2] = g.vs, g.us
-    tails[0::2], tails[1::2] = g.us, g.vs
-    step = 1 if both or g.kind == UNDIRECTED else 2  # 2 takes the forward ends alone
-    if step == 1:
+    step, tails = 2, g.us  # the forward ends alone
+    if both or g.kind == UNDIRECTED:
+        step, tails = 1, [0] * (2 * m)
+        tails[0::2], tails[1::2] = g.us, g.vs
         for k in compress(count(1, 2), map(eq, g.us, g.vs)):  # a self-loop's reverse end goes to list n
             tails[k] = n
     ends: list[list[int]] = [[] for _ in range(n + 1)]
-    for k, tail in zip(count(0, step), tails[::step]):
+    for k, tail in zip(count(0, step), tails):
         ends[tail].append(k)
     ends.pop()  # list n
     return ends, heads

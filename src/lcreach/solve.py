@@ -21,10 +21,12 @@ at a time over one index, :func:`lcreach.graph.edge_ends`:
   those split its root ``(source, start, target)``, before the join of the
   root's round.  When the rows the root can read are few, it also seeds the
   fixpoint only from the vertices of those rows: the magic-sets rewrite
-  applied to CFL reachability.  On cyclic graphs the flattened walk can be
-  exponentially longer than the derivation; :func:`expand_witness` flattens
-  under an explicit step budget, and :func:`check_derivation` checks a
-  derivation rule by rule in linear time.  :func:`cfl_member` decides the
+  applied to CFL reachability.  When no edge into the target can end a
+  derivation of the root, it runs no round at all, and reports 0 facts and
+  0 row deltas.  On cyclic graphs the flattened walk can be exponentially
+  longer than the derivation; :func:`expand_witness` flattens under an
+  explicit step budget, and :func:`check_derivation` checks a derivation
+  rule by rule in linear time.  :func:`cfl_member` decides the
   membership of a word by the same fixpoint on the chain that spells it.
 * :func:`dag_enum_reach` — exhaustive path enumeration of an acyclic graph
   against a black-box membership predicate.
@@ -50,7 +52,7 @@ from .errors import (
     NotATreeError,
 )
 from .graph import DIRECTED, UNDIRECTED, LabeledGraph, Path, Step, edge_ends, is_dag, path_yield
-from .grammar import Dfa, NormalForm, normalize
+from .grammar import Dfa, NormalForm, _least_fixpoint, normalize
 from .languages import Recognizer, dfa_recognizer
 
 Fact = tuple[int, str, int]
@@ -109,15 +111,18 @@ class ReachTable:
     and the goal itself, or all of round 0 when the goal is born there.
     When the goal's demand probe closes (:func:`cfl_reach_table`), it holds
     only those facts at the vertices the goal demands, and a fact of a row
-    the goal does not demand may be missing or have a later round.
-    ``facts`` is the read-only set of facts.  ``births[i][u]`` lists
-    ``(round, bits)`` pairs in round order: the ``v`` whose fact ``(u, A,
-    v)`` was born in that round, for ``A = facts.names[i]``.  Round 0 reads
-    one edge; round ``r`` joins two facts born before ``r``, so a fact's
-    round is its minimum derivation height minus one.  Empty-walk facts are
-    never joined and have no round.  The table keeps no provenance:
-    :func:`witness_derivation` rebuilds a derivation from the rounds.
-    ``pops`` counts the row deltas, at most one per fact.
+    the goal does not demand may be missing or have a later round.  When
+    no edge into the goal's target can end a derivation of it, the table
+    holds no fact and no row delta: only the empty-walk facts of a
+    nullable start.  ``facts`` is the read-only set of facts.
+    ``births[i][u]`` lists ``(round, bits)`` pairs in round order: the
+    ``v`` whose fact ``(u, A, v)`` was born in that round, for ``A =
+    facts.names[i]``.  Round 0 reads one edge; round ``r`` joins two facts
+    born before ``r``, so a fact's round is its minimum derivation height
+    minus one.  Empty-walk facts are never joined and have no round.  The
+    table keeps no provenance: :func:`witness_derivation` rebuilds a
+    derivation from the rounds.  ``pops`` counts the row deltas, at most
+    one per fact.
     """
 
     graph: LabeledGraph
@@ -227,7 +232,10 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
     vertices alone.  The demanded rows are whole up to the stop and keep
     their full-table rounds, so the goal is born in the same round with the
     same derivation; other rows may lack facts or hold them from later
-    rounds.  When the probe gives up, round 0 reads every edge.
+    rounds.  When the probe gives up, round 0 reads every edge, unless the
+    goal is dead at its target (:func:`_dead_target`): then it reads none,
+    and the table holds no fact and no row delta but the empty-walk facts
+    of a nullable start.
     """
     if not g.alphabet <= nf.terminals:
         extra = "".join(sorted(g.alphabet - nf.terminals))
@@ -252,10 +260,16 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
     cols: list[defaultdict[int, list[int]]] = [defaultdict(list) for _ in names]
     births: list[dict[int, list[tuple[int, int]]]] = [{} for _ in names]
     found: defaultdict[int, dict[int, int]] = defaultdict(dict)  # A -> {u: bits found}
-    demand = None
-    if goal is not None and not (nf.start_nullable and goal[1] == nf.start and goal[0] == goal[2]):
-        demand = _demand(g, nf, goal)
-    if demand is None:
+    empty_goal = goal is not None and nf.start_nullable and goal[1] == nf.start and goal[0] == goal[2]
+    demand = None if goal is None or empty_goal else _demand(g, nf, goal)
+    if demand is not None:  # only the edges leaving a demanded vertex
+        demanded, ends, tips = demand
+        for u in set().union(*demanded):
+            for k in ends[u]:
+                for a in heads.get(g.labels[k >> 1], ()):
+                    fa = found[a]
+                    fa[u] = fa.get(u, 0) | 1 << tips[k]
+    elif goal is None or not (empty_goal or _dead_target(g, nf, goal)):  # else no round is needed
         undirected = g.kind == UNDIRECTED
         for u, v, label in zip(g.us, g.vs, g.labels):
             for a in heads.get(label, ()):
@@ -263,13 +277,6 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
                 fa[u] = fa.get(u, 0) | 1 << v
                 if undirected:
                     fa[v] = fa.get(v, 0) | 1 << u
-    else:  # only the edges leaving a demanded vertex
-        demanded, ends, tips = demand
-        for u in set().union(*demanded):
-            for k in ends[u]:
-                for a in heads.get(g.labels[k >> 1], ()):
-                    fa = found[a]
-                    fa[u] = fa.get(u, 0) | 1 << tips[k]
 
     goal_row, goal_births, goal_u, goal_v = [0], {}, 0, 0  # without a goal, a bit never set
     goal_rules: list[tuple[int, int]] = []  # the (B, C) of the goal's rules A -> B C, in rule order
@@ -277,8 +284,6 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
         goal_u, a, goal_v = goal
         goal_row, goal_births = rows[ids[a]], births[ids[a]]
         goal_rules = [(ids[b], ids[c]) for head, b, c in nf.binary_rules if head == a]
-        if nf.start_nullable and a == nf.start and goal_u == goal_v:
-            found.clear()  # the empty walk needs no round
     goal_bs, goal_cs = {b for b, _ in goal_rules}, {c for _, c in goal_rules}
     goal_bit = 1 << goal_v
     size = pops = rnd = 0
@@ -352,6 +357,23 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
     if start is not None:
         size += sum(not row >> u & 1 for u, row in enumerate(rows[start]))
     return ReachTable(g, nf, FactSet(names, rows, start, size), births, pops)
+
+
+def _dead_target(g: LabeledGraph, nf: NormalForm, goal: Fact) -> bool:
+    """Whether no walk to the target ``v`` of ``goal = (u, A, v)`` derives from ``A``.
+
+    The last leaf of a derivation of ``(u, A, v)`` reads an edge entering
+    ``v`` (on an undirected graph, any edge at ``v``) by a rule ``X -> a``,
+    and ``X`` is reached from ``A`` through right children only.  So ``A``
+    must be in the closure of those ``X`` under "``A`` if ``A -> B C`` and
+    ``C`` is in it".  The empty walk is not a derivation and is not asked.
+    """
+    _, a, v = goal
+    chars = set(compress(g.labels, map(v.__eq__, g.vs)))
+    if g.kind == UNDIRECTED:
+        chars.update(compress(g.labels, map(v.__eq__, g.us)))
+    last = {x for x, ch in nf.terminal_rules if ch in chars}
+    return a not in _least_fixpoint(last, [(x, (c,)) for x, _, c in nf.binary_rules])
 
 
 def _demand(g: LabeledGraph, nf: NormalForm, root: Fact, budget: Optional[tuple[float, float]] = None):
@@ -466,7 +488,9 @@ def cfl_reach(
     root's round plus the root when it is derivable (all of round 0 when the
     root is born there), of the whole least fixpoint when it is not.  When
     the root's demand probe closes, both count only the rows at the vertices
-    the root demands.
+    the root demands.  When no edge into the target can end a derivation of
+    the root, no round runs: 0 facts (or the vertex count, for the
+    empty-walk facts of a nullable start) and 0 row deltas.
     """
     nf = grammar if isinstance(grammar, NormalForm) else normalize(grammar)
     root = (g.source, nf.start, g.target)

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from lcreach import Path, Step, builtin_language, parse_graph, parse_vc
-from lcreach import cli
+from lcreach import cli, solve
 from lcreach.cli import dispatch
 from lcreach.languages import dfa_recognizer
 
@@ -524,7 +524,47 @@ def test_cfl_stats_keys_are_the_same_for_both_outcomes(files, capsys, source, gr
     assert got == code
     stats = json.loads(out)["stats"]
     assert sorted(stats) == ["facts_count", "worklist_pops"]
-    assert stats["facts_count"] >= stats["worklist_pops"] > 0
+    if code == 0:
+        assert stats["facts_count"] >= stats["worklist_pops"] > 0
+    else:  # no edge enters the target, so no round runs
+        assert stats == {"facts_count": 0, "worklist_pops": 0}
+
+
+# Every edge into vertex 3 opens a bracket, so no d2 walk ends there; the
+# other graph has a closing edge into its target and runs the fixpoint.
+OPENING_ONLY = "directed 4 5\n()[]\n0 1 (\n1 0 )\n1 3 (\n0 3 [\n3 3 [\n0 3\n"
+CLOSING = "directed 2 1\n()\n0 1 )\n0 1\n"
+
+
+@pytest.mark.parametrize("graph_text, dead", [(OPENING_ONLY, True), (CLOSING, False)], ids=["dead", "live"])
+def test_a_dead_target_reports_no_facts(files, capsys, graph_text, dead):
+    g = files("g.graph", graph_text)
+    code, out, _ = run(capsys, "solve", "--graph", g, "--builtin", "d2")
+    assert code == 1 and "decision: unreachable\n" in out
+    assert ("facts_count: 0\n" in out and "worklist_pops: 0\n" in out) == dead
+    code, out, _ = run(capsys, "solve", "--graph", g, "--builtin", "d2", "--json", "--timings")
+    stats = json.loads(out)["stats"]
+    assert code == 1 and sorted(stats) == ["facts_count", "wall_time", "worklist_pops"]
+    if dead:
+        assert (stats["facts_count"], stats["worklist_pops"]) == (0, 0)
+    else:
+        assert stats["facts_count"] >= stats["worklist_pops"] > 0
+
+
+def test_a_word_ending_in_an_opening_bracket_is_rejected_with_an_empty_table(files, capsys, monkeypatch):
+    real, tables = solve.cfl_reach_table, []
+
+    def spy(*args, **kwargs):  # keeps every table the membership check builds
+        tables.append(real(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(solve, "cfl_reach_table", spy)
+    cfg = files("d2.cfg", D2_CFG)
+    code, out, _ = run(capsys, "member", "--grammar", cfg, "--string", "()[](")
+    assert code == 1 and "decision: non-member" in out
+    assert [(len(t.facts), t.pops) for t in tables] == [(0, 0)]
+    code, _, _ = run(capsys, "member", "--grammar", cfg, "--string", "()[]()")
+    assert code == 0 and tables[-1].pops > 0
 
 
 @pytest.mark.parametrize(

@@ -151,7 +151,8 @@ def check_goal_stop(g, nf):
     root's witness is the full table's.  A root of round 0 stops after that
     round, and the empty walk stops before any round.  When the demand probe
     gives up, the table holds exactly the facts the full fixpoint derives
-    before the root's round, and the root.
+    before the root's round, and the root; but when the root is dead at its
+    target, no round runs and it holds only the empty-walk facts.
     """
     full = cfl_reach_table(g, nf)
     root = (g.source, nf.start, g.target)
@@ -184,12 +185,17 @@ def check_goal_stop(g, nf):
             assert empty_walk(fact)
         else:
             assert born >= full.born(fact) and (fact == root or kept(born))
+    gave_up = empty_walk(root) or solve._demand(g, nf, root) is None
+    if gave_up and not empty_walk(root) and solve._dead_target(g, nf, root):  # no edge was seeded
+        assert w is None and stopped.pops == 0
+        assert set(stopped.facts) == {f for f in full.facts if empty_walk(f)}
+        return
     demanded = demand_closure(full, root)
     for fact in full.facts:
         born = full.born(fact)
         if fact[:2] in demanded and born is not None and kept(born):
             assert stopped.born(fact) == born
-    if empty_walk(root) or solve._demand(g, nf, root) is None:  # every edge was seeded
+    if gave_up:  # every edge was seeded
         whole = {f for f in full.facts if empty_walk(f) or kept(full.born(f))}
         assert set(stopped.facts) == (whole if w is None else whole | {root})
 
@@ -244,6 +250,74 @@ def test_goal_stop_ends_in_the_round_of_the_root():
 def test_goal_stop_with_random_grammars(instance):
     g, nf, _ = instance
     check_goal_stop(g, nf)
+
+
+# --- the fixpoint skipped at a dead target ------------------------------------------
+
+
+@st.composite
+def dead_target_graphs(draw):
+    """A grammar (``d2``, ``dd2``, or random with or without a nullable start) and a
+    random multigraph with self-loops, directed or undirected, whose edges at the
+    target lose a random set of labels; sometimes the source is the target."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    choice = draw(st.sampled_from(["d2", "dd2", "random", "nullable"]))
+    if choice == "d2":
+        nf, alphabet = D2_NF, "()[]"
+    elif choice == "dd2":
+        nf, alphabet = DD2_NF, "()[]abcd"
+    else:
+        alphabet = "ab"
+        cfg = random_cfg(rng, rng.randint(1, 4), rng.randint(1, 7), alphabet, max_body=3,
+                         epsilon_bias=0.3 if choice == "nullable" else 0.0)
+        nf = normalize(Cfg(cfg.nonterminals, frozenset(alphabet), cfg.productions, cfg.start))
+    kind = draw(st.sampled_from([DIRECTED, UNDIRECTED]))
+    n = draw(st.integers(1, 9))
+    g = random_graph(rng, n, draw(st.integers(0, 5 * n)), alphabet, kind=kind, self_loops=True)
+    t = g.source if draw(st.booleans()) else g.target
+    cut = set(draw(st.sets(st.sampled_from(alphabet))))
+    at_t = (lambda u, v: v == t) if kind == DIRECTED else (lambda u, v: t in (u, v))
+    edges = [e for e in g.edges if not (at_t(e[0], e[1]) and e[2] in cut)]
+    return LabeledGraph(kind, n, edges, g.source, t, g.alphabet), nf
+
+
+@settings(max_examples=400, deadline=None)
+@given(dead_target_graphs())
+def test_a_dead_target_runs_no_round(instance):
+    # Whenever the check calls a goal (u, A, v) dead, the full fixpoint holds no
+    # derived fact (x, A, v), and the goal's table is empty but for empty walks.
+    g, nf = instance
+    oracle, full = worklist_facts(g, nf), cfl_reach_table(g, nf)
+    root = (g.source, nf.start, g.target)
+    stats = {}
+    assert (cfl_reach(g, nf, stats=stats) is not None) == (root in oracle)
+    for a in full.facts.names:
+        goal = (g.source, a, g.target)
+        if nf.start_nullable and a == nf.start and g.source == g.target or not solve._dead_target(g, nf, goal):
+            continue
+        assert not any(v == g.target and full.born((x, b, v)) is not None for x, b, v in full.facts if b == a)
+        if solve._demand(g, nf, goal) is None:
+            table = cfl_reach_table(g, nf, goal=goal)
+            assert table.pops == 0 and not any(table.born(f) is not None for f in table.facts)
+            assert len(table.facts) == (g.vertex_count if nf.start_nullable else 0)
+            if a == nf.start:
+                assert stats == {"facts": len(table.facts), "pops": 0}
+    check_goal_stop(g, nf)
+
+
+def test_a_target_with_only_opening_in_edges_runs_no_round():
+    # Every edge into vertex 3 opens a bracket, so no d2 walk ends there,
+    # though the full fixpoint derives facts elsewhere.
+    g = graph(DIRECTED, 4, [(0, 1, "("), (1, 0, ")"), (1, 3, "("), (0, 3, "["), (3, 3, "[")], 0, 3, "()[]")
+    assert len(cfl_reach_table(g, D2_NF).facts) > 0
+    stats = {}
+    assert cfl_reach(g, D2_NF, stats=stats) is None
+    assert stats == {"facts": 0, "pops": 0}
+    undirected = LabeledGraph(UNDIRECTED, 4, g.edges, 0, 3, g.alphabet)  # (1, 0, ")") is not at 3
+    assert solve._dead_target(undirected, D2_NF, (0, "S", 3))
+    closing = LabeledGraph(UNDIRECTED, 4, g.edges + ((3, 1, ")"),), 0, 3, g.alphabet)
+    assert not solve._dead_target(closing, D2_NF, (0, "S", 3))
+    assert cfl_reach(closing, D2_NF) is not None  # 0 -(-> 1 -)-> 3, the last step reversed
 
 
 # --- the fixpoint seeded from the root's demand -------------------------------------
