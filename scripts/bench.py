@@ -20,7 +20,9 @@ over all its instances:
   that mode, with the arguments and the language the CLI builds from the
   operation's command line, on the already parsed graph;
 * ``solve.fixpoint``: the full least fixpoint (``cfl_reach_table`` with no
-  goal) of each ``cfl`` operation's graph, which ``solve.cfl`` stops early.
+  goal) of each ``cfl`` operation's graph, which ``solve.cfl`` stops early;
+* ``solve.witness``: ``witness_derivation`` on a fresh ``Witness`` over the
+  goal-stopped table of each reachable ``cfl`` operation, built untimed.
 
 A row is ``{workload, layer, seconds, counters, peak_rss}``.  ``seconds`` is
 the best of ``--repeats`` passes over the instances.  ``counters`` holds the
@@ -31,7 +33,8 @@ objects the collector tracks that the outputs of one pass keep alive
 (``tracked``), which each full collection walks.  A solve row adds the sums
 of the report's ``facts_count`` and ``worklist_pops`` (on ``solve.fixpoint``,
 the full table's facts and row deltas) and ``errors``, the calls that raised
-(the deep ``vc-to-a`` instance's ``RecursionError``).  ``peak_rss`` is the
+(the deep ``vc-to-a`` instance's ``RecursionError``); ``solve.witness`` adds
+``nodes``, the derivations' node count, instead.  ``peak_rss`` is the
 process's peak resident set in MB so far.
 The rows go into the JSON object in ``--out`` under ``--label``; other labels
 already in the file are kept, so one file can hold two checkouts' numbers:
@@ -60,6 +63,8 @@ from lcreach import (  # noqa: E402
     LabeledGraph,
     Language,
     NormalForm,
+    Witness,
+    cfl_reach,
     cfl_reach_table,
     cli,
     d2reach_to_dd2_ureach,
@@ -73,6 +78,7 @@ from lcreach import (  # noqa: E402
     render_graph,
     vc_to_a_dagreach,
 )
+from lcreach.solve import witness_derivation  # noqa: E402
 
 # reduce kind -> (input parser, reduction), as ``lcreach reduce`` runs them
 REDUCTIONS = {
@@ -158,6 +164,12 @@ def full_fixpoint(g: LabeledGraph, nf: NormalForm) -> tuple:
     return table, {"edges": len(g.us), "facts_count": len(table.facts), "worklist_pops": table.pops, "errors": 0}
 
 
+def derivation(witness: Witness) -> tuple:
+    """The derivation of a fresh copy of ``witness``, rebuilt from its table, and its counters."""
+    nodes = witness_derivation(Witness(witness.root, witness.table))
+    return nodes, {"edges": len(witness.table.graph.us), "nodes": len(nodes)}
+
+
 def one_pass(edges) -> None:
     """Iterate over ``edges`` once, keeping nothing."""
     deque(edges, maxlen=0)
@@ -198,6 +210,9 @@ def bench(workload: str, seed: int, small: bool, repeats: int, clock: GcClock, w
         layers.setdefault(f"solve.{args.mode}", []).append(lambda g=g, a=args, lang=lang: run_solve(g, a, lang))
         if args.mode == "cfl":
             layers.setdefault("solve.fixpoint", []).append(lambda g=g, nf=lang.normal_form: full_fixpoint(g, nf))
+            witness = cfl_reach(g, lang.normal_form)
+            if witness is not None:
+                layers.setdefault("solve.witness", []).append(lambda w=witness: derivation(w))
     rows = []
     for layer, calls in layers.items():
         seconds, gc_s = timed(calls, repeats, clock)
@@ -234,7 +249,7 @@ def main() -> int:
             rows += bench(workload, args.seed, args.small, args.repeats, clock, Path(tmp) / workload)
     for row in rows:
         counters = row["counters"]
-        solved = "".join(f"  {key} {counters[key]}" for key in ("facts_count", "worklist_pops", "errors")
+        solved = "".join(f"  {key} {counters[key]}" for key in ("facts_count", "worklist_pops", "errors", "nodes")
                          if key in counters)
         print(f"{row['workload']:17} {row['layer']:28} {row['seconds']:10.6f} s  edges {counters['edges']:>8}"
               f"  gc {counters['gc_s']:.6f} s  tracked {counters['tracked']:>7}{solved}")

@@ -4,8 +4,8 @@ The question answered throughout: does some walk from ``g.source`` to
 ``g.target`` have a yield inside the constraint language?  Walks may repeat
 vertices and edges, and the empty walk counts when source equals target.
 
-Four solver families live here.  All but the fixpoint walk the graph a move
-at a time over one index, :func:`lcreach.graph.edge_ends`:
+Four solver families live here.  All of them read one index of the graph,
+:func:`lcreach.graph.edge_ends`, built once per solve:
 
 * :func:`regular_reach` / :func:`bounded_enum_reach` — one breadth-first
   search of the product of graph vertices and online recognizer states: a
@@ -19,11 +19,11 @@ at a time over one index, :func:`lcreach.graph.edge_ends`:
   across facts, from the rounds on demand.  Since a derivation reads only
   facts of earlier rounds, :func:`cfl_reach` stops the fixpoint as soon as
   those split its root ``(source, start, target)``, before the join of the
-  root's round.  When the rows the root can read are few, it also seeds the
-  fixpoint only from the vertices of those rows: the magic-sets rewrite
-  applied to CFL reachability.  When no edge into the target can end a
-  derivation of the root, it runs no round at all, and reports 0 facts and
-  0 row deltas.  On cyclic graphs the flattened walk can be exponentially
+  root's round.  When no edge into the target can end a derivation of the
+  root, it runs no round at all, and reports 0 facts and 0 row deltas.
+  Otherwise, when the rows the root can read are few, it seeds the fixpoint
+  only from the vertices of those rows: the magic-sets rewrite applied to
+  CFL reachability.  On cyclic graphs the flattened walk can be exponentially
   longer than the derivation; :func:`expand_witness` flattens under an
   explicit step budget, and :func:`check_derivation` checks a derivation
   rule by rule in linear time.  :func:`cfl_member` decides the
@@ -40,9 +40,10 @@ import math
 from collections import defaultdict, deque
 from collections.abc import Set
 from dataclasses import dataclass, field
-from itertools import compress, count
+from functools import lru_cache
+from itertools import compress
 from operator import eq
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import (
     AlphabetMismatchError,
@@ -59,6 +60,40 @@ Fact = tuple[int, str, int]
 Member = Callable[[str], bool]
 
 
+class _Rules(NamedTuple):
+    """A normal form's nonterminals, numbered by sorted name, and its rules by symbol.
+
+    Every solve on the normal form shares one (:func:`_rules`), so it is read-only.
+    """
+
+    names: tuple[str, ...]
+    ids: dict[str, int]
+    by_head: list[list[tuple[int, int]]]  # A -> [(B, C)], in rule order
+    by_first: list[list[tuple[int, int]]]  # B -> [(A, C)]
+    by_second: list[list[tuple[int, int]]]  # C -> [(A, B)]
+    heads: dict[str, list[int]]  # a -> the X of the rules X -> a
+    reads: list[set[str]]  # A -> the a of the rules A -> a
+
+
+@lru_cache(maxsize=16)
+def _rules(nf: NormalForm) -> _Rules:
+    """The rule index of ``nf``, built once per normal form for every stage of a ``cfl`` solve."""
+    names = tuple(sorted(nf.nonterminals))
+    ids = {a: i for i, a in enumerate(names)}
+    by_head, by_first, by_second = ([[] for _ in names] for _ in range(3))
+    for a, b, c in nf.binary_rules:
+        a, b, c = ids[a], ids[b], ids[c]
+        by_head[a].append((b, c))
+        by_first[b].append((a, c))
+        by_second[c].append((a, b))
+    heads: dict[str, list[int]] = {}
+    reads: list[set[str]] = [set() for _ in names]
+    for a, ch in nf.terminal_rules:
+        heads.setdefault(ch, []).append(ids[a])
+        reads[ids[a]].add(ch)
+    return _Rules(names, ids, by_head, by_first, by_second, heads, reads)
+
+
 class FactSet(Set):
     """The facts ``(u, A, v)`` of a :class:`ReachTable`, read off its rows.
 
@@ -69,11 +104,8 @@ class FactSet(Set):
     whether or not the rows hold it too.
     """
 
-    def __init__(
-        self, names: tuple[str, ...], rows: list[list[int]], nullable_start: Optional[int], size: int
-    ):
-        self.names = names
-        self.ids = {a: i for i, a in enumerate(names)}
+    def __init__(self, rules: _Rules, rows: list[list[int]], nullable_start: Optional[int], size: int):
+        self.names, self.ids = rules.names, rules.ids
         self.rows = rows
         self._empty = nullable_start  # id of the start symbol when it is nullable
         self._len = size
@@ -122,7 +154,8 @@ class ReachTable:
     minus one.  Empty-walk facts are never joined and have no round.  The
     table keeps no provenance: :func:`witness_derivation` rebuilds a
     derivation from the rounds.  ``pops`` counts the row deltas, at most
-    one per fact.
+    one per fact.  ``edge_ends`` is the fixpoint's ``(ends, heads)`` index
+    of ``graph`` (:func:`lcreach.graph.edge_ends`), read again by the rebuild.
     """
 
     graph: LabeledGraph
@@ -130,6 +163,7 @@ class ReachTable:
     facts: FactSet
     births: list[dict[int, list[tuple[int, int]]]]
     pops: int
+    edge_ends: tuple[list[list[int]], list[int]] = field(compare=False, repr=False)
 
     def born(self, fact: Fact) -> Optional[int]:
         """The round in which ``fact`` was derived, or None (empty walk or no fact)."""
@@ -225,65 +259,52 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
     it has in the full one, and the goal's derivation is the same.  A goal
     that is never born leaves the full fixpoint.
 
-    A goal other than the empty walk is first given to a demand probe,
-    :func:`_demand`, which looks for the rows the goal's row can read.
-    When the probe closes within its budget, round 0 reads only the edges
-    leaving the vertices of those rows, and the table holds facts at those
-    vertices alone.  The demanded rows are whole up to the stop and keep
-    their full-table rounds, so the goal is born in the same round with the
-    same derivation; other rows may lack facts or hold them from later
-    rounds.  When the probe gives up, round 0 reads every edge, unless the
-    goal is dead at its target (:func:`_dead_target`): then it reads none,
-    and the table holds no fact and no row delta but the empty-walk facts
-    of a nullable start.
+    Round 0 reads the edges leaving the seed vertices, by the table's
+    :func:`lcreach.graph.edge_ends` index.  Without a goal, all are seeds.
+    An empty-walk goal, or one dead at its target (:func:`_dead_target`),
+    has none: the table holds no fact and no row delta but the empty-walk
+    facts of a nullable start.  Any other goal goes to a demand probe,
+    :func:`_demand`, for the rows the goal's row can read.  When it closes
+    within its budget, the seeds are the vertices of those rows, and the
+    table holds facts there alone.  The demanded rows are whole up to the
+    stop and keep their full-table rounds, so the goal is born in the same
+    round with the same derivation; other rows may lack facts or hold them
+    from later rounds.  When the probe gives up, all vertices are seeds.
     """
     if not g.alphabet <= nf.terminals:
         extra = "".join(sorted(g.alphabet - nf.terminals))
         raise AlphabetMismatchError(
             f"graph labels {extra!r} are outside the grammar's alphabet"
         )
-    names = tuple(sorted(nf.nonterminals))
-    ids = {a: i for i, a in enumerate(names)}
-    n = g.vertex_count
-    by_first: list[list[tuple[int, int]]] = [[] for _ in names]  # B -> [(A, C)]
-    by_second: list[list[tuple[int, int]]] = [[] for _ in names]  # C -> [(A, B)]
-    for a, b, c in nf.binary_rules:
-        by_first[ids[b]].append((ids[a], ids[c]))
-        by_second[ids[c]].append((ids[a], ids[b]))
-    heads: dict[str, list[int]] = {}
-    for a, ch in nf.terminal_rules:
-        heads.setdefault(ch, []).append(ids[a])
+    rules = _rules(nf)
+    ids, by_first, by_second, heads = rules.ids, rules.by_first, rules.by_second, rules.heads
+    n, labels = g.vertex_count, g.labels
+    ends, tips = index = edge_ends(g)
 
-    rows = [[0] * n for _ in names]
+    rows = [[0] * n for _ in ids]
     # cols[B][w] lists the u of the facts (u, B, w) born before the last
     # round, for the symbols B that lead a rule body.
-    cols: list[defaultdict[int, list[int]]] = [defaultdict(list) for _ in names]
-    births: list[dict[int, list[tuple[int, int]]]] = [{} for _ in names]
+    cols: list[defaultdict[int, list[int]]] = [defaultdict(list) for _ in ids]
+    births: list[dict[int, list[tuple[int, int]]]] = [{} for _ in ids]
     found: defaultdict[int, dict[int, int]] = defaultdict(dict)  # A -> {u: bits found}
-    empty_goal = goal is not None and nf.start_nullable and goal[1] == nf.start and goal[0] == goal[2]
-    demand = None if goal is None or empty_goal else _demand(g, nf, goal)
-    if demand is not None:  # only the edges leaving a demanded vertex
-        demanded, ends, tips = demand
-        for u in set().union(*demanded):
-            for k in ends[u]:
-                for a in heads.get(g.labels[k >> 1], ()):
-                    fa = found[a]
-                    fa[u] = fa.get(u, 0) | 1 << tips[k]
-    elif goal is None or not (empty_goal or _dead_target(g, nf, goal)):  # else no round is needed
-        undirected = g.kind == UNDIRECTED
-        for u, v, label in zip(g.us, g.vs, g.labels):
-            for a in heads.get(label, ()):
+    if goal is None:
+        seeds: Iterable[int] = range(n)
+    elif nf.start_nullable and goal[1] == nf.start and goal[0] == goal[2] or _dead_target(g, nf, goal):
+        seeds = ()  # no round is needed
+    else:
+        demanded = _demand(g, nf, goal, index)
+        seeds = range(n) if demanded is None else set().union(*demanded)
+    for u in seeds:  # round 0: the edges leaving the seeds
+        for k in ends[u]:
+            for a in heads.get(labels[k >> 1], ()):
                 fa = found[a]
-                fa[u] = fa.get(u, 0) | 1 << v
-                if undirected:
-                    fa[v] = fa.get(v, 0) | 1 << u
+                fa[u] = fa.get(u, 0) | 1 << tips[k]
 
     goal_row, goal_births, goal_u, goal_v = [0], {}, 0, 0  # without a goal, a bit never set
     goal_rules: list[tuple[int, int]] = []  # the (B, C) of the goal's rules A -> B C, in rule order
     if goal is not None:
         goal_u, a, goal_v = goal
-        goal_row, goal_births = rows[ids[a]], births[ids[a]]
-        goal_rules = [(ids[b], ids[c]) for head, b, c in nf.binary_rules if head == a]
+        goal_row, goal_births, goal_rules = rows[ids[a]], births[ids[a]], rules.by_head[ids[a]]
     goal_bs, goal_cs = {b for b, _ in goal_rules}, {c for _, c in goal_rules}
     goal_bit = 1 << goal_v
     size = pops = rnd = 0
@@ -336,14 +357,14 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
                         prev = fa.get(u)
                         fa[u] = bits if prev is None else prev | bits
         for b, db in delta.items():
-            rules, cols_b = by_first[b], cols[b]
-            if not rules:
+            b_rules, cols_b = by_first[b], cols[b]
+            if not b_rules:
                 continue
             for u, bits in db.items():
                 ws = _bits(bits)
                 for w in ws:  # new (u, B, w) joined with every (w, C, v)
                     cols_b[w].append(u)
-                for a, c in rules:
+                for a, c in b_rules:
                     rows_c = rows[c]
                     acc = rows_c[ws[0]]
                     for w in ws[1:]:
@@ -356,7 +377,7 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
     start = ids[nf.start] if nf.start_nullable else None
     if start is not None:
         size += sum(not row >> u & 1 for u, row in enumerate(rows[start]))
-    return ReachTable(g, nf, FactSet(names, rows, start, size), births, pops)
+    return ReachTable(g, nf, FactSet(rules, rows, start, size), births, pops, index)
 
 
 def _dead_target(g: LabeledGraph, nf: NormalForm, goal: Fact) -> bool:
@@ -376,7 +397,7 @@ def _dead_target(g: LabeledGraph, nf: NormalForm, goal: Fact) -> bool:
     return a not in _least_fixpoint(last, [(x, (c,)) for x, _, c in nf.binary_rules])
 
 
-def _demand(g: LabeledGraph, nf: NormalForm, root: Fact, budget: Optional[tuple[float, float]] = None):
+def _demand(g: LabeledGraph, nf: NormalForm, root: Fact, index, budget: Optional[tuple[float, float]] = None):
     """The demand closure of the row of ``root = (u, A, v)`` with its facts, or None past the budget.
 
     The closure is the least set ``D`` of pairs ``(u, A)`` that holds the
@@ -400,26 +421,19 @@ def _demand(g: LabeledGraph, nf: NormalForm, root: Fact, budget: Optional[tuple[
     graphs at least 20 m facts: seeding them from ``D`` would save nothing,
     so the probe stops early on them.
 
-    Returns ``(rows, ends, heads)``: ``rows[i]`` maps each ``u`` with ``(u,
-    A)`` in ``D``, for the ``i``-th nonterminal ``A`` by name, to the bits of
-    the ``v`` with a fact ``(u, A, v)``, and ``ends, heads`` is the index
-    :func:`lcreach.graph.edge_ends` built.
+    ``index`` is the ``(ends, heads)`` pair :func:`lcreach.graph.edge_ends`
+    built of ``g``, which the probe reads for the edges leaving a demanded
+    vertex.  Returns ``rows``: ``rows[i]`` maps each ``u`` with ``(u, A)``
+    in ``D``, for the ``i``-th nonterminal ``A`` by name, to the bits of the
+    ``v`` with a fact ``(u, A, v)``.
     """
     max_facts, max_vertices = (len(g.us) / 3, g.vertex_count / 8) if budget is None else budget
     if max_vertices < 1:  # the root's vertex alone is over it
         return None
-    ends, heads = edge_ends(g)
-    ids = {a: i for i, a in enumerate(sorted(nf.nonterminals))}
-    rules: list[list[tuple[int, int]]] = [[] for _ in ids]  # A -> [(B, C)]
-    by_first: list[list[tuple[int, int]]] = [[] for _ in ids]  # B -> [(A, C)]
-    for a, b, c in nf.binary_rules:
-        rules[ids[a]].append((ids[b], ids[c]))
-        by_first[ids[b]].append((ids[a], ids[c]))
-    reads: list[set[str]] = [set() for _ in ids]  # A -> the a of its rules A -> a
-    for a, ch in nf.terminal_rules:
-        reads[ids[a]].add(ch)
-    rows: list[dict[int, int]] = [{} for _ in ids]  # the bits taken in so far
-    users: list[defaultdict[int, list]] = [defaultdict(list) for _ in ids]  # C -> {w: [(u, A)]}
+    (ends, heads), rules = index, _rules(nf)
+    by_head, by_first, reads = rules.by_head, rules.by_first, rules.reads
+    rows: list[dict[int, int]] = [{} for _ in reads]  # the bits taken in so far
+    users: list[defaultdict[int, list]] = [defaultdict(list) for _ in reads]  # C -> {w: [(u, A)]}
     fresh: list[tuple[int, int]] = []  # demanded pairs whose rules are not read yet
     work: list[tuple[int, int, int]] = []  # (u, A, bits) to take into a row
     vertices: set[int] = set()
@@ -437,7 +451,7 @@ def _demand(g: LabeledGraph, nf: NormalForm, root: Fact, budget: Optional[tuple[
         if rows[c][w]:
             work.append((u, a, rows[c][w]))
 
-    need(root[0], ids[root[1]])
+    need(root[0], rules.ids[root[1]])
     while fresh or work:
         if facts > max_facts or len(vertices) > max_vertices:
             return None
@@ -450,7 +464,7 @@ def _demand(g: LabeledGraph, nf: NormalForm, root: Fact, budget: Optional[tuple[
                         bits |= 1 << heads[k]
                 if bits:
                     work.append((u, a, bits))
-            for b, c in rules[a]:
+            for b, c in by_head[a]:
                 row_b = rows[b]
                 if u not in row_b:
                     row_b[u] = 0
@@ -471,7 +485,7 @@ def _demand(g: LabeledGraph, nf: NormalForm, root: Fact, budget: Optional[tuple[
             for a, c in [(a, c) for a, c in by_first[b] if u in rows[a]]:
                 for w in _bits(new):
                     link(w, c, u, a)
-    return rows, ends, heads
+    return rows
 
 
 def cfl_reach(
@@ -484,13 +498,13 @@ def cfl_reach(
     equals target and the start symbol is nullable, the empty-walk witness is
     the one returned.  The fixpoint has that root as its goal, so it stops
     in the round the root is born, before that round's join.  ``stats``
-    receives the table size and the row deltas: of the facts born before the
-    root's round plus the root when it is derivable (all of round 0 when the
-    root is born there), of the whole least fixpoint when it is not.  When
-    the root's demand probe closes, both count only the rows at the vertices
-    the root demands.  When no edge into the target can end a derivation of
-    the root, no round runs: 0 facts (or the vertex count, for the
-    empty-walk facts of a nullable start) and 0 row deltas.
+    receives the table size and the row deltas.  When no edge into the
+    target can end a derivation of the root, no round runs: 0 facts (or the
+    vertex count, for the empty-walk facts of a nullable start) and 0 row
+    deltas.  Otherwise they count the facts born before the root's round
+    plus the root when it is derivable (all of round 0 when the root is born
+    there), or the whole least fixpoint; when the demand probe closes, only
+    the rows at the vertices the root demands.
     """
     nf = grammar if isinstance(grammar, NormalForm) else normalize(grammar)
     root = (g.source, nf.start, g.target)
@@ -528,7 +542,8 @@ def witness_derivation(w: Witness) -> list[tuple]:
     root is last.
 
     The derivation is rebuilt from the table's birth rounds alone.  A fact
-    born in round 0 reads the lowest-numbered edge that spells it.  Any other
+    born in round 0 reads the first end in the table's edge index that spells
+    it: the lowest-numbered edge, forward before reverse.  Any other
     fact takes the first rule of the normal form, then the lowest split
     vertex, whose two children were both born in earlier rounds, so the
     rebuild always ends.  It costs about the derivation's size times the
@@ -545,16 +560,12 @@ def _derive(table: ReachTable, root: Fact) -> list[tuple]:
         raise CorruptWitnessError(f"root fact {root} is not in the table")
     if nf.start_nullable and root[1] == nf.start and root[0] == root[2]:
         return [(*root, "e")]
-    names, ids, births, rows = facts.names, facts.ids, table.births, facts.rows
-    splits: list[list[tuple[int, int]]] = [[] for _ in names]  # A -> [(B, C)] in rule order
-    for a, b, c in nf.binary_rules:
-        splits[ids[a]].append((ids[b], ids[c]))
-
+    rules, births, rows = _rules(nf), table.births, facts.rows
+    names, (ends, heads), labels = rules.names, table.edge_ends, table.graph.labels
     index: dict[tuple[int, int, int], int] = {}
-    reads: list[int] = []  # the round-0 nodes, whose edges are looked up below
     nodes: list = []
     # Entries are (fact, None) to expand a fact, (fact, children) to emit it.
-    stack: list[tuple] = [((root[0], ids[root[1]], root[2]), None)]
+    stack: list[tuple] = [((root[0], rules.ids[root[1]], root[2]), None)]
     while stack:
         key, kids = stack.pop()
         u, a, v = key
@@ -567,12 +578,15 @@ def _derive(table: ReachTable, root: Fact) -> list[tuple]:
         rnd = _born(births[a].get(u, ()), v)
         if rnd is None:
             raise CorruptWitnessError(f"fact {(u, names[a], v)} has no birth round")
-        if rnd == 0:
+        if rnd == 0:  # the first end from u into v that A reads: edge k >> 1, reversed when k & 1
+            reads = rules.reads[a]
+            k = next((k for k in ends[u] if heads[k] == v and labels[k >> 1] in reads), None)
+            if k is None:
+                raise CorruptWitnessError("a fact born in round 0 reads no edge")
             index[key] = len(nodes)
-            reads.append(len(nodes))
-            nodes.append((u, names[a], v))
+            nodes.append((u, names[a], v, "t", k >> 1, bool(k & 1)))
             continue
-        split = _first_split(splits[a], rows, births, u, v, rnd)
+        split = _first_split(rules.by_head[a], rows, births, u, v, rnd)
         if split is None:
             raise CorruptWitnessError(
                 f"fact {(u, names[a], v)} has no split into facts born before round {rnd}"
@@ -580,7 +594,6 @@ def _derive(table: ReachTable, root: Fact) -> list[tuple]:
         b, c, w = split
         kids = (u, b, w), (w, c, v)
         stack += ((key, kids), (kids[1], None), (kids[0], None))
-    _read_edges(table.graph, nf, nodes, reads)
     return nodes
 
 
@@ -604,40 +617,6 @@ def _first_split(rules, rows, births, u: int, v: int, rnd: int) -> Optional[tupl
                 if born is not None and born < rnd:
                     return b, c, w
     return None
-
-
-def _read_edges(g: LabeledGraph, nf: NormalForm, nodes: list, reads: list[int]) -> None:
-    """Complete each round-0 node ``(u, A, v)`` with the lowest-numbered edge spelling it.
-
-    Only the edges leaving a vertex some node starts from are looked at; a
-    forward reading of an edge comes before its reverse.
-    """
-    chars: dict[str, set[str]] = {}
-    for a, ch in nf.terminal_rules:
-        chars.setdefault(a, set()).add(ch)
-    todo: dict[int, list[int]] = {}  # u -> the round-0 nodes that start at u
-    for at in reads:
-        todo.setdefault(nodes[at][0], []).append(at)
-    us, vs, labels, undirected = g.us, g.vs, g.labels, g.kind == UNDIRECTED
-
-    def leaving(ends):  # indices of the edges whose end in ``ends`` is a tail in todo
-        return compress(count(), map(todo.__contains__, ends))
-
-    hits = sorted({*leaving(us), *leaving(vs)}) if undirected else leaving(us)
-    left = len(reads)
-    for edge in hits:
-        eu, ev, label = us[edge], vs[edge], labels[edge]
-        for reverse, tail, head in ((False, eu, ev), (True, ev, eu))[: 1 + undirected]:
-            waiting = todo.get(tail)
-            for at in list(waiting or ()):
-                u, a, v = nodes[at]
-                if v == head and label in chars.get(a, ()):
-                    nodes[at] = (u, a, v, "t", edge, reverse)
-                    waiting.remove(at)
-                    left -= 1
-        if not left:
-            return
-    raise CorruptWitnessError("a fact born in round 0 reads no edge")
 
 
 def _flatten(nodes) -> tuple[Step, ...]:
@@ -762,7 +741,8 @@ def _product_search(
     else:  # steps from each vertex to the target
         dist = [math.inf] * g.vertex_count
         dist[g.target] = 0
-        near, undirected = edge_ends(g, both=True)[0], g.kind == UNDIRECTED
+        undirected = g.kind == UNDIRECTED
+        near = ends if undirected else edge_ends(g, both=True)[0]  # undirected ends go both ways already
         queue = deque([g.target])
         while queue:
             v = queue.popleft()

@@ -27,6 +27,7 @@ from lcreach import (
     cfl_reach_table,
     d2_grammar,
     dd2_grammar,
+    edge_ends,
     eval_circuit,
     expand_witness,
     mcvp_to_d2_reach,
@@ -149,10 +150,11 @@ def check_goal_stop(g, nf):
     born earlier there.  The rows the root demands keep every fact the full
     fixpoint derives before the root's round with its full round, so the
     root's witness is the full table's.  A root of round 0 stops after that
-    round, and the empty walk stops before any round.  When the demand probe
+    round, and the empty walk stops before any round.  When the root is dead
+    at its target, no round runs, whatever the demand probe would find, and
+    the table holds only the empty-walk facts.  Otherwise, when the probe
     gives up, the table holds exactly the facts the full fixpoint derives
-    before the root's round, and the root; but when the root is dead at its
-    target, no round runs and it holds only the empty-walk facts.
+    before the root's round, and the root.
     """
     full = cfl_reach_table(g, nf)
     root = (g.source, nf.start, g.target)
@@ -185,11 +187,11 @@ def check_goal_stop(g, nf):
             assert empty_walk(fact)
         else:
             assert born >= full.born(fact) and (fact == root or kept(born))
-    gave_up = empty_walk(root) or solve._demand(g, nf, root) is None
-    if gave_up and not empty_walk(root) and solve._dead_target(g, nf, root):  # no edge was seeded
+    if not empty_walk(root) and solve._dead_target(g, nf, root):  # no edge was seeded
         assert w is None and stopped.pops == 0
         assert set(stopped.facts) == {f for f in full.facts if empty_walk(f)}
         return
+    gave_up = empty_walk(root) or solve._demand(g, nf, root, edge_ends(g)) is None
     demanded = demand_closure(full, root)
     for fact in full.facts:
         born = full.born(fact)
@@ -285,7 +287,8 @@ def dead_target_graphs(draw):
 @given(dead_target_graphs())
 def test_a_dead_target_runs_no_round(instance):
     # Whenever the check calls a goal (u, A, v) dead, the full fixpoint holds no
-    # derived fact (x, A, v), and the goal's table is empty but for empty walks.
+    # derived fact (x, A, v), and the goal's table is empty but for empty walks,
+    # even where the demand probe would close.
     g, nf = instance
     oracle, full = worklist_facts(g, nf), cfl_reach_table(g, nf)
     root = (g.source, nf.start, g.target)
@@ -296,12 +299,11 @@ def test_a_dead_target_runs_no_round(instance):
         if nf.start_nullable and a == nf.start and g.source == g.target or not solve._dead_target(g, nf, goal):
             continue
         assert not any(v == g.target and full.born((x, b, v)) is not None for x, b, v in full.facts if b == a)
-        if solve._demand(g, nf, goal) is None:
-            table = cfl_reach_table(g, nf, goal=goal)
-            assert table.pops == 0 and not any(table.born(f) is not None for f in table.facts)
-            assert len(table.facts) == (g.vertex_count if nf.start_nullable else 0)
-            if a == nf.start:
-                assert stats == {"facts": len(table.facts), "pops": 0}
+        table = cfl_reach_table(g, nf, goal=goal)
+        assert table.pops == 0 and not any(table.born(f) is not None for f in table.facts)
+        assert len(table.facts) == (g.vertex_count if nf.start_nullable else 0)
+        if a == nf.start:
+            assert stats == {"facts": len(table.facts), "pops": 0}
     check_goal_stop(g, nf)
 
 
@@ -337,7 +339,7 @@ def check_demand(g, nf):
     fixpoint's demanded rows, rounds and witness (``check_goal_stop``)."""
     root = (g.source, nf.start, g.target)
     full = cfl_reach_table(g, nf)
-    rows, _, _ = solve._demand(g, nf, root, budget=UNLIMITED)
+    rows = solve._demand(g, nf, root, edge_ends(g), budget=UNLIMITED)
     names = full.facts.names
     demanded = {(u, names[i]) for i, row in enumerate(rows) for u in row}
     assert demanded == demand_closure(full, root)
@@ -371,7 +373,7 @@ def test_a_circuit_output_takes_the_demand_path():
     assert eval_circuit(circuit)
     g = mcvp_to_d2_reach(circuit)
     root = (g.source, D2_NF.start, g.target)
-    assert solve._demand(g, D2_NF, root) is not None  # under the probe's own budget
+    assert solve._demand(g, D2_NF, root, edge_ends(g)) is not None  # under the probe's own budget
     w = cfl_reach(g, D2_NF)
     with probe_budget(NO_PROBE):
         everywhere = cfl_reach(g, D2_NF)

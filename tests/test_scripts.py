@@ -51,7 +51,7 @@ def test_bench_writes_io_rows_at_a_tiny_size(bench_runs):
     assert list(counters) == [
         *(("cfl-saturate", layer) for layer in [
             *io, "reductions.d2-to-dd2", "reductions.parse_circuit", "reductions.mcvp-to-d2",
-            "solve.cfl", "solve.fixpoint",
+            "solve.cfl", "solve.fixpoint", "solve.witness",
         ]),
         *(("enum-mix", layer) for layer in [
             *io, "reductions.parse_vc", "reductions.vc-to-a", "reductions.reach-to-abstar",
@@ -62,7 +62,9 @@ def test_bench_writes_io_rows_at_a_tiny_size(bench_runs):
         assert set(row) == {"workload", "layer", "seconds", "counters", "peak_rss"}
         assert row["seconds"] >= 0 and row["peak_rss"] > 0
         keys = {"calls", "edges", "gc_s", "tracked"}
-        if row["layer"].startswith("solve."):
+        if row["layer"] == "solve.witness":
+            keys |= {"nodes"}
+        elif row["layer"].startswith("solve."):
             keys |= {"facts_count", "worklist_pops", "errors"}
         assert set(row["counters"]) == keys and row["counters"]["calls"] > 0
     for workload in ("cfl-saturate", "enum-mix"):
@@ -79,13 +81,16 @@ def test_bench_times_every_solve_mode_at_a_tiny_size(bench_runs):
         layers = {layer: c for (w, layer), c in counters.items() if w == workload}
         (edges,) = {c["edges"] for layer, c in layers.items() if layer.startswith("graph.")}
         # every graph is solved once, by the runner of its operation's mode
-        runners = [c for layer, c in layers.items() if layer.startswith("solve.") and layer != "solve.fixpoint"]
+        runners = [c for layer, c in layers.items()
+                   if layer.startswith("solve.") and layer not in ("solve.fixpoint", "solve.witness")]
         assert runners and sum(c["edges"] for c in runners) == edges
     goal, full = counters["cfl-saturate", "solve.cfl"], counters["cfl-saturate", "solve.fixpoint"]
     # the goal-stopped tables are parts of the full ones
     assert goal["facts_count"] >= goal["worklist_pops"] > 0 and full["facts_count"] >= full["worklist_pops"] > 0
     assert full["facts_count"] >= goal["facts_count"] and full["calls"] == goal["calls"]
+    # one derivation per reachable operation, each at least its root
+    rebuilt = counters["cfl-saturate", "solve.witness"]
+    assert 0 < rebuilt["calls"] <= goal["calls"] and rebuilt["nodes"] >= rebuilt["calls"]
     # the deep vc-to-a instance (drawn at every size) raises RecursionError, and no other call raises
-    assert {key: c["errors"] for key, c in counters.items() if key[1].startswith("solve.")} == {
-        key: int(key[1] == "solve.dag-enum") for key in counters if key[1].startswith("solve.")
-    }
+    raised = {key: c["errors"] for key, c in counters.items() if "errors" in c}
+    assert raised == {key: int(key[1] == "solve.dag-enum") for key in raised}

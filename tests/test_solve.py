@@ -237,15 +237,18 @@ def test_worklist_order_does_not_change_the_fact_set():
 
 
 def test_provenance_references_only_earlier_facts():
-    # A rebuilt derivation is in the version 2 node layout, and every binary
-    # node splits its fact into two facts born in strictly earlier rounds.
+    # A rebuilt derivation is in the version 2 node layout, every binary
+    # node splits its fact into two facts born in strictly earlier rounds,
+    # and every terminal node reads the smallest (edge, reverse) spelling
+    # its fact, among parallel edges and self-loops too.
     nullable_nf = normalize(parse_cfg("S -> '(' S ')' S | '[' S ']' S |"))
     rng = random.Random(43)
     roots = 0
-    for i in range(20):
+    for i in range(40):
         kind = UNDIRECTED if i % 3 == 0 else DIRECTED
         nf = nullable_nf if i % 2 else D2_NF
-        g = random_graph(rng, rng.randint(2, 6), rng.randint(0, 10), "()[]", kind=kind)
+        g = random_graph(rng, rng.randint(2, 6), rng.randint(0, 10), "()[]", kind=kind, self_loops=i >= 20)
+        readings = (False, True) if kind == UNDIRECTED else (False,)
         table = cfl_reach_table(g, nf)
         for fact in table.facts:
             nodes = witness_derivation(Witness(fact, table))
@@ -267,6 +270,12 @@ def test_provenance_references_only_earlier_facts():
                     e = g.edges[edge]
                     assert (u, v) == ((e.v, e.u) if reverse else (e.u, e.v))
                     assert (a, e.label) in nf.terminal_rules
+                    spelling = [
+                        (x, r) for x in range(len(g.us)) for r in readings
+                        if (u, v) == ((g.vs[x], g.us[x]) if r else (g.us[x], g.vs[x]))
+                        and (a, g.labels[x]) in nf.terminal_rules
+                    ]
+                    assert (edge, reverse) == min(spelling)
         roots += (g.source, nf.start, g.target) in table.facts
     assert roots, "no reachable root was checked"
 
