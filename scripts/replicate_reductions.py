@@ -24,7 +24,6 @@ from lcreach import (
     dd2_grammar,
     decode_vc_witness,
     eval_circuit,
-    lang_a_member,
     mcvp_to_d2_reach,
     nbc_d2_member,
     nbc_to_d2_dagreach,
@@ -38,6 +37,7 @@ from lcreach import (
     vc_to_a_dagreach,
 )
 from lcreach.grammar import Dfa
+from lcreach.languages import LANG_A
 
 D2 = d2_grammar()
 DD2 = dd2_grammar()
@@ -96,7 +96,7 @@ def run_vc_to_a(rng: random.Random, trials: int) -> list:
         n = rng.randint(1, 7)
         inst = random_vc_instance(rng, n, rng.randint(0, n * (n - 1) // 2), rng.randint(0, n))
         direct = vc_brute(inst)
-        found = dag_enum_reach(vc_to_a_dagreach(inst), lang_a_member)
+        found = dag_enum_reach(vc_to_a_dagreach(inst), LANG_A)
         reduced = found is not None
         if found is not None:
             cover = decode_vc_witness(found, inst)

@@ -269,7 +269,7 @@ def _run_regular(g: LabeledGraph, lang: Language, args: argparse.Namespace, repo
 
 def _run_dag_enum(g: LabeledGraph, lang: Language, args: argparse.Namespace, report: SolveReport) -> Found:
     stats: dict = {}
-    found = dag_enum_reach(g, lang.member, stats=stats)
+    found = dag_enum_reach(g, lang.recognizer or yield_recognizer(lang.member), stats=stats)
     report.stats.update(facts_count=0, worklist_pops=stats.get("paths_examined", 0))
     return found, None
 

@@ -280,15 +280,16 @@ def path_yield(g: LabeledGraph, p: Path) -> str:
     return "".join(label for _, _, label in _walk(g, p))
 
 
-def is_dag(g: LabeledGraph) -> Optional[tuple[int, ...]]:
+def is_dag(g: LabeledGraph, index: Optional[tuple[list, list[int]]] = None) -> Optional[tuple[int, ...]]:
     """A topological order of ``g``, or ``None`` if it has a directed cycle.
 
     Only meaningful for directed graphs; undirected input is a KindError.
-    Self-loops count as cycles.
+    Self-loops count as cycles.  ``index`` is :func:`edge_ends` of ``g``
+    when the caller has built it to walk the graph too.
     """
     if g.kind != DIRECTED:
         raise KindError("acyclicity is a directed-graph notion")
-    ends, heads = edge_ends(g)
+    ends, heads = edge_ends(g) if index is None else index
     indeg = [0] * g.vertex_count
     for v in g.vs:
         indeg[v] += 1

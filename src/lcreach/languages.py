@@ -272,24 +272,66 @@ def parse_lang_a(w: str) -> Optional[LangAInstanceView]:
     return LangAInstanceView(n=n, k=budget.count("1"), adjacency=adj, cover_bits="".join(bits))
 
 
-def lang_a_member(w: str) -> bool:
-    """True when the chosen bits form a vertex cover within the budget.
+def _lang_a_step(state: tuple, ch: str) -> Optional[tuple]:
+    """Read one symbol of a ``lang-a`` string; None once no suffix completes it.
 
-    Malformed strings are simply non-members; this recognizer never raises.
+    The state is tagged by the piece being read:
+
+    * ``(0, n, k)`` — the budget, ``n`` symbols of which ``k`` are ones; a
+      ``1`` after a ``0`` is dead.
+    * ``(1, n, k, later, row, j)`` — the adjacency run.  ``later`` holds the
+      masks of the later neighbours of the vertices whose row is read,
+      ``row`` those of vertex ``len(later)`` so far, and ``j`` the vertex its
+      next bit pairs it with (0-based).  A bit past the n(n-1)/2 is dead.
+    * ``(2, t, left, forced, later)`` — the cover bits, ``t`` symbols after
+      the run's ``#``.  ``later`` now has a mask for every vertex, ``left``
+      is the ones the budget still allows, and ``forced`` the vertices with
+      an earlier neighbour whose bit is ``0``.  A ``1`` past the budget, or
+      a ``0`` for a forced vertex, is dead.
+
+    A state holds all the prefix says about the suffixes it accepts, so two
+    prefixes in one state accept the same suffixes.  Some dead prefixes stay
+    live, such as a budget no cover of the run can meet.
     """
-    view = parse_lang_a(w)
-    if view is None:
-        return False
-    if view.cover_bits.count("1") > view.k:
-        return False
-    pos = 0
-    for i in range(1, view.n):
-        for j in range(i + 1, view.n + 1):
-            if view.adjacency[pos] == "1":
-                if view.cover_bits[i - 1] != "1" and view.cover_bits[j - 1] != "1":
-                    return False
-            pos += 1
-    return True
+    tag = state[0]
+    if tag == 2:
+        _, t, left, forced, later = state
+        if t & 1:  # a '#' is owed, unless the last bit is read
+            return (2, t + 1, left, forced, later) if ch == "#" and t < 2 * len(later) - 1 else None
+        if ch == "1":
+            return (2, t + 1, left - 1, forced, later) if left else None
+        vertex = t >> 1
+        if ch == "0" and not forced >> vertex & 1:
+            return (2, t + 1, left, forced | later[vertex], later)
+        return None
+    if tag == 1:
+        _, n, k, later, row, j = state
+        if ch == "#":  # vertex n - 1 has no later neighbour and no row
+            return (2, 0, k, 0, later + (0,)) if len(later) >= n - 1 else None
+        if ch not in ("0", "1") or len(later) >= n - 1:
+            return None
+        if ch == "1":
+            row |= 1 << j
+        if j + 1 < n:
+            return (1, n, k, later, row, j + 1)
+        return (1, n, k, later + (row,), 0, len(later) + 2)
+    _, n, k = state
+    if ch == "1":
+        return (0, n + 1, k + 1) if k == n else None
+    if ch == "0":
+        return (0, n + 1, k)
+    if ch == "#" and n:
+        return (1, n, k, (), 0, 1)
+    return None
+
+
+def _lang_a_accepts(state: tuple) -> bool:
+    """Every cover bit is read: the budget and the edges were checked bit by bit."""
+    return state[0] == 2 and state[1] == 2 * len(state[4]) - 1
+
+
+LANG_A = Recognizer((0, 0, 0), _lang_a_step, _lang_a_accepts)
+lang_a_member = LANG_A.member
 
 
 # --- registry ---------------------------------------------------------------
@@ -303,8 +345,8 @@ class Language:
     for strings with foreign symbols.  ``normal_form`` (for mode ``cfl``,
     whose witnesses it proves by derivation) and ``dfa`` (for mode
     ``regular``) are finite descriptions, where they exist.  ``recognizer``
-    reads a walk's yield one symbol at a time, for ``bounded-enum``; without
-    one, that search keys walks by their yield.  Beside a ``dfa`` it is
+    reads a walk's yield one symbol at a time, for ``bounded-enum`` and
+    ``dag-enum``; without one, they key walks by their yield.  Beside a ``dfa`` it is
     ``dfa_recognizer(dfa)``, which mode ``regular`` searches.
     """
 
@@ -324,7 +366,7 @@ def builtin_language(name: str) -> Language:
     if name == "nbc-d2":
         return Language("nbc-d2", _nbc_member_total)
     if name == "lang-a":
-        return Language("lang-a", lang_a_member)
+        return Language("lang-a", lang_a_member, recognizer=LANG_A)
     if name == "abstar":
         return Language("abstar", abstar_member, dfa=abstar_dfa(), recognizer=ABSTAR)
     raise KeyError(f"unknown builtin language {name!r}")

@@ -28,8 +28,8 @@ Four solver families live here.  All of them read one index of the graph,
   explicit step budget, and :func:`check_derivation` checks a derivation
   rule by rule in linear time.  :func:`cfl_member` decides the
   membership of a word by the same fixpoint on the chain that spells it.
-* :func:`dag_enum_reach` — exhaustive path enumeration of an acyclic graph
-  against a black-box membership predicate.
+* :func:`dag_enum_reach` — a depth-first search of the paths of an acyclic
+  graph that steps an online recognizer and drops a prefix once it is dead.
 * :func:`tree_reach` — on trees there is exactly one candidate walk; find it
   and run the predicate on its yield.
 """
@@ -41,9 +41,8 @@ from collections import defaultdict, deque
 from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress
 from operator import eq
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import (
     AlphabetMismatchError,
@@ -390,9 +389,15 @@ def _dead_target(g: LabeledGraph, nf: NormalForm, goal: Fact) -> bool:
     ``C`` is in it".  The empty walk is not a derivation and is not asked.
     """
     _, a, v = goal
-    chars = set(compress(g.labels, map(v.__eq__, g.vs)))
-    if g.kind == UNDIRECTED:
-        chars.update(compress(g.labels, map(v.__eq__, g.us)))
+    chars = set()
+    for column in (g.vs, g.us) if g.kind == UNDIRECTED else (g.vs,):
+        i = -1
+        try:
+            while True:  # C-level scans for the edges at v
+                i = column.index(v, i + 1)
+                chars.add(g.labels[i])
+        except ValueError:  # no later edge is at v
+            pass
     last = {x for x, ch in nf.terminal_rules if ch in chars}
     return a not in _least_fixpoint(last, [(x, (c,)) for x, _, c in nf.binary_rules])
 
@@ -795,39 +800,46 @@ def regular_reach(
     return _product_search(g, dfa_recognizer(d) if rec is None else rec, None, stats)
 
 
-def iter_st_paths(g: LabeledGraph) -> Iterator[tuple[Path, str]]:
-    """All source-to-target paths of a DAG with their yields, in lexicographic edge order.
+def iter_st_paths(g: LabeledGraph, rec: Recognizer) -> Iterator[tuple[Path, Hashable]]:
+    """The source-to-target paths of a DAG that ``rec`` keeps live, with their states, in edge order.
 
-    In an acyclic graph no walk revisits a vertex, so these are exactly the
-    source-to-target walks, and none of them passes through the target twice.
+    A depth-first search that steps ``rec`` along each edge and skips an
+    edge whose step is dead.  In an acyclic graph, checked on the index the
+    search walks, these are all the source-to-target walks ``rec`` keeps live.
     """
-    if is_dag(g) is None:
+    ends, heads = index = edge_ends(g)
+    if is_dag(g, index) is None:
         raise NotADagError("walk enumeration without a bound needs an acyclic graph")
-    (ends, heads), labels = edge_ends(g), g.labels
+    labels, step, target = g.labels, rec.step, g.target
     steps: list[Step] = []
-    spelled: list[str] = []
 
-    def rec(v: int):
-        if v == g.target:
-            yield Path(start=g.source, steps=tuple(steps)), "".join(spelled)
+    def walk(v: int, q: Hashable):
+        if v == target:
+            yield Path(start=g.source, steps=tuple(steps)), q
             return
         for k in ends[v]:  # forward ends only: the graph is directed
-            steps.append(Step(k >> 1))
-            spelled.append(labels[k >> 1])
-            yield from rec(heads[k])
-            steps.pop()
-            spelled.pop()
+            nxt = step(q, labels[k >> 1])
+            if nxt is not None:
+                steps.append(Step(k >> 1))
+                yield from walk(heads[k], nxt)
+                steps.pop()
 
-    yield from rec(g.source)
+    if rec.start is not None:
+        yield from walk(g.source, rec.start)
 
 
 def dag_enum_reach(
-    g: LabeledGraph, member: Member, stats: Optional[dict] = None
+    g: LabeledGraph, rec: Recognizer, stats: Optional[dict] = None
 ) -> Optional[Path]:
-    """Exhaustively test every source-to-target path of an acyclic graph."""
+    """The first path of :func:`iter_st_paths` that ``rec`` accepts, or None.
+
+    Pruning cuts only failing branches, so it is the first accepted path of
+    the full enumeration.  ``stats`` receives ``paths_examined``: the paths
+    that reached the target live, up to the one returned.
+    """
     found, examined = None, 0
-    for examined, (p, text) in enumerate(iter_st_paths(g), 1):
-        if member(text):
+    for examined, (p, q) in enumerate(iter_st_paths(g, rec), 1):
+        if rec.accepts(q):
             found = p
             break
     if stats is not None:

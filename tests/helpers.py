@@ -26,6 +26,7 @@ from lcreach import (
     Step,
     VcInstance,
     d2_member,
+    parse_lang_a,
 )
 from lcreach.errors import (
     InvariantError,
@@ -174,6 +175,27 @@ def dd2_decode_member(w: str) -> bool:
             return False
         decoded.append(bracket)
     return d2_member("".join(decoded))
+
+
+def lang_a_decode_member(w: str) -> bool:
+    """Membership for ``lang-a`` by decoding the whole string: the oracle for its recognizer.
+
+    True when the chosen bits form a vertex cover within the budget;
+    malformed strings are simply non-members.
+    """
+    view = parse_lang_a(w)
+    if view is None:
+        return False
+    if view.cover_bits.count("1") > view.k:
+        return False
+    pos = 0
+    for i in range(1, view.n):
+        for j in range(i + 1, view.n + 1):
+            if view.adjacency[pos] == "1":
+                if view.cover_bits[i - 1] != "1" and view.cover_bits[j - 1] != "1":
+                    return False
+            pos += 1
+    return True
 
 
 def parse_graph_per_line(text: str) -> LabeledGraph:

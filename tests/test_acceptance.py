@@ -45,6 +45,7 @@ from lcreach import (
     vc_brute,
     vc_to_a_dagreach,
 )
+from lcreach.languages import yield_recognizer
 
 from .helpers import all_vc_instances, cyk_member, random_cfg, universal_dfa, walk_budget, worklist_facts
 
@@ -65,7 +66,7 @@ def test_criterion_01_cfl_matches_enumeration_on_dags():
     for _ in range(500):
         n = rng.randint(2, 6)
         g = random_dag(rng, n, rng.randint(0, 12), "()[]")
-        expected = dag_enum_reach(g, d2_member) is not None
+        expected = dag_enum_reach(g, yield_recognizer(d2_member)) is not None
         assert (cfl_reach(g, D2) is not None) == expected
         outcomes.add(expected)
     assert outcomes == {True, False}
@@ -163,7 +164,7 @@ def test_criterion_06_vertex_cover_exhaustive_to_five_vertices():
         count += 1
         expected = vc_brute(inst)
         out = vc_to_a_dagreach(inst)
-        found = dag_enum_reach(out, lang_a_member)
+        found = dag_enum_reach(out, yield_recognizer(lang_a_member))
         assert (found is not None) == expected, inst
         outcomes.add(expected)
         if found is not None:

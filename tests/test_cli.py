@@ -605,6 +605,9 @@ BRACKETS_DFA = "dfa 2\n[]\nstart 0\naccept 0 1\n0 [ 0\n0 ] 1\n1 ] 1\n"  # [*]*
     ("--mode", "regular", "--dfa", "brackets.dfa"),
     ("--mode", "bounded-enum", "--builtin", "d2", "--max-len", str(DEEP)),
     ("--mode", "tree", "--builtin", "d2"),
+    pytest.param(("--mode", "dag-enum", "--builtin", "d2"), marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 5: dag-enum recurses once per edge and exits 4 with RecursionError",
+    )),
 ])
 def test_a_deep_chain_is_answered(files, capsys, argv):
     word = "[" * (DEEP // 2) + "]" * (DEEP // 2)

@@ -510,7 +510,8 @@ def test_fragment_spells_its_word():
 
 def test_fragment_has_exactly_one_source_target_path():
     from lcreach import iter_st_paths
+    from lcreach.languages import yield_recognizer
 
     g = fragment_graph("()[]")
-    [(p, text)] = list(iter_st_paths(g))
+    [(p, text)] = list(iter_st_paths(g, yield_recognizer(bool)))
     assert text == path_yield(g, p) == "()[]"

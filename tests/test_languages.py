@@ -26,9 +26,18 @@ from lcreach import (
     parse_nbc,
     vc_brute,
 )
-from lcreach.languages import dfa_recognizer
+from lcreach.languages import LANG_A, dfa_recognizer
 
-from .helpers import cyk_member, dd2_decode_member, language_upto, random_total_dfa, run_dfa, strings_over
+from .helpers import (
+    all_vc_instances,
+    cyk_member,
+    dd2_decode_member,
+    lang_a_decode_member,
+    language_upto,
+    random_total_dfa,
+    run_dfa,
+    strings_over,
+)
 
 
 # --- plain brackets -----------------------------------------------------------
@@ -310,3 +319,83 @@ def test_certificate_membership_implies_brute_force_satisfiability():
             for bits in itertools.product("01", repeat=n)
         )
         assert any_member == vc_brute(inst)
+
+
+# --- the cover-certificate recognizer --------------------------------------------------
+
+
+def certificates(max_n):
+    """``encode_lang_a`` of every vertex-cover instance with n <= max_n, under every cover-bit string."""
+    for inst in all_vc_instances(max_n):
+        for bits in itertools.product("01", repeat=inst.n):
+            yield encode_lang_a(inst.n, inst.k, inst.edges, "".join(bits))
+
+
+def test_lang_a_fold_agrees_with_the_decoder_on_every_short_string():
+    members = 0
+    for length in range(10):
+        for w in strings_over("01#", length):
+            assert lang_a_member(w) == lang_a_decode_member(w), w
+            members += lang_a_member(w)
+    assert members > 0
+
+
+def test_lang_a_fold_agrees_with_the_decoder_on_every_small_certificate():
+    members = 0
+    for w in certificates(4):
+        assert lang_a_member(w) == lang_a_decode_member(w), w
+        members += lang_a_member(w)
+    assert 0 < members
+
+
+def test_every_prefix_of_a_lang_a_member_is_live():
+    short = (w for length in range(10) for w in strings_over("01#", length))
+    for w in itertools.chain(short, certificates(4)):
+        if lang_a_decode_member(w):
+            assert all(state_after(LANG_A, w[:i]) is not None for i in range(len(w))), w
+
+
+@pytest.mark.parametrize("w", [
+    "#",  # an empty budget
+    "01",  # a 1 after a 0 in the budget
+    "1x",  # a foreign symbol
+    "1#1",  # an adjacency run longer than n(n-1)/2 = 0
+    "11#11",  # longer than 1
+    "11##",  # a run shorter than 1 ends
+    "11#0##",  # an empty cover piece
+    "11#0#11",  # a cover piece of two bits
+    "1##1#",  # a cover piece after the last vertex
+    "10#0#1#1",  # more than k ones
+    "11#1#0#0",  # a 0 bit for a vertex whose earlier neighbour's bit is 0
+])
+def test_lang_a_declares_a_prefix_dead_at_its_last_symbol(w):
+    assert state_after(LANG_A, w[:-1]) is not None
+    assert state_after(LANG_A, w) is None
+    assert not any(lang_a_decode_member(w + s) for length in range(7) for s in strings_over("01#", length))
+
+
+def test_lang_a_prefixes_in_one_state_accept_the_same_suffixes():
+    # Group the live prefixes of small certificates and of short strings by
+    # state; each group's prefixes must agree on the tails that follow any
+    # of them in a certificate, and on every short suffix.
+    strings = [*certificates(3), *(w for length in range(8) for w in strings_over("01#", length))]
+    groups: dict = {}
+    for w in strings:
+        for i in range(len(w) + 1):
+            state = state_after(LANG_A, w[:i])
+            if state is None:
+                break
+            heads, tails = groups.setdefault(state, (set(), set()))
+            heads.add(w[:i])
+            tails.add(w[i:])
+    short = [s for length in range(4) for s in strings_over("01#", length)]
+    shared = 0
+    for state, (heads, tails) in groups.items():
+        if len(heads) < 2:
+            continue
+        shared += 1
+        suffixes = sorted(tails) + short
+        rows = {tuple(lang_a_decode_member(u + s) for s in suffixes) for u in heads}
+        assert len(rows) == 1, sorted(heads)
+        assert LANG_A.accepts(state) == lang_a_decode_member(min(heads))
+    assert shared > 10  # the test groups distinct prefixes

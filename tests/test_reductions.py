@@ -360,19 +360,19 @@ def triangle(k):
 
 def test_triangle_with_budget_two_is_coverable():
     assert vc_brute(triangle(2))
-    assert dag_enum_reach(vc_to_a_dagreach(triangle(2)), lang_a_member) is not None
+    assert dag_enum_reach(vc_to_a_dagreach(triangle(2)), yield_recognizer(lang_a_member)) is not None
 
 
 def test_triangle_with_budget_one_is_not_coverable():
     assert not vc_brute(triangle(1))
-    assert dag_enum_reach(vc_to_a_dagreach(triangle(1)), lang_a_member) is None
+    assert dag_enum_reach(vc_to_a_dagreach(triangle(1)), yield_recognizer(lang_a_member)) is None
 
 
 def test_single_vertex_no_edges_zero_budget():
     inst = VcInstance(1, frozenset(), 0)
     assert vc_brute(inst)
     out = vc_to_a_dagreach(inst)
-    p = dag_enum_reach(out, lang_a_member)
+    p = dag_enum_reach(out, yield_recognizer(lang_a_member))
     assert p is not None
     assert path_yield(out, p) == "0##0"
 
@@ -395,7 +395,7 @@ def test_every_path_spells_a_wellformed_certificate():
     inst = VcInstance(3, frozenset({(1, 2)}), 1)
     out = vc_to_a_dagreach(inst)
     count = 0
-    for p, text in iter_st_paths(out):
+    for p, text in iter_st_paths(out, yield_recognizer(bool)):
         count += 1
         assert text == path_yield(out, p)
         view = parse_lang_a(text)
@@ -413,7 +413,7 @@ def test_decoding_reads_the_diamond_choices():
     seen = {}
     from lcreach import iter_st_paths
 
-    for p, text in iter_st_paths(out):
+    for p, text in iter_st_paths(out, yield_recognizer(bool)):
         view = parse_lang_a(text)
         if view.cover_bits in want:
             seen[view.cover_bits] = decode_vc_witness(p, inst)
@@ -427,7 +427,7 @@ def test_found_paths_decode_to_real_covers():
         n = rng.randint(1, 5)
         inst = random_vc_instance(rng, n, rng.randint(0, n * (n - 1) // 2), rng.randint(0, n))
         out = vc_to_a_dagreach(inst)
-        p = dag_enum_reach(out, lang_a_member)
+        p = dag_enum_reach(out, yield_recognizer(lang_a_member))
         assert (p is not None) == vc_brute(inst)
         if p is not None:
             cover = decode_vc_witness(p, inst)
@@ -440,7 +440,7 @@ def test_foreign_paths_are_rejected_by_the_decoder():
     other = vc_to_a_dagreach(VcInstance(2, frozenset({(1, 2)}), 1))
     from lcreach import iter_st_paths
 
-    p, _ = next(iter_st_paths(other))
+    p, _ = next(iter_st_paths(other, yield_recognizer(bool)))
     with pytest.raises(PathMismatchError):
         decode_vc_witness(p, inst)
     with pytest.raises(PathMismatchError):
@@ -503,5 +503,5 @@ def test_reachability_matches_brute_force_exhaustively_small():
             edges = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
             for k in range(n + 1):
                 inst = VcInstance(n, edges, k)
-                found = dag_enum_reach(vc_to_a_dagreach(inst), lang_a_member)
+                found = dag_enum_reach(vc_to_a_dagreach(inst), yield_recognizer(lang_a_member))
                 assert (found is not None) == vc_brute(inst), (n, edges, k)

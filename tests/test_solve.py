@@ -14,6 +14,7 @@ from lcreach import (
     AlphabetMismatchError,
     Cfg,
     CorruptWitnessError,
+    Dfa,
     Edge,
     ExpansionLimitExceeded,
     KindError,
@@ -22,6 +23,7 @@ from lcreach import (
     NotADagError,
     NotATreeError,
     Path,
+    Step,
     Witness,
     abstar_dfa,
     abstar_member,
@@ -43,17 +45,22 @@ from lcreach import (
     path_yield,
     random_dag,
     random_graph,
+    random_vc_instance,
     regular_reach,
     tree_reach,
+    vc_brute,
+    vc_to_a_dagreach,
 )
 
-from lcreach.languages import dfa_recognizer, yield_recognizer
+from lcreach.languages import LANG_A, dfa_recognizer, yield_recognizer
 from lcreach.solve import witness_derivation
 
 from .helpers import (
     cyk_derives,
+    cyk_member,
     first_accepted_walk,
     fragment_graph,
+    lang_a_decode_member,
     random_cfg,
     random_total_dfa,
     run_dfa,
@@ -359,7 +366,7 @@ def test_decision_matches_exhaustive_enumeration_on_dags():
     for i in range(150):
         g = random_dag(rng, rng.randint(2, 6), rng.randint(1, 10), "()[]")
         w = cfl_reach(g, D2)
-        enum = dag_enum_reach(g, d2_member)
+        enum = dag_enum_reach(g, yield_recognizer(d2_member))
         assert (w is None) == (enum is None), i
         if w is not None:
             agreements_reachable += 1
@@ -537,7 +544,7 @@ def test_linear_grammars_expand_to_the_chain_length():
 
 def test_chain_is_found_by_enumeration():
     g = fragment_graph("()", alphabet="()[]")
-    p = dag_enum_reach(g, d2_member)
+    p = dag_enum_reach(g, yield_recognizer(d2_member))
     assert p is not None
     assert path_yield(g, p) == "()"
 
@@ -552,7 +559,7 @@ def test_enumeration_skips_rejecting_branch():
         3,
         "()[]",
     )
-    p = dag_enum_reach(g, d2_member)
+    p = dag_enum_reach(g, yield_recognizer(d2_member))
     assert p is not None
     assert path_yield(g, p) == "[]"
 
@@ -564,14 +571,14 @@ def test_enumeration_visits_every_path_before_giving_up():
         edges.append((i, i + 1, "b"))
     g = graph(DIRECTED, 11, edges, 0, 10, "ab")
     stats = {}
-    assert dag_enum_reach(g, lambda w: False, stats=stats) is None
+    assert dag_enum_reach(g, yield_recognizer(lambda w: False), stats=stats) is None
     assert stats["paths_examined"] == 2**10
 
 
 def test_enumeration_order_is_lexicographic_in_edge_indices():
     edges = [(0, 1, "a"), (0, 1, "b"), (1, 2, "c"), (1, 2, "d")]
     g = graph(DIRECTED, 3, edges, 0, 2, "abcd")
-    pairs = list(iter_st_paths(g))
+    pairs = list(iter_st_paths(g, yield_recognizer(bool)))
     assert [text for _, text in pairs] == ["ac", "ad", "bc", "bd"]
     assert all(path_yield(g, p) == text for p, text in pairs)
 
@@ -579,18 +586,66 @@ def test_enumeration_order_is_lexicographic_in_edge_indices():
 def test_enumeration_requires_acyclic_graphs():
     g = graph(DIRECTED, 2, [(0, 1, "a"), (1, 0, "b")], 0, 1, "ab")
     with pytest.raises(NotADagError):
-        dag_enum_reach(g, lambda w: True)
+        dag_enum_reach(g, yield_recognizer(lambda w: True))
 
 
 def test_enumeration_rejects_undirected_graphs():
     g = graph(UNDIRECTED, 2, [(0, 1, "a")], 0, 1, "a")
     with pytest.raises(KindError):
-        dag_enum_reach(g, lambda w: True)
+        dag_enum_reach(g, yield_recognizer(lambda w: True))
 
 
 def test_source_equal_target_enumerates_only_the_empty_path():
     g = graph(DIRECTED, 2, [(0, 1, "a")], 0, 0, "a")
-    assert list(iter_st_paths(g)) == [(Path(0), "")]
+    assert list(iter_st_paths(g, yield_recognizer(bool))) == [(Path(0), "")]
+
+
+def test_enumeration_skips_the_edges_a_recognizer_declares_dead():
+    # "(]" dies at edge 1 and "[)" at edge 3; only "[]" reaches the target live
+    g = graph(DIRECTED, 4, [(0, 1, "("), (1, 3, "]"), (0, 2, "["), (2, 3, ")"), (2, 3, "]")], 0, 3, "()[]")
+    stats = {}
+    assert list(iter_st_paths(g, D2_REC)) == [(Path(0, (Step(2), Step(4))), "$")]
+    assert dag_enum_reach(g, D2_REC, stats=stats) == Path(0, (Step(2), Step(4)))
+    assert stats["paths_examined"] == 1
+    assert list(iter_st_paths(g, dfa_recognizer(Dfa(1, frozenset("()[]"), {}, 0, frozenset())))) == []
+
+
+def test_pruned_enumeration_returns_the_first_path_of_the_full_one_on_cover_dags():
+    rng = random.Random(21)
+    found = 0
+    for i in range(80):
+        n = rng.randint(1, 6)
+        inst = random_vc_instance(rng, n, rng.randint(0, n * (n - 1) // 2), rng.randint(0, n))
+        g = vc_to_a_dagreach(inst)
+        stats, full_stats = {}, {}
+        pruned = dag_enum_reach(g, LANG_A, stats=stats)
+        assert pruned == dag_enum_reach(g, yield_recognizer(lang_a_decode_member), stats=full_stats), i
+        assert (pruned is not None) == vc_brute(inst), i
+        # a path that reaches the target live has read every cover bit, so it is accepted
+        assert stats["paths_examined"] == (pruned is not None) <= full_stats["paths_examined"], i
+        found += pruned is not None
+    assert 0 < found < 80
+
+
+def partial_dfa(seed: int) -> Dfa:
+    """A random DFA over ``()[]`` missing about a third of its moves, so that some prefixes die."""
+    rng = random.Random(seed)
+    d = random_total_dfa(rng, 2 + seed % 3, "()[]")
+    delta = {key: r for key, r in d.delta.items() if rng.random() < 0.7}
+    return Dfa(d.state_count, d.alphabet, delta, d.start, d.accepting | {d.state_count - 1})
+
+
+@pytest.mark.parametrize("rec, member", [(D2_REC, partial(cyk_member, D2_NF))] + [
+    (dfa_recognizer(d), partial(run_dfa, d)) for d in map(partial_dfa, range(2, 7))
+], ids=["d2", *(f"dfa-{seed}" for seed in range(2, 7))])
+def test_pruned_enumeration_returns_the_first_path_of_the_full_one_on_random_dags(rec, member):
+    rng = random.Random(22)
+    for i in range(100):
+        g = random_dag(rng, rng.randint(2, 7), rng.randint(1, 14), "()[]")
+        stats, full_stats = {}, {}
+        pruned = dag_enum_reach(g, rec, stats=stats)
+        assert pruned == dag_enum_reach(g, yield_recognizer(member), stats=full_stats), i
+        assert stats["paths_examined"] <= full_stats["paths_examined"], i
 
 
 # --- bounded enumeration --------------------------------------------------------------
@@ -628,7 +683,7 @@ def test_bounded_enumeration_agrees_with_exhaustive_on_dags():
     for i in range(100):
         n = rng.randint(2, 6)
         g = random_dag(rng, n, rng.randint(1, 10), "()[]")
-        exhaustive = dag_enum_reach(g, d2_member)
+        exhaustive = dag_enum_reach(g, yield_recognizer(d2_member))
         bounded = bounded_enum_reach(g, D2_REC, n)
         assert (exhaustive is None) == (bounded is None), i
         if bounded is not None:
