@@ -85,9 +85,7 @@ WITNESS_FORMAT = "lcreach-witness"
 class SolveReport:
     decision: str
     yield_: Optional[str] = None
-    witness_rendered: Optional[str] = None
-    witness_steps: Optional[list[list[int]]] = None
-    witness_start: Optional[int] = None
+    witness: Optional[dict] = None  # {start, steps, rendered}, as to_json writes it
     notes: list[str] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
 
@@ -95,8 +93,8 @@ class SolveReport:
         lines = [f"decision: {self.decision}"]
         if self.yield_ is not None:
             lines.append(f"yield: {self.yield_}")
-        if self.witness_rendered is not None:
-            lines.append(f"witness: {self.witness_rendered}")
+        if self.witness is not None:
+            lines.append(f"witness: {self.witness['rendered']}")
         for note in self.notes:
             lines.append(f"note: {note}")
         for key in sorted(self.stats):
@@ -107,16 +105,10 @@ class SolveReport:
         payload = {
             "decision": self.decision,
             "yield": self.yield_,
-            "witness": None,
+            "witness": self.witness,
             "notes": self.notes,
             "stats": self.stats,
         }
-        if self.witness_steps is not None:
-            payload["witness"] = {
-                "start": self.witness_start,
-                "steps": self.witness_steps,
-                "rendered": self.witness_rendered,
-            }
         return json.dumps(payload, sort_keys=True)
 
 
@@ -165,9 +157,11 @@ def _load_witness_file(path: str) -> tuple[Path, object]:
 
 
 def _attach_path(report: SolveReport, g: LabeledGraph, p: Path) -> None:
-    report.witness_rendered = _render_path(g, p)
-    report.witness_start = p.start
-    report.witness_steps = [[s.edge, int(s.reverse)] for s in p.steps]
+    report.witness = {
+        "start": p.start,
+        "steps": [[s.edge, int(s.reverse)] for s in p.steps],
+        "rendered": _render_path(g, p),
+    }
 
 
 # --- language sources --------------------------------------------------------
@@ -181,11 +175,11 @@ def _read(path: str) -> str:
 def _load_language(args: argparse.Namespace) -> Language:
     if args.grammar is not None:
         nf = normalize(parse_cfg(_read(args.grammar)))
-        return Language(args.grammar, lambda w: cyk_member(nf, w), normal_form=nf)
+        return Language(lambda w: cyk_member(nf, w), normal_form=nf)
     if args.dfa is not None:
         d = parse_dfa(_read(args.dfa))
         rec = dfa_recognizer(d)
-        return Language(args.dfa, rec.member, dfa=d, recognizer=rec)
+        return Language(rec.member, dfa=d, recognizer=rec)
     return builtin_language(args.builtin)
 
 

@@ -136,7 +136,13 @@ class NoRespectingPathError(LcreachError):
 
 
 class CorruptWitnessError(LcreachError):
-    """A witness references derivation facts missing from its table."""
+    """A witness that cannot be read or does not hold together.
+
+    Raised for a witness file that is not valid JSON, not a witness file, or
+    has a malformed walk; for a derivation that fails its check against the
+    graph and normal form; and for a table that cannot rebuild the
+    derivation of its root fact.
+    """
 
 
 class BlockSyntaxError(LcreachError):

@@ -169,11 +169,6 @@ def render_cfg(g: Cfg) -> str:
     return "\n".join(lines) + "\n"
 
 
-def is_linear(g: Cfg) -> bool:
-    """True when no right-hand side mentions more than one nonterminal."""
-    return all(sum(s in g.nonterminals for s in rhs) <= 1 for _, rhs in g.productions)
-
-
 def _fresh(base: str, taken: set[str]) -> str:
     name = base
     counter = 2

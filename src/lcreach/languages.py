@@ -214,9 +214,9 @@ def _nbc_member_total(w: str) -> bool:
 def adjacency_bits(n: int, edges: Iterable[tuple[int, int]]) -> str:
     """Row-major upper-triangular adjacency bit-run for 1-based vertices.
 
-    Bit order is (1,2), (1,3), ..., (1,n), (2,3), ..., (n-1,n).  This single
-    routine defines the encoding for both the recognizer and the vertex-cover
-    reduction, so the two cannot drift apart.
+    Bit order is (1,2), (1,3), ..., (1,n), (2,3), ..., (n-1,n).  The
+    vertex-cover reduction and the test suite's ``lang-a`` encoder both build
+    the run with this one routine, so the two cannot drift apart.
     """
     present = {(min(i, j), max(i, j)) for i, j in edges}
     return "".join(
@@ -224,52 +224,6 @@ def adjacency_bits(n: int, edges: Iterable[tuple[int, int]]) -> str:
         for i in range(1, n)
         for j in range(i + 1, n + 1)
     )
-
-
-def encode_lang_a(n: int, k: int, edges: Iterable[tuple[int, int]], cover_bits: str) -> str:
-    """Assemble the full certificate string for an instance and bit choice."""
-    if len(cover_bits) != n:
-        raise ValueError(f"expected {n} cover bits, got {len(cover_bits)}")
-    return (
-        "1" * k
-        + "0" * (n - k)
-        + "#"
-        + adjacency_bits(n, edges)
-        + "#"
-        + "#".join(cover_bits)
-    )
-
-
-@dataclass(frozen=True)
-class LangAInstanceView:
-    """The decoded pieces of a well-shaped ``lang-a`` string."""
-
-    n: int
-    k: int
-    adjacency: str
-    cover_bits: str
-
-
-def parse_lang_a(w: str) -> Optional[LangAInstanceView]:
-    """Decode a ``lang-a`` string, or None when the shape is inconsistent.
-
-    ``n`` is inferred from the first piece; the adjacency run must then hold
-    exactly n(n-1)/2 bits and be followed by n single-bit pieces.
-    """
-    pieces = w.split("#")
-    budget = pieces[0]
-    n = len(budget)
-    if n < 1 or len(pieces) != n + 2:
-        return None
-    if any(ch not in "01" for ch in budget) or "01" in budget:
-        return None
-    adj = pieces[1]
-    if len(adj) != n * (n - 1) // 2 or any(ch not in "01" for ch in adj):
-        return None
-    bits = pieces[2:]
-    if any(len(b) != 1 or b not in "01" for b in bits):
-        return None
-    return LangAInstanceView(n=n, k=budget.count("1"), adjacency=adj, cover_bits="".join(bits))
 
 
 def _lang_a_step(state: tuple, ch: str) -> Optional[tuple]:
@@ -350,7 +304,6 @@ class Language:
     ``dfa_recognizer(dfa)``, which mode ``regular`` searches.
     """
 
-    name: str
     member: Callable[[str], bool]
     dfa: Optional[Dfa] = None
     normal_form: Optional[NormalForm] = None
@@ -360,15 +313,15 @@ class Language:
 @lru_cache(maxsize=None)
 def builtin_language(name: str) -> Language:
     if name == "d2":
-        return Language("d2", d2_member, normal_form=normalize(d2_grammar()), recognizer=D2)
+        return Language(d2_member, normal_form=normalize(d2_grammar()), recognizer=D2)
     if name == "dd2":
-        return Language("dd2", dd2_member, normal_form=normalize(dd2_grammar()), recognizer=DD2)
+        return Language(dd2_member, normal_form=normalize(dd2_grammar()), recognizer=DD2)
     if name == "nbc-d2":
-        return Language("nbc-d2", _nbc_member_total)
+        return Language(_nbc_member_total)
     if name == "lang-a":
-        return Language("lang-a", lang_a_member, recognizer=LANG_A)
+        return Language(lang_a_member, recognizer=LANG_A)
     if name == "abstar":
-        return Language("abstar", abstar_member, dfa=abstar_dfa(), recognizer=ABSTAR)
+        return Language(abstar_member, dfa=abstar_dfa(), recognizer=ABSTAR)
     raise KeyError(f"unknown builtin language {name!r}")
 
 

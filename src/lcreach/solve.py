@@ -56,7 +56,6 @@ from .grammar import Dfa, NormalForm, _least_fixpoint, normalize
 from .languages import Recognizer, dfa_recognizer
 
 Fact = tuple[int, str, int]
-Member = Callable[[str], bool]
 
 
 class _Rules(NamedTuple):
@@ -856,7 +855,7 @@ def bounded_enum_reach(
     return _product_search(g, rec, max_len, stats)
 
 
-def tree_reach(g: LabeledGraph, member: Member) -> Optional[Path]:
+def tree_reach(g: LabeledGraph, member: Callable[[str], bool]) -> Optional[Path]:
     """Run ``member`` on the yield of the unique tree path source->target.
 
     The underlying undirected structure must be a tree (connected, no

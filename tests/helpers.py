@@ -12,22 +12,9 @@ from __future__ import annotations
 import itertools
 import random
 from collections import defaultdict, deque
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from lcreach import (
-    DIRECTED,
-    UNDIRECTED,
-    Cfg,
-    Dfa,
-    Edge,
-    LabeledGraph,
-    NormalForm,
-    Path,
-    Step,
-    VcInstance,
-    d2_member,
-    parse_lang_a,
-)
 from lcreach.errors import (
     InvariantError,
     ParseError,
@@ -37,6 +24,10 @@ from lcreach.errors import (
     content_lines,
     parse_ints,
 )
+from lcreach.grammar import Cfg, Dfa, NormalForm
+from lcreach.graph import DIRECTED, UNDIRECTED, Edge, LabeledGraph, Path, Step
+from lcreach.languages import adjacency_bits, d2_member
+from lcreach.reductions import VcInstance
 
 
 def derivable_strings(g: Cfg, max_len: int) -> dict[str, set[str]]:
@@ -157,6 +148,11 @@ def random_cfg(
     )
 
 
+def is_linear(g: Cfg) -> bool:
+    """True when no right-hand side mentions more than one nonterminal."""
+    return all(sum(s in g.nonterminals for s in rhs) <= 1 for _, rhs in g.productions)
+
+
 _DD2_PAIRS = {"(a": "(", "b)": ")", "[c": "[", "d]": "]"}
 
 
@@ -175,6 +171,52 @@ def dd2_decode_member(w: str) -> bool:
             return False
         decoded.append(bracket)
     return d2_member("".join(decoded))
+
+
+def encode_lang_a(n: int, k: int, edges: Iterable[tuple[int, int]], cover_bits: str) -> str:
+    """Assemble the full certificate string for an instance and bit choice."""
+    if len(cover_bits) != n:
+        raise ValueError(f"expected {n} cover bits, got {len(cover_bits)}")
+    return (
+        "1" * k
+        + "0" * (n - k)
+        + "#"
+        + adjacency_bits(n, edges)
+        + "#"
+        + "#".join(cover_bits)
+    )
+
+
+@dataclass(frozen=True)
+class LangAInstanceView:
+    """The decoded pieces of a well-shaped ``lang-a`` string."""
+
+    n: int
+    k: int
+    adjacency: str
+    cover_bits: str
+
+
+def parse_lang_a(w: str) -> Optional[LangAInstanceView]:
+    """Decode a ``lang-a`` string, or None when the shape is inconsistent.
+
+    ``n`` is inferred from the first piece; the adjacency run must then hold
+    exactly n(n-1)/2 bits and be followed by n single-bit pieces.
+    """
+    pieces = w.split("#")
+    budget = pieces[0]
+    n = len(budget)
+    if n < 1 or len(pieces) != n + 2:
+        return None
+    if any(ch not in "01" for ch in budget) or "01" in budget:
+        return None
+    adj = pieces[1]
+    if len(adj) != n * (n - 1) // 2 or any(ch not in "01" for ch in adj):
+        return None
+    bits = pieces[2:]
+    if any(len(b) != 1 or b not in "01" for b in bits):
+        return None
+    return LangAInstanceView(n=n, k=budget.count("1"), adjacency=adj, cover_bits="".join(bits))
 
 
 def lang_a_decode_member(w: str) -> bool:
@@ -370,8 +412,8 @@ def moves(g: LabeledGraph) -> list[list[tuple[int, int, str, bool]]]:
 def first_accepted_walk(g: LabeledGraph, member, max_len: int) -> Optional[Path]:
     """The first walk of length <= max_len whose yield ``member`` accepts, or None.
 
-    The oracle for :func:`lcreach.bounded_enum_reach` and
-    :func:`lcreach.regular_reach`: walks are taken by length, then edge order
+    The oracle for :func:`lcreach.solve.bounded_enum_reach` and
+    :func:`lcreach.solve.regular_reach`: walks are taken by length, then edge order
     (the order of :func:`moves`), and keyed by (vertex, yield) alone, so it
     knows nothing of a language's states.  Two walks to one vertex with one
     yield are interchangeable, and only the first is kept.
@@ -420,7 +462,7 @@ def walk_budget(g: LabeledGraph, max_len: int, cap: int = 10**6) -> int:
 def worklist_facts(g: LabeledGraph, nf, order: str = "fifo") -> frozenset:
     """Every fact ``(u, A, v)`` of the grammar fixpoint, derived one fact at a time.
 
-    The oracle for :func:`lcreach.cfl_reach_table`: a worklist of single
+    The oracle for :func:`lcreach.solve.cfl_reach_table`: a worklist of single
     facts over plain sets, popped first-in-first-out (``"fifo"``) or
     last-in-first-out (``"lifo"``); the fact set must not depend on which.
     Empty-walk facts ``(u, start, u)`` of a nullable start are facts but are

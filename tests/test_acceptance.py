@@ -10,42 +10,43 @@ import json
 import random
 import time
 
-from lcreach import (
-    DIRECTED,
-    Edge,
-    LabeledGraph,
-    Path,
-    abstar_dfa,
-    bounded_enum_reach,
-    builtin_language,
-    cfl_reach,
-    cfl_reach_table,
-    d2_grammar,
-    d2_member,
-    d2reach_to_dd2_ureach,
-    dag_enum_reach,
-    dd2_grammar,
-    decode_vc_witness,
-    eval_circuit,
-    expand_witness,
-    lang_a_member,
-    mcvp_to_d2_reach,
-    nbc_d2_member,
-    nbc_to_d2_dagreach,
-    normalize,
-    path_endpoints,
-    path_yield,
+from lcreach.generators import (
     random_balanced_string,
     random_circuit,
     random_dag,
     random_graph,
     random_nbc_string,
+)
+from lcreach.grammar import normalize
+from lcreach.graph import DIRECTED, Edge, LabeledGraph, Path, path_endpoints, path_yield
+from lcreach.languages import (
+    abstar_dfa,
+    builtin_language,
+    d2_grammar,
+    d2_member,
+    dd2_grammar,
+    lang_a_member,
+    nbc_d2_member,
+    yield_recognizer,
+)
+from lcreach.reductions import (
+    d2reach_to_dd2_ureach,
+    decode_vc_witness,
+    eval_circuit,
+    mcvp_to_d2_reach,
+    nbc_to_d2_dagreach,
     reach_to_abstar_ureach,
-    regular_reach,
     vc_brute,
     vc_to_a_dagreach,
 )
-from lcreach.languages import yield_recognizer
+from lcreach.solve import (
+    bounded_enum_reach,
+    cfl_reach,
+    cfl_reach_table,
+    dag_enum_reach,
+    expand_witness,
+    regular_reach,
+)
 
 from .helpers import all_vc_instances, cyk_member, random_cfg, universal_dfa, walk_budget, worklist_facts
 

@@ -7,8 +7,8 @@ of the ``Cfg`` constructor that no file can reach are pinned below it.
 
 import pytest
 
-from lcreach import Cfg
 from lcreach.cli import dispatch
+from lcreach.grammar import Cfg
 
 FAULTS = {
     "empty file": ("", "line 1: a grammar needs at least one production"),

@@ -9,10 +9,11 @@ import time
 
 import pytest
 
-from lcreach import Path, Step, builtin_language, parse_graph, parse_vc
 from lcreach import cli, solve
 from lcreach.cli import dispatch
-from lcreach.languages import dfa_recognizer
+from lcreach.graph import Path, Step, parse_graph
+from lcreach.languages import builtin_language, dfa_recognizer
+from lcreach.reductions import parse_vc
 
 CHAIN_SQUARE = "directed 3 2\n[]\n0 1 [\n1 2 ]\n0 2\n"
 SINGLE_A = "directed 2 1\na\n0 1 a\n0 1\n"

@@ -13,33 +13,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcreach import (
-    DIRECTED,
-    UNDIRECTED,
-    Cfg,
-    CorruptWitnessError,
-    Edge,
+from lcreach import solve
+from lcreach.cli import dispatch
+from lcreach.errors import CorruptWitnessError
+from lcreach.generators import random_circuit, random_graph
+from lcreach.grammar import Cfg, normalize, parse_cfg
+from lcreach.graph import DIRECTED, UNDIRECTED, Edge, LabeledGraph, Path, edge_ends, path_yield
+from lcreach.languages import d2_grammar, dd2_grammar
+from lcreach.reductions import eval_circuit, mcvp_to_d2_reach
+from lcreach.solve import (
     ExpansionLimitExceeded,
-    LabeledGraph,
-    Path,
     Witness,
     cfl_reach,
     cfl_reach_table,
-    d2_grammar,
-    dd2_grammar,
-    edge_ends,
-    eval_circuit,
+    check_derivation,
     expand_witness,
-    mcvp_to_d2_reach,
-    normalize,
-    parse_cfg,
-    path_yield,
-    random_circuit,
-    random_graph,
+    witness_derivation,
 )
-from lcreach import solve
-from lcreach.cli import dispatch
-from lcreach.solve import check_derivation, witness_derivation
 
 from .helpers import cyk_member, random_cfg, worklist_facts
 

@@ -6,25 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcreach import (
-    Cfg,
-    Dfa,
-    ParseError,
-    SemanticError,
-    UndeclaredSymbolError,
-    abstar_dfa,
-    cfl_member,
-    d2_grammar,
-    dd2_grammar,
-    is_linear,
-    normalize,
-    parse_cfg,
-    parse_dfa,
-    render_cfg,
-)
-from lcreach.languages import dfa_recognizer
+from lcreach.errors import ParseError, SemanticError, UndeclaredSymbolError
+from lcreach.grammar import Cfg, Dfa, normalize, parse_cfg, parse_dfa, render_cfg
+from lcreach.languages import abstar_dfa, d2_grammar, dd2_grammar, dfa_recognizer
+from lcreach.solve import cfl_member
 
-from .helpers import cyk_member, derivable_strings, language_upto, random_cfg
+from .helpers import cyk_member, derivable_strings, is_linear, language_upto, random_cfg
 
 
 # --- parsing -------------------------------------------------------------------

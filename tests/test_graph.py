@@ -7,29 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcreach import (
+from lcreach.errors import InvalidPathError, InvariantError, KindError, ParseError, SemanticError
+from lcreach.generators import random_dag, random_graph
+from lcreach.graph import (
     DIRECTED,
     UNDIRECTED,
     Edge,
-    InvalidPathError,
-    KindError,
     LabeledGraph,
-    ParseError,
     Path,
-    SemanticError,
     Step,
     edge_ends,
     is_dag,
     parse_graph,
     path_endpoints,
     path_yield,
-    random_dag,
-    random_graph,
-    reach_to_abstar_ureach,
     render_graph,
 )
-
-from lcreach.errors import InvariantError
+from lcreach.reductions import reach_to_abstar_ureach
 
 from .helpers import check_edges_per_edge, fragment_graph, has_directed_cycle, moves, parse_graph_per_line
 
@@ -509,7 +503,7 @@ def test_fragment_spells_its_word():
 
 
 def test_fragment_has_exactly_one_source_target_path():
-    from lcreach import iter_st_paths
+    from lcreach.solve import iter_st_paths
     from lcreach.languages import yield_recognizer
 
     g = fragment_graph("()[]")

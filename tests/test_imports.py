@@ -5,6 +5,9 @@ worse fault: the benchmark's tracer rebinds names those modules look up at
 call time, so a name imported but no longer called would silently read zero.
 A module-level private helper (``_name``) that nothing in the package reads
 is dead code left behind by a refactor.
+
+The top-level package re-exports exactly the names that the README's library
+example and the scripts import from it, and that example runs.
 """
 
 import ast
@@ -12,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lcreach"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "lcreach"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -54,3 +58,36 @@ def test_every_private_module_name_is_referenced():
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
     assert sorted((module, name) for module, name in defined if name not in referenced) == []
+
+
+def _library_example() -> str:
+    """The python block under the README's ``## Library`` heading."""
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index("\n## Library\n"):]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def _names_imported_from_lcreach(source: str) -> set[str]:
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "lcreach" and node.level == 0
+        for alias in node.names
+    }
+
+
+def test_top_level_exports_exactly_what_the_readme_and_scripts_import():
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    wanted = _names_imported_from_lcreach(_library_example())
+    for script in (ROOT / "scripts").glob("*.py"):
+        wanted |= _names_imported_from_lcreach(script.read_text())
+    wanted -= {path.stem for path in MODULES}  # a submodule such as ``cli`` needs no re-export
+    assert sorted(exported) == sorted(wanted)
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    (tmp_path / "chain.graph").write_text("directed 3 2\n[]\n0 1 [\n1 2 ]\n0 2\n")  # the README's quick start graph
+    monkeypatch.chdir(tmp_path)
+    exec(compile(_library_example(), "README.md", "exec"), {})
+    assert capsys.readouterr().out == "[]\n"

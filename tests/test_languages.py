@@ -5,35 +5,35 @@ import random
 
 import pytest
 
-from lcreach import (
+from lcreach.errors import BlockSyntaxError
+from lcreach.grammar import normalize
+from lcreach.languages import (
+    BUILTIN_NAMES,
+    LANG_A,
     Language,
-    BlockSyntaxError,
-    VcInstance,
     abstar_dfa,
     abstar_member,
     adjacency_bits,
     builtin_language,
-    BUILTIN_NAMES,
     d2_grammar,
     d2_member,
     dd2_grammar,
     dd2_member,
-    encode_lang_a,
+    dfa_recognizer,
     lang_a_member,
     nbc_d2_member,
-    normalize,
-    parse_lang_a,
     parse_nbc,
-    vc_brute,
 )
-from lcreach.languages import LANG_A, dfa_recognizer
+from lcreach.reductions import VcInstance, vc_brute
 
 from .helpers import (
     all_vc_instances,
     cyk_member,
     dd2_decode_member,
+    encode_lang_a,
     lang_a_decode_member,
     language_upto,
+    parse_lang_a,
     random_total_dfa,
     run_dfa,
     strings_over,
@@ -243,7 +243,7 @@ def test_builtin_registry_names():
     assert set(BUILTIN_NAMES) == {"d2", "dd2", "nbc-d2", "lang-a", "abstar"}
     for name in BUILTIN_NAMES:
         lang = builtin_language(name)
-        assert lang.name == name
+        assert builtin_language(name) is lang  # built once per process
         assert callable(lang.member)
     assert builtin_language("abstar").dfa is not None
     # the bracket languages carry their normal form, which proves their cfl witnesses

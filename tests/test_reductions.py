@@ -5,58 +5,53 @@ import random
 
 import pytest
 
-from lcreach import (
-    DIRECTED,
-    UNDIRECTED,
+from lcreach.errors import (
     BlockSyntaxError,
-    Circuit,
-    Edge,
     EmptyChoiceError,
     ForeignSymbolError,
     KindError,
-    LabeledGraph,
     ParseError,
-    Path,
     PathMismatchError,
     PortConflictError,
     SemanticError,
-    Step,
     TooLargeError,
-    VcInstance,
+)
+from lcreach.generators import random_circuit, random_graph, random_nbc_string, random_vc_instance
+from lcreach.graph import DIRECTED, UNDIRECTED, Edge, LabeledGraph, Path, Step, is_dag, path_yield
+from lcreach.languages import (
     abstar_dfa,
-    bounded_enum_reach,
-    cfl_reach,
     d2_grammar,
     d2_member,
-    d2reach_to_dd2_ureach,
-    dag_enum_reach,
     dd2_grammar,
+    lang_a_member,
+    nbc_d2_member,
+    yield_recognizer,
+)
+from lcreach.reductions import (
+    Circuit,
+    VcInstance,
+    d2reach_to_dd2_ureach,
     decode_vc_witness,
     eval_circuit,
-    expand_witness,
-    is_dag,
-    lang_a_member,
     mcvp_to_d2_reach,
-    nbc_d2_member,
     nbc_to_d2_dagreach,
     parse_circuit,
-    parse_lang_a,
     parse_vc,
-    path_yield,
-    random_circuit,
-    random_graph,
-    random_nbc_string,
-    random_vc_instance,
     reach_to_abstar_ureach,
-    regular_reach,
     render_circuit,
     render_vc,
     vc_brute,
     vc_to_a_dagreach,
 )
-from lcreach.languages import yield_recognizer
+from lcreach.solve import (
+    bounded_enum_reach,
+    cfl_reach,
+    dag_enum_reach,
+    expand_witness,
+    regular_reach,
+)
 
-from .helpers import universal_dfa
+from .helpers import parse_lang_a, universal_dfa
 
 D2 = d2_grammar()
 DD2 = dd2_grammar()
@@ -390,7 +385,7 @@ def test_construction_size_is_exact():
 
 
 def test_every_path_spells_a_wellformed_certificate():
-    from lcreach import iter_st_paths
+    from lcreach.solve import iter_st_paths
 
     inst = VcInstance(3, frozenset({(1, 2)}), 1)
     out = vc_to_a_dagreach(inst)
@@ -411,7 +406,7 @@ def test_decoding_reads_the_diamond_choices():
     out = vc_to_a_dagreach(inst)
     want = {"110": {1, 2}, "000": set(), "100": {1}}
     seen = {}
-    from lcreach import iter_st_paths
+    from lcreach.solve import iter_st_paths
 
     for p, text in iter_st_paths(out, yield_recognizer(bool)):
         view = parse_lang_a(text)
@@ -438,7 +433,7 @@ def test_found_paths_decode_to_real_covers():
 def test_foreign_paths_are_rejected_by_the_decoder():
     inst = triangle(2)
     other = vc_to_a_dagreach(VcInstance(2, frozenset({(1, 2)}), 1))
-    from lcreach import iter_st_paths
+    from lcreach.solve import iter_st_paths
 
     p, _ = next(iter_st_paths(other, yield_recognizer(bool)))
     with pytest.raises(PathMismatchError):

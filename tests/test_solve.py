@@ -8,58 +8,59 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcreach import (
-    DIRECTED,
-    UNDIRECTED,
+from lcreach.errors import (
     AlphabetMismatchError,
-    Cfg,
     CorruptWitnessError,
-    Dfa,
-    Edge,
-    ExpansionLimitExceeded,
     KindError,
-    LabeledGraph,
     NoRespectingPathError,
     NotADagError,
     NotATreeError,
+)
+from lcreach.generators import random_dag, random_graph, random_vc_instance
+from lcreach.grammar import Cfg, Dfa, normalize, parse_cfg
+from lcreach.graph import (
+    DIRECTED,
+    UNDIRECTED,
+    Edge,
+    LabeledGraph,
     Path,
     Step,
-    Witness,
-    abstar_dfa,
-    abstar_member,
-    bounded_enum_reach,
-    builtin_language,
-    cfl_reach,
-    cfl_reach_table,
-    d2_grammar,
-    d2_member,
-    dag_enum_reach,
-    dd2_grammar,
-    expand_witness,
-    is_linear,
-    iter_st_paths,
-    normalize,
-    parse_cfg,
     parse_graph,
     path_endpoints,
     path_yield,
-    random_dag,
-    random_graph,
-    random_vc_instance,
+)
+from lcreach.languages import (
+    LANG_A,
+    abstar_dfa,
+    abstar_member,
+    builtin_language,
+    d2_grammar,
+    d2_member,
+    dd2_grammar,
+    dfa_recognizer,
+    yield_recognizer,
+)
+from lcreach.reductions import vc_brute, vc_to_a_dagreach
+from lcreach.solve import (
+    ExpansionLimitExceeded,
+    Witness,
+    bounded_enum_reach,
+    cfl_reach,
+    cfl_reach_table,
+    dag_enum_reach,
+    expand_witness,
+    iter_st_paths,
     regular_reach,
     tree_reach,
-    vc_brute,
-    vc_to_a_dagreach,
+    witness_derivation,
 )
-
-from lcreach.languages import LANG_A, dfa_recognizer, yield_recognizer
-from lcreach.solve import witness_derivation
 
 from .helpers import (
     cyk_derives,
     cyk_member,
     first_accepted_walk,
     fragment_graph,
+    is_linear,
     lang_a_decode_member,
     random_cfg,
     random_total_dfa,
@@ -386,7 +387,7 @@ def test_bounded_search_success_implies_fixpoint_reachable():
             # plant a balanced walk through random waypoints, so both
             # outcomes of the comparison actually occur; waypoint reuse
             # makes these instances cyclic
-            from lcreach import random_balanced_string
+            from lcreach.generators import random_balanced_string
 
             word = random_balanced_string(rng, 6)
             stops = (
