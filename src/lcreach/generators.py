@@ -144,14 +144,10 @@ def random_balanced_string(rng: random.Random, max_len: int) -> str:
     return build(length // 2)
 
 
-def random_nbc_string(
-    rng: random.Random,
-    n_blocks: int,
-    balanced_bias: float = 0.5,
-) -> str:
+def random_nbc_string(rng: random.Random, n_blocks: int) -> str:
     """Random block-choice string with nonempty choice pieces.
 
-    With probability ``balanced_bias`` the string is built to be a member:
+    With probability one half the string is built to be a member:
     a random balanced string is cut into the prefix plus one nonempty chunk
     per block, and each block gets decoy choices alongside the true chunk.
     Otherwise the prefix and all choices are independent random bracket
@@ -168,7 +164,7 @@ def random_nbc_string(
             block.append(random_piece())
         rng.shuffle(block)
 
-    if rng.random() < balanced_bias and n_blocks > 0:
+    if rng.random() < 0.5 and n_blocks > 0:
         base = random_balanced_string(rng, max_len=2 * max(1, n_blocks + 2))
         # cut into n_blocks nonempty tail chunks plus a (possibly empty) prefix
         while len(base) < n_blocks:

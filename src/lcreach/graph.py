@@ -179,7 +179,7 @@ def _raise_first_edge_fault(n: int, us, vs, labels, alphabet: frozenset[str]) ->
 class EdgeView(Sequence):
     """A graph's edges as a read-only sequence of :class:`Edge`, built on each access.
 
-    ``len`` builds nothing; it equals a tuple of the same edges.
+    ``len`` builds nothing; ``tuple(g.edges)`` builds them all.
     """
 
     __slots__ = ("_g",)
@@ -190,24 +190,13 @@ class EdgeView(Sequence):
     def __len__(self) -> int:
         return len(self._g.us)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self)[i]
+    def __getitem__(self, i: int) -> Edge:
         g = self._g
         return tuple.__new__(Edge, (g.us[i], g.vs[i], g.labels[i]))
 
     def __iter__(self) -> Iterator[Edge]:
         g = self._g
         return map(tuple.__new__, repeat(Edge), zip(g.us, g.vs, g.labels))
-
-    def __eq__(self, other) -> bool:
-        return tuple(self) == tuple(other) if isinstance(other, (tuple, EdgeView)) else NotImplemented
-
-    def __add__(self, other: tuple) -> tuple[Edge, ...]:
-        return tuple(self) + other
-
-    def __repr__(self) -> str:
-        return f"EdgeView({tuple(self)!r})"
 
 
 @dataclass(frozen=True)

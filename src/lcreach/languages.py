@@ -310,19 +310,18 @@ class Language:
     recognizer: Optional[Recognizer] = None
 
 
+_BUILTINS: dict[str, Callable[[], Language]] = {
+    "d2": lambda: Language(d2_member, normal_form=normalize(d2_grammar()), recognizer=D2),
+    "dd2": lambda: Language(dd2_member, normal_form=normalize(dd2_grammar()), recognizer=DD2),
+    "nbc-d2": lambda: Language(_nbc_member_total),
+    "lang-a": lambda: Language(lang_a_member, recognizer=LANG_A),
+    "abstar": lambda: Language(abstar_member, dfa=abstar_dfa(), recognizer=ABSTAR),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+
 @lru_cache(maxsize=None)
 def builtin_language(name: str) -> Language:
-    if name == "d2":
-        return Language(d2_member, normal_form=normalize(d2_grammar()), recognizer=D2)
-    if name == "dd2":
-        return Language(dd2_member, normal_form=normalize(dd2_grammar()), recognizer=DD2)
-    if name == "nbc-d2":
-        return Language(_nbc_member_total)
-    if name == "lang-a":
-        return Language(lang_a_member, recognizer=LANG_A)
-    if name == "abstar":
-        return Language(abstar_member, dfa=abstar_dfa(), recognizer=ABSTAR)
-    raise KeyError(f"unknown builtin language {name!r}")
-
-
-BUILTIN_NAMES = ("d2", "dd2", "nbc-d2", "lang-a", "abstar")
+    if name not in _BUILTINS:
+        raise KeyError(f"unknown builtin language {name!r}")
+    return _BUILTINS[name]()

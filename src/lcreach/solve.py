@@ -4,8 +4,11 @@ The question answered throughout: does some walk from ``g.source`` to
 ``g.target`` have a yield inside the constraint language?  Walks may repeat
 vertices and edges, and the empty walk counts when source equals target.
 
-Four solver families live here.  All of them read one index of the graph,
-:func:`lcreach.graph.edge_ends`, built once per solve:
+Four solver families live here.  All of them read the index of the graph
+:func:`lcreach.graph.edge_ends`, built once per solve.  :func:`tree_reach`
+builds the two-way ``edge_ends(g, both=True)`` instead, and
+:func:`bounded_enum_reach` on a directed graph builds it beside the forward
+one, to count the steps left to the target.
 
 * :func:`regular_reach` / :func:`bounded_enum_reach` — one breadth-first
   search of the product of graph vertices and online recognizer states: a
@@ -303,13 +306,11 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
     if goal is not None:
         goal_u, a, goal_v = goal
         goal_row, goal_births, goal_rules = rows[ids[a]], births[ids[a]], rules.by_head[ids[a]]
-    goal_bs, goal_cs = {b for b, _ in goal_rules}, {c for _, c in goal_rules}
     goal_bit = 1 << goal_v
     size = pops = rnd = 0
     while True:
         # The bits found that are new were born in this round.
         delta: dict[int, dict[int, int]] = {}
-        child = False  # whether a fact (goal_u, B, w) or (w, C, goal_v) of a goal rule was born
         for a, fa in found.items():
             da: dict[int, int] = {}
             rows_a, births_a = rows[a], births[a]
@@ -331,16 +332,12 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
                 delta[a] = da
                 pops += len(da)
                 size += sum(map(int.bit_count, da.values()))
-                if a in goal_bs and goal_u in da or a in goal_cs and any(map(goal_bit.__and__, da.values())):
-                    child = True
         if not delta or goal_row[goal_u] & goal_bit:  # a goal born here is born in round 0
             break
         rnd += 1
         # rows now holds the facts born before this round, so the goal is
-        # born in it exactly when they split it: stop before the join.  A
-        # split with no child born in the last round would have been found
-        # in an earlier round, so only a round after such a birth tests.
-        if child and _first_split(goal_rules, rows, births, goal_u, goal_v, rnd) is not None:
+        # born in it exactly when they split it: stop before the join.
+        if _first_split(goal_rules, rows, births, goal_u, goal_v, rnd) is not None:
             goal_row[goal_u] |= goal_bit
             goal_births.setdefault(goal_u, []).append((rnd, goal_bit))
             size += 1

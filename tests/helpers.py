@@ -362,6 +362,11 @@ def universal_dfa(alphabet: str) -> Dfa:
     )
 
 
+def graph(kind: str, n: int, edges, s: int, t: int, alphabet: str) -> LabeledGraph:
+    """A graph from ``(u, v, label)`` triples, with ``alphabet`` given as a string."""
+    return LabeledGraph(kind, n, tuple(Edge(*e) for e in edges), s, t, frozenset(alphabet))
+
+
 def fragment_graph(word: str, alphabet: Optional[str] = None) -> LabeledGraph:
     """A straight-line graph spelling ``word`` from vertex 0 to the last."""
     return LabeledGraph(

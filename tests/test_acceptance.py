@@ -94,7 +94,7 @@ def test_criterion_02_bounded_search_never_beats_the_fixpoint():
                 Edge(stops[i], stops[i + 1], word[i]) for i in range(len(word))
             )
             g = LabeledGraph(
-                DIRECTED, g.vertex_count, g.edges + planted, g.source, g.target, g.alphabet
+                DIRECTED, g.vertex_count, tuple(g.edges) + planted, g.source, g.target, g.alphabet
             )
         if walk_budget(g, 12, cap=20000) > 20000:
             continue  # enumeration at this bound would be infeasible; redraw

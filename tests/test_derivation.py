@@ -18,7 +18,7 @@ from lcreach.cli import dispatch
 from lcreach.errors import CorruptWitnessError
 from lcreach.generators import random_circuit, random_graph
 from lcreach.grammar import Cfg, normalize, parse_cfg
-from lcreach.graph import DIRECTED, UNDIRECTED, Edge, LabeledGraph, Path, edge_ends, path_yield
+from lcreach.graph import DIRECTED, UNDIRECTED, LabeledGraph, Path, edge_ends, path_yield
 from lcreach.languages import d2_grammar, dd2_grammar
 from lcreach.reductions import eval_circuit, mcvp_to_d2_reach
 from lcreach.solve import (
@@ -31,13 +31,9 @@ from lcreach.solve import (
     witness_derivation,
 )
 
-from .helpers import cyk_member, random_cfg, worklist_facts
+from .helpers import cyk_member, graph, random_cfg, worklist_facts
 
 D2_NF = normalize(d2_grammar())
-
-
-def graph(kind, n, edges, s, t, alphabet):
-    return LabeledGraph(kind, n, tuple(Edge(*e) for e in edges), s, t, frozenset(alphabet))
 
 
 def derivation_of(g, nf):
@@ -307,7 +303,7 @@ def test_a_target_with_only_opening_in_edges_runs_no_round():
     assert stats == {"facts": 0, "pops": 0}
     undirected = LabeledGraph(UNDIRECTED, 4, g.edges, 0, 3, g.alphabet)  # (1, 0, ")") is not at 3
     assert solve._dead_target(undirected, D2_NF, (0, "S", 3))
-    closing = LabeledGraph(UNDIRECTED, 4, g.edges + ((3, 1, ")"),), 0, 3, g.alphabet)
+    closing = LabeledGraph(UNDIRECTED, 4, tuple(g.edges) + ((3, 1, ")"),), 0, 3, g.alphabet)
     assert not solve._dead_target(closing, D2_NF, (0, "S", 3))
     assert cfl_reach(closing, D2_NF) is not None  # 0 -(-> 1 -)-> 3, the last step reversed
 

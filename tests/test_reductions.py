@@ -17,7 +17,7 @@ from lcreach.errors import (
     TooLargeError,
 )
 from lcreach.generators import random_circuit, random_graph, random_nbc_string, random_vc_instance
-from lcreach.graph import DIRECTED, UNDIRECTED, Edge, LabeledGraph, Path, Step, is_dag, path_yield
+from lcreach.graph import DIRECTED, UNDIRECTED, LabeledGraph, Path, Step, is_dag, path_yield
 from lcreach.languages import (
     abstar_dfa,
     d2_grammar,
@@ -51,14 +51,10 @@ from lcreach.solve import (
     regular_reach,
 )
 
-from .helpers import parse_lang_a, universal_dfa
+from .helpers import graph, parse_lang_a, universal_dfa
 
 D2 = d2_grammar()
 DD2 = dd2_grammar()
-
-
-def graph(kind, n, edges, s, t, alphabet):
-    return LabeledGraph(kind, n, tuple(Edge(*e) for e in edges), s, t, frozenset(alphabet))
 
 
 # --- midpoint subdivision ----------------------------------------------------------

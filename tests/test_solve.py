@@ -60,6 +60,7 @@ from .helpers import (
     cyk_member,
     first_accepted_walk,
     fragment_graph,
+    graph,
     is_linear,
     lang_a_decode_member,
     random_cfg,
@@ -74,10 +75,6 @@ D2 = d2_grammar()
 D2_NF = normalize(D2)
 D2_REC = builtin_language("d2").recognizer
 DD2_NF = normalize(dd2_grammar())
-
-
-def graph(kind, n, edges, s, t, alphabet):
-    return LabeledGraph(kind, n, tuple(Edge(*e) for e in edges), s, t, frozenset(alphabet))
 
 
 # --- regular reachability -------------------------------------------------------
@@ -399,7 +396,7 @@ def test_bounded_search_success_implies_fixpoint_reachable():
                 Edge(stops[i], stops[i + 1], word[i]) for i in range(len(word))
             )
             g = LabeledGraph(
-                DIRECTED, g.vertex_count, g.edges + planted, g.source, g.target, g.alphabet
+                DIRECTED, g.vertex_count, tuple(g.edges) + planted, g.source, g.target, g.alphabet
             )
         if walk_budget(g, 12, cap=20000) > 20000:
             continue  # enumeration would be infeasible; redraw
@@ -426,7 +423,7 @@ def test_adding_an_edge_never_removes_reachability():
         before = cfl_reach(g, D2) is not None
         u, v = rng.randrange(n), rng.randrange(n)
         extra = Edge(u, v, rng.choice("()[]"))
-        bigger = LabeledGraph(kind, n, g.edges + (extra,), g.source, g.target, g.alphabet)
+        bigger = LabeledGraph(kind, n, tuple(g.edges) + (extra,), g.source, g.target, g.alphabet)
         after = cfl_reach(bigger, D2) is not None
         assert after or not before, i
 
@@ -722,7 +719,7 @@ def planted_graph(rng, kind, n, m, alphabet, word):
     g = random_graph(rng, n, m, alphabet, kind=kind, self_loops=True)
     stops = [g.source] + [rng.randrange(n) for _ in word[1:]] + [g.target]
     planted = tuple(Edge(stops[i], stops[i + 1], ch) for i, ch in enumerate(word))
-    return LabeledGraph(kind, n, g.edges + planted, g.source, g.target, g.alphabet)
+    return LabeledGraph(kind, n, tuple(g.edges) + planted, g.source, g.target, g.alphabet)
 
 
 @st.composite
