@@ -22,7 +22,9 @@ over all its instances:
 * ``solve.fixpoint``: the full least fixpoint (``cfl_reach_table`` with no
   goal) of each ``cfl`` operation's graph, which ``solve.cfl`` stops early;
 * ``solve.witness``: ``witness_derivation`` on a fresh ``Witness`` over the
-  goal-stopped table of each reachable ``cfl`` operation, built untimed.
+  goal-stopped table of each reachable ``cfl`` operation, built untimed;
+* ``solve.check``: ``check_derivation`` on that derivation, written to JSON
+  and read back untimed, as ``lcreach verify`` reads it from a witness file.
 
 A row is ``{workload, layer, seconds, counters, peak_rss}``.  ``seconds`` is
 the best of ``--repeats`` passes over the instances.  ``counters`` holds the
@@ -33,8 +35,8 @@ objects the collector tracks that the outputs of one pass keep alive
 (``tracked``), which each full collection walks.  A solve row adds the sums
 of the report's ``facts_count`` and ``worklist_pops`` (on ``solve.fixpoint``,
 the full table's facts and row deltas) and ``errors``, the calls that raised
-(the deep ``vc-to-a`` instance's ``RecursionError``); ``solve.witness`` adds
-``nodes``, the derivations' node count, instead.  ``peak_rss`` is the
+(the deep ``vc-to-a`` instance's ``RecursionError``); ``solve.witness`` and
+``solve.check`` add ``nodes``, the derivations' node count, instead.  ``peak_rss`` is the
 process's peak resident set in MB so far.
 The rows go into the JSON object in ``--out`` under ``--label``; other labels
 already in the file are kept, so one file can hold two checkouts' numbers:
@@ -78,7 +80,7 @@ from lcreach import (  # noqa: E402
     render_graph,
     vc_to_a_dagreach,
 )
-from lcreach.solve import witness_derivation  # noqa: E402
+from lcreach.solve import check_derivation, witness_derivation  # noqa: E402
 
 # reduce kind -> (input parser, reduction), as ``lcreach reduce`` runs them
 REDUCTIONS = {
@@ -170,6 +172,11 @@ def derivation(witness: Witness) -> tuple:
     return nodes, {"edges": len(witness.table.graph.us), "nodes": len(nodes)}
 
 
+def checked(g: LabeledGraph, nf: NormalForm, nodes: list) -> tuple:
+    """The steps ``check_derivation`` reads from ``nodes`` on ``g``, and its counters."""
+    return check_derivation(g, nf, nodes), {"edges": len(g.us), "nodes": len(nodes)}
+
+
 def one_pass(edges) -> None:
     """Iterate over ``edges`` once, keeping nothing."""
     deque(edges, maxlen=0)
@@ -213,6 +220,10 @@ def bench(workload: str, seed: int, small: bool, repeats: int, clock: GcClock, w
             witness = cfl_reach(g, lang.normal_form)
             if witness is not None:
                 layers.setdefault("solve.witness", []).append(lambda w=witness: derivation(w))
+                nodes = json.loads(json.dumps(witness_derivation(witness)))
+                layers.setdefault("solve.check", []).append(
+                    lambda g=g, nf=lang.normal_form, d=nodes: checked(g, nf, d)
+                )
     rows = []
     for layer, calls in layers.items():
         seconds, gc_s = timed(calls, repeats, clock)

@@ -30,10 +30,11 @@ for the garbage collector to walk: ``us`` and ``vs``, tuples of ints, and
 ``labels``, a string whose character ``i`` is edge ``i``'s label.
 ``LabeledGraph.edges`` is a view that builds :class:`Edge` tuples from the
 columns on access.  The parser reads edge lines into the columns (a split per
-4,096 lines and an ``int`` map per endpoint column), and the constructor
-checks whole columns (their types, ``min``, ``max`` and label set), so no
-Python function runs per edge; only a failed check starts a per-line or
-per-edge loop, to name the first line or edge at fault.  Either way faults
+4,096 lines, one count of the ``"\\0"`` joins and one label-width check per
+split, and an ``int`` map per endpoint column), and the constructor checks
+whole columns (their types, ``min``, ``max`` and label set), so no Python
+function runs per edge; only a failed check starts a per-line or per-edge
+loop, to name the first line or edge at fault.  Either way faults
 keep their messages and their order.  Walk searches read :func:`edge_ends`,
 an index of ints built from the columns: end ``2e`` reads edge ``e`` forward
 and end ``2e + 1`` reads it in reverse.
@@ -305,17 +306,17 @@ def _edge_lines(body: list[str]) -> tuple[list[int], list[int], str]:
     try:
         for at in range(0, len(body), 4096):  # chunks bound the token strings alive at once
             # "\0" is never a label, so in one split of the lines joined by " \0 ", all are
-            # "<u> <v> <label>" exactly when the only "\0" tokens are every fourth one.
+            # "<u> <v> <label>" exactly when the joins are the text's only "\0"s, every fourth token.
             m, text = min(4096, len(body) - at), " \0 ".join(body[at:at + 4096])
             tokens, to_int = text.split(), int if ascii_only_ints(text) else ascii_int
-            if not (len(tokens) == 4 * m - 1 and tokens.count("\0") == tokens[3::4].count("\0") == m - 1):
+            if not (len(tokens) == 4 * m - 1 and text.count("\0") == tokens[3::4].count("\0") == m - 1):
                 raise ValueError
-            chunk_labels = tokens[2::4]
-            if set(map(len, chunk_labels)) - {1}:
+            chunk_labels = "".join(tokens[2::4])
+            if len(chunk_labels) != m:  # no token is empty, so each label is one character
                 raise ValueError
             us.extend(map(to_int, tokens[0::4]))
             vs.extend(map(to_int, tokens[1::4]))
-            labels.append("".join(chunk_labels))
+            labels.append(chunk_labels)
             del tokens, chunk_labels  # before the next chunk's split
         return us, vs, "".join(labels)
     except ValueError:

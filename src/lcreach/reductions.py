@@ -30,13 +30,18 @@ are the tuples their file lines spell, and :class:`VcInstance`), their file
 formats, evaluation/brute-force oracles, and the witness decoder for
 construction 5.  Construction 5 grows quadratically, so it refuses an
 instance whose graph would exceed ``graph.MAX_VERTICES`` vertices with a
-:class:`TooLargeError`.
+:class:`TooLargeError`.  The circuit reader splits every gate line and
+converts every operand with C-level maps; only a failed check reads the gate
+lines one by one, to name the first line at fault, so faults keep their
+messages and their order.  Construction 3 adds each gate's edges to the
+edge columns as one slice.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 
 from .errors import (
     EmptyChoiceError,
@@ -47,6 +52,7 @@ from .errors import (
     PathMismatchError,
     PortConflictError,
     TooLargeError,
+    ascii_only_ints,
     build_object,
     content_lines,
     parse_ints,
@@ -65,10 +71,10 @@ class Circuit:
     """A monotone circuit in topological order.
 
     Each gate is the tuple its file line spells: ``("input", value)``, or
-    ``("and" | "or", left, left_port, right, right_port)``.  Each gate output
-    offers two ports; a port feeds at most one consumer, so fan-out is at
-    most two and every consumer is identified by the (gate, port) pair it
-    draws from.
+    ``("and" | "or", left, left_port, right, right_port)``, every operand an
+    ``int``.  Each gate output offers two ports; a port feeds at most one
+    consumer, so fan-out is at most two and every consumer is identified by
+    the (gate, port) pair it draws from.
     """
 
     gates: tuple[tuple, ...]
@@ -78,7 +84,7 @@ class Circuit:
         object.__setattr__(self, "gates", tuple(self.gates))
         if not self.gates:
             raise ValueError("a circuit needs at least one gate")
-        if not 0 <= self.output < len(self.gates):
+        if type(self.output) is not int or not 0 <= self.output < len(self.gates):
             raise ValueError("output gate out of range")
         used_ports: set[tuple[int, int]] = set()
         for i, gate in enumerate(self.gates):
@@ -86,9 +92,14 @@ class Circuit:
             if word not in _ARITY or len(gate) != _ARITY[word] + 1:
                 raise ValueError(f"gate {i}: unknown gate type {gate!r}")
             if word == "input":
+                if type(gate[1]) is not int:
+                    raise ValueError(f"gate {i}: operands must be integers")
                 if gate[1] not in (0, 1):
                     raise ValueError(f"gate {i}: input value must be 0 or 1")
                 continue
+            # a bool or float operand would pass the range checks below
+            if not type(gate[1]) is type(gate[2]) is type(gate[3]) is type(gate[4]) is int:
+                raise ValueError(f"gate {i}: operands must be integers")
             for ref, port in (gate[1:3], gate[3:5]):
                 if not 0 <= ref < i:
                     raise ValueError(f"gate {i} references gate {ref}, which is not earlier")
@@ -131,17 +142,30 @@ def parse_circuit(text: str) -> Circuit:
     if len(lines) != count + 2:
         raise ParseError(f"expected {count} gate lines plus an output line", line=len(lines))
 
-    gates: list[tuple] = []
-    for line_no, raw in enumerate(lines[1 : count + 1], start=2):
-        word, *operands = raw.split() or [""]
-        if len(operands) != _ARITY.get(word):
-            raise ParseError(f"bad gate line {raw!r}", line=line_no)
-        gates.append((word, *parse_ints(operands, "gate operands must be integers", line_no)))
+    gates = _gate_lines(lines[1 : count + 1])
     tokens = lines[count + 1].split()
     if len(tokens) != 2 or tokens[0] != "output":
         raise ParseError("final line must be 'output <gate>'", line=count + 2)
     (output,) = parse_ints(tokens[1:], "output gate must be an integer", count + 2)
-    return build_object(Circuit, tuple(gates), output)
+    return build_object(Circuit, gates, output)
+
+
+def _gate_lines(body: list[str]) -> tuple[tuple, ...]:
+    """The gates of the gate lines ``body`` (line 2 on), or the ParseError of the first line at fault."""
+    rows = list(map(str.split, body))
+    try:
+        words = list(map(list.pop, rows, itertools.repeat(0)))  # IndexError on a blank line; operands stay
+        if list(map(_ARITY.get, words)) == list(map(len, rows)) and ascii_only_ints("\n".join(body)):
+            return tuple(map(add, zip(words), map(tuple, map(map, itertools.repeat(int), rows))))
+    except (IndexError, ValueError):
+        pass
+    gates: list[tuple] = []  # the per-line parse, which names the first line at fault
+    for line_no, raw in enumerate(body, start=2):
+        word, *operands = raw.split() or [""]
+        if len(operands) != _ARITY.get(word):
+            raise ParseError(f"bad gate line {raw!r}", line=line_no)
+        gates.append((word, *parse_ints(operands, "gate operands must be integers", line_no)))
+    return tuple(gates)
 
 
 def render_circuit(c: Circuit) -> str:
@@ -242,10 +266,6 @@ class _Builder:
             u = nxt
         return u
 
-    def chain_between(self, u: int, v: int, word: str) -> None:
-        """Spell nonempty ``word`` along a fresh branch from ``u`` to ``v``."""
-        self.edge(self.chain_from(u, word[:-1]), v, word[-1])
-
     def build(self, source: int, target: int) -> LabeledGraph:
         return LabeledGraph.from_columns(
             self.kind, self.count, self.us, self.vs, "".join(self.labels), source, target, self.alphabet
@@ -296,14 +316,13 @@ def nbc_to_d2_dagreach(w: str) -> LabeledGraph:
     junction = b.chain_from(source, prefix)
     for block in blocks:
         nxt = b.vertex()
-        for choice in block:
-            b.chain_between(junction, nxt, choice)
+        for choice in block:  # a fresh branch from junction to nxt
+            b.edge(b.chain_from(junction, choice[:-1]), nxt, choice[-1])
         junction = nxt
     return b.build(source, junction)
 
 
-_OPEN_OF_PORT = {1: "(", 2: "["}
-_CLOSE_OF_PORT = {1: ")", 2: "]"}
+_WRAP = {1: "()", 2: "[]"}  # the brackets around an operand drawn from port 1 or 2
 
 
 def mcvp_to_d2_reach(c: Circuit) -> LabeledGraph:
@@ -314,34 +333,32 @@ def mcvp_to_d2_reach(c: Circuit) -> LabeledGraph:
     exit) and wraps its left operand between entry and middle and its right
     operand between middle and exit.  An OR gate adds entry and exit and wraps
     each operand in a parallel branch.  The wrapping brackets are round for a
-    port-1 operand and square for a port-2 operand.
+    port-1 operand and square for a port-2 operand.  Each gate's 0, 2 or 4
+    edges join the edge columns as one slice.
     """
-    b = _Builder(DIRECTED, "()[]")
-    entry: list[int] = []
-    exit_: list[int] = []
+    us, vs, labels = [], [], []  # the edge columns, labels two brackets at a time
+    entry, exit_ = [], []  # each gate's first and last vertex
+    vin = 0
     for gate in c.gates:
-        vin = b.vertex()
         if gate[0] == "input":
+            vout = vin + 1 + gate[1]  # past a true input's middle vertex
             if gate[1]:
-                mid = b.vertex()
-                vout = b.vertex()
-                b.edge(vin, mid, "(")
-                b.edge(mid, vout, ")")
-            else:
-                vout = b.vertex()
+                us += vin, vin + 1
+                vs += vin + 1, vout
+                labels.append("()")
         else:
             word, left, left_port, right, right_port = gate
             # an AND wires its operands through (entry, mid) and (mid, exit), an OR both through (entry, exit)
-            mid = b.vertex() if word == "and" else None
-            vout = b.vertex()
-            left_end, right_start = (mid, mid) if word == "and" else (vout, vin)
-            b.edge(vin, entry[left], _OPEN_OF_PORT[left_port])
-            b.edge(exit_[left], left_end, _CLOSE_OF_PORT[left_port])
-            b.edge(right_start, entry[right], _OPEN_OF_PORT[right_port])
-            b.edge(exit_[right], vout, _CLOSE_OF_PORT[right_port])
+            is_and = word == "and"
+            vout = vin + 1 + is_and
+            us += vin, exit_[left], vin + is_and, exit_[right]
+            vs += entry[left], vin + 1, entry[right], vout
+            labels += _WRAP[left_port], _WRAP[right_port]
         entry.append(vin)
         exit_.append(vout)
-    return b.build(entry[c.output], exit_[c.output])
+        vin = vout + 1
+    source, target = entry[c.output], exit_[c.output]
+    return LabeledGraph.from_columns(DIRECTED, vin, us, vs, "".join(labels), source, target, "()[]")
 
 
 _DOUBLED_PAIR = {"(": ("(", "a"), ")": ("b", ")"), "[": ("[", "c"), "]": ("d", "]")}

@@ -652,10 +652,6 @@ def expand_witness(w: Witness, step_limit: int = 10**6) -> Union[Path, Expansion
     return Path(start=w.root[0], steps=_flatten(nodes))
 
 
-def _is_index(x) -> bool:
-    return type(x) is int and x >= 0
-
-
 def check_derivation(
     g: LabeledGraph, nf: NormalForm, nodes, step_limit: int = 10**6
 ) -> tuple[Step, ...]:
@@ -677,17 +673,18 @@ def check_derivation(
         raise CorruptWitnessError("a derivation needs at least one node")
     binary = set(nf.binary_rules)
     terminal = set(nf.terminal_rules)
+    us, vs, labels, m, directed = g.us, g.vs, g.labels, len(g.us), g.kind == DIRECTED
     facts: list[Fact] = []
     sizes: list[int] = []
     for i, node in enumerate(nodes):
         if not isinstance(node, (list, tuple)) or len(node) < 4:
             raise CorruptWitnessError(f"derivation node {i} is not a list (u, A, v, kind, ...)")
-        u, a, v, kind, *rest = node
-        if not (_is_index(u) and _is_index(v) and isinstance(a, str)):
+        u, a, v, kind = node[0], node[1], node[2], node[3]
+        if not (type(u) is int and u >= 0 and type(v) is int and v >= 0 and isinstance(a, str)):
             raise CorruptWitnessError(f"derivation node {i} has a malformed fact")
-        if kind == "b" and len(rest) == 2:
-            left, right = rest
-            if not (_is_index(left) and _is_index(right) and left < i and right < i):
+        if kind == "b" and len(node) == 6:
+            left, right = node[4], node[5]
+            if not (type(left) is int and type(right) is int and 0 <= left < i and 0 <= right < i):
                 raise CorruptWitnessError(f"derivation node {i} refers to a later node")
             u1, b, w1 = facts[left]
             w2, c, v2 = facts[right]
@@ -695,19 +692,20 @@ def check_derivation(
                 raise CorruptWitnessError(f"derivation node {i}: no rule {a} -> {b} {c}")
             if (u1, w1, v2) != (u, w2, v):
                 raise CorruptWitnessError(f"derivation node {i}: endpoints do not chain")
-            sizes.append(min(sizes[left] + sizes[right], step_limit + 1))  # no huge ints
-        elif kind == "t" and len(rest) == 2:
-            edge, reverse = rest
-            if not (_is_index(edge) and edge < len(g.us) and isinstance(reverse, bool)):
+            size = sizes[left] + sizes[right]
+            sizes.append(size if size <= step_limit else step_limit + 1)  # no huge ints
+        elif kind == "t" and len(node) == 6:
+            edge, reverse = node[4], node[5]
+            if not (type(edge) is int and 0 <= edge < m and isinstance(reverse, bool)):
                 raise CorruptWitnessError(f"derivation node {i} names no edge of the graph")
-            if reverse and g.kind == DIRECTED:
+            if reverse and directed:
                 raise CorruptWitnessError(f"derivation node {i} reverses a directed edge")
-            if (a, g.labels[edge]) not in terminal:
-                raise CorruptWitnessError(f"derivation node {i}: no rule {a} -> {g.labels[edge]!r}")
-            if (u, v) != ((g.vs[edge], g.us[edge]) if reverse else (g.us[edge], g.vs[edge])):
+            if (a, labels[edge]) not in terminal:
+                raise CorruptWitnessError(f"derivation node {i}: no rule {a} -> {labels[edge]!r}")
+            if (u, v) != ((vs[edge], us[edge]) if reverse else (us[edge], vs[edge])):
                 raise CorruptWitnessError(f"derivation node {i} does not match edge {edge}")
             sizes.append(1)
-        elif kind == "e" and not rest:
+        elif kind == "e" and len(node) == 4:
             if i != len(nodes) - 1 or not nf.start_nullable or (a, v) != (nf.start, u):
                 raise CorruptWitnessError(f"derivation node {i}: misplaced empty walk")
             sizes.append(0)

@@ -16,18 +16,20 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from lcreach.errors import (
+    CorruptWitnessError,
     InvariantError,
     ParseError,
     SemanticError,
     ascii_int,
     ascii_only_ints,
+    build_object,
     content_lines,
     parse_ints,
 )
 from lcreach.grammar import Cfg, Dfa, NormalForm
 from lcreach.graph import DIRECTED, UNDIRECTED, Edge, LabeledGraph, Path, Step
 from lcreach.languages import adjacency_bits, d2_member
-from lcreach.reductions import VcInstance
+from lcreach.reductions import Circuit, VcInstance
 
 
 def derivable_strings(g: Cfg, max_len: int) -> dict[str, set[str]]:
@@ -319,6 +321,146 @@ def check_edges_per_edge(kind: str, n: int, edges, alphabet: frozenset[str]) -> 
             raise InvariantError(f"label {label!r} is not in the declared alphabet", "edges", i)
         stored.append(Edge(v, u, label) if kind == UNDIRECTED and u > v else Edge(u, v, label))
     return tuple(stored)
+
+
+# Operands after each gate word, as a circuit file line spells them.
+_GATE_ARITY = {"input": 1, "and": 4, "or": 4}
+
+
+def parse_circuit_per_line(text: str) -> Circuit:
+    """The circuit file parser one gate line at a time: the oracle for ``parse_circuit``."""
+    lines = content_lines(text)
+    if len(lines) < 2:
+        raise ParseError("expected 'circuit <n>', gate lines, and 'output <g>'", line=max(1, len(lines)))
+    header = lines[0].split()
+    if len(header) != 2 or header[0] != "circuit":
+        raise ParseError("header must be 'circuit <gate_count>'", line=1)
+    (count,) = parse_ints(header[1:], "gate count must be an integer", 1)
+    if len(lines) != count + 2:
+        raise ParseError(f"expected {count} gate lines plus an output line", line=len(lines))
+    gates: list[tuple] = []
+    for line_no, raw in enumerate(lines[1 : count + 1], start=2):
+        word, *operands = raw.split() or [""]
+        if len(operands) != _GATE_ARITY.get(word):
+            raise ParseError(f"bad gate line {raw!r}", line=line_no)
+        gates.append((word, *parse_ints(operands, "gate operands must be integers", line_no)))
+    tokens = lines[count + 1].split()
+    if len(tokens) != 2 or tokens[0] != "output":
+        raise ParseError("final line must be 'output <gate>'", line=count + 2)
+    (output,) = parse_ints(tokens[1:], "output gate must be an integer", count + 2)
+    return build_object(Circuit, tuple(gates), output)
+
+
+def mcvp_to_d2_per_edge(c: Circuit) -> LabeledGraph:
+    """The bracket gadgets one vertex and one edge at a time: the oracle for ``mcvp_to_d2_reach``."""
+    us: list[int] = []
+    vs: list[int] = []
+    labels: list[str] = []
+    count = 0
+
+    def vertex() -> int:
+        nonlocal count
+        count += 1
+        return count - 1
+
+    def edge(u: int, v: int, label: str) -> None:
+        us.append(u)
+        vs.append(v)
+        labels.append(label)
+
+    opening, closing = {1: "(", 2: "["}, {1: ")", 2: "]"}
+    entry: list[int] = []
+    exit_: list[int] = []
+    for gate in c.gates:
+        vin = vertex()
+        if gate[0] == "input":
+            if gate[1]:
+                mid = vertex()
+                vout = vertex()
+                edge(vin, mid, "(")
+                edge(mid, vout, ")")
+            else:
+                vout = vertex()
+        else:
+            word, left, left_port, right, right_port = gate
+            mid = vertex() if word == "and" else None
+            vout = vertex()
+            left_end, right_start = (mid, mid) if word == "and" else (vout, vin)
+            edge(vin, entry[left], opening[left_port])
+            edge(exit_[left], left_end, closing[left_port])
+            edge(right_start, entry[right], opening[right_port])
+            edge(exit_[right], vout, closing[right_port])
+        entry.append(vin)
+        exit_.append(vout)
+    return LabeledGraph(
+        DIRECTED, count, tuple(zip(us, vs, labels)), entry[c.output], exit_[c.output], frozenset("()[]")
+    )
+
+
+def _is_index(x) -> bool:
+    return type(x) is int and x >= 0
+
+
+def check_derivation_per_node(g: LabeledGraph, nf: NormalForm, nodes, step_limit: int = 10**6) -> tuple[Step, ...]:
+    """The derivation check with a helper call per field: the oracle for ``check_derivation``.
+
+    Same checks, same order, same messages; returns the flattened steps.
+    """
+    if not isinstance(nodes, (list, tuple)) or not nodes:
+        raise CorruptWitnessError("a derivation needs at least one node")
+    binary = set(nf.binary_rules)
+    terminal = set(nf.terminal_rules)
+    facts: list[tuple] = []
+    sizes: list[int] = []
+    for i, node in enumerate(nodes):
+        if not isinstance(node, (list, tuple)) or len(node) < 4:
+            raise CorruptWitnessError(f"derivation node {i} is not a list (u, A, v, kind, ...)")
+        u, a, v, kind, *rest = node
+        if not (_is_index(u) and _is_index(v) and isinstance(a, str)):
+            raise CorruptWitnessError(f"derivation node {i} has a malformed fact")
+        if kind == "b" and len(rest) == 2:
+            left, right = rest
+            if not (_is_index(left) and _is_index(right) and left < i and right < i):
+                raise CorruptWitnessError(f"derivation node {i} refers to a later node")
+            u1, b, w1 = facts[left]
+            w2, c, v2 = facts[right]
+            if (a, b, c) not in binary:
+                raise CorruptWitnessError(f"derivation node {i}: no rule {a} -> {b} {c}")
+            if (u1, w1, v2) != (u, w2, v):
+                raise CorruptWitnessError(f"derivation node {i}: endpoints do not chain")
+            sizes.append(min(sizes[left] + sizes[right], step_limit + 1))
+        elif kind == "t" and len(rest) == 2:
+            edge, reverse = rest
+            if not (_is_index(edge) and edge < len(g.us) and isinstance(reverse, bool)):
+                raise CorruptWitnessError(f"derivation node {i} names no edge of the graph")
+            if reverse and g.kind == DIRECTED:
+                raise CorruptWitnessError(f"derivation node {i} reverses a directed edge")
+            if (a, g.labels[edge]) not in terminal:
+                raise CorruptWitnessError(f"derivation node {i}: no rule {a} -> {g.labels[edge]!r}")
+            if (u, v) != ((g.vs[edge], g.us[edge]) if reverse else (g.us[edge], g.vs[edge])):
+                raise CorruptWitnessError(f"derivation node {i} does not match edge {edge}")
+            sizes.append(1)
+        elif kind == "e" and not rest:
+            if i != len(nodes) - 1 or not nf.start_nullable or (a, v) != (nf.start, u):
+                raise CorruptWitnessError(f"derivation node {i}: misplaced empty walk")
+            sizes.append(0)
+        else:
+            raise CorruptWitnessError(f"derivation node {i} has an unknown kind")
+        facts.append((u, a, v))
+    if facts[-1] != (g.source, nf.start, g.target):
+        raise CorruptWitnessError("derivation root is not (source, start, target)")
+    if sizes[-1] > step_limit:
+        raise CorruptWitnessError(f"derivation flattens to {sizes[-1]} steps, over the limit of {step_limit}")
+    steps: list[Step] = []
+    stack = [len(nodes) - 1]
+    while stack:
+        node = nodes[stack.pop()]
+        if node[3] == "t":
+            steps.append(Step(node[4], node[5]))
+        elif node[3] == "b":
+            stack.append(node[5])
+            stack.append(node[4])
+    return tuple(steps)
 
 
 def has_directed_cycle(g: LabeledGraph) -> bool:

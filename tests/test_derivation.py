@@ -31,7 +31,7 @@ from lcreach.solve import (
     witness_derivation,
 )
 
-from .helpers import cyk_member, graph, random_cfg, worklist_facts
+from .helpers import check_derivation_per_node, cyk_member, graph, random_cfg, worklist_facts
 
 D2_NF = normalize(d2_grammar())
 
@@ -450,6 +450,11 @@ MUTATIONS = {
     "epsilon without a nullable start": (
         lambda: [(0, "S", 0, "e")], "misplaced empty walk"),
     "unknown kind": (lambda: _replace(ROOT, (*BASE[ROOT][:3], "x")), "unknown kind"),
+    "float child index": (lambda: _replace(ROOT, (*BASE[ROOT][:4], 0.0, BASE[ROOT][5])), "later node"),
+    "bool child index": (lambda: _replace(ROOT, (*BASE[ROOT][:4], True, BASE[ROOT][5])), "later node"),
+    "empty walk with an edge": (lambda: [(0, "S", 4, "e", 0)], "unknown kind"),
+    "float edge index": (
+        lambda: _replace(_where("t"), (*BASE[_where("t")][:4], 0.0, False)), "names no edge"),
 }
 
 
@@ -462,8 +467,9 @@ def test_the_unmutated_base_passes():
 def test_single_mutation_is_rejected(name):
     mutate, reason = MUTATIONS[name]
     g = CHAIN if name != "epsilon without a nullable start" else graph(DIRECTED, 1, [], 0, 0, "()")
-    with pytest.raises(CorruptWitnessError, match=reason):
-        check_derivation(g, D2_NF, mutate())
+    for nodes in (mutate(), json.loads(json.dumps(mutate()))):  # as built, and as a witness file reads back
+        with pytest.raises(CorruptWitnessError, match=reason):
+            check_derivation(g, D2_NF, nodes)
 
 
 def test_epsilon_below_the_root_is_rejected_even_when_nullable():
@@ -494,6 +500,39 @@ def test_arbitrary_json_is_rejected_cleanly(nodes):
         check_derivation(CHAIN, D2_NF, nodes)
     except CorruptWitnessError:
         pass
+
+
+def checked(check, *args):
+    """The steps ``check(*args)`` returns, or the message of its CorruptWitnessError."""
+    try:
+        return check(*args)
+    except CorruptWitnessError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_arbitrary_json_fails_as_the_per_node_oracle_fails(nodes):
+    assert checked(check_derivation, CHAIN, D2_NF, nodes) == checked(check_derivation_per_node, CHAIN, D2_NF, nodes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances(), st.data())
+def test_mutated_witness_derivations_check_as_the_per_node_oracle_checks_them(instance, data):
+    # unmutated, as tuples and as JSON lists, then with a few fields replaced
+    g, nf, _ = instance
+    w = cfl_reach(g, nf)
+    if w is None:
+        return
+    nodes = witness_derivation(w)
+    assert checked(check_derivation, g, nf, nodes) == checked(check_derivation_per_node, g, nf, nodes)
+    nodes = json.loads(json.dumps(nodes))
+    for _ in range(data.draw(st.integers(0, 3))):
+        node = nodes[data.draw(st.integers(0, len(nodes) - 1))]
+        node[data.draw(st.integers(0, len(node) - 1))] = data.draw(json_values | st.integers(-1, len(nodes)))
+    limit = data.draw(st.sampled_from([10**6, 1, 3]))
+    want = checked(check_derivation_per_node, g, nf, nodes, limit)
+    assert checked(check_derivation, g, nf, nodes, limit) == want
 
 
 @pytest.mark.parametrize(

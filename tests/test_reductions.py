@@ -4,12 +4,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcreach.errors import (
     BlockSyntaxError,
     EmptyChoiceError,
     ForeignSymbolError,
     KindError,
+    LcreachError,
     ParseError,
     PathMismatchError,
     PortConflictError,
@@ -51,7 +54,7 @@ from lcreach.solve import (
     regular_reach,
 )
 
-from .helpers import graph, parse_lang_a, universal_dfa
+from .helpers import graph, mcvp_to_d2_per_edge, parse_circuit_per_line, parse_lang_a, universal_dfa
 
 D2 = d2_grammar()
 DD2 = dd2_grammar()
@@ -288,6 +291,104 @@ def test_circuit_value_matches_bracket_reachability():
             assert isinstance(p, Path)
             assert d2_member(path_yield(out, p))
     assert outcomes == {True, False}
+
+
+def test_operands_must_be_integers():
+    # a float index, a bool value or port, and an int subclass would all slip past a range check
+    faulty = {
+        ("and", 0.0, 1, 1, 1): "gate 2: operands must be integers",
+        ("or", 0, True, 1, 1): "gate 2: operands must be integers",
+        ("and", 0, 1, 1, 2.0): "gate 2: operands must be integers",
+    }
+    for gate, message in faulty.items():
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Circuit((("input", 1), ("input", 0), gate), 2)
+    with pytest.raises(ValueError, match="^gate 1: operands must be integers$"):
+        Circuit((("input", 1), ("input", True)), 0)
+    for output in (0.0, True, "0"):
+        with pytest.raises(ValueError, match="^output gate out of range$"):
+            Circuit((("input", 1),), output)
+
+
+def test_the_first_gate_at_fault_is_named():
+    gates = (("input", 1), ("and", 0, 1, 0, 3), ("input", 1.0), ("or", 0, 1, 1, 1))
+    with pytest.raises(ValueError, match="^gate 1: port must be 1 or 2, got 3$"):
+        Circuit(gates, 3)
+    with pytest.raises(PortConflictError, match="^port 1 of gate 0 already feeds another consumer$"):
+        Circuit((("input", 1), ("and", 0, 2, 0, 1), ("and", 0, 1, 1, 1), ("input", 5)), 2)
+
+
+# --- circuits by columns, against the per-line and per-edge oracles --------------------
+
+# Tokens a mutation may insert or put in place of another: words, operands in
+# and out of range, and what no integer parser of this package reads.
+TOKENS = ["input", "and", "or", "not", "0", "1", "2", "3", "-1", "007", "x", "1.0", "+1", "1_0", "\u0661", "\0"]
+
+
+def outcome(parse, *args):
+    """What ``parse(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return parse(*args)
+    except (LcreachError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def mutated_circuit_files(draw):
+    """A random circuit file with one to three token or line faults, or none."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    c = random_circuit(rng, rng.randint(1, 6), rng.randint(0, 40))
+    lines = render_circuit(c).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(1, len(lines) - 2), label="gate line")
+        tokens = lines[at].split()
+        fault = draw(st.sampled_from(["drop", "swap", "insert", "replace", "blank", "swap lines", "spaces"]))
+        if not tokens and fault in ("drop", "swap", "replace"):
+            fault = "insert"
+        if fault == "drop":
+            del tokens[draw(st.integers(0, len(tokens) - 1))]
+        elif fault == "swap":
+            i, j = draw(st.integers(0, len(tokens) - 1)), draw(st.integers(0, len(tokens) - 1))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        elif fault == "insert":
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(TOKENS)))
+        elif fault == "replace":
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(TOKENS))
+        elif fault == "blank":
+            tokens = []
+        elif fault == "swap lines":
+            other = draw(st.integers(1, len(lines) - 2), label="other gate line")
+            lines[at], lines[other] = lines[other], lines[at]
+            tokens = lines[at].split()
+        lines[at] = draw(st.sampled_from([" ", "\t", "  ", "\u2003"])).join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_circuit_files())
+def test_mutated_circuit_files_parse_as_the_per_line_oracle_parses_them(text):
+    got, want = outcome(parse_circuit, text), outcome(parse_circuit_per_line, text)
+    assert got == want
+    if isinstance(got, tuple) and issubclass(got[0], ParseError) and got[1].startswith("line "):
+        assert got[1].split(":")[0] == want[1].split(":")[0]
+
+
+def test_a_circuit_file_with_non_ascii_spaces_parses_line_by_line():
+    text = "circuit 3\ninput\u20031\ninput 0\nand\u00a00 1 1 1\noutput 2\n"
+    assert parse_circuit(text) == parse_circuit_per_line(text) == Circuit(
+        (("input", 1), ("input", 0), ("and", 0, 1, 1, 1)), 2
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 60))
+def test_random_circuits_reduce_to_the_per_edge_columns(seed, inputs, gates):
+    c = random_circuit(random.Random(seed), inputs, gates)
+    got, want = mcvp_to_d2_reach(c), mcvp_to_d2_per_edge(c)
+    assert (got.vertex_count, got.us, got.vs, got.labels, got.source, got.target) == (
+        want.vertex_count, want.us, want.vs, want.labels, want.source, want.target
+    )
+    assert got == want
 
 
 # --- direction forgetting --------------------------------------------------------------

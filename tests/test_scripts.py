@@ -30,13 +30,14 @@ def test_replicate_reductions_agrees_at_a_tiny_size():
 
 @pytest.fixture(scope="module")
 def bench_runs(tmp_path_factory):
-    """``scripts/bench.py --small`` on cfl-saturate and enum-mix, run once for the tests below."""
+    """``scripts/bench.py --small`` on every workload, run once for the tests below."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = tmp_path_factory.mktemp("bench") / "BENCH_io.json"
     out.write_text('{"parent": []}\n')
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench.py"), "--small", "--repeats", "1",
-         "--workload", "cfl-saturate", "--workload", "enum-mix", "--out", str(out), "--label", "change"],
+         "--workload", "cfl-saturate", "--workload", "enum-mix", "--workload", "certify-pipeline",
+         "--out", str(out), "--label", "change"],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -51,23 +52,27 @@ def test_bench_writes_io_rows_at_a_tiny_size(bench_runs):
     assert list(counters) == [
         *(("cfl-saturate", layer) for layer in [
             *io, "reductions.d2-to-dd2", "reductions.parse_circuit", "reductions.mcvp-to-d2",
-            "solve.cfl", "solve.fixpoint", "solve.witness",
+            "solve.cfl", "solve.fixpoint", "solve.witness", "solve.check",
         ]),
         *(("enum-mix", layer) for layer in [
             *io, "reductions.parse_vc", "reductions.vc-to-a", "reductions.reach-to-abstar",
             "solve.dag-enum", "solve.bounded-enum", "solve.regular", "solve.tree",
+        ]),
+        *(("certify-pipeline", layer) for layer in [
+            *io, "reductions.parse_circuit", "reductions.mcvp-to-d2", "reductions.nbc-to-d2",
+            "solve.cfl", "solve.fixpoint", "solve.witness", "solve.check",
         ]),
     ]
     for row in rows:
         assert set(row) == {"workload", "layer", "seconds", "counters", "peak_rss"}
         assert row["seconds"] >= 0 and row["peak_rss"] > 0
         keys = {"calls", "edges", "gc_s", "tracked"}
-        if row["layer"] == "solve.witness":
+        if row["layer"] in ("solve.witness", "solve.check"):
             keys |= {"nodes"}
         elif row["layer"].startswith("solve."):
             keys |= {"facts_count", "worklist_pops", "errors"}
         assert set(row["counters"]) == keys and row["counters"]["calls"] > 0
-    for workload in ("cfl-saturate", "enum-mix"):
+    for workload in ("cfl-saturate", "enum-mix", "certify-pipeline"):
         layers = {layer: c for (w, layer), c in counters.items() if w == workload}
         (edges,) = {c["edges"] for layer, c in layers.items() if layer.startswith("graph.")}
         assert edges > 0
@@ -77,12 +82,12 @@ def test_bench_writes_io_rows_at_a_tiny_size(bench_runs):
 
 def test_bench_times_every_solve_mode_at_a_tiny_size(bench_runs):
     counters = {(row["workload"], row["layer"]): row["counters"] for row in bench_runs["change"]}
-    for workload in ("cfl-saturate", "enum-mix"):
+    for workload in ("cfl-saturate", "enum-mix", "certify-pipeline"):
         layers = {layer: c for (w, layer), c in counters.items() if w == workload}
         (edges,) = {c["edges"] for layer, c in layers.items() if layer.startswith("graph.")}
         # every graph is solved once, by the runner of its operation's mode
-        runners = [c for layer, c in layers.items()
-                   if layer.startswith("solve.") and layer not in ("solve.fixpoint", "solve.witness")]
+        derived = ("solve.fixpoint", "solve.witness", "solve.check")
+        runners = [c for layer, c in layers.items() if layer.startswith("solve.") and layer not in derived]
         assert runners and sum(c["edges"] for c in runners) == edges
     goal, full = counters["cfl-saturate", "solve.cfl"], counters["cfl-saturate", "solve.fixpoint"]
     # the goal-stopped tables are parts of the full ones
@@ -91,6 +96,11 @@ def test_bench_times_every_solve_mode_at_a_tiny_size(bench_runs):
     # one derivation per reachable operation, each at least its root
     rebuilt = counters["cfl-saturate", "solve.witness"]
     assert 0 < rebuilt["calls"] <= goal["calls"] and rebuilt["nodes"] >= rebuilt["calls"]
+    # each rebuilt derivation is checked once, as verify reads it
+    for workload in ("cfl-saturate", "certify-pipeline"):
+        rebuilt, checked = counters[workload, "solve.witness"], counters[workload, "solve.check"]
+        assert checked["calls"] == rebuilt["calls"] > 0 and checked["nodes"] == rebuilt["nodes"]
+        assert checked["edges"] == rebuilt["edges"]
     # the deep vc-to-a instance (drawn at every size) raises RecursionError, and no other call raises
     raised = {key: c["errors"] for key, c in counters.items() if "errors" in c}
     assert raised == {key: int(key[1] == "solve.dag-enum") for key in raised}
