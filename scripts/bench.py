@@ -20,7 +20,8 @@ over all its instances:
   that mode, with the arguments and the language the CLI builds from the
   operation's command line, on the already parsed graph;
 * ``solve.fixpoint``: the full least fixpoint (``cfl_reach_table`` with no
-  goal) of each ``cfl`` operation's graph, which ``solve.cfl`` stops early;
+  goal) of each ``cfl`` operation's graph, which ``solve.cfl`` stops early,
+  at the root's round or, after a dense round's look-ahead, a round before;
 * ``solve.witness``: ``witness_derivation`` on a fresh ``Witness`` over the
   goal-stopped table of each reachable ``cfl`` operation, built untimed;
 * ``solve.check``: ``check_derivation`` on that derivation, written to JSON

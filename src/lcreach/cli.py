@@ -198,12 +198,11 @@ def _check_walk(g: LabeledGraph, lang: Language, p: Path, derivation) -> tuple[O
     derivation can only spare the membership check, never change the verdict.
     """
     try:
-        endpoints = path_endpoints(g, p)
+        text = path_yield(g, p)
     except LcreachError as exc:
         return f"path does not fit the graph: {exc}", None
-    if endpoints != (g.source, g.target):
+    if path_endpoints(g, p) != (g.source, g.target):
         return "path endpoints are not the graph's source and target", None
-    text = path_yield(g, p)
     proved = False
     if derivation is not None and lang.normal_form is not None:
         try:

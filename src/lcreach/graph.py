@@ -258,11 +258,14 @@ def _walk(g: LabeledGraph, p: Path) -> Iterator[tuple[int, int, str]]:
 
 
 def path_endpoints(g: LabeledGraph, p: Path) -> tuple[int, int]:
-    """Validate ``p`` against ``g`` and return its (start, end) vertices."""
-    at = p.start
-    for _, head, _ in _walk(g, p):
-        at = head
-    return p.start, at
+    """The (start, end) vertices of ``p``, the end read off its last step alone.
+
+    ``p`` must fit ``g``: :func:`path_yield` checks that as it reads the labels.
+    """
+    if not p.steps:
+        return p.start, p.start
+    edge, reverse = p.steps[-1]
+    return p.start, g.us[edge] if reverse else g.vs[edge]
 
 
 def path_yield(g: LabeledGraph, p: Path) -> str:

@@ -416,11 +416,10 @@ def decode_vc_witness(p: Path, inst: VcInstance) -> set[int]:
     """
     g = vc_to_a_dagreach(inst)
     try:
-        endpoints = path_endpoints(g, p)
         text = path_yield(g, p)
     except InvalidPathError as exc:
         raise PathMismatchError(f"path does not fit the construction graph: {exc}") from None
-    if endpoints != (g.source, g.target):
+    if path_endpoints(g, p) != (g.source, g.target):
         raise PathMismatchError("path does not run from the construction source to its target")
     pieces = text.split("#")
     if len(pieces) != inst.n + 2:

@@ -22,8 +22,11 @@ one, to count the steps left to the target.
   across facts, from the rounds on demand.  Since a derivation reads only
   facts of earlier rounds, :func:`cfl_reach` stops the fixpoint as soon as
   those split its root ``(source, start, target)``, before the join of the
-  root's round.  When no edge into the target can end a derivation of the
-  root, it runs no round at all, and reports 0 facts and 0 row deltas.
+  root's round.  After a dense round it looks one round further ahead, in
+  the source's rows and the target's columns alone, and when those split the
+  root it stops before the join of the round before the root's too.  When
+  no edge into the target can end a derivation of the root, it runs no
+  round at all, and reports 0 facts and 0 row deltas.
   Otherwise, when the rows the root can read are few, it seeds the fixpoint
   only from the vertices of those rows: the magic-sets rewrite applied to
   CFL reachability.  On cyclic graphs the flattened walk can be exponentially
@@ -141,8 +144,11 @@ class ReachTable:
     """Least fixpoint of derivation facts, as bit rows with birth rounds.
 
     A table stopped at a goal holds the facts born before the goal's round
-    and the goal itself, or all of round 0 when the goal is born there.
-    When the goal's demand probe closes (:func:`cfl_reach_table`), it holds
+    and the goal itself, or all of round 0 when the goal is born there.  When
+    the goal ``(u, A, v)`` was found by looking ahead from a dense round, the
+    round before the goal's is held only in the rows ``(u, B)`` and the
+    columns ``(C, v)`` of the goal's rules ``A -> B C``.  When the goal's
+    demand probe closes (:func:`cfl_reach_table`), it holds
     only those facts at the vertices the goal demands, and a fact of a row
     the goal does not demand may be missing or have a later round.  When
     no edge into the goal's target can end a derivation of it, the table
@@ -248,17 +254,25 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
     for every vertex, but it is never joined: the normal form already
     derives every non-empty walk.
 
-    With a ``goal`` fact ``(u, A, v)``, a round from round 1 on whose last
-    round gave new bits to a ``B``-row of ``u`` or ended a ``C``-row at
-    ``v``, for a rule ``A -> B C``, starts by testing whether the facts born
-    before it split the goal by such a rule, at the cost of ``A``'s rules
-    times the width of ``u``'s row.  If they do, the goal is born in that
-    round: it is added as one fact and one row delta, and the rounds stop
-    before the join.  A goal born in round 0 stops them after that round,
-    and an empty-walk goal before it.  A fact's derivation reads only facts
-    born in earlier rounds, so every fact of the stopped table has the round
-    it has in the full one, and the goal's derivation is the same.  A goal
-    that is never born leaves the full fixpoint.
+    With a ``goal`` fact ``(u, A, v)``, each round from round 1 on starts by
+    testing whether the facts born before it split the goal: one AND per
+    rule ``A -> B C`` of the row ``(u, B)`` with a bitmask of the ``w`` with
+    a fact ``(w, C, v)``, kept up to date as rounds add to that column.  If
+    they do, the goal is born in that round: it is added as one fact and one
+    row delta, and the rounds stop before the join.  Otherwise, when the
+    last round was dense (its new facts at least twice its row deltas), it
+    looks one round ahead (:func:`_look_ahead`): the goal reads that round
+    only in its rows ``(u, B)`` and columns ``(C, v)``, and those take far
+    less work than the round's whole join.  If they split the goal, it is
+    born one round later: they are added with that round's births, then the
+    goal, and the rounds stop without the join.  A goal born in round 0
+    stops them after that round, and an empty-walk goal before it.  A fact's
+    derivation reads only facts born in earlier rounds, so every fact of the
+    stopped table has the round it has in the full one, and the goal's
+    derivation, which reads the round before its own only through those rows
+    and columns, is the same.  A goal that is never born leaves the full
+    fixpoint.  A sparse round never looks ahead; most rounds of chains and
+    circuit outputs are sparse, at about one new fact per row delta.
 
     Round 0 reads the edges leaving the seed vertices, by the table's
     :func:`lcreach.graph.edge_ends` index.  Without a goal, all are seeds.
@@ -307,10 +321,19 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
         goal_u, a, goal_v = goal
         goal_row, goal_births, goal_rules = rows[ids[a]], births[ids[a]], rules.by_head[ids[a]]
     goal_bit = 1 << goal_v
+    # col[C] is the bitmask of the w with a fact (w, C, goal_v), for each C
+    # ending a goal rule and each Z ending one of C's rules C -> Y Z.
+    goal_cs = {c for _, c in goal_rules}
+    col = dict.fromkeys(goal_cs.union(*({z for _, z in rules.by_head[c]} for c in goal_cs)), 0)
+    # Looking ahead skips a rule A -> B C where neither B nor C heads a
+    # rule: no round after round 0 adds to their rows.
+    ahead_rules = [(b, c) for b, c in goal_rules if rules.by_head[b] or rules.by_head[c]]
     size = pops = rnd = 0
     while True:
         # The bits found that are new were born in this round.
         delta: dict[int, dict[int, int]] = {}
+        fresh: dict[int, int] = {}  # C -> the w of the facts (w, C, goal_v) born in this round
+        round_size = round_pops = 0
         for a, fa in found.items():
             da: dict[int, int] = {}
             rows_a, births_a = rows[a], births[a]
@@ -330,16 +353,50 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
                     chunks.append((rnd, bits))
             if da:
                 delta[a] = da
-                pops += len(da)
-                size += sum(map(int.bit_count, da.values()))
+                round_size += sum(map(int.bit_count, da.values()))
+                round_pops += len(da)
+                if a in col:
+                    ws = 0
+                    for w, bits in da.items():
+                        if bits & goal_bit:
+                            ws |= 1 << w
+                    if ws:
+                        fresh[a] = ws
+                        col[a] |= ws
+        size += round_size
+        pops += round_pops
         if not delta or goal_row[goal_u] & goal_bit:  # a goal born here is born in round 0
             break
         rnd += 1
         # rows now holds the facts born before this round, so the goal is
         # born in it exactly when they split it: stop before the join.
-        if _first_split(goal_rules, rows, births, goal_u, goal_v, rnd) is not None:
+        born_in = None
+        for b, c in goal_rules:
+            if rows[b][goal_u] & col[c]:
+                born_in = rnd
+                break
+        if born_in is None and ahead_rules and round_size >= 2 * round_pops:  # a dense round
+            ahead = _look_ahead(rules, rows, cols, col, fresh, delta, ahead_rules, goal_u)
+            if ahead is not None:  # the goal is born in the next round: keep what it reads
+                born_in = rnd + 1
+                ahead_rows, ahead_cols = ahead
+                for b, bits in ahead_rows.items():
+                    if bits:
+                        rows[b][goal_u] |= bits
+                        births[b].setdefault(goal_u, []).append((rnd, bits))
+                        size += bits.bit_count()
+                        pops += 1
+                for c, ws in ahead_cols.items():
+                    rows_c, births_c = rows[c], births[c]
+                    for w in _bits(ws):
+                        if not rows_c[w] & goal_bit:  # else (goal_u, C, goal_v) came with the row above
+                            rows_c[w] |= goal_bit
+                            births_c.setdefault(w, []).append((rnd, goal_bit))
+                            size += 1
+                            pops += 1
+        if born_in is not None:
             goal_row[goal_u] |= goal_bit
-            goal_births.setdefault(goal_u, []).append((rnd, goal_bit))
+            goal_births.setdefault(goal_u, []).append((born_in, goal_bit))
             size += 1
             pops += 1
             break
@@ -373,6 +430,55 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
     if start is not None:
         size += sum(not row >> u & 1 for u, row in enumerate(rows[start]))
     return ReachTable(g, nf, FactSet(rules, rows, start, size), births, pops, index)
+
+
+def _look_ahead(rules: _Rules, rows, cols, col, fresh, delta, goal_rules, u: int):
+    """The next round's facts in the goal's source rows and target columns, if they split the goal.
+
+    Called between rounds of :func:`cfl_reach_table`, whose ``rows`` hold the
+    facts born up to the last round, ``delta`` those born in it, ``cols`` the
+    column lists of the facts born before it, and ``col`` and ``fresh`` the
+    goal's target columns and the bits the last round added to them.  The
+    goal ``(u, A, v)`` reads the next round only through the rows ``(u, B)``
+    and the columns ``(C, v)`` of its rules ``A -> B C``; ``goal_rules``
+    lists those in which ``B`` or ``C`` heads a rule.  A row takes the left
+    join of its rules ``B -> P Q`` over the whole row ``(u, P)``; a column,
+    for each rule ``C -> Y Z``, the new ``Y``-rows that meet ``Z``'s column
+    and the older ``Y``-facts ending where ``Z``'s column grew.  Returns
+    ``({B: bits}, {C: bits})``, the ``v`` of the new facts ``(u, B, v)`` and
+    the ``w`` of the new facts ``(w, C, v)``, or None when the rules split
+    no fact of these or earlier rounds.
+    """
+    by_head = rules.by_head
+    ahead_rows: dict[int, int] = {}
+    ahead_cols: dict[int, int] = {}
+    for b, c in goal_rules:
+        if b not in ahead_rows:
+            acc = 0
+            for p, q in by_head[b]:  # (u, P, x) with (x, Q, y)
+                left = rows[p][u]
+                if left:
+                    rows_q = rows[q]
+                    for x in _bits(left):
+                        acc |= rows_q[x]
+            ahead_rows[b] = acc & ~rows[b][u]
+        if c not in ahead_cols:
+            acc = 0
+            for y, z in by_head[c]:
+                col_z, delta_y = col[z], delta.get(y)
+                if col_z and delta_y:  # new (w, Y, x) with any (x, Z, v)
+                    for w, bits in delta_y.items():
+                        if bits & col_z:
+                            acc |= 1 << w
+                if z in fresh:  # older (w, Y, x) with new (x, Z, v)
+                    cols_y = cols[y]
+                    for x in _bits(fresh[z]):
+                        for w in cols_y.get(x, ()):
+                            acc |= 1 << w
+            ahead_cols[c] = acc & ~col[c]
+    if any((rows[b][u] | ahead_rows[b]) & (col[c] | ahead_cols[c]) for b, c in goal_rules):
+        return ahead_rows, ahead_cols
+    return None
 
 
 def _dead_target(g: LabeledGraph, nf: NormalForm, goal: Fact) -> bool:
@@ -498,14 +604,18 @@ def cfl_reach(
     start, target)`` when the fact is derivable, else None.  When source
     equals target and the start symbol is nullable, the empty-walk witness is
     the one returned.  The fixpoint has that root as its goal, so it stops
-    in the round the root is born, before that round's join.  ``stats``
-    receives the table size and the row deltas.  When no edge into the
-    target can end a derivation of the root, no round runs: 0 facts (or the
-    vertex count, for the empty-walk facts of a nullable start) and 0 row
-    deltas.  Otherwise they count the facts born before the root's round
-    plus the root when it is derivable (all of round 0 when the root is born
-    there), or the whole least fixpoint; when the demand probe closes, only
-    the rows at the vertices the root demands.
+    in the round the root is born, before that round's join, or before the
+    join of the round before when a dense round looks ahead to the root.
+    ``stats`` receives the table size and the row deltas.  When no edge into
+    the target can end a derivation of the root, no round runs: 0 facts (or
+    the vertex count, for the empty-walk facts of a nullable start) and 0
+    row deltas.  Otherwise, when the root is derivable, they count the facts
+    born before the root's round plus the root (all of round 0 when the root
+    is born there); after a look-ahead, of the round before the root's only
+    the facts in the source's rows and the target's columns that the root's
+    rules read.  An unreachable root counts the whole least fixpoint.  When
+    the demand probe closes, only the rows at the vertices the root demands
+    count.
     """
     nf = grammar if isinstance(grammar, NormalForm) else normalize(grammar)
     root = (g.source, nf.start, g.target)
@@ -604,6 +714,8 @@ def _first_split(rules, rows, births, u: int, v: int, rnd: int) -> Optional[tupl
     ``rules`` lists the ``(B, C)`` of the rules ``A -> B C`` in rule order,
     and ``rows`` and ``births`` are a table's.  Returns ``(B, C, w)`` for the
     facts ``(u, B, w)`` and ``(w, C, v)``, or None when no rule splits it.
+    Only :func:`_derive` calls it: the fixpoint's goal test is one AND of a
+    row with a target column per rule.
     """
     for b, c in rules:
         left, chunks = rows[b][u], births[b].get(u)

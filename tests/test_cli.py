@@ -314,6 +314,40 @@ def test_witness_with_foreign_edges_is_rejected(files, capsys, tmp_path):
     assert "does not fit the graph" in out
 
 
+CHAIN_SQUARE_UNDIRECTED = CHAIN_SQUARE.replace("directed", "undirected")
+FIT = "path does not fit the graph: "
+ENDS = "path endpoints are not the graph's source and target"
+
+
+@pytest.mark.parametrize(
+    "graph, start, steps, note, text",
+    [
+        (CHAIN_SQUARE, 7, [], FIT + "start vertex 7 out of range", None),
+        (CHAIN_SQUARE, -1, [[0, False]], FIT + "start vertex -1 out of range", None),
+        (CHAIN_SQUARE, 0, [[9, False]], FIT + "step 0 references edge 9, which does not exist", None),
+        (CHAIN_SQUARE, 0, [[-1, False]], FIT + "step 0 references edge -1, which does not exist", None),
+        (CHAIN_SQUARE, 1, [[0, True]], FIT + "step 0 traverses a directed edge backwards", None),
+        (CHAIN_SQUARE, 0, [[1, False]], FIT + "step 0 starts at vertex 1, but the walk is at 0", None),
+        (CHAIN_SQUARE, 0, [[0, False], [0, False]], FIT + "step 1 starts at vertex 0, but the walk is at 1", None),
+        (CHAIN_SQUARE, 0, [[0, False], [1, False], [5, True]],
+         FIT + "step 2 references edge 5, which does not exist", None),
+        (CHAIN_SQUARE, 0, [[0, False]], ENDS, None),  # ends short of the target
+        (CHAIN_SQUARE, 0, [], ENDS, None),  # the empty walk at the source
+        (CHAIN_SQUARE, 1, [[1, False]], ENDS, None),  # starts past the source
+        (CHAIN_SQUARE_UNDIRECTED, 2, [[1, True], [0, True]], ENDS, None),  # the walk reversed
+        (CHAIN_SQUARE_UNDIRECTED, 0, [[0, False], [0, True], [0, False], [1, False]],
+         "path yield is not in the language", "[[[]"),
+    ],
+)
+def test_verify_names_each_kind_of_invalid_walk(files, capsys, graph, start, steps, note, text):
+    g = files("g.graph", graph)
+    payload = {"format": "lcreach-witness", "version": 1, "start": start, "steps": steps}
+    wfile = files("w.json", json.dumps(payload))
+    code, out, _ = run(capsys, "verify", "--graph", g, "--builtin", "d2", "--witness", wfile, "--json")
+    assert code == 1
+    assert json.loads(out) == {"decision": "rejected", "notes": [note], "stats": {}, "witness": None, "yield": text}
+
+
 def test_witness_yield_outside_language_is_rejected(files, capsys, tmp_path):
     g = files("g.graph", CHAIN_SQUARE)
     wfile = str(tmp_path / "w.json")

@@ -133,14 +133,18 @@ def check_goal_stop(g, nf):
     """``cfl_reach`` stops in the round of its root, before the join of that round.
 
     The stopped table is part of the full fixpoint, and none of its facts was
-    born earlier there.  The rows the root demands keep every fact the full
-    fixpoint derives before the root's round with its full round, so the
-    root's witness is the full table's.  A root of round 0 stops after that
-    round, and the empty walk stops before any round.  When the root is dead
-    at its target, no round runs, whatever the demand probe would find, and
-    the table holds only the empty-walk facts.  Otherwise, when the probe
-    gives up, the table holds exactly the facts the full fixpoint derives
-    before the root's round, and the root.
+    born earlier there.  When the round two before the root's is dense (its
+    new facts are at least twice its row deltas), the round before the
+    root's is kept only in the rows ``(source, B)`` and the columns ``(C,
+    target)`` of the root's rules ``start -> B C``; otherwise it is kept
+    whole.  The rows the root demands keep every fact the full fixpoint
+    derives in the rounds kept with its full round, so the root's witness is
+    the full table's.  A root of round 0 stops after that round, and the
+    empty walk stops before any round.  When the root is dead at its target,
+    no round runs, whatever the demand probe would find, and the table holds
+    only the empty-walk facts.  Otherwise, when the probe gives up, the
+    table holds exactly the facts the full fixpoint derives in the rounds
+    kept, and the root.
     """
     full = cfl_reach_table(g, nf)
     root = (g.source, nf.start, g.target)
@@ -149,6 +153,7 @@ def check_goal_stop(g, nf):
     assert (w is None) == (root not in full.facts)
     stopped = cfl_reach_table(g, nf, goal=root) if w is None else w.table
     deltas = sum(len(chunks) for rows in stopped.births for chunks in rows.values())
+    assert all(x[0] < y[0] for rows in stopped.births for chunks in rows.values() for x, y in zip(chunks, chunks[1:]))
     assert stats == {"facts": len(stopped.facts), "pops": stopped.pops}
     assert len(stopped.facts) == len(list(stopped.facts)) >= stopped.pops == deltas
     assert set(stopped.facts) <= set(full.facts)
@@ -164,15 +169,28 @@ def check_goal_stop(g, nf):
         if last is None:
             assert stopped.pops == 0
 
-    def kept(born):  # born in a round the stopped fixpoint runs
-        return w is None or last is not None and (born < last or born == last == 0)
+    root_rules = [(b, c) for a, b, c in nf.binary_rules if a == nf.start]
+
+    def sliced(fact):  # in a source row or target column of a root rule
+        x, a, y = fact
+        return any(x == g.source and a == b or y == g.target and a == c for b, c in root_rules)
+
+    dense = False  # whether the round two before the root's is dense
+    if last is not None and last >= 2:
+        chunks = [bits for rows in stopped.births for row in rows.values() for r, bits in row if r == last - 2]
+        dense = sum(map(int.bit_count, chunks)) >= 2 * len(chunks)
+
+    def kept(fact, born):  # born in a round the stopped fixpoint keeps
+        if w is None or last is None:
+            return w is None
+        return born < last - 1 or born == last == 0 or born == last - 1 and (not dense or sliced(fact))
 
     for fact in stopped.facts:
         born = stopped.born(fact)
         if born is None:  # only empty-walk facts have no round
             assert empty_walk(fact)
         else:
-            assert born >= full.born(fact) and (fact == root or kept(born))
+            assert born >= full.born(fact) and (fact == root or kept(fact, born))
     if not empty_walk(root) and solve._dead_target(g, nf, root):  # no edge was seeded
         assert w is None and stopped.pops == 0
         assert set(stopped.facts) == {f for f in full.facts if empty_walk(f)}
@@ -181,10 +199,10 @@ def check_goal_stop(g, nf):
     demanded = demand_closure(full, root)
     for fact in full.facts:
         born = full.born(fact)
-        if fact[:2] in demanded and born is not None and kept(born):
+        if fact[:2] in demanded and born is not None and kept(fact, born):
             assert stopped.born(fact) == born
     if gave_up:  # every edge was seeded
-        whole = {f for f in full.facts if empty_walk(f) or kept(full.born(f))}
+        whole = {f for f in full.facts if empty_walk(f) or kept(f, full.born(f))}
         assert set(stopped.facts) == (whole if w is None else whole | {root})
 
 
@@ -237,6 +255,61 @@ def test_goal_stop_ends_in_the_round_of_the_root():
 @given(instances())
 def test_goal_stop_with_random_grammars(instance):
     g, nf, _ = instance
+    check_goal_stop(g, nf)
+
+
+def test_a_dense_round_looks_ahead_to_the_root():
+    # "()()" from 0 to 4, with each "(" tail opening twice, and each ")" tail
+    # closing twice, so round 0 holds 10 facts on 5 row deltas.  The root
+    # (0, S, 4) is born in round 2.  Of round 1, the stop keeps (0, S, 2) and
+    # (0, S, 6) in the source row and (2, S, 4) in the target column, and
+    # never derives (2, S, 6), (7, S, 2) or (7, S, 6).
+    edges = [(0, 1, "("), (0, 5, "("), (1, 2, ")"), (1, 6, ")"), (2, 3, "("),
+             (2, 5, "("), (3, 4, ")"), (3, 6, ")"), (7, 1, "("), (7, 5, "(")]
+    g = graph(DIRECTED, 8, edges, 0, 4, "()")
+    full, stats = cfl_reach_table(g, D2_NF), {}
+    w = cfl_reach(g, D2_NF, stats=stats)
+    assert full.born(w.root) == w.table.born(w.root) == 2
+    assert {f for f in full.facts if full.born(f) == 1} == {
+        (0, "S", 2), (0, "S", 6), (2, "S", 4), (2, "S", 6), (7, "S", 2), (7, "S", 6)
+    }
+    assert {f for f in w.table.facts if w.table.born(f) == 1} == {(0, "S", 2), (0, "S", 6), (2, "S", 4)}
+    assert stats == {"facts": 14, "pops": 8}  # 10 + 3 + the root, on 5 + 2 + 1 row deltas
+    assert expand_witness(w).steps == ((0, False), (2, False), (4, False), (6, False))
+    check_goal_stop(g, D2_NF)
+
+
+@st.composite
+def dense_graphs(draw):
+    """``d2``, ``dd2`` or a random grammar over "ab" on a multigraph with
+    self-loops and up to 8 edges per vertex, directed or undirected."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    choice = draw(st.sampled_from(["d2", "dd2", "random"]))
+    if choice == "random":
+        alphabet = "ab"
+        cfg = random_cfg(rng, rng.randint(1, 4), rng.randint(1, 7), alphabet, max_body=3,
+                         epsilon_bias=draw(st.sampled_from([0.0, 0.3])))
+        nf = normalize(Cfg(cfg.nonterminals, frozenset(alphabet), cfg.productions, cfg.start))
+    else:
+        nf, alphabet = (D2_NF, "()[]") if choice == "d2" else (DD2_NF, "()[]abcd")
+    kind = draw(st.sampled_from([DIRECTED, UNDIRECTED]))
+    n = rng.randint(1, 10)  # drawn by rng, not shrunk toward small graphs that never look ahead
+    g = random_graph(rng, n, rng.randint(0, 8 * n), alphabet, kind=kind, self_loops=True)
+    return g, nf
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_graphs())
+def test_the_stop_decides_as_the_worklist_oracle(instance):
+    # Whether or not a dense round looked ahead, the answer is the oracle's,
+    # and the stopped table holds only facts of the least fixpoint.
+    g, nf = instance
+    oracle = worklist_facts(g, nf)
+    root = (g.source, nf.start, g.target)
+    w = cfl_reach(g, nf)
+    assert (w is not None) == (root in oracle)
+    stopped = cfl_reach_table(g, nf, goal=root) if w is None else w.table
+    assert set(stopped.facts) <= oracle
     check_goal_stop(g, nf)
 
 
