@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import generators
-from .errors import CorruptWitnessError, LcreachError, NoRespectingPathError
+from .errors import CorruptWitnessError, LcreachError, NoRespectingPathError, ParseError
 from .graph import (
     DIRECTED,
     UNDIRECTED,
@@ -133,16 +133,14 @@ def _write_witness_file(path: str, p: Path, derivation: Optional[list] = None) -
     }
     if derivation is not None:
         payload.update(version=2, derivation=derivation)
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+    _write(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _load_witness_file(path: str) -> tuple[Path, object]:
     """The walk, plus the unchecked derivation of a version 2 file (else None)."""
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        payload = json.loads(_read(path))
+    except (OSError, ParseError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise CorruptWitnessError(f"cannot load witness file: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != WITNESS_FORMAT:
         raise CorruptWitnessError("not a witness file")
@@ -168,8 +166,16 @@ def _attach_path(report: SolveReport, g: LabeledGraph, p: Path) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _load_language(args: argparse.Namespace) -> Language:
@@ -193,9 +199,8 @@ def _check_walk(g: LabeledGraph, lang: Language, p: Path, derivation) -> tuple[O
     """Why ``p`` is no witness (None if it is one), and its yield if it runs source to target.
 
     The endpoints come first: a derivation is compared with the steps only.
-    Then ``derivation`` must derive exactly those steps under the normal
-    form, or else ``member`` accept the yield, so a malformed or foreign
-    derivation can only spare the membership check, never change the verdict.
+    Then ``derivation``, when not None, must derive exactly those steps
+    under the normal form; without one, ``member`` must accept the yield.
     """
     try:
         text = path_yield(g, p)
@@ -203,15 +208,13 @@ def _check_walk(g: LabeledGraph, lang: Language, p: Path, derivation) -> tuple[O
         return f"path does not fit the graph: {exc}", None
     if path_endpoints(g, p) != (g.source, g.target):
         return "path endpoints are not the graph's source and target", None
-    proved = False
-    if derivation is not None and lang.normal_form is not None:
-        try:
-            proved = check_derivation(g, lang.normal_form, derivation, step_limit=len(p)) == p.steps
-        except CorruptWitnessError:
-            pass
-    if not (proved or lang.member(text)):
-        return "path yield is not in the language", text
-    return None, text
+    if derivation is None:
+        return (None if lang.member(text) else "path yield is not in the language"), text
+    try:
+        proved = check_derivation(g, lang.normal_form, derivation, step_limit=len(p)) == p.steps
+    except CorruptWitnessError as exc:
+        return f"derivation fails its check: {exc}", text
+    return (None if proved else "derivation derives other steps"), text
 
 
 def _add_language_flags(parser: argparse.ArgumentParser) -> None:
@@ -355,8 +358,7 @@ _REDUCTIONS = {
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     out = _REDUCTIONS[args.kind](_read(args.infile))
-    with open(args.outfile, "w") as fh:
-        fh.write(render_graph(out))
+    _write(args.outfile, render_graph(out))
     summary = {"kind": args.kind, "vertices": out.vertex_count, "edges": len(out.us)}
     if args.json:
         print(json.dumps(summary, sort_keys=True))
@@ -368,29 +370,27 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 # --- gen ---------------------------------------------------------------------
 
 
+# Each generator reads the seeded random source and the options, and returns the file's text.
+_GENERATORS = {
+    "graph": lambda rng, a: render_graph(
+        generators.random_graph(rng, a.n, a.m, a.alphabet, kind=a.graph_kind, self_loops=a.self_loops)
+    ),
+    "dag": lambda rng, a: render_graph(generators.random_dag(rng, a.n, a.m, a.alphabet)),
+    "circuit": lambda rng, a: render_circuit(generators.random_circuit(rng, a.inputs, a.gates)),
+    "vc": lambda rng, a: render_vc(generators.random_vc_instance(rng, a.n, a.m, a.k)),
+    "nbc": lambda rng, a: generators.random_nbc_string(rng, a.blocks) + "\n",
+}
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     import random
 
-    rng = random.Random(args.seed)
     try:  # the generators reject impossible sizes with ValueError
-        if args.kind == "graph":
-            g = generators.random_graph(
-                rng, args.n, args.m, args.alphabet, kind=args.graph_kind, self_loops=args.self_loops
-            )
-            text = render_graph(g)
-        elif args.kind == "dag":
-            text = render_graph(generators.random_dag(rng, args.n, args.m, args.alphabet))
-        elif args.kind == "circuit":
-            text = render_circuit(generators.random_circuit(rng, args.inputs, args.gates))
-        elif args.kind == "vc":
-            text = render_vc(generators.random_vc_instance(rng, args.n, args.m, args.k))
-        else:
-            text = generators.random_nbc_string(rng, args.blocks) + "\n"
+        text = _GENERATORS[args.kind](random.Random(args.seed), args)
     except ValueError as exc:
         raise _Usage(str(exc)) from None
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_REACHABLE
@@ -403,7 +403,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.graph))
     lang = _load_language(args)
     witness, derivation = _load_witness_file(args.witness)
+    derivation = derivation if lang.normal_form is not None else None
     note, text = _check_walk(g, lang, witness, derivation)
+    if note is not None and derivation is not None:  # a file's derivation can only spare the membership check
+        note, text = _check_walk(g, lang, witness, None)
     report = SolveReport(decision="rejected", yield_=text)
     if note is None:
         report.decision = "verified"
@@ -457,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_.set_defaults(func=_cmd_reduce)
 
     gen = sub.add_parser("gen", help="seeded random instances")
-    gen.add_argument("kind", choices=("graph", "dag", "circuit", "vc", "nbc"))
+    gen.add_argument("kind", choices=tuple(_GENERATORS))
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--n", type=int, default=8)
     gen.add_argument("--m", type=int, default=12)

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict, deque
-from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import eq
@@ -98,19 +97,17 @@ def _rules(nf: NormalForm) -> _Rules:
     return _Rules(names, ids, by_head, by_first, by_second, heads, reads)
 
 
-class FactSet(Set):
-    """The facts ``(u, A, v)`` of a :class:`ReachTable`, read off its rows.
+class FactSet:
+    """The facts ``(u, A, v)`` of a :class:`ReachTable`: a count and a membership test on its rows.
 
-    ``rows[i][u]`` is the bitmask of the ``v`` with ``(u, names[i], v)``.  A
-    read-only set: membership, ``len``, iteration ordered by nonterminal name,
-    then ``u``, then ``v``, and equality with any other set.  When the start
-    symbol is nullable, every ``(u, start, u)`` is a fact for the empty walk
-    whether or not the rows hold it too.
+    ``rows[i][u]`` is the bitmask of the ``v`` with ``(u, A, v)``, where
+    ``ids[A] == i``.  When the start symbol is nullable, every ``(u, start,
+    u)`` is a fact for the empty walk whether or not the rows hold it too.
+    The set is not iterable: a reader of every fact reads ``rows``.
     """
 
     def __init__(self, rules: _Rules, rows: list[list[int]], nullable_start: Optional[int], size: int):
-        self.names, self.ids = rules.names, rules.ids
-        self.rows = rows
+        self.ids, self.rows = rules.ids, rows
         self._empty = nullable_start  # id of the start symbol when it is nullable
         self._len = size
 
@@ -127,17 +124,6 @@ class FactSet(Set):
             return False
         return bool(self.rows[i][u] >> v & 1) or (i == self._empty and u == v)
 
-    def __iter__(self) -> Iterator[Fact]:
-        for i, a in enumerate(self.names):  # names are sorted
-            for u, row in enumerate(self.rows[i]):
-                if i == self._empty:
-                    row |= 1 << u
-                for v in _bits(row):
-                    yield (u, a, v)
-
-    def __repr__(self) -> str:
-        return f"FactSet({len(self)} facts)"
-
 
 @dataclass(frozen=True)
 class ReachTable:
@@ -153,12 +139,12 @@ class ReachTable:
     the goal does not demand may be missing or have a later round.  When
     no edge into the goal's target can end a derivation of it, the table
     holds no fact and no row delta: only the empty-walk facts of a
-    nullable start.  ``facts`` is the read-only set of facts.
-    ``births[i][u]`` lists ``(round, bits)`` pairs in round order: the
-    ``v`` whose fact ``(u, A, v)`` was born in that round, for ``A =
-    facts.names[i]``.  Round 0 reads one edge; round ``r`` joins two facts
-    born before ``r``, so a fact's round is its minimum derivation height
-    minus one.  Empty-walk facts are never joined and have no round.  The
+    nullable start.  ``facts`` counts the facts and tests membership;
+    its ``rows`` hold them.  ``births[i][u]`` lists ``(round, bits)`` pairs
+    in round order: the ``v`` whose fact ``(u, A, v)`` was born in that
+    round, for the ``A`` with ``facts.ids[A] == i``.  Round 0 reads one
+    edge; round ``r`` joins two facts born before ``r``, so a fact's round
+    is its minimum derivation height minus one.  Empty-walk facts are never joined and have no round.  The
     table keeps no provenance: :func:`witness_derivation` rebuilds a
     derivation from the rounds.  ``pops`` counts the row deltas, at most
     one per fact.  ``edge_ends`` is the fixpoint's ``(ends, heads)`` index
@@ -171,12 +157,6 @@ class ReachTable:
     births: list[dict[int, list[tuple[int, int]]]]
     pops: int
     edge_ends: tuple[list[list[int]], list[int]] = field(compare=False, repr=False)
-
-    def born(self, fact: Fact) -> Optional[int]:
-        """The round in which ``fact`` was derived, or None (empty walk or no fact)."""
-        u, a, v = fact
-        i = self.facts.ids.get(a)
-        return None if i is None else _born(self.births[i].get(u, ()), v)
 
 
 @dataclass

@@ -30,6 +30,7 @@ from lcreach.grammar import Cfg, Dfa, NormalForm
 from lcreach.graph import DIRECTED, UNDIRECTED, Edge, LabeledGraph, Path, Step
 from lcreach.languages import adjacency_bits, d2_member
 from lcreach.reductions import Circuit, VcInstance
+from lcreach.solve import _born
 
 
 def derivable_strings(g: Cfg, max_len: int) -> dict[str, set[str]]:
@@ -648,3 +649,27 @@ def worklist_facts(g: LabeledGraph, nf, order: str = "fifo") -> frozenset:
     if nf.start_nullable:
         facts.update((u, nf.start, u) for u in range(g.vertex_count))
     return frozenset(facts)
+
+
+def table_facts(table) -> frozenset:
+    """Every fact ``(u, A, v)`` of a ``ReachTable``, read off the rows of its ``facts``.
+
+    A fact is a set bit ``v`` of ``rows[ids[A]][u]``, or an empty-walk fact
+    ``(u, start, u)`` of a nullable start, which the rows need not hold.
+    """
+    facts, nf = table.facts, table.normal_form
+    names = {i: a for a, i in facts.ids.items()}
+    empty = facts.ids[nf.start] if nf.start_nullable else None
+    out = set()
+    for i, rows in enumerate(facts.rows):
+        for u, row in enumerate(rows):
+            row |= (i == empty) << u
+            out.update((u, names[i], v) for v in range(row.bit_length()) if row >> v & 1)
+    return frozenset(out)
+
+
+def round_of(table, fact) -> Optional[int]:
+    """The round in which a ``ReachTable`` derived ``fact``, or None (an empty walk, or no fact)."""
+    u, a, v = fact
+    i = table.facts.ids.get(a)
+    return None if i is None else _born(table.births[i].get(u, ()), v)

@@ -48,7 +48,9 @@ from lcreach.solve import (
     regular_reach,
 )
 
-from .helpers import all_vc_instances, cyk_member, random_cfg, universal_dfa, walk_budget, worklist_facts
+from .helpers import (
+    all_vc_instances, cyk_member, random_cfg, table_facts, universal_dfa, walk_budget, worklist_facts,
+)
 
 D2 = d2_grammar()
 DD2 = dd2_grammar()
@@ -205,7 +207,7 @@ def test_criterion_08_worklist_order_does_not_change_the_fixpoint():
             g = random_graph(rng, rng.randint(2, 7), rng.randint(0, 12), alpha)
         # The round-at-a-time fixpoint against the fact-at-a-time oracle
         # under two different worklist schedules.
-        facts = cfl_reach_table(g, nf).facts
+        facts = table_facts(cfl_reach_table(g, nf))
         assert facts == worklist_facts(g, nf, "fifo")
         assert facts == worklist_facts(g, nf, "lifo")
     _report(8, started, 10.0)

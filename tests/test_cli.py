@@ -889,6 +889,42 @@ def test_malformed_graph_file(files, capsys):
     assert "error:" in err
 
 
+BAD_BYTE = b"\xff"
+
+
+@pytest.mark.parametrize(
+    "argv, name, text",
+    [
+        (("solve", "--graph", "{bad}", "--builtin", "d2"), "g.graph", CHAIN_SQUARE),
+        (("solve", "--graph", "{graph}", "--grammar", "{bad}"), "g.cfg", "S -> '[' ']'\n"),
+        (("solve", "--graph", "{graph}", "--dfa", "{bad}", "--mode", "regular"), "g.dfa", ABSTAR_DFA),
+        (("member", "--grammar", "{bad}", "--string", "[]"), "g.cfg", "S -> '[' ']'\n"),
+        (("reduce", "mcvp-to-d2", "--in", "{bad}", "--out", "{out}"), "c.txt", "circuit 1\ninput 1\noutput 0\n"),
+        (("reduce", "vc-to-a", "--in", "{bad}", "--out", "{out}"), "vc.txt", TRIANGLE_VC1),
+        (("verify", "--graph", "{bad}", "--builtin", "d2", "--witness", "{witness}"), "g.graph", CHAIN_SQUARE),
+        (("verify", "--graph", "{graph}", "--builtin", "d2", "--witness", "{bad}"), "w.json", '{"format": "x"}'),
+        (("verify", "--graph", "{graph}", "--builtin", "d2", "--witness", "{bad}"), "w.json", None),
+    ],
+    ids=["graph", "grammar", "dfa", "member-grammar", "circuit", "vc", "verify-graph", "witness", "deep-witness"],
+)
+def test_an_unreadable_input_file_is_a_format_error(files, capsys, tmp_path, argv, name, text):
+    # A byte that is not UTF-8, in any file a flag names, or a witness nested
+    # too deep to load, exits 2 with one error line, never 4.
+    bad = tmp_path / name
+    if text is None:
+        bad.write_text("[" * 100_000 + "]" * 100_000)
+    else:
+        bad.write_bytes(text.encode()[:-1] + BAD_BYTE + b"\n")
+    g = files("ok.graph", CHAIN_SQUARE)
+    witness = str(tmp_path / "ok.json")
+    assert run(capsys, "solve", "--graph", g, "--builtin", "d2", "--witness-out", witness)[0] == 0
+    fields = {"bad": str(bad), "graph": g, "witness": witness, "out": str(tmp_path / "out.graph")}
+    code, out, err = run(capsys, *(a.format(**fields) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(bad) in err or "cannot load witness file: " in err
+
+
 def test_unknown_builtin_is_usage(files, capsys):
     g = files("g.graph", CHAIN_SQUARE)
     code, _, _ = run(capsys, "solve", "--graph", g, "--builtin", "nosuch")
@@ -949,3 +985,25 @@ def test_a_solver_walk_that_does_not_fit_the_graph_is_an_internal_error(files, c
         "internal error: RuntimeError: internal check failed: solver returned an invalid witness: "
         "path does not fit the graph: step 0 references edge 9, which does not exist\n"
     )
+
+
+def test_a_solve_whose_derivation_fails_its_check_is_an_internal_error(files, capsys, monkeypatch, tmp_path):
+    # The solve's own derivation must prove its walk: no fallback to the
+    # membership test, and no witness file.
+    real = cli.witness_derivation
+
+    def corrupt(w):
+        nodes = list(real(w))
+        nodes[0] = (nodes[0][0], "_t_[", *nodes[0][2:])  # one node renamed
+        return nodes
+
+    monkeypatch.setattr(cli, "witness_derivation", corrupt)
+    g = files("g.graph", "undirected 3 2\n()\n0 1 (\n1 2 )\n0 2\n")
+    wfile = tmp_path / "w.json"
+    code, out, err = run(capsys, "solve", "--graph", g, "--builtin", "d2", "--witness-out", str(wfile))
+    assert (code, out) == (4, "")
+    assert err.startswith(
+        "internal error: RuntimeError: internal check failed: solver returned an invalid witness: "
+        "derivation fails its check: derivation node 0"
+    )
+    assert not wfile.exists()

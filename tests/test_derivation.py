@@ -31,7 +31,9 @@ from lcreach.solve import (
     witness_derivation,
 )
 
-from .helpers import check_derivation_per_node, cyk_member, graph, random_cfg, worklist_facts
+from .helpers import (
+    check_derivation_per_node, cyk_member, graph, random_cfg, round_of, table_facts, worklist_facts,
+)
 
 D2_NF = normalize(d2_grammar())
 
@@ -88,15 +90,15 @@ def test_fact_set_equals_the_worklist_oracle(instance):
     # multigraphs with self-loops, against a fact-at-a-time worklist.
     g, nf, order = instance
     table = cfl_reach_table(g, nf)
-    assert table.facts == worklist_facts(g, nf, order)
-    assert len(table.facts) == len(list(table.facts)) >= table.pops
-    for fact in table.facts:
+    assert table_facts(table) == worklist_facts(g, nf, order)
+    assert len(table.facts) == len(table_facts(table)) >= table.pops
+    for fact in table_facts(table):
         nodes = witness_derivation(Witness(fact, table))
         for node in nodes:
             if node[3] == "b":
-                born = table.born(node[:3])
-                assert table.born(nodes[node[4]][:3]) < born
-                assert table.born(nodes[node[5]][:3]) < born
+                born = round_of(table, node[:3])
+                assert round_of(table, nodes[node[4]][:3]) < born
+                assert round_of(table, nodes[node[5]][:3]) < born
 
 
 # --- the fixpoint stopped at its root ----------------------------------------------
@@ -115,8 +117,8 @@ def demand_closure(table, root):
     rules, ends = defaultdict(list), defaultdict(list)
     for a, b, c in table.normal_form.binary_rules:
         rules[a].append((b, c))
-    for u, a, w in table.facts:
-        if table.born((u, a, w)) is not None:
+    for u, a, w in table_facts(table):
+        if round_of(table, (u, a, w)) is not None:
             ends[u, a].append(w)
     closure, todo = set(), [root[:2]]
     while todo:
@@ -155,8 +157,8 @@ def check_goal_stop(g, nf):
     deltas = sum(len(chunks) for rows in stopped.births for chunks in rows.values())
     assert all(x[0] < y[0] for rows in stopped.births for chunks in rows.values() for x, y in zip(chunks, chunks[1:]))
     assert stats == {"facts": len(stopped.facts), "pops": stopped.pops}
-    assert len(stopped.facts) == len(list(stopped.facts)) >= stopped.pops == deltas
-    assert set(stopped.facts) <= set(full.facts)
+    assert len(stopped.facts) == len(table_facts(stopped)) >= stopped.pops == deltas
+    assert table_facts(stopped) <= table_facts(full)
 
     def empty_walk(fact):  # a fact of every table when the start is nullable
         return nf.start_nullable and fact[1] == nf.start and fact[0] == fact[2]
@@ -164,8 +166,8 @@ def check_goal_stop(g, nf):
     last = None  # the root's round; None for an empty walk, and while the root is not born
     if w is not None:
         assert witness_derivation(w) == witness_derivation(Witness(root, full))
-        last = None if empty_walk(root) else full.born(root)
-        assert stopped.born(root) == last
+        last = None if empty_walk(root) else round_of(full, root)
+        assert round_of(stopped, root) == last
         if last is None:
             assert stopped.pops == 0
 
@@ -185,25 +187,25 @@ def check_goal_stop(g, nf):
             return w is None
         return born < last - 1 or born == last == 0 or born == last - 1 and (not dense or sliced(fact))
 
-    for fact in stopped.facts:
-        born = stopped.born(fact)
+    for fact in table_facts(stopped):
+        born = round_of(stopped, fact)
         if born is None:  # only empty-walk facts have no round
             assert empty_walk(fact)
         else:
-            assert born >= full.born(fact) and (fact == root or kept(fact, born))
+            assert born >= round_of(full, fact) and (fact == root or kept(fact, born))
     if not empty_walk(root) and solve._dead_target(g, nf, root):  # no edge was seeded
         assert w is None and stopped.pops == 0
-        assert set(stopped.facts) == {f for f in full.facts if empty_walk(f)}
+        assert table_facts(stopped) == {f for f in table_facts(full) if empty_walk(f)}
         return
     gave_up = empty_walk(root) or solve._demand(g, nf, root, edge_ends(g)) is None
     demanded = demand_closure(full, root)
-    for fact in full.facts:
-        born = full.born(fact)
+    for fact in table_facts(full):
+        born = round_of(full, fact)
         if fact[:2] in demanded and born is not None and kept(fact, born):
-            assert stopped.born(fact) == born
+            assert round_of(stopped, fact) == born
     if gave_up:  # every edge was seeded
-        whole = {f for f in full.facts if empty_walk(f) or kept(f, full.born(f))}
-        assert set(stopped.facts) == (whole if w is None else whole | {root})
+        whole = {f for f in table_facts(full) if empty_walk(f) or kept(f, round_of(full, f))}
+        assert table_facts(stopped) == (whole if w is None else whole | {root})
 
 
 @st.composite
@@ -243,10 +245,10 @@ def test_goal_stop_ends_in_the_round_of_the_root():
     g = graph(DIRECTED, 5, [(0, 1, "("), (1, 2, ")"), (2, 3, "("), (3, 4, ")")], 0, 2, "()")
     full, stats = cfl_reach_table(g, D2_NF), {}
     w = cfl_reach(g, D2_NF, stats=stats)
-    assert full.born((0, "S", 2)) == full.born((2, "S", 4)) == w.table.born((0, "S", 2)) == 1
-    assert full.born((0, "S", 4)) == 2
+    assert round_of(full, (0, "S", 2)) == round_of(full, (2, "S", 4)) == round_of(w.table, (0, "S", 2)) == 1
+    assert round_of(full, (0, "S", 4)) == 2
     assert (2, "S", 4) not in w.table.facts and (0, "S", 4) not in w.table.facts
-    assert set(w.table.facts) == {f for f in full.facts if full.born(f) == 0} | {(0, "S", 2)}
+    assert table_facts(w.table) == {f for f in table_facts(full) if round_of(full, f) == 0} | {(0, "S", 2)}
     assert stats == {"facts": 5, "pops": 5}
     check_goal_stop(g, D2_NF)
 
@@ -269,11 +271,11 @@ def test_a_dense_round_looks_ahead_to_the_root():
     g = graph(DIRECTED, 8, edges, 0, 4, "()")
     full, stats = cfl_reach_table(g, D2_NF), {}
     w = cfl_reach(g, D2_NF, stats=stats)
-    assert full.born(w.root) == w.table.born(w.root) == 2
-    assert {f for f in full.facts if full.born(f) == 1} == {
+    assert round_of(full, w.root) == round_of(w.table, w.root) == 2
+    assert {f for f in table_facts(full) if round_of(full, f) == 1} == {
         (0, "S", 2), (0, "S", 6), (2, "S", 4), (2, "S", 6), (7, "S", 2), (7, "S", 6)
     }
-    assert {f for f in w.table.facts if w.table.born(f) == 1} == {(0, "S", 2), (0, "S", 6), (2, "S", 4)}
+    assert {f for f in table_facts(w.table) if round_of(w.table, f) == 1} == {(0, "S", 2), (0, "S", 6), (2, "S", 4)}
     assert stats == {"facts": 14, "pops": 8}  # 10 + 3 + the root, on 5 + 2 + 1 row deltas
     assert expand_witness(w).steps == ((0, False), (2, False), (4, False), (6, False))
     check_goal_stop(g, D2_NF)
@@ -309,7 +311,7 @@ def test_the_stop_decides_as_the_worklist_oracle(instance):
     w = cfl_reach(g, nf)
     assert (w is not None) == (root in oracle)
     stopped = cfl_reach_table(g, nf, goal=root) if w is None else w.table
-    assert set(stopped.facts) <= oracle
+    assert table_facts(stopped) <= oracle
     check_goal_stop(g, nf)
 
 
@@ -353,13 +355,14 @@ def test_a_dead_target_runs_no_round(instance):
     root = (g.source, nf.start, g.target)
     stats = {}
     assert (cfl_reach(g, nf, stats=stats) is not None) == (root in oracle)
-    for a in full.facts.names:
+    for a in solve._rules(nf).names:
         goal = (g.source, a, g.target)
         if nf.start_nullable and a == nf.start and g.source == g.target or not solve._dead_target(g, nf, goal):
             continue
-        assert not any(v == g.target and full.born((x, b, v)) is not None for x, b, v in full.facts if b == a)
+        derived = (round_of(full, (x, b, v)) is not None for x, b, v in table_facts(full) if b == a and v == g.target)
+        assert not any(derived)
         table = cfl_reach_table(g, nf, goal=goal)
-        assert table.pops == 0 and not any(table.born(f) is not None for f in table.facts)
+        assert table.pops == 0 and not any(round_of(table, f) is not None for f in table_facts(table))
         assert len(table.facts) == (g.vertex_count if nf.start_nullable else 0)
         if a == nf.start:
             assert stats == {"facts": len(table.facts), "pops": 0}
@@ -399,7 +402,7 @@ def check_demand(g, nf):
     root = (g.source, nf.start, g.target)
     full = cfl_reach_table(g, nf)
     rows = solve._demand(g, nf, root, edge_ends(g), budget=UNLIMITED)
-    names = full.facts.names
+    names = solve._rules(nf).names
     demanded = {(u, names[i]) for i, row in enumerate(rows) for u in row}
     assert demanded == demand_closure(full, root)
     for i, row in enumerate(rows):  # a demanded row holds all its facts
@@ -409,9 +412,9 @@ def check_demand(g, nf):
         seeded = cfl_reach_table(g, nf, goal=root)
     oracle = worklist_facts(g, nf)
     vertices = {u for u, _ in demanded}
-    for fact in seeded.facts:
+    for fact in table_facts(seeded):
         assert fact in oracle
-        assert fact[0] in vertices or seeded.born(fact) is None  # or an empty walk
+        assert fact[0] in vertices or round_of(seeded, fact) is None  # or an empty walk
 
 
 @settings(max_examples=300, deadline=None)
@@ -436,7 +439,7 @@ def test_a_circuit_output_takes_the_demand_path():
     w = cfl_reach(g, D2_NF)
     with probe_budget(NO_PROBE):
         everywhere = cfl_reach(g, D2_NF)
-    assert set(w.table.facts) < set(everywhere.table.facts)
+    assert table_facts(w.table) < table_facts(everywhere.table)
     assert w.table.pops < everywhere.table.pops
     assert witness_derivation(w) == witness_derivation(everywhere)
     assert expand_witness(w) == expand_witness(everywhere)

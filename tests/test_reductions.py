@@ -20,7 +20,7 @@ from lcreach.errors import (
     TooLargeError,
 )
 from lcreach.generators import random_circuit, random_graph, random_nbc_string, random_vc_instance
-from lcreach.graph import DIRECTED, UNDIRECTED, LabeledGraph, Path, Step, is_dag, path_yield
+from lcreach.graph import DIRECTED, UNDIRECTED, LabeledGraph, Path, Step, is_dag, path_yield, render_graph
 from lcreach.languages import (
     abstar_dfa,
     d2_grammar,
@@ -144,6 +144,15 @@ def test_branch_count_follows_choice_count():
     # three single-symbol branches between the two junctions
     assert out.vertex_count == 2
     assert len(out.edges) == 3
+
+
+def test_block_choice_graph_is_pinned():
+    # Spine 0 -(- 1; block 1 ends at 2, its "[])" branch through 3 and 4;
+    # block 2 ends at 5, its "()]" branch through 6 and 7.  Witness files name
+    # edges by index, so vertex numbers and edge order must not drift.
+    assert render_graph(nbc_to_d2_dagreach("({)#[])}{]#()]}")) == (
+        "directed 8 9\n()[]\n0 1 (\n1 2 )\n1 3 [\n3 4 ]\n4 2 )\n2 5 ]\n2 6 (\n6 7 )\n7 5 ]\n0 5\n"
+    )
 
 
 def test_empty_choices_cannot_be_built():
@@ -479,6 +488,14 @@ def test_construction_size_is_exact():
         assert len(out.edges) == pairs + 4 * n + 1
         assert out.vertex_count == pairs + 3 * n + 2
         assert is_dag(out) is not None
+
+
+def test_vertex_cover_graph_is_pinned():
+    # Budget "100#", adjacency "101#", then one diamond per vertex at 8, 10, 12.
+    assert render_graph(vc_to_a_dagreach(VcInstance(3, frozenset({(1, 2), (2, 3)}), 1))) == (
+        "directed 14 16\n#01\n0 1 1\n1 2 0\n2 3 0\n3 4 #\n4 5 1\n5 6 0\n6 7 1\n7 8 #\n"
+        "8 9 1\n8 9 0\n9 10 #\n10 11 1\n10 11 0\n11 12 #\n12 13 1\n12 13 0\n0 13\n"
+    )
 
 
 def test_every_path_spells_a_wellformed_certificate():
