@@ -506,6 +506,8 @@ def dispatch(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
+    if hasattr(sys.stdout, "reconfigure"):  # escape what its encoding cannot hold, as Python's own stderr does
+        sys.stdout.reconfigure(errors="backslashreplace")
     sys.exit(dispatch(sys.argv[1:]))
 
 

@@ -49,13 +49,6 @@ def ascii_only_ints(text: str) -> bool:
     return text.isascii() and "+" not in text and "_" not in text
 
 
-def ascii_int(token: str) -> int:
-    """``token``, from ``str.split``, as an integer if it is ``-?[0-9]+``; otherwise a ValueError."""
-    if not ascii_only_ints(token):
-        raise ValueError(f"not an ASCII integer: {token!r}")
-    return int(token)
-
-
 def parse_ints(tokens: Sequence[str], message: str, line: int) -> list[int]:
     """``tokens``, from ``str.split``, as ASCII integers; otherwise a ParseError with ``message`` at ``line``."""
     try:

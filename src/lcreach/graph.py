@@ -29,10 +29,12 @@ A graph stores its edges as three columns, so it holds no object per edge
 for the garbage collector to walk: ``us`` and ``vs``, tuples of ints, and
 ``labels``, a string whose character ``i`` is edge ``i``'s label.
 ``LabeledGraph.edges`` is a view that builds :class:`Edge` tuples from the
-columns on access.  The parser reads edge lines into the columns (a split per
-4,096 lines, one count of the ``"\\0"`` joins and one label-width check per
-split, and an ``int`` map per endpoint column), and the constructor checks
-whole columns (their types, ``min``, ``max`` and label set), so no Python
+columns on access.  Per 4,096 edge lines the parser runs one split, one count
+of the ``"\\0"`` joins, one label-width check, and one ``json.loads`` of the
+endpoint tokens, which must hold only ASCII digits, ``-`` and ``,``.  The
+constructor checks one set of both endpoint columns' types, the label set, and
+``min`` and ``max`` of the ids (on an undirected graph, once its edges are
+in ``(min, max)`` order, just ``min(us)`` and ``max(vs)``), so no Python
 function runs per edge; only a failed check starts a per-line or per-edge
 loop, to name the first line or edge at fault.  Either way faults
 keep their messages and their order.  Walk searches read :func:`edge_ends`,
@@ -42,6 +44,7 @@ and end ``2e + 1`` reads it in reverse.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress, count, repeat
@@ -55,8 +58,6 @@ from .errors import (
     ParseError,
     SemanticError,
     TooLargeError,
-    ascii_int,
-    ascii_only_ints,
     build_object,
     content_lines,
     parse_ints,
@@ -137,18 +138,18 @@ class LabeledGraph:
         if not len(us) == len(vs) == len(labels):
             raise InvariantError("the edge columns differ in length", "edges")
         # whole columns at once; the per-edge loop runs only to name the first edge at fault
-        if us and not (
-            set(map(type, us)) | set(map(type, vs)) <= {int}
-            and min(min(us), min(vs)) >= 0 and max(max(us), max(vs)) < n
-            and alphabet.issuperset(labels)
-        ):
-            _raise_first_edge_fault(n, us, vs, labels, alphabet)
-        if kind == UNDIRECTED:
-            swap = list(compress(count(), map(gt, us, vs)))
-            if swap:
-                us, vs = list(us), list(vs)
-                for i in swap:
-                    us[i], vs[i] = vs[i], us[i]
+        if us:
+            given = us, vs
+            fits = {*map(type, us), *map(type, vs)} <= {int} and alphabet.issuperset(labels)
+            if fits and kind == UNDIRECTED:  # then in (min, max) order, us holds the least id and vs the greatest
+                swap = list(compress(count(), map(gt, us, vs)))
+                if swap:
+                    us, vs = list(us), list(vs)
+                    for i in swap:
+                        us[i], vs[i] = vs[i], us[i]
+            if not (fits and min(us) >= 0 and max(vs) < n
+                    and (kind == UNDIRECTED or min(vs) >= 0 and max(us) < n)):
+                _raise_first_edge_fault(n, *given, labels, alphabet)
         for name, end in (("source", source), ("target", target)):
             if type(end) is not int:
                 raise InvariantError(f"{name} must be an integer, got {end!r}", name)
@@ -311,16 +312,20 @@ def _edge_lines(body: list[str]) -> tuple[list[int], list[int], str]:
             # "\0" is never a label, so in one split of the lines joined by " \0 ", all are
             # "<u> <v> <label>" exactly when the joins are the text's only "\0"s, every fourth token.
             m, text = min(4096, len(body) - at), " \0 ".join(body[at:at + 4096])
-            tokens, to_int = text.split(), int if ascii_only_ints(text) else ascii_int
+            tokens = text.split()
             if not (len(tokens) == 4 * m - 1 and text.count("\0") == tokens[3::4].count("\0") == m - 1):
                 raise ValueError
             chunk_labels = "".join(tokens[2::4])
             if len(chunk_labels) != m:  # no token is empty, so each label is one character
                 raise ValueError
-            us.extend(map(to_int, tokens[0::4]))
-            vs.extend(map(to_int, tokens[1::4]))
+            # Of ASCII digits, "-" and ",", JSON reads what int reads or refuses it ("007", "1-2").
+            ends = ",".join(tokens[0::4] + tokens[1::4])  # a comma in a token adds a value
+            del text, tokens  # before the decode and the next chunk's split
+            if ends.translate(dict.fromkeys(b"0123456789-,")) or len(ends := json.loads(f"[{ends}]")) != 2 * m:
+                raise ValueError
+            us += ends[:m]
+            vs += ends[m:]
             labels.append(chunk_labels)
-            del tokens, chunk_labels  # before the next chunk's split
         return us, vs, "".join(labels)
     except ValueError:
         pass

@@ -825,6 +825,10 @@ def _product_search(
     are dropped, and under a bound so are walks that cannot reach the
     target in the steps left.  ``stats`` receives the pairs reached
     (``states``) and examined (``states_examined``).
+
+    States are numbered as first reached, the pair (vertex ``v``, state
+    ``s``) is the integer ``s * n + v``, and each state's move per label is
+    cached: exact, as ``rec.step`` reads only its state and symbol.
     """
     ends, heads = edge_ends(g)
     if max_len is None:
@@ -842,23 +846,35 @@ def _product_search(
                 if dist[u] == math.inf and (undirected or k & 1):
                     dist[u] = dist[v] + 1
                     queue.append(u)
-    step, accepts, target, labels = rec.step, rec.accepts, g.target, g.labels
-    parent: dict = {(g.source, rec.start): None} if dist[g.source] <= max_len else {}
+    step, accepts, target, labels, n = rec.step, rec.accepts, g.target, g.labels, g.vertex_count
+    states, ids, moves = [rec.start], {rec.start: 0}, defaultdict(dict)  # by number, numbers, moves by label
+
+    def move(s: int, label: str) -> int:  # state s's move on label as the key offset s' * n; -1 if dead
+        q = step(states[s], label)
+        if q is not None and ids.setdefault(q, len(states)) == len(states):
+            states.append(q)
+        t = moves[s][label] = -1 if q is None else ids[q] * n
+        return t
+
+    span = len(heads)  # a pair's parent is the pair's key * span + the end that reached it; -1 at the start
+    parent: dict = {g.source: -1} if dist[g.source] <= max_len else {}
     frontier, examined, length, found = list(parent), 0, 0, None
     while frontier and found is None:
-        reached = []
+        reached, room = [], max_len - length  # steps left, this one included
         for key in frontier:
             examined += 1
-            v, q = key
-            if v == target and accepts(q):
+            s, v = divmod(key, n)
+            if v == target and accepts(states[s]):
                 found = key
                 break
+            out = moves[s]
             for k in ends[v]:
                 head = heads[k]
-                if dist[head] + length < max_len:
-                    nxt = (head, step(q, labels[k >> 1]))
-                    if nxt[1] is not None and nxt not in parent:
-                        parent[nxt] = (key, k)
+                if dist[head] < room:
+                    label = labels[k >> 1]
+                    t = out[label] if label in out else move(s, label)
+                    if t >= 0 and (nxt := t + head) not in parent:
+                        parent[nxt] = key * span + k
                         reached.append(nxt)
         frontier = reached
         length += 1
@@ -867,8 +883,8 @@ def _product_search(
     if found is None:
         return None
     steps: list[Step] = []
-    while parent[found] is not None:
-        found, k = parent[found]
+    while parent[found] >= 0:
+        found, k = divmod(parent[found], span)
         steps.append(Step(k >> 1, bool(k & 1)))
     return Path(start=g.source, steps=tuple(reversed(steps)))
 
@@ -952,25 +968,28 @@ def tree_reach(g: LabeledGraph, member: Callable[[str], bool]) -> Optional[Path]
     Only that simple path is decided.  On a directed tree it is the only
     walk, but on an undirected tree a walk may step back along an edge, and
     such walks are missed even when ``member`` accepts their yield.
+
+    A breadth-first search from the source, over a queue list that grows as
+    it is walked, keeps each vertex's first-reaching end in a list.
     """
     n = g.vertex_count
     if len(g.us) != n - 1 or any(map(eq, g.us, g.vs)):
         raise NotATreeError("underlying structure is not a tree")
     ends, heads = edge_ends(g, both=True)
-    parent: dict[int, Optional[int]] = {g.source: None}  # vertex -> the end that first reached it
-    queue = deque([g.source])
-    while queue:
-        v = queue.popleft()
+    first: list[Optional[int]] = [None] * n  # vertex -> the end that first reached it; -1 at the source
+    first[g.source] = -1
+    queue = [g.source]
+    for v in queue:
         for k in ends[v]:
-            if heads[k] not in parent:
-                parent[heads[k]] = k
-                queue.append(heads[k])
-    if len(parent) != n:
+            if first[w := heads[k]] is None:
+                first[w] = k
+                queue.append(w)
+    if len(queue) != n:
         raise NotATreeError("underlying structure is disconnected")
 
     steps: list[Step] = []
     at = g.target
-    while (k := parent[at]) is not None:
+    while (k := first[at]) >= 0:
         steps.append(Step(k >> 1, bool(k & 1)))
         at = heads[k ^ 1]  # the tail of end k
     steps.reverse()

@@ -10,7 +10,9 @@ against these slow-but-obvious routines.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+import re
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -18,16 +20,16 @@ from typing import Iterable, Iterator, Optional
 from lcreach.errors import (
     CorruptWitnessError,
     InvariantError,
+    NoRespectingPathError,
+    NotATreeError,
     ParseError,
     SemanticError,
-    ascii_int,
-    ascii_only_ints,
     build_object,
     content_lines,
     parse_ints,
 )
 from lcreach.grammar import Cfg, Dfa, NormalForm
-from lcreach.graph import DIRECTED, UNDIRECTED, Edge, LabeledGraph, Path, Step
+from lcreach.graph import DIRECTED, UNDIRECTED, Edge, LabeledGraph, Path, Step, edge_ends, path_yield
 from lcreach.languages import adjacency_bits, d2_member
 from lcreach.reductions import Circuit, VcInstance
 from lcreach.solve import _born
@@ -268,7 +270,6 @@ def parse_graph_per_line(text: str) -> LabeledGraph:
         raise ParseError("alphabet characters must be distinct", line=2)
     if len(lines) != m + 3:
         raise ParseError(f"expected {m} edge lines plus a final source/target line", line=len(lines))
-    to_int = int if ascii_only_ints(text) else ascii_int
     edges = []
     for line_no, line in enumerate(lines[2:-1], 3):
         tokens = line.split()
@@ -276,7 +277,9 @@ def parse_graph_per_line(text: str) -> LabeledGraph:
             raise ParseError("edge line must be '<u> <v> <label>'", line=line_no)
         u, v, label = tokens
         try:
-            u, v = to_int(u), to_int(v)
+            if not (re.fullmatch("-?[0-9]+", u) and re.fullmatch("-?[0-9]+", v)):
+                raise ValueError
+            u, v = int(u), int(v)  # which refuses more digits than the interpreter's limit
         except ValueError:
             raise ParseError("edge endpoints must be integers", line=line_no) from None
         if len(label) != 1:
@@ -581,6 +584,87 @@ def first_accepted_walk(g: LabeledGraph, member, max_len: int) -> Optional[Path]
                     reached.append((*key, steps + (Step(edge, reverse),)))
         frontier = reached
     return None
+
+
+def product_search_by_tuples(g: LabeledGraph, rec, max_len: Optional[int], stats: Optional[dict]):
+    """The product search with ``(vertex, state)`` tuple keys and a ``rec.step`` call per move.
+
+    The oracle for ``solve._product_search``, which numbers the states and keys
+    pairs by integers: the same walk and the same ``states``/``states_examined``.
+    """
+    ends, heads = edge_ends(g)
+    if max_len is None:
+        max_len, dist = math.inf, [0] * g.vertex_count
+    else:  # steps from each vertex to the target
+        dist = [math.inf] * g.vertex_count
+        dist[g.target] = 0
+        undirected = g.kind == UNDIRECTED
+        near = ends if undirected else edge_ends(g, both=True)[0]
+        queue = deque([g.target])
+        while queue:
+            v = queue.popleft()
+            for k in near[v]:
+                u = heads[k]
+                if dist[u] == math.inf and (undirected or k & 1):
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+    parent: dict = {(g.source, rec.start): None} if dist[g.source] <= max_len else {}
+    frontier, examined, length, found = list(parent), 0, 0, None
+    while frontier and found is None:
+        reached = []
+        for key in frontier:
+            examined += 1
+            v, q = key
+            if v == g.target and rec.accepts(q):
+                found = key
+                break
+            for k in ends[v]:
+                head = heads[k]
+                if dist[head] + length < max_len:
+                    nxt = (head, rec.step(q, g.labels[k >> 1]))
+                    if nxt[1] is not None and nxt not in parent:
+                        parent[nxt] = (key, k)
+                        reached.append(nxt)
+        frontier = reached
+        length += 1
+    if stats is not None:
+        stats.update(states=len(parent), states_examined=examined)
+    if found is None:
+        return None
+    steps: list[Step] = []
+    while parent[found] is not None:
+        found, k = parent[found]
+        steps.append(Step(k >> 1, bool(k & 1)))
+    return Path(start=g.source, steps=tuple(reversed(steps)))
+
+
+def tree_path_by_dict(g: LabeledGraph, member) -> Optional[Path]:
+    """``tree_reach`` with a dict of first-reaching ends and a deque: its oracle, down to the exceptions."""
+    n = g.vertex_count
+    if len(g.us) != n - 1 or any(u == v for u, v in zip(g.us, g.vs)):
+        raise NotATreeError("underlying structure is not a tree")
+    ends, heads = edge_ends(g, both=True)
+    parent: dict[int, Optional[int]] = {g.source: None}
+    queue = deque([g.source])
+    while queue:
+        v = queue.popleft()
+        for k in ends[v]:
+            if heads[k] not in parent:
+                parent[heads[k]] = k
+                queue.append(heads[k])
+    if len(parent) != n:
+        raise NotATreeError("underlying structure is disconnected")
+    steps: list[Step] = []
+    at = g.target
+    while (k := parent[at]) is not None:
+        steps.append(Step(k >> 1, bool(k & 1)))
+        at = heads[k ^ 1]
+    steps.reverse()
+    for e, reverse in steps if g.kind == DIRECTED else ():
+        if reverse:
+            raise NoRespectingPathError(f"tree edge {g.us[e]}->{g.vs[e]} points against the unique path")
+    path = Path(start=g.source, steps=tuple(steps))
+    return path if member(path_yield(g, path)) else None
 
 
 def walk_budget(g: LabeledGraph, max_len: int, cap: int = 10**6) -> int:

@@ -192,6 +192,23 @@ def test_dfa_file_declaring_a_trillion_states_answers_at_once(files, argv):
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+@pytest.mark.parametrize("argv, out", [
+    (["solve", "--graph", "g.graph", "--grammar", "e.cfg"], "yield: \\xe9\nwitness: 0 --\\xe9--> 1\n"),
+    (["solve", "--graph", "g.graph", "--grammar", "e.cfg", "--json"], '"yield": "\\u00e9"'),
+    (["gen", "graph", "--seed", "1", "--n", "2", "--m", "1", "--alphabet", "\u00e9"], "\\xe9\n"),
+], ids=["report", "json", "gen"])
+def test_a_report_stdout_cannot_encode_is_escaped_not_an_internal_error(tmp_path, argv, out):
+    # Python escapes what stderr cannot encode; stdout does the same, and the exit code stays the answer's.
+    (tmp_path / "g.graph").write_text("directed 2 1\n\u00e9\n0 1 \u00e9\n0 1\n", encoding="utf-8")
+    (tmp_path / "e.cfg").write_text("S -> '\u00e9'\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "lcreach.cli", *argv], capture_output=True, text=True, timeout=30,
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC, PYTHONIOENCODING="ascii"),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert out in proc.stdout
+
+
 def test_regular_mode_with_builtin_dfa(files, capsys):
     g = files("g.graph", "directed 2 2\nab\n0 1 a\n1 0 b\n0 0\n")
     code, out, _ = run(capsys, "solve", "--graph", g, "--builtin", "abstar", "--mode", "regular")

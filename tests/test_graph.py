@@ -111,6 +111,27 @@ def test_both_constructors_check_edges_as_the_per_edge_loop_does(kind, n, edges)
     assert len(built) in (0, 2) and built[:1] == built[1:]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([DIRECTED, UNDIRECTED]), st.integers(1, 5), st.data())
+def test_column_checks_name_the_edge_the_per_edge_loop_names(kind, n, data):
+    """Valid ids, undirected ones often swapped, with up to three bools, floats, negative or
+    out-of-range ids put in: the fault of the first edge at fault, or the edges as stored."""
+    ends = data.draw(st.lists(st.integers(0, n - 1), max_size=16).map(lambda ids: ids[:len(ids) // 2 * 2]))
+    for i in data.draw(st.lists(st.integers(0, len(ends) - 1), max_size=3) if ends else st.just([])):
+        ends[i] = data.draw(st.sampled_from([True, False, 0.0, 1.5, -1, -7, n, n + 4]), label="fault")
+    us, vs = ends[0::2], ends[1::2]
+    try:
+        expected = check_edges_per_edge(kind, n, [(u, v, "a") for u, v in zip(us, vs)], frozenset("a"))
+    except InvariantError as exc:
+        expected = (str(exc), exc.field, exc.index)
+    try:
+        g = LabeledGraph.from_columns(kind, n, us, vs, "a" * len(us), 0, n - 1, "a")
+    except InvariantError as exc:
+        assert (str(exc), exc.field, exc.index) == expected
+    else:
+        assert tuple(g.edges) == expected
+
+
 def test_edges_view_builds_edges_from_the_columns():
     g = LabeledGraph.from_columns(UNDIRECTED, 3, [2, 0], [1, 2], "xy", 0, 2, "xy")
     assert (g.us, g.vs, g.labels) == ((1, 0), (2, 2), "xy")
@@ -330,6 +351,46 @@ def test_a_long_file_parses_as_the_per_line_oracle_parses_it():
     g = random_graph(random.Random(5), 300, 9000, "ab()", kind=UNDIRECTED, self_loops=True)
     text = render_graph(g)
     assert parse_graph(text) == g == parse_graph_per_line(text)
+
+
+# Endpoint tokens that int reads, that it refuses, and that a JSON read of comma-joined tokens could misread.
+ODD_ENDPOINTS = ["007", "00", "-0", "+1", "1_0", "\u0661", "1e3", "1.0", "--1", "-", "1-2", "1,2", "3,", ",3"]
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.sampled_from([DIRECTED, UNDIRECTED]), st.sampled_from(["\n", "\r\n"]),
+    st.booleans(), st.data(),
+)
+def test_edge_lines_parse_as_the_per_line_oracle_parses_them(seed, kind, line_end, second_chunk, data):
+    """Odd endpoint tokens, tabs and runs of spaces, CRLF line ends and non-ASCII labels.
+
+    With ``second_chunk`` the drawn lines follow 4,100 plain ones, so they sit
+    in the second 4,096-line chunk of the parser's split.
+    """
+    rng = random.Random(seed)
+    n = 6
+    filler = random_graph(rng, n, 4100 if second_chunk else rng.randint(0, 5), "ab\u00e9", kind=kind)
+    drawn = data.draw(st.lists(st.tuples(
+        st.integers(-1, n).map(str), st.integers(-1, n).map(str), st.sampled_from(["a", "\u00e9", "\u03bb", "z"]),
+        st.sampled_from([" ", "  ", "\t", " \t "]),
+    ), min_size=1, max_size=6).map(lambda lines: list(map(list, lines))))
+    for i in data.draw(st.lists(st.integers(0, 2 * len(drawn) - 1), max_size=2)):  # alone or mixed
+        drawn[i // 2][i % 2] = data.draw(st.sampled_from(ODD_ENDPOINTS), label="odd endpoint")
+    lines = [f"{kind} {n} {len(filler.us) + len(drawn)}", "ab\u00e9\u03bb"]
+    lines += [f"{u} {v} {label}" for u, v, label in filler.edges]
+    lines += [sep.join(tokens) for *tokens, sep in drawn]
+    text = line_end.join([*lines, f"0 {n - 1}", ""])
+    got = parse_outcome(parse_graph, text)
+    assert got == parse_outcome(parse_graph_per_line, text)
+    assert type(got) is LabeledGraph or got[2] is not None
 
 
 def test_render_ends_with_newline_and_parses_without_it():

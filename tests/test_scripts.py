@@ -64,8 +64,8 @@ def test_bench_writes_io_rows_at_a_tiny_size(bench_runs):
         ]),
     ]
     for row in rows:
-        assert set(row) == {"workload", "layer", "seconds", "counters", "peak_rss"}
-        assert row["seconds"] >= 0 and row["peak_rss"] > 0
+        assert set(row) == {"workload", "layer", "seconds", "ref_seconds", "counters", "peak_rss"}
+        assert row["seconds"] >= 0 and row["ref_seconds"] >= 0 and row["peak_rss"] > 0
         keys = {"calls", "edges", "gc_s", "tracked"}
         if row["layer"] in ("solve.witness", "solve.check"):
             keys |= {"nodes"}

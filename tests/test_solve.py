@@ -43,6 +43,7 @@ from lcreach.languages import (
 from lcreach.reductions import vc_brute, vc_to_a_dagreach
 from lcreach.solve import (
     ExpansionLimitExceeded,
+    _product_search,
     Witness,
     bounded_enum_reach,
     cfl_reach,
@@ -63,12 +64,14 @@ from .helpers import (
     graph,
     is_linear,
     lang_a_decode_member,
+    product_search_by_tuples,
     random_cfg,
     random_total_dfa,
     round_of,
     run_dfa,
     table_facts,
     universal_dfa,
+    tree_path_by_dict,
     walk_budget,
     worklist_facts,
 )
@@ -772,6 +775,33 @@ def test_regular_reach_returns_the_oracle_walk_at_bound_n_times_q(case):
     assert found == first_accepted_walk(g, partial(run_dfa, d), g.vertex_count * d.state_count)
 
 
+@st.composite
+def product_searches(draw):
+    """A graph, a DFA, ``d2``, ``dd2`` or yield recognizer, and a bound (or None, for a DFA)."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    name = draw(st.sampled_from(["dfa", "d2", "dd2", "yield"]))
+    if name == "dfa":
+        alphabet, words = "ab", ["a", "ab"]
+        rec = dfa_recognizer(random_total_dfa(rng, rng.randint(1, 4), alphabet))
+    else:
+        alphabet, member, words = SEARCH_LANGUAGES["lambda" if name == "yield" else name]
+        rec = yield_recognizer(member) if name == "yield" else builtin_language(name).recognizer
+    kind = draw(st.sampled_from([DIRECTED, UNDIRECTED]))
+    g = planted_graph(rng, kind, draw(st.integers(1, 7)), draw(st.integers(0, 14)), alphabet,
+                      draw(st.sampled_from(["", *words])))
+    unbounded = name == "dfa" and draw(st.booleans())  # only a DFA has finitely many states
+    return g, rec, None if unbounded else draw(st.integers(0, 7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_searches())
+def test_the_product_search_matches_the_tuple_keyed_oracle(case):
+    g, rec, max_len = case
+    got, want = {}, {}
+    assert _product_search(g, rec, max_len, got) == product_search_by_tuples(g, rec, max_len, want)
+    assert got == want
+
+
 # --- trees ---------------------------------------------------------------------------
 
 
@@ -835,3 +865,35 @@ def test_undirected_tree_path_between_any_two_vertices():
     assert p is not None
     assert path_yield(g, p) == "yz"
     assert path_endpoints(g, p) == (2, 3)
+
+
+def tree_outcome(search, g, member):
+    try:
+        return search(g, member)
+    except (NotATreeError, NoRespectingPathError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.sampled_from([DIRECTED, UNDIRECTED]), st.integers(1, 12),
+    st.sampled_from(["tree", "extra edge", "missing edge", "self-loop", "parallel edge"]),
+    st.sampled_from([d2_member, lambda w: True, lambda w: len(w) % 2 == 0]),
+)
+def test_tree_search_matches_the_dict_oracle(seed, kind, n, flaw, member):
+    """The same path, or the same exception, on trees and on graphs that are not quite trees."""
+    rng = random.Random(seed)
+    edges = [(rng.randrange(v), v, rng.choice("()[]")) for v in range(1, n)]
+    edges = [(v, u, label) if rng.random() < 0.5 else (u, v, label) for u, v, label in edges]
+    rng.shuffle(edges)
+    if flaw == "extra edge":
+        edges.insert(rng.randint(0, len(edges)), (rng.randrange(n), rng.randrange(n), "("))
+    elif edges and flaw != "tree":
+        i = rng.randrange(len(edges))
+        u, v, label = edges[i]
+        if flaw == "missing edge":
+            del edges[i]
+        else:
+            edges[i] = (u, u, label) if flaw == "self-loop" else rng.choice(edges)
+    g = graph(kind, n, edges, rng.randrange(n), rng.randrange(n), "()[]")
+    assert tree_outcome(tree_reach, g, member) == tree_outcome(tree_path_by_dict, g, member)
