@@ -30,17 +30,18 @@ over all its instances:
 A row is ``{workload, layer, seconds, ref_seconds, counters, peak_rss}``.
 ``seconds`` is the best of ``--repeats`` passes over the instances, and
 ``ref_seconds`` that pass's time in reference seconds: scaled, as
-``perfbench`` scales an operation, by ``harness.calibration_loop`` timed right
-after the pass against its 1 ms reference, so rows of runs on a host whose
-speed drifts compare.  ``counters`` holds the
+``perfbench`` scales a set-up, by the median of five ``harness.calibration_loop``
+calls timed right after the pass against its 1 ms reference, so rows of runs
+on a host whose speed drifts compare.  ``counters`` holds the
 calls and edges of one pass (input edges for a parse, build or solve, output
 edges for a reduction, 0 for the circuit and vertex-cover parsers), the
 seconds the cyclic garbage collector ran in the best pass (``gc_s``), and the
 objects the collector tracks that the outputs of one pass keep alive
 (``tracked``), which each full collection walks.  A solve row adds the sums
-of the report's ``facts_count`` and ``worklist_pops`` (on ``solve.fixpoint``,
-the full table's facts and row deltas) and ``errors``, the calls that raised
-(the deep ``vc-to-a`` instance's ``RecursionError``); ``solve.witness`` and
+of the counters in the reports' ``stats``, a call that raised adding 0 to
+each (on ``solve.fixpoint``, the full table's ``facts`` and ``row_deltas``),
+and ``errors``, the calls that raised (the deep ``vc-to-a`` instance's
+``RecursionError``); ``solve.witness`` and
 ``solve.check`` add ``nodes``, the derivations' node count, instead.  ``peak_rss`` is the
 process's peak resident set in MB so far.
 The rows go into the JSON object in ``--out`` under ``--label``; other labels
@@ -55,6 +56,7 @@ import gc
 import json
 import random
 import resource
+import statistics
 import sys
 import tempfile
 import time
@@ -145,8 +147,9 @@ def instances(workload: str, seed: int, small: bool, workdir: Path) -> tuple[lis
 def timed(calls: list, repeats: int, clock: GcClock) -> tuple[float, float, float]:
     """Best of ``repeats`` passes over ``calls`` (thunks): seconds, GC seconds, and reference seconds.
 
-    The reference seconds scale the best pass by ``harness.calibration_loop``
-    timed right after it, as ``perfbench`` scales each operation.
+    The reference seconds scale the best pass by the median of five
+    ``harness.calibration_loop`` calls timed right after it, as ``perfbench``
+    scales each set-up.
     """
     best = (float("inf"), 0.0, 0.0)
     for _ in range(repeats):
@@ -155,14 +158,15 @@ def timed(calls: list, repeats: int, clock: GcClock) -> tuple[float, float, floa
         for call in calls:
             call()
         seconds, gc_s = time.perf_counter() - started, clock.seconds - gc_before
-        best = min(best, (seconds, gc_s, seconds * harness.REFERENCE_LOOP_S / harness.calibration_loop()))
+        loop_s = statistics.median(harness.calibration_loop() for _ in range(5))
+        best = min(best, (seconds, gc_s, seconds * harness.REFERENCE_LOOP_S / loop_s))
     return best
 
 
 def run_solve(g: LabeledGraph, args: argparse.Namespace, lang: Language) -> tuple:
     """The walk and derivation of ``lcreach solve``'s runner on ``g`` (None if it raised), and its counters."""
     report = cli.SolveReport(decision="unreachable")
-    counters = {"edges": len(g.us), "facts_count": 0, "worklist_pops": 0, "errors": 0}
+    counters = {"edges": len(g.us), "errors": 0}
     try:
         found = cli._RUNNERS[args.mode](g, lang, args, report)
     except Exception:  # the deep vc-to-a RecursionError (ROADMAP item 5) counts, and the next call runs
@@ -173,7 +177,7 @@ def run_solve(g: LabeledGraph, args: argparse.Namespace, lang: Language) -> tupl
 def full_fixpoint(g: LabeledGraph, nf: NormalForm) -> tuple:
     """The least fixpoint of ``g`` under ``nf`` with no goal, and its counters."""
     table = cfl_reach_table(g, nf)
-    return table, {"edges": len(g.us), "facts_count": len(table.facts), "worklist_pops": table.pops, "errors": 0}
+    return table, {"edges": len(g.us), "errors": 0, "facts": len(table.facts), "row_deltas": table.pops}
 
 
 def derivation(witness: Witness) -> tuple:
@@ -242,7 +246,8 @@ def bench(workload: str, seed: int, small: bool, repeats: int, clock: GcClock, w
         if layer.startswith("reductions."):
             counters["edges"] = sum(len(getattr(out, "us", ())) for out in outputs)
         elif layer.startswith("solve."):
-            counters.update({key: sum(done[key] for _, done in outputs) for key in outputs[0][1]})
+            keys = dict.fromkeys(key for _, done in outputs for key in done)
+            counters.update({key: sum(done.get(key, 0) for _, done in outputs) for key in keys})
         rows.append({
             "workload": workload,
             "layer": layer,
@@ -271,8 +276,8 @@ def main() -> int:
             rows += bench(workload, args.seed, args.small, args.repeats, clock, Path(tmp) / workload)
     for row in rows:
         counters = row["counters"]
-        solved = "".join(f"  {key} {counters[key]}" for key in ("facts_count", "worklist_pops", "errors", "nodes")
-                         if key in counters)
+        solved = "".join(f"  {key} {value}" for key, value in counters.items()
+                         if key not in ("calls", "edges", "gc_s", "tracked"))
         print(f"{row['workload']:17} {row['layer']:28} {row['seconds']:10.6f} s {row['ref_seconds']:10.6f} ref-s"
               f"  edges {counters['edges']:>8}"
               f"  gc {counters['gc_s']:.6f} s  tracked {counters['tracked']:>7}{solved}")

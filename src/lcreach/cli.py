@@ -227,19 +227,18 @@ def _add_language_flags(parser: argparse.ArgumentParser) -> None:
 # --- solve -------------------------------------------------------------------
 
 
-# Each mode's runner fills in its stats and returns the walk it found (None
-# when it found none, or found one too long to expand) plus, in mode cfl,
-# the derivation that proves it.  A runner that decides something other
-# than "unreachable" on a None walk says so in the report.
+# Each mode's runner hands the report's stats to its solver, which counts
+# into them, and returns the walk it found (None when it found none, or
+# found one too long to expand) plus, in mode cfl, the derivation that
+# proves it.  A runner that decides something other than "unreachable" on
+# a None walk says so in the report.
 Found = tuple[Optional[Path], Optional[list]]
 
 
 def _run_cfl(g: LabeledGraph, lang: Language, args: argparse.Namespace, report: SolveReport) -> Found:
     if lang.normal_form is None:
         raise _Usage(f"mode cfl needs a grammar; {_source(args)} does not provide one")
-    stats: dict = {}
-    witness = cfl_reach(g, lang.normal_form, stats=stats)
-    report.stats.update(facts_count=stats["facts"], worklist_pops=stats["pops"])
+    witness = cfl_reach(g, lang.normal_form, stats=report.stats)
     if witness is None:
         return None, None
     expanded = expand_witness(witness, step_limit=args.expand_limit)
@@ -257,17 +256,11 @@ def _run_cfl(g: LabeledGraph, lang: Language, args: argparse.Namespace, report: 
 def _run_regular(g: LabeledGraph, lang: Language, args: argparse.Namespace, report: SolveReport) -> Found:
     if lang.dfa is None:
         raise _Usage(f"mode regular needs a DFA; {_source(args)} does not provide one")
-    stats: dict = {}
-    found = regular_reach(g, lang.dfa, stats=stats, rec=lang.recognizer)
-    report.stats.update(facts_count=stats["states"], worklist_pops=stats["states_examined"])
-    return found, None
+    return regular_reach(g, lang.dfa, stats=report.stats, rec=lang.recognizer), None
 
 
 def _run_dag_enum(g: LabeledGraph, lang: Language, args: argparse.Namespace, report: SolveReport) -> Found:
-    stats: dict = {}
-    found = dag_enum_reach(g, lang.recognizer or yield_recognizer(lang.member), stats=stats)
-    report.stats.update(facts_count=0, worklist_pops=stats.get("paths_examined", 0))
-    return found, None
+    return dag_enum_reach(g, lang.recognizer or yield_recognizer(lang.member), stats=report.stats), None
 
 
 def _run_bounded_enum(g: LabeledGraph, lang: Language, args: argparse.Namespace, report: SolveReport) -> Found:
@@ -275,10 +268,8 @@ def _run_bounded_enum(g: LabeledGraph, lang: Language, args: argparse.Namespace,
         raise _Usage("mode bounded-enum requires --max-len")
     if args.max_len < 0:
         raise _Usage("--max-len must be nonnegative")
-    stats: dict = {}
     rec = lang.recognizer or yield_recognizer(lang.member)
-    found = bounded_enum_reach(g, rec, args.max_len, stats=stats)
-    report.stats.update(facts_count=stats["states"], worklist_pops=stats["states_examined"])
+    found = bounded_enum_reach(g, rec, args.max_len, stats=report.stats)
     if found is None:
         report.decision = "unknown-bounded"
         report.notes.append(f"no accepted walk of length <= {args.max_len}")
@@ -291,7 +282,6 @@ def _run_tree(g: LabeledGraph, lang: Language, args: argparse.Namespace, report:
     except NoRespectingPathError:
         found = None
         report.notes.append("the unique tree path violates an edge direction")
-    report.stats.update(facts_count=0, worklist_pops=1)
     return found, None
 
 

@@ -186,16 +186,11 @@ class ExpansionLimitExceeded:
 def _bits(x: int) -> list[int]:
     """The positions of the set bits of ``x >= 0``, lowest first.
 
-    Rows of deep sparse graphs are long ints with a few bits, so the top
-    bits are peeled one at a time; a mask still left after four is read off
-    its binary digits instead.
+    Rows of deep sparse graphs are long ints with few set bits, so the top
+    one is peeled off at a time: one pass over the int per set bit.
     """
     top = []
     while x:
-        if len(top) == 4:
-            rest = [i for i, ch in enumerate(bin(x)[:1:-1]) if ch == "1"]
-            top.reverse()
-            return rest + top
         high = x.bit_length() - 1
         top.append(high)
         x ^= 1 << high
@@ -586,13 +581,14 @@ def cfl_reach(
     the one returned.  The fixpoint has that root as its goal, so it stops
     in the round the root is born, before that round's join, or before the
     join of the round before when a dense round looks ahead to the root.
-    ``stats`` receives the table size and the row deltas.  When no edge into
-    the target can end a derivation of the root, no round runs: 0 facts (or
-    the vertex count, for the empty-walk facts of a nullable start) and 0
-    row deltas.  Otherwise, when the root is derivable, they count the facts
-    born before the root's round plus the root (all of round 0 when the root
-    is born there); after a look-ahead, of the round before the root's only
-    the facts in the source's rows and the target's columns that the root's
+    ``stats`` receives ``facts``, the table size, and ``row_deltas``, its
+    :attr:`ReachTable.pops`.  When no edge into the target can end a
+    derivation of the root, no round runs: 0 facts (or the vertex count,
+    for the empty-walk facts of a nullable start) and 0 row deltas.
+    Otherwise, when the root is derivable, they count the facts born before
+    the root's round plus the root (all of round 0 when the root is born
+    there); after a look-ahead, of the round before the root's only the
+    facts in the source's rows and the target's columns that the root's
     rules read.  An unreachable root counts the whole least fixpoint.  When
     the demand probe closes, only the rows at the vertices the root demands
     count.
@@ -601,7 +597,7 @@ def cfl_reach(
     root = (g.source, nf.start, g.target)
     table = cfl_reach_table(g, nf, goal=root)
     if stats is not None:
-        stats.update(facts=len(table.facts), pops=table.pops)
+        stats.update(facts=len(table.facts), row_deltas=table.pops)
     if root not in table.facts:
         return None
     return Witness(root=root, table=table)

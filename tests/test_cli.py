@@ -47,7 +47,7 @@ def test_solve_bracket_chain(files, capsys):
     assert code == 0
     assert "decision: reachable" in out
     assert "yield: []" in out
-    assert "facts_count:" in out and "worklist_pops:" in out
+    assert "facts: " in out and "row_deltas: " in out
 
 
 def test_solve_grammar_file(files, capsys):
@@ -565,42 +565,60 @@ def test_builtin_witness_file_is_v2(files, capsys, tmp_path, monkeypatch):
     )
 
 
-@pytest.mark.parametrize("source", [("--builtin", "d2"), ("--grammar", D2_CFG)])
-@pytest.mark.parametrize("graph_text, code", [(NESTED, 0), ("directed 2 1\n()\n1 0 (\n0 1\n", 1)])
-def test_cfl_stats_keys_are_the_same_for_both_outcomes(files, capsys, source, graph_text, code):
-    flag, value = source
-    if flag == "--grammar":
-        value = files("d2.cfg", value)
-    g = files("g.graph", graph_text)
-    got, out, _ = run(capsys, "solve", "--graph", g, flag, value, "--json")
-    assert got == code
-    stats = json.loads(out)["stats"]
-    assert sorted(stats) == ["facts_count", "worklist_pops"]
-    if code == 0:
-        assert stats["facts_count"] >= stats["worklist_pops"] > 0
-    else:  # no edge enters the target, so no round runs
-        assert stats == {"facts_count": 0, "worklist_pops": 0}
-
-
-# Every edge into vertex 3 opens a bracket, so no d2 walk ends there; the
-# other graph has a closing edge into its target and runs the fixpoint.
+# Vertex 3 of OPENING_ONLY is entered by opening brackets only, so no d2
+# walk ends there and no round runs; CLOSING has a closing edge into its
+# target and runs the fixpoint.  In PROBED the root's demand stays on the
+# [] chain from 0 to 2, so round 0 reads none of the 20 other edges.
 OPENING_ONLY = "directed 4 5\n()[]\n0 1 (\n1 0 )\n1 3 (\n0 3 [\n3 3 [\n0 3\n"
 CLOSING = "directed 2 1\n()\n0 1 )\n0 1\n"
+NO_EDGE_IN = "directed 2 1\n()\n1 0 (\n0 1\n"
+PROBED = "directed 24 22\n()[]\n0 1 [\n1 2 ]\n" + "".join(f"{u} {u + 1} {'()'[u % 2]}\n" for u in range(3, 23)) + "0 2\n"
 
 
-@pytest.mark.parametrize("graph_text, dead", [(OPENING_ONLY, True), (CLOSING, False)], ids=["dead", "live"])
-def test_a_dead_target_reports_no_facts(files, capsys, graph_text, dead):
+@pytest.mark.parametrize(
+    "graph_text, argv, code, stats",
+    [
+        (NESTED, ("--builtin", "d2"), 0, {"facts": 7, "row_deltas": 7}),
+        (NESTED, ("--grammar", D2_CFG), 0, {"facts": 7, "row_deltas": 7}),
+        (NO_EDGE_IN, ("--builtin", "d2"), 1, {"facts": 0, "row_deltas": 0}),
+        (NO_EDGE_IN, ("--grammar", D2_CFG), 1, {"facts": 0, "row_deltas": 0}),
+        (OPENING_ONLY, ("--builtin", "d2"), 1, {"facts": 0, "row_deltas": 0}),
+        (CLOSING, ("--builtin", "d2"), 1, {"facts": 1, "row_deltas": 1}),
+        (PROBED, ("--builtin", "d2"), 0, {"facts": 3, "row_deltas": 3}),
+        (NESTED, ("--builtin", "d2", "--expand-limit", "3"), 0, {"facts": 7, "row_deltas": 7}),
+        (CHAIN_SQUARE, ("--builtin", "d2", "--mode", "dag-enum"), 0, {"paths_examined": 1}),
+        (NO_EDGE_IN, ("--builtin", "d2", "--mode", "dag-enum"), 1, {"paths_examined": 0}),
+        # the answer is found with pairs (4, a) and (5, b) reached and unexamined
+        ("directed 6 5\nab\n0 1 a\n1 2 b\n0 3 a\n3 4 b\n4 5 a\n0 2\n",
+         ("--builtin", "abstar", "--mode", "regular"), 0, {"states": 5, "states_examined": 4}),
+        ("directed 3 2\nab\n0 1 a\n1 2 a\n0 2\n", ("--builtin", "abstar", "--mode", "regular"), 1,
+         {"states": 2, "states_examined": 2}),
+        # the answer is found with pair (1, "((") reached and unexamined
+        ("directed 3 3\n()\n0 1 (\n1 2 )\n1 1 (\n0 2\n",
+         ("--builtin", "d2", "--mode", "bounded-enum", "--max-len", "4"), 0, {"states": 4, "states_examined": 3}),
+        ("directed 1 1\n(\n0 0 (\n0 0\n", ("--builtin", "d2", "--mode", "bounded-enum", "--max-len", "4"), 3,
+         {"states": 5, "states_examined": 5}),
+        (CHAIN_SQUARE, ("--builtin", "d2", "--mode", "tree"), 0, {}),
+        ("directed 3 2\nab\n0 1 a\n0 2 b\n1 2\n", ("--builtin", "abstar", "--mode", "tree"), 1, {}),
+    ],
+    ids=["cfl-0", "cfl-file-0", "cfl-1", "cfl-file-1", "cfl-dead", "cfl-live-1", "cfl-probed", "cfl-skipped",
+         "dag-enum-0", "dag-enum-1", "regular-0", "regular-1", "bounded-enum-0", "bounded-enum-3",
+         "tree-0", "tree-note"],
+)
+def test_each_mode_reports_exactly_its_own_counters(files, capsys, graph_text, argv, code, stats):
+    """The report's stats are what the mode's solver counted, whatever the
+    outcome; ``--timings`` adds only ``wall_time``, and the human report
+    prints the same keys as the JSON one."""
+    argv = [files("d2.cfg", arg) if arg == D2_CFG else arg for arg in argv]
     g = files("g.graph", graph_text)
-    code, out, _ = run(capsys, "solve", "--graph", g, "--builtin", "d2")
-    assert code == 1 and "decision: unreachable\n" in out
-    assert ("facts_count: 0\n" in out and "worklist_pops: 0\n" in out) == dead
-    code, out, _ = run(capsys, "solve", "--graph", g, "--builtin", "d2", "--json", "--timings")
-    stats = json.loads(out)["stats"]
-    assert code == 1 and sorted(stats) == ["facts_count", "wall_time", "worklist_pops"]
-    if dead:
-        assert (stats["facts_count"], stats["worklist_pops"]) == (0, 0)
-    else:
-        assert stats["facts_count"] >= stats["worklist_pops"] > 0
+    got, out, _ = run(capsys, "solve", "--graph", g, *argv, "--json")
+    assert (got, json.loads(out)["stats"]) == (code, stats)
+    got, out, _ = run(capsys, "solve", "--graph", g, *argv, "--json", "--timings")
+    timed = json.loads(out)["stats"]
+    assert got == code and timed.pop("wall_time") >= 0 and timed == stats
+    got, out, _ = run(capsys, "solve", "--graph", g, *argv)
+    printed = [line for line in out.splitlines() if line.split(": ")[0] not in ("decision", "yield", "witness", "note")]
+    assert got == code and printed == [f"{key}: {value}" for key, value in sorted(stats.items())]
 
 
 def test_a_word_ending_in_an_opening_bracket_is_rejected_with_an_empty_table(files, capsys, monkeypatch):
@@ -617,35 +635,6 @@ def test_a_word_ending_in_an_opening_bracket_is_rejected_with_an_empty_table(fil
     assert [(len(t.facts), t.pops) for t in tables] == [(0, 0)]
     code, _, _ = run(capsys, "member", "--grammar", cfg, "--string", "()[]()")
     assert code == 0 and tables[-1].pops > 0
-
-
-@pytest.mark.parametrize(
-    "graph_text, argv, code, counts",
-    [
-        (CHAIN_SQUARE, ("--builtin", "d2", "--mode", "dag-enum"), 0, (0, 1)),
-        ("directed 2 1\n()\n1 0 (\n0 1\n", ("--builtin", "d2", "--mode", "dag-enum"), 1, (0, 0)),
-        # the answer is found with pairs (4, a) and (5, b) reached and unexamined
-        ("directed 6 5\nab\n0 1 a\n1 2 b\n0 3 a\n3 4 b\n4 5 a\n0 2\n",
-         ("--builtin", "abstar", "--mode", "regular"), 0, (5, 4)),
-        ("directed 3 2\nab\n0 1 a\n1 2 a\n0 2\n", ("--builtin", "abstar", "--mode", "regular"), 1, (2, 2)),
-        # the answer is found with pair (1, "((") reached and unexamined
-        ("directed 3 3\n()\n0 1 (\n1 2 )\n1 1 (\n0 2\n",
-         ("--builtin", "d2", "--mode", "bounded-enum", "--max-len", "4"), 0, (4, 3)),
-        ("directed 1 1\n(\n0 0 (\n0 0\n", ("--builtin", "d2", "--mode", "bounded-enum", "--max-len", "4"), 3, (5, 5)),
-        (CHAIN_SQUARE, ("--builtin", "d2", "--mode", "tree"), 0, (0, 1)),
-        ("directed 3 2\nab\n0 1 a\n0 2 b\n1 2\n", ("--builtin", "abstar", "--mode", "tree"), 1, (0, 1)),
-    ],
-    ids=["dag-enum-0", "dag-enum-1", "regular-0", "regular-1", "bounded-enum-0", "bounded-enum-3",
-         "tree-0", "tree-note"],
-)
-def test_every_mode_reports_the_same_stats_keys_for_every_outcome(files, capsys, graph_text, argv, code, counts):
-    g = files("g.graph", graph_text)
-    got, out, _ = run(capsys, "solve", "--graph", g, *argv, "--json")
-    assert got == code
-    assert json.loads(out)["stats"] == dict(zip(("facts_count", "worklist_pops"), counts))
-    got, out, _ = run(capsys, "solve", "--graph", g, *argv, "--json", "--timings")
-    assert got == code
-    assert sorted(json.loads(out)["stats"]) == ["facts_count", "wall_time", "worklist_pops"]
 
 
 DEEP = 5000  # edges of the chain below, well past the interpreter's recursion limit

@@ -156,7 +156,7 @@ def check_goal_stop(g, nf):
     stopped = cfl_reach_table(g, nf, goal=root) if w is None else w.table
     deltas = sum(len(chunks) for rows in stopped.births for chunks in rows.values())
     assert all(x[0] < y[0] for rows in stopped.births for chunks in rows.values() for x, y in zip(chunks, chunks[1:]))
-    assert stats == {"facts": len(stopped.facts), "pops": stopped.pops}
+    assert stats == {"facts": len(stopped.facts), "row_deltas": stopped.pops}
     assert len(stopped.facts) == len(table_facts(stopped)) >= stopped.pops == deltas
     assert table_facts(stopped) <= table_facts(full)
 
@@ -236,7 +236,7 @@ def test_goal_stop_on_a_nullable_start_from_source_to_itself(seed, kind):
     stats = {}
     w = cfl_reach(g, NULLABLE_NF, stats=stats)
     assert witness_derivation(w) == [(g.source, "S", g.source, "e")]
-    assert stats == {"facts": n, "pops": 0}
+    assert stats == {"facts": n, "row_deltas": 0}
 
 
 def test_goal_stop_ends_in_the_round_of_the_root():
@@ -249,7 +249,7 @@ def test_goal_stop_ends_in_the_round_of_the_root():
     assert round_of(full, (0, "S", 4)) == 2
     assert (2, "S", 4) not in w.table.facts and (0, "S", 4) not in w.table.facts
     assert table_facts(w.table) == {f for f in table_facts(full) if round_of(full, f) == 0} | {(0, "S", 2)}
-    assert stats == {"facts": 5, "pops": 5}
+    assert stats == {"facts": 5, "row_deltas": 5}
     check_goal_stop(g, D2_NF)
 
 
@@ -276,7 +276,7 @@ def test_a_dense_round_looks_ahead_to_the_root():
         (0, "S", 2), (0, "S", 6), (2, "S", 4), (2, "S", 6), (7, "S", 2), (7, "S", 6)
     }
     assert {f for f in table_facts(w.table) if round_of(w.table, f) == 1} == {(0, "S", 2), (0, "S", 6), (2, "S", 4)}
-    assert stats == {"facts": 14, "pops": 8}  # 10 + 3 + the root, on 5 + 2 + 1 row deltas
+    assert stats == {"facts": 14, "row_deltas": 8}  # 10 + 3 + the root, on 5 + 2 + 1 row deltas
     assert expand_witness(w).steps == ((0, False), (2, False), (4, False), (6, False))
     check_goal_stop(g, D2_NF)
 
@@ -365,7 +365,7 @@ def test_a_dead_target_runs_no_round(instance):
         assert table.pops == 0 and not any(round_of(table, f) is not None for f in table_facts(table))
         assert len(table.facts) == (g.vertex_count if nf.start_nullable else 0)
         if a == nf.start:
-            assert stats == {"facts": len(table.facts), "pops": 0}
+            assert stats == {"facts": len(table.facts), "row_deltas": 0}
     check_goal_stop(g, nf)
 
 
@@ -376,7 +376,7 @@ def test_a_target_with_only_opening_in_edges_runs_no_round():
     assert len(cfl_reach_table(g, D2_NF).facts) > 0
     stats = {}
     assert cfl_reach(g, D2_NF, stats=stats) is None
-    assert stats == {"facts": 0, "pops": 0}
+    assert stats == {"facts": 0, "row_deltas": 0}
     undirected = LabeledGraph(UNDIRECTED, 4, g.edges, 0, 3, g.alphabet)  # (1, 0, ")") is not at 3
     assert solve._dead_target(undirected, D2_NF, (0, "S", 3))
     closing = LabeledGraph(UNDIRECTED, 4, tuple(g.edges) + ((3, 1, ")"),), 0, 3, g.alphabet)

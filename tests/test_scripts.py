@@ -41,7 +41,7 @@ def bench_runs(tmp_path_factory):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(out.read_text())
+    return dict(json.loads(out.read_text()), stdout=proc.stdout)
 
 
 def test_bench_writes_io_rows_at_a_tiny_size(bench_runs):
@@ -63,15 +63,25 @@ def test_bench_writes_io_rows_at_a_tiny_size(bench_runs):
             "solve.cfl", "solve.fixpoint", "solve.witness", "solve.check",
         ]),
     ]
+    # a solve row sums the counters of its mode's reports
+    solved = {
+        "solve.cfl": {"facts", "row_deltas", "errors"},
+        "solve.fixpoint": {"facts", "row_deltas", "errors"},
+        "solve.regular": {"states", "states_examined", "errors"},
+        "solve.bounded-enum": {"states", "states_examined", "errors"},
+        "solve.dag-enum": {"paths_examined", "errors"},
+        "solve.tree": {"errors"},
+        "solve.witness": {"nodes"},
+        "solve.check": {"nodes"},
+    }
     for row in rows:
         assert set(row) == {"workload", "layer", "seconds", "ref_seconds", "counters", "peak_rss"}
         assert row["seconds"] >= 0 and row["ref_seconds"] >= 0 and row["peak_rss"] > 0
-        keys = {"calls", "edges", "gc_s", "tracked"}
-        if row["layer"] in ("solve.witness", "solve.check"):
-            keys |= {"nodes"}
-        elif row["layer"].startswith("solve."):
-            keys |= {"facts_count", "worklist_pops", "errors"}
+        keys = {"calls", "edges", "gc_s", "tracked"} | solved.get(row["layer"], set())
         assert set(row["counters"]) == keys and row["counters"]["calls"] > 0
+    for row, line in zip(rows, bench_runs["stdout"].splitlines(), strict=True):  # printed in row order
+        assert line.split()[:2] == [row["workload"], row["layer"]]
+        assert all(f"  {key} {row['counters'][key]}" in line for key in solved.get(row["layer"], ()))
     for workload in ("cfl-saturate", "enum-mix", "certify-pipeline"):
         layers = {layer: c for (w, layer), c in counters.items() if w == workload}
         (edges,) = {c["edges"] for layer, c in layers.items() if layer.startswith("graph.")}
@@ -91,8 +101,8 @@ def test_bench_times_every_solve_mode_at_a_tiny_size(bench_runs):
         assert runners and sum(c["edges"] for c in runners) == edges
     goal, full = counters["cfl-saturate", "solve.cfl"], counters["cfl-saturate", "solve.fixpoint"]
     # the goal-stopped tables are parts of the full ones
-    assert goal["facts_count"] >= goal["worklist_pops"] > 0 and full["facts_count"] >= full["worklist_pops"] > 0
-    assert full["facts_count"] >= goal["facts_count"] and full["calls"] == goal["calls"]
+    assert goal["facts"] >= goal["row_deltas"] > 0 and full["facts"] >= full["row_deltas"] > 0
+    assert full["facts"] >= goal["facts"] and full["calls"] == goal["calls"]
     # one derivation per reachable operation, each at least its root
     rebuilt = counters["cfl-saturate", "solve.witness"]
     assert 0 < rebuilt["calls"] <= goal["calls"] and rebuilt["nodes"] >= rebuilt["calls"]

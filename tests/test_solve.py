@@ -43,6 +43,7 @@ from lcreach.languages import (
 from lcreach.reductions import vc_brute, vc_to_a_dagreach
 from lcreach.solve import (
     ExpansionLimitExceeded,
+    _bits,
     _product_search,
     Witness,
     bounded_enum_reach,
@@ -337,6 +338,15 @@ def test_pops_count_row_deltas_not_facts():
         table = cfl_reach_table(g, D2_NF)
         deltas = sum(len(chunks) for rows in table.births for chunks in rows.values())
         assert table.pops == deltas <= len(table.facts)
+
+
+@given(st.one_of(
+    st.just(0),
+    st.sets(st.integers(0, 2000), max_size=8).map(lambda bits: sum(1 << i for i in bits)),  # sparse rows
+    st.integers(2**999, 2**1000 - 1),  # 1,000-bit values, about half their bits set
+))
+def test_bits_lists_the_set_bits_lowest_first(x):
+    assert _bits(x) == [i for i in range(x.bit_length()) if x >> i & 1]
 
 
 # --- grammar reachability entry point ----------------------------------------------

@@ -4,7 +4,10 @@
 and ``lcreach.solve`` look up at call time.  A refactor that stops calling a
 traced name, or calls it under another, leaves that layer reading zero with
 no error.  This test runs each workload at its tiny size with the trace on
-and pins the exact set of layers that record time.
+and pins the exact set of layers that record time.  The solver counters are
+read out of what the solvers return and out of the ``stats`` dict the CLI
+hands them, whose keys the tracer names: a renamed key zeroes its counter
+just as silently, so the counters each workload must move are pinned too.
 """
 
 import sys
@@ -29,6 +32,11 @@ TIMED = {
         "solve.bounded_enum", "solve.dag_enum", "solve.product_bfs", "solve.tree",
     },
 }
+COUNTED = {
+    "cfl-saturate": {"solve.facts", "solve.pops"},
+    "certify-pipeline": {"solve.facts", "solve.pops"},
+    "enum-mix": {"solve.product_states", "solve.states_examined", "solve.paths_examined"},
+}
 
 
 @pytest.fixture(scope="module")
@@ -49,3 +57,4 @@ def test_traced_layers_are_exactly_those_the_workload_loads(workload, bench, tmp
     metrics = traced["metrics"]
     timed = {span for span in harness.LAYER_SPANS if metrics[f"{span}_s"]["value"] > 0}
     assert timed == TIMED[workload]
+    assert {key for key in COUNTED[workload] if metrics[key]["value"] > 0} == COUNTED[workload]
