@@ -12,7 +12,7 @@ over all its instances:
   ``(u, v, label)`` tuples;
 * ``graph.edges``: one pass over each graph's ``edges`` view;
 * ``graph.render_graph``: writing each graph back as text;
-* ``graph.edge_ends``: the per-vertex edge-end index every walk search starts from;
+* ``graph.edge_ends``: the edge-end chains (two flat int lists) every walk search starts from;
 * ``reductions.parse_circuit`` and ``reductions.parse_vc``: parsing each
   circuit and vertex-cover input file;
 * ``reductions.<kind>``: each reduction, on its already parsed input;

@@ -296,12 +296,12 @@ _EXIT_CODES = {"reachable": EXIT_REACHABLE, "unreachable": EXIT_UNREACHABLE, "un
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    g = parse_graph(_read(args.graph))
-    lang = _load_language(args)
-    if args.max_len is not None and args.mode != "bounded-enum":
+    if args.max_len is not None and args.mode != "bounded-enum":  # usage errors before any file is read
         raise _Usage("--max-len only applies to bounded-enum")
     if args.expand_limit < 0:
         raise _Usage("--expand-limit must be nonnegative")
+    g = parse_graph(_read(args.graph))
+    lang = _load_language(args)
     report = SolveReport(decision="unreachable")
     started = time.perf_counter()
     found, derivation = _RUNNERS[args.mode](g, lang, args, report)

@@ -38,7 +38,7 @@ in ``(min, max)`` order, just ``min(us)`` and ``max(vs)``), so no Python
 function runs per edge; only a failed check starts a per-line or per-edge
 loop, to name the first line or edge at fault.  Either way faults
 keep their messages and their order.  Walk searches read :func:`edge_ends`,
-an index of ints built from the columns: end ``2e`` reads edge ``e`` forward
+chains of ints built from the columns: end ``2e`` reads edge ``e`` forward
 and end ``2e + 1`` reads it in reverse.
 """
 
@@ -212,14 +212,17 @@ class Path:
         return len(self.steps)
 
 
-def edge_ends(g: LabeledGraph, both: bool = False) -> tuple[list[list[int]], list[int]]:
-    """The edge ends leaving each vertex, and the head of every end.
+def edge_ends(g: LabeledGraph, both: bool = False) -> tuple[list[int], list[int], list[int]]:
+    """The edge ends leaving each vertex, as chains, and the head of every end.
 
     End ``2e`` reads edge ``e`` forward and end ``2e + 1`` in reverse; both
-    read ``g.labels[e]``, and ``heads[k]`` is the vertex end ``k`` enters.  A
+    read ``g.labels[e]``, and ``heads[k]`` is the vertex end ``k`` enters.
+    ``first[v]`` is the first end leaving ``v``, ``after[k]`` the next end at
+    end ``k``'s tail, and ``-1`` ends a chain, so a walk runs ``k = first[v]``,
+    ``while k >= 0: ...; k = after[k]``: two flat lists, none per vertex.  A
     vertex's ends are in edge order, the tie-breaking order of every walk
-    search.  A directed graph lists only its forward ends unless ``both`` is
-    set; otherwise an edge is listed at both its endpoints, a self-loop once.
+    search.  A directed graph chains only its forward ends unless ``both`` is
+    set; otherwise an edge is chained at both its endpoints, a self-loop once.
     """
     n, m = g.vertex_count, len(g.us)
     heads = [0] * (2 * m)
@@ -228,13 +231,14 @@ def edge_ends(g: LabeledGraph, both: bool = False) -> tuple[list[list[int]], lis
     if both or g.kind == UNDIRECTED:
         step, tails = 1, [0] * (2 * m)
         tails[0::2], tails[1::2] = g.us, g.vs
-        for k in compress(count(1, 2), map(eq, g.us, g.vs)):  # a self-loop's reverse end goes to list n
+        for k in compress(count(1, 2), map(eq, g.us, g.vs)):  # a self-loop's reverse end goes to chain n
             tails[k] = n
-    ends: list[list[int]] = [[] for _ in range(n + 1)]
-    for k, tail in zip(count(0, step), tails):
-        ends[tail].append(k)
-    ends.pop()  # list n
-    return ends, heads
+    first, after = [-1] * (n + 1), [-1] * (2 * m)
+    for k, tail in zip(count(step * (len(tails) - 1), -step), reversed(tails)):  # last end first
+        after[k] = first[tail]
+        first[tail] = k
+    first.pop()  # chain n
+    return first, after, heads
 
 
 def _walk(g: LabeledGraph, p: Path) -> Iterator[tuple[int, int, str]]:
@@ -274,16 +278,16 @@ def path_yield(g: LabeledGraph, p: Path) -> str:
     return "".join(label for _, _, label in _walk(g, p))
 
 
-def is_dag(g: LabeledGraph, index: Optional[tuple[list, list[int]]] = None) -> Optional[tuple[int, ...]]:
+def is_dag(g: LabeledGraph, index: Optional[tuple[list[int], ...]] = None) -> Optional[tuple[int, ...]]:
     """A topological order of ``g``, or ``None`` if it has a directed cycle.
 
     Only meaningful for directed graphs; undirected input is a KindError.
-    Self-loops count as cycles.  ``index`` is :func:`edge_ends` of ``g``
-    when the caller has built it to walk the graph too.
+    Self-loops count as cycles.  ``index`` is the ``(first, after, heads)``
+    chains :func:`edge_ends` built of ``g`` when the caller walks them too.
     """
     if g.kind != DIRECTED:
         raise KindError("acyclicity is a directed-graph notion")
-    ends, heads = edge_ends(g) if index is None else index
+    first, after, heads = edge_ends(g) if index is None else index
     indeg = [0] * g.vertex_count
     for v in g.vs:
         indeg[v] += 1
@@ -292,11 +296,13 @@ def is_dag(g: LabeledGraph, index: Optional[tuple[list, list[int]]] = None) -> O
     while queue:
         v = queue.pop()
         order.append(v)
-        for k in ends[v]:
+        k = first[v]
+        while k >= 0:
             w = heads[k]
             indeg[w] -= 1
             if indeg[w] == 0:
                 queue.append(w)
+            k = after[k]
     if len(order) != g.vertex_count:
         return None
     return tuple(order)

@@ -4,11 +4,11 @@ The question answered throughout: does some walk from ``g.source`` to
 ``g.target`` have a yield inside the constraint language?  Walks may repeat
 vertices and edges, and the empty walk counts when source equals target.
 
-Four solver families live here.  All of them read the index of the graph
-:func:`lcreach.graph.edge_ends`, built once per solve.  :func:`tree_reach`
-builds the two-way ``edge_ends(g, both=True)`` instead, and
-:func:`bounded_enum_reach` on a directed graph builds it beside the forward
-one, to count the steps left to the target.
+Four solver families live here.  All of them walk the edge-end chains
+:func:`lcreach.graph.edge_ends` (flat ``first`` and ``after`` int lists, no
+list per vertex), built once per solve.  :func:`tree_reach` builds the
+two-way ``edge_ends(g, both=True)`` instead, and :func:`bounded_enum_reach` on
+a directed graph builds it beside the forward one, to count steps to the target.
 
 * :func:`regular_reach` / :func:`bounded_enum_reach` — one breadth-first
   search of the product of graph vertices and online recognizer states: a
@@ -147,8 +147,8 @@ class ReachTable:
     is its minimum derivation height minus one.  Empty-walk facts are never joined and have no round.  The
     table keeps no provenance: :func:`witness_derivation` rebuilds a
     derivation from the rounds.  ``pops`` counts the row deltas, at most
-    one per fact.  ``edge_ends`` is the fixpoint's ``(ends, heads)`` index
-    of ``graph`` (:func:`lcreach.graph.edge_ends`), read again by the rebuild.
+    one per fact.  ``edge_ends`` is the fixpoint's ``(first, after, heads)``
+    chains (:func:`lcreach.graph.edge_ends`) of ``graph``, read by the rebuild.
     """
 
     graph: LabeledGraph
@@ -156,7 +156,7 @@ class ReachTable:
     facts: FactSet
     births: list[dict[int, list[tuple[int, int]]]]
     pops: int
-    edge_ends: tuple[list[list[int]], list[int]] = field(compare=False, repr=False)
+    edge_ends: tuple[list[int], list[int], list[int]] = field(compare=False, repr=False)
 
 
 @dataclass
@@ -269,7 +269,7 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
     rules = _rules(nf)
     ids, by_first, by_second, heads = rules.ids, rules.by_first, rules.by_second, rules.heads
     n, labels = g.vertex_count, g.labels
-    ends, tips = index = edge_ends(g)
+    first, after, tips = index = edge_ends(g)
 
     rows = [[0] * n for _ in ids]
     # cols[B][w] lists the u of the facts (u, B, w) born before the last
@@ -285,10 +285,12 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
         demanded = _demand(g, nf, goal, index)
         seeds = range(n) if demanded is None else set().union(*demanded)
     for u in seeds:  # round 0: the edges leaving the seeds
-        for k in ends[u]:
+        k = first[u]
+        while k >= 0:
             for a in heads.get(labels[k >> 1], ()):
                 fa = found[a]
                 fa[u] = fa.get(u, 0) | 1 << tips[k]
+            k = after[k]
 
     goal_row, goal_births, goal_u, goal_v = [0], {}, 0, 0  # without a goal, a bit never set
     goal_rules: list[tuple[int, int]] = []  # the (B, C) of the goal's rules A -> B C, in rule order
@@ -503,8 +505,8 @@ def _demand(g: LabeledGraph, nf: NormalForm, root: Fact, index, budget: Optional
     graphs at least 20 m facts: seeding them from ``D`` would save nothing,
     so the probe stops early on them.
 
-    ``index`` is the ``(ends, heads)`` pair :func:`lcreach.graph.edge_ends`
-    built of ``g``, which the probe reads for the edges leaving a demanded
+    ``index`` is the ``(first, after, heads)`` chains of ``g``
+    (:func:`lcreach.graph.edge_ends`), read for the edges leaving a demanded
     vertex.  Returns ``rows``: ``rows[i]`` maps each ``u`` with ``(u, A)``
     in ``D``, for the ``i``-th nonterminal ``A`` by name, to the bits of the
     ``v`` with a fact ``(u, A, v)``.
@@ -512,7 +514,7 @@ def _demand(g: LabeledGraph, nf: NormalForm, root: Fact, index, budget: Optional
     max_facts, max_vertices = (len(g.us) / 3, g.vertex_count / 8) if budget is None else budget
     if max_vertices < 1:  # the root's vertex alone is over it
         return None
-    (ends, heads), rules = index, _rules(nf)
+    (first, after, heads), rules = index, _rules(nf)
     by_head, by_first, reads = rules.by_head, rules.by_first, rules.reads
     rows: list[dict[int, int]] = [{} for _ in reads]  # the bits taken in so far
     users: list[defaultdict[int, list]] = [defaultdict(list) for _ in reads]  # C -> {w: [(u, A)]}
@@ -540,10 +542,11 @@ def _demand(g: LabeledGraph, nf: NormalForm, root: Fact, index, budget: Optional
         if fresh:  # a pair's rules are read before any delta, so no delta is linked twice
             u, a = fresh.pop()
             if reads[a]:
-                bits = 0
-                for k in ends[u]:
+                bits, k = 0, first[u]
+                while k >= 0:
                     if g.labels[k >> 1] in reads[a]:
                         bits |= 1 << heads[k]
+                    k = after[k]
                 if bits:
                     work.append((u, a, bits))
             for b, c in by_head[a]:
@@ -648,7 +651,7 @@ def _derive(table: ReachTable, root: Fact) -> list[tuple]:
     if nf.start_nullable and root[1] == nf.start and root[0] == root[2]:
         return [(*root, "e")]
     rules, births, rows = _rules(nf), table.births, facts.rows
-    names, (ends, heads), labels = rules.names, table.edge_ends, table.graph.labels
+    names, (first, after, heads), labels = rules.names, table.edge_ends, table.graph.labels
     index: dict[tuple[int, int, int], int] = {}
     nodes: list = []
     # Entries are (fact, None) to expand a fact, (fact, children) to emit it.
@@ -666,9 +669,10 @@ def _derive(table: ReachTable, root: Fact) -> list[tuple]:
         if rnd is None:
             raise CorruptWitnessError(f"fact {(u, names[a], v)} has no birth round")
         if rnd == 0:  # the first end from u into v that A reads: edge k >> 1, reversed when k & 1
-            reads = rules.reads[a]
-            k = next((k for k in ends[u] if heads[k] == v and labels[k >> 1] in reads), None)
-            if k is None:
+            reads, k = rules.reads[a], first[u]
+            while k >= 0 and not (heads[k] == v and labels[k >> 1] in reads):
+                k = after[k]
+            if k < 0:
                 raise CorruptWitnessError("a fact born in round 0 reads no edge")
             index[key] = len(nodes)
             nodes.append((u, names[a], v, "t", k >> 1, bool(k & 1)))
@@ -826,22 +830,24 @@ def _product_search(
     ``s``) is the integer ``s * n + v``, and each state's move per label is
     cached: exact, as ``rec.step`` reads only its state and symbol.
     """
-    ends, heads = edge_ends(g)
+    first, after, heads = edge_ends(g)
     if max_len is None:
         max_len, dist = math.inf, [0] * g.vertex_count
     else:  # steps from each vertex to the target
         dist = [math.inf] * g.vertex_count
         dist[g.target] = 0
-        undirected = g.kind == UNDIRECTED
-        near = ends if undirected else edge_ends(g, both=True)[0]  # undirected ends go both ways already
+        undirected = g.kind == UNDIRECTED  # undirected ends go both ways already
+        near_first, near_after = (first, after) if undirected else edge_ends(g, both=True)[:2]
         queue = deque([g.target])
         while queue:
             v = queue.popleft()
-            for k in near[v]:  # end k ^ 1 enters v from heads[k]: a move if g is undirected or k ^ 1 is forward
+            k = near_first[v]
+            while k >= 0:  # end k ^ 1 enters v from heads[k]: a move if g is undirected or k ^ 1 is forward
                 u = heads[k]
                 if dist[u] == math.inf and (undirected or k & 1):
                     dist[u] = dist[v] + 1
                     queue.append(u)
+                k = near_after[k]
     step, accepts, target, labels, n = rec.step, rec.accepts, g.target, g.labels, g.vertex_count
     states, ids, moves = [rec.start], {rec.start: 0}, defaultdict(dict)  # by number, numbers, moves by label
 
@@ -863,8 +869,8 @@ def _product_search(
             if v == target and accepts(states[s]):
                 found = key
                 break
-            out = moves[s]
-            for k in ends[v]:
+            out, k = moves[s], first[v]
+            while k >= 0:
                 head = heads[k]
                 if dist[head] < room:
                     label = labels[k >> 1]
@@ -872,6 +878,7 @@ def _product_search(
                     if t >= 0 and (nxt := t + head) not in parent:
                         parent[nxt] = key * span + k
                         reached.append(nxt)
+                k = after[k]
         frontier = reached
         length += 1
     if stats is not None:
@@ -905,7 +912,7 @@ def iter_st_paths(g: LabeledGraph, rec: Recognizer) -> Iterator[tuple[Path, Hash
     edge whose step is dead.  In an acyclic graph, checked on the index the
     search walks, these are all the source-to-target walks ``rec`` keeps live.
     """
-    ends, heads = index = edge_ends(g)
+    first, after, heads = index = edge_ends(g)
     if is_dag(g, index) is None:
         raise NotADagError("walk enumeration without a bound needs an acyclic graph")
     labels, step, target = g.labels, rec.step, g.target
@@ -915,12 +922,14 @@ def iter_st_paths(g: LabeledGraph, rec: Recognizer) -> Iterator[tuple[Path, Hash
         if v == target:
             yield Path(start=g.source, steps=tuple(steps)), q
             return
-        for k in ends[v]:  # forward ends only: the graph is directed
+        k = first[v]
+        while k >= 0:  # forward ends only: the graph is directed
             nxt = step(q, labels[k >> 1])
             if nxt is not None:
                 steps.append(Step(k >> 1))
                 yield from walk(heads[k], nxt)
                 steps.pop()
+            k = after[k]
 
     if rec.start is not None:
         yield from walk(g.source, rec.start)
@@ -971,21 +980,23 @@ def tree_reach(g: LabeledGraph, member: Callable[[str], bool]) -> Optional[Path]
     n = g.vertex_count
     if len(g.us) != n - 1 or any(map(eq, g.us, g.vs)):
         raise NotATreeError("underlying structure is not a tree")
-    ends, heads = edge_ends(g, both=True)
-    first: list[Optional[int]] = [None] * n  # vertex -> the end that first reached it; -1 at the source
-    first[g.source] = -1
+    first, after, heads = edge_ends(g, both=True)
+    reach: list[Optional[int]] = [None] * n  # vertex -> the end that first reached it; -1 at the source
+    reach[g.source] = -1
     queue = [g.source]
     for v in queue:
-        for k in ends[v]:
-            if first[w := heads[k]] is None:
-                first[w] = k
+        k = first[v]
+        while k >= 0:
+            if reach[w := heads[k]] is None:
+                reach[w] = k
                 queue.append(w)
+            k = after[k]
     if len(queue) != n:
         raise NotATreeError("underlying structure is disconnected")
 
     steps: list[Step] = []
     at = g.target
-    while (k := first[at]) >= 0:
+    while (k := reach[at]) >= 0:
         steps.append(Step(k >> 1, bool(k & 1)))
         at = heads[k ^ 1]  # the tail of end k
     steps.reverse()

@@ -15,6 +15,8 @@ import random
 import re
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import eq
 from typing import Iterable, Iterator, Optional
 
 from lcreach.errors import (
@@ -29,7 +31,7 @@ from lcreach.errors import (
     parse_ints,
 )
 from lcreach.grammar import Cfg, Dfa, NormalForm
-from lcreach.graph import DIRECTED, UNDIRECTED, Edge, LabeledGraph, Path, Step, edge_ends, path_yield
+from lcreach.graph import DIRECTED, UNDIRECTED, Edge, LabeledGraph, Path, Step, path_yield
 from lcreach.languages import adjacency_bits, d2_member
 from lcreach.reductions import Circuit, VcInstance
 from lcreach.solve import _born
@@ -560,6 +562,30 @@ def moves(g: LabeledGraph) -> list[list[tuple[int, int, str, bool]]]:
     return out
 
 
+def edge_lists(g: LabeledGraph, both: bool = False) -> tuple[list[list[int]], list[int]]:
+    """``graph.edge_ends`` with one list of ends per vertex in place of its chains: the oracle of their order.
+
+    ``ends[v]`` lists the ends leaving ``v`` in edge order, end ``2e`` edge
+    ``e`` forward and ``2e + 1`` in reverse; ``heads[k]`` is the vertex end
+    ``k`` enters.  A directed graph lists only its forward ends unless
+    ``both``; otherwise an edge is listed at both its endpoints, a self-loop once.
+    """
+    n, m = g.vertex_count, len(g.us)
+    heads = [0] * (2 * m)
+    heads[0::2], heads[1::2] = g.vs, g.us
+    step, tails = 2, g.us  # the forward ends alone
+    if both or g.kind == UNDIRECTED:
+        step, tails = 1, [0] * (2 * m)
+        tails[0::2], tails[1::2] = g.us, g.vs
+        for k in compress(count(1, 2), map(eq, g.us, g.vs)):  # a self-loop's reverse end goes to list n
+            tails[k] = n
+    ends: list[list[int]] = [[] for _ in range(n + 1)]
+    for k, tail in zip(count(0, step), tails):
+        ends[tail].append(k)
+    ends.pop()  # list n
+    return ends, heads
+
+
 def first_accepted_walk(g: LabeledGraph, member, max_len: int) -> Optional[Path]:
     """The first walk of length <= max_len whose yield ``member`` accepts, or None.
 
@@ -589,17 +615,18 @@ def first_accepted_walk(g: LabeledGraph, member, max_len: int) -> Optional[Path]
 def product_search_by_tuples(g: LabeledGraph, rec, max_len: Optional[int], stats: Optional[dict]):
     """The product search with ``(vertex, state)`` tuple keys and a ``rec.step`` call per move.
 
-    The oracle for ``solve._product_search``, which numbers the states and keys
-    pairs by integers: the same walk and the same ``states``/``states_examined``.
+    The oracle for ``solve._product_search``, which numbers the states, keys
+    pairs by integers and walks edge-end chains: the same walk and the same
+    ``states``/``states_examined``.
     """
-    ends, heads = edge_ends(g)
+    ends, heads = edge_lists(g)
     if max_len is None:
         max_len, dist = math.inf, [0] * g.vertex_count
     else:  # steps from each vertex to the target
         dist = [math.inf] * g.vertex_count
         dist[g.target] = 0
         undirected = g.kind == UNDIRECTED
-        near = ends if undirected else edge_ends(g, both=True)[0]
+        near = ends if undirected else edge_lists(g, both=True)[0]
         queue = deque([g.target])
         while queue:
             v = queue.popleft()
@@ -643,7 +670,7 @@ def tree_path_by_dict(g: LabeledGraph, member) -> Optional[Path]:
     n = g.vertex_count
     if len(g.us) != n - 1 or any(u == v for u, v in zip(g.us, g.vs)):
         raise NotATreeError("underlying structure is not a tree")
-    ends, heads = edge_ends(g, both=True)
+    ends, heads = edge_lists(g, both=True)
     parent: dict[int, Optional[int]] = {g.source: None}
     queue = deque([g.source])
     while queue:

@@ -249,6 +249,20 @@ def test_max_len_is_rejected_outside_bounded_enum(files, capsys):
     assert "--max-len" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--max-len", "4"), "--max-len only applies to bounded-enum"),
+        (("--mode", "cfl", "--expand-limit", "-1"), "--expand-limit must be nonnegative"),
+    ],
+    ids=["max-len", "expand-limit"],
+)
+def test_usage_errors_are_reported_before_the_graph_is_read(files, capsys, flags, message):
+    g = files("g.graph", "directed 2 1\na\n0 9 a\n")  # malformed: no source/target line
+    code, out, err = run(capsys, "solve", "--graph", g, "--builtin", "d2", *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_dag_enum_mode(files, capsys):
     g = files("g.graph", CHAIN_SQUARE)
     code, out, _ = run(capsys, "solve", "--graph", g, "--builtin", "d2", "--mode", "dag-enum")

@@ -4,7 +4,7 @@ import gc
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcreach.errors import InvalidPathError, InvariantError, KindError, ParseError, SemanticError
@@ -25,7 +25,14 @@ from lcreach.graph import (
 )
 from lcreach.reductions import reach_to_abstar_ureach
 
-from .helpers import check_edges_per_edge, fragment_graph, has_directed_cycle, moves, parse_graph_per_line
+from .helpers import (
+    check_edges_per_edge,
+    edge_lists,
+    fragment_graph,
+    has_directed_cycle,
+    moves,
+    parse_graph_per_line,
+)
 
 
 # --- construction and validation ---------------------------------------------
@@ -403,23 +410,37 @@ def test_render_ends_with_newline_and_parses_without_it():
 # --- edge_ends -----------------------------------------------------------------
 
 
+def follow(first: list[int], after: list[int]) -> list[list[int]]:
+    """Every vertex's chain of ends, as a list."""
+    out = []
+    for k in first:
+        out.append([])
+        while k >= 0:
+            out[-1].append(k)
+            k = after[k]
+    return out
+
+
 def test_edge_ends_of_a_directed_graph_are_its_out_ends():
     # edge 0: 0 -a-> 1, edge 1: 1 -b-> 1, edge 2: 0 -a-> 2, edge 3: 2 -b-> 0
     g = LabeledGraph(DIRECTED, 3, ((0, 1, "a"), (1, 1, "b"), (0, 2, "a"), (2, 0, "b")), 0, 2, "ab")
-    ends, heads = edge_ends(g)
-    assert ends == [[0, 4], [2], [6]]  # forward ends 2e only, in edge order
+    first, after, heads = edge_ends(g)
+    assert first == [0, 2, 6] and after == [4, -1, -1, -1, -1, -1, -1, -1]
+    assert follow(first, after) == [[0, 4], [2], [6]]  # forward ends 2e only, in edge order
     assert heads == [1, 0, 1, 1, 2, 0, 0, 2]  # heads[2e] = vs[e], heads[2e + 1] = us[e]
     # both directions: each edge at both endpoints, the self-loop once
-    assert edge_ends(g, both=True) == ([[0, 4, 7], [1, 2], [5, 6]], heads)
+    first, after, both_heads = edge_ends(g, both=True)
+    assert follow(first, after) == [[0, 4, 7], [1, 2], [5, 6]] and both_heads == heads
 
 
 def test_edge_ends_of_an_undirected_graph_list_both_ends_and_a_self_loop_once():
     # stored as edge 0: 0 - 1, edge 1: 1 - 1, edge 2: 0 - 2, edge 3: 0 - 1
     g = LabeledGraph(UNDIRECTED, 3, ((1, 0, "a"), (1, 1, "b"), (2, 0, "a"), (0, 1, "b")), 0, 2, "ab")
-    ends, heads = edge_ends(g)
+    first, after, heads = edge_ends(g)
+    ends = follow(first, after)
     assert ends == [[0, 4, 6], [1, 2, 7], [5]]
     assert heads == [1, 0, 1, 1, 2, 0, 1, 0]
-    assert edge_ends(g, both=True) == (ends, heads)
+    assert edge_ends(g, both=True) == (first, after, heads)
     assert [g.labels[k >> 1] for k in ends[1]] == ["a", "b", "b"]
 
 
@@ -428,9 +449,42 @@ def test_edge_ends_agree_with_moves_read_off_the_edge_columns():
     for i in range(100):
         kind = (DIRECTED, UNDIRECTED)[i % 2]
         g = random_graph(rng, rng.randint(1, 6), rng.randint(0, 10), "ab", kind=kind, self_loops=True)
-        ends, heads = edge_ends(g)
-        assert len(heads) == 2 * len(g.us)
-        assert [[(k >> 1, heads[k], g.labels[k >> 1], k & 1 == 1) for k in out] for out in ends] == moves(g)
+        first, after, heads = edge_ends(g)
+        assert len(heads) == len(after) == 2 * len(g.us)
+        chains = follow(first, after)
+        assert [[(k >> 1, heads[k], g.labels[k >> 1], k & 1 == 1) for k in out] for out in chains] == moves(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([DIRECTED, UNDIRECTED]),
+    st.booleans(),
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+    ),
+)
+@example(DIRECTED, False, (1, []))  # m = 0, n = 1
+@example(UNDIRECTED, True, (1, [(0, 0), (0, 0)]))  # parallel self-loops
+@example(DIRECTED, True, (4, [(0, 1), (1, 0), (0, 1), (2, 2)]))  # parallel edges, a self-loop, vertex 3 isolated
+def test_edge_end_chains_follow_to_the_per_vertex_lists(kind, both, graph_edges):
+    """Following every chain gives the per-vertex lists of ends, in their order, with the same heads."""
+    n, pairs = graph_edges
+    g = LabeledGraph(kind, n, [(u, v, "ab"[i % 2]) for i, (u, v) in enumerate(pairs)], 0, n - 1, "ab")
+    first, after, heads = edge_ends(g, both)
+    ends, list_heads = edge_lists(g, both)
+    assert len(first) == n and len(after) == 2 * len(pairs)
+    assert follow(first, after) == ends and heads == list_heads
+
+
+def test_edge_ends_track_no_object_per_vertex():
+    """The chains are flat int lists, so the collector walks a handful of objects, not one per vertex."""
+    g = random_graph(random.Random(3), 20_000, 30_000, "ab", kind=UNDIRECTED)
+    gc.collect()
+    before = len(gc.get_objects())
+    index = edge_ends(g, both=True)
+    gc.collect()
+    assert len(gc.get_objects()) - before <= 10
+    assert len(index[0]) == 20_000
 
 
 # --- is_dag --------------------------------------------------------------------
