@@ -27,14 +27,12 @@ over all its instances:
 * ``solve.check``: ``check_derivation`` on that derivation, written to JSON
   and read back untimed, as ``lcreach verify`` reads it from a witness file.
 
-A row is ``{workload, layer, seconds, ref_seconds, counters, peak_rss}``.
-``seconds`` is the best of ``--repeats`` passes over the instances, and
-``ref_seconds`` that pass's time in reference seconds: scaled, as
-``perfbench`` scales a set-up, by the median of five ``harness.calibration_loop``
-calls timed right after the pass against its 1 ms reference, so rows of runs
-on a host whose speed drifts compare.  ``counters`` holds the
-calls and edges of one pass (input edges for a parse, build or solve, output
-edges for a reduction, 0 for the circuit and vertex-cover parsers), the
+A row is ``{workload, layer, seconds, counters, peak_rss}``.  ``seconds``
+is the best of ``--repeats`` passes over the instances, in plain seconds:
+on a host whose speed drifts, compare two checkouts by alternating runs.
+``counters`` holds the calls and edges of one pass (input edges for a
+parse, build or solve, output edges for a reduction, 0 for the circuit and
+vertex-cover parsers), the
 seconds the cyclic garbage collector ran in the best pass (``gc_s``), and the
 objects the collector tracks that the outputs of one pass keep alive
 (``tracked``), which each full collection walks.  A solve row adds the sums
@@ -56,7 +54,6 @@ import gc
 import json
 import random
 import resource
-import statistics
 import sys
 import tempfile
 import time
@@ -144,22 +141,15 @@ def instances(workload: str, seed: int, small: bool, workdir: Path) -> tuple[lis
     return solves, reductions
 
 
-def timed(calls: list, repeats: int, clock: GcClock) -> tuple[float, float, float]:
-    """Best of ``repeats`` passes over ``calls`` (thunks): seconds, GC seconds, and reference seconds.
-
-    The reference seconds scale the best pass by the median of five
-    ``harness.calibration_loop`` calls timed right after it, as ``perfbench``
-    scales each set-up.
-    """
-    best = (float("inf"), 0.0, 0.0)
+def timed(calls: list, repeats: int, clock: GcClock) -> tuple[float, float]:
+    """Best of ``repeats`` passes over ``calls`` (thunks): seconds and GC seconds."""
+    best = (float("inf"), 0.0)
     for _ in range(repeats):
         gc_before = clock.seconds
         started = time.perf_counter()
         for call in calls:
             call()
-        seconds, gc_s = time.perf_counter() - started, clock.seconds - gc_before
-        loop_s = statistics.median(harness.calibration_loop() for _ in range(5))
-        best = min(best, (seconds, gc_s, seconds * harness.REFERENCE_LOOP_S / loop_s))
+        best = min(best, (time.perf_counter() - started, clock.seconds - gc_before))
     return best
 
 
@@ -240,7 +230,7 @@ def bench(workload: str, seed: int, small: bool, repeats: int, clock: GcClock, w
                 )
     rows = []
     for layer, calls in layers.items():
-        seconds, gc_s, ref_seconds = timed(calls, repeats, clock)
+        seconds, gc_s = timed(calls, repeats, clock)
         tracked, outputs = kept(calls)
         counters = {"calls": len(calls), "edges": edges, "gc_s": round(gc_s, 6), "tracked": tracked}
         if layer.startswith("reductions."):
@@ -252,7 +242,6 @@ def bench(workload: str, seed: int, small: bool, repeats: int, clock: GcClock, w
             "workload": workload,
             "layer": layer,
             "seconds": round(seconds, 6),
-            "ref_seconds": round(ref_seconds, 6),
             "counters": counters,
             "peak_rss": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         })
@@ -278,7 +267,7 @@ def main() -> int:
         counters = row["counters"]
         solved = "".join(f"  {key} {value}" for key, value in counters.items()
                          if key not in ("calls", "edges", "gc_s", "tracked"))
-        print(f"{row['workload']:17} {row['layer']:28} {row['seconds']:10.6f} s {row['ref_seconds']:10.6f} ref-s"
+        print(f"{row['workload']:17} {row['layer']:28} {row['seconds']:10.6f} s"
               f"  edges {counters['edges']:>8}"
               f"  gc {counters['gc_s']:.6f} s  tracked {counters['tracked']:>7}{solved}")
     out = Path(args.out)

@@ -264,10 +264,6 @@ def _run_dag_enum(g: LabeledGraph, lang: Language, args: argparse.Namespace, rep
 
 
 def _run_bounded_enum(g: LabeledGraph, lang: Language, args: argparse.Namespace, report: SolveReport) -> Found:
-    if args.max_len is None:
-        raise _Usage("mode bounded-enum requires --max-len")
-    if args.max_len < 0:
-        raise _Usage("--max-len must be nonnegative")
     rec = lang.recognizer or yield_recognizer(lang.member)
     found = bounded_enum_reach(g, rec, args.max_len, stats=report.stats)
     if found is None:
@@ -298,6 +294,10 @@ _EXIT_CODES = {"reachable": EXIT_REACHABLE, "unreachable": EXIT_UNREACHABLE, "un
 def _cmd_solve(args: argparse.Namespace) -> int:
     if args.max_len is not None and args.mode != "bounded-enum":  # usage errors before any file is read
         raise _Usage("--max-len only applies to bounded-enum")
+    if args.mode == "bounded-enum" and args.max_len is None:
+        raise _Usage("mode bounded-enum requires --max-len")
+    if args.mode == "bounded-enum" and args.max_len < 0:
+        raise _Usage("--max-len must be nonnegative")
     if args.expand_limit < 0:
         raise _Usage("--expand-limit must be nonnegative")
     g = parse_graph(_read(args.graph))

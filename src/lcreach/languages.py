@@ -96,8 +96,9 @@ def _d2_step(state: str, ch: str) -> Optional[str]:
     return None
 
 
-# A dd2 symbol that starts a pair: the d2 bracket it spells and the symbol owed next.
-_DD2_PAIR = {"(": ("(", "a"), "[": ("[", "c"), "b": (")", ")"), "d": ("]", "]")}
+# Each d2 bracket spelled as a dd2 pair; by the pair's first symbol, the bracket and the symbol owed next.
+DD2_PAIRS = {"(": ("(", "a"), ")": ("b", ")"), "[": ("[", "c"), "]": ("d", "]")}
+_DD2_PAIR = {first: (bracket, second) for bracket, (first, second) in DD2_PAIRS.items()}
 
 
 def _dd2_step(state: tuple[str, str], ch: str) -> Optional[tuple[str, str]]:

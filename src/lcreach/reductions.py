@@ -60,7 +60,7 @@ from .errors import (
     parse_ints,
 )
 from .graph import DIRECTED, MAX_VERTICES, UNDIRECTED, LabeledGraph, Path, path_endpoints, path_yield
-from .languages import adjacency_bits, parse_nbc
+from .languages import DD2_PAIRS, adjacency_bits, parse_nbc
 
 # --- circuits ---------------------------------------------------------------
 
@@ -332,9 +332,6 @@ def mcvp_to_d2_reach(c: Circuit) -> LabeledGraph:
     return LabeledGraph.from_columns(DIRECTED, vin, us, vs, "".join(labels), source, target, "()[]")
 
 
-_DOUBLED_PAIR = {"(": ("(", "a"), ")": ("b", ")"), "[": ("[", "c"), "]": ("d", "]")}
-
-
 def d2reach_to_dd2_ureach(g: LabeledGraph) -> LabeledGraph:
     """Forget directions: each edge becomes an undirected 2-path.
 
@@ -344,12 +341,12 @@ def d2reach_to_dd2_ureach(g: LabeledGraph) -> LabeledGraph:
     """
     if g.kind != DIRECTED:
         raise KindError("the doubling construction starts from a directed graph")
-    foreign = g.alphabet - frozenset(_DOUBLED_PAIR)
+    foreign = g.alphabet - frozenset(DD2_PAIRS)
     if foreign:
         raise ForeignSymbolError(
             f"labels {''.join(sorted(foreign))!r} have no doubled-symbol pair"
         )
-    return _subdivide(g, "()[]abcd", _DOUBLED_PAIR)
+    return _subdivide(g, "()[]abcd", DD2_PAIRS)
 
 
 def vc_to_a_dagreach(inst: VcInstance) -> LabeledGraph:

@@ -20,11 +20,12 @@ a directed graph builds it beside the forward one, to count steps to the target.
   its minimum derivation height, and that is all the table keeps about how
   it was derived: :func:`witness_derivation` rebuilds a derivation, shared
   across facts, from the rounds on demand.  Since a derivation reads only
-  facts of earlier rounds, :func:`cfl_reach` stops the fixpoint as soon as
-  those split its root ``(source, start, target)``, before the join of the
-  root's round.  After a dense round it looks one round further ahead, in
-  the source's rows and the target's columns alone, and when those split the
-  root it stops before the join of the round before the root's too.  When
+  facts of earlier rounds, :func:`cfl_reach` makes its root ``(source,
+  start, target)`` a round of its own as soon as those split it, in place of
+  that round's join, and stops.  After a dense round it looks one round
+  further ahead, in the source's rows and the target's columns alone; when
+  those split the root, they are the next round, in place of its join, and
+  the root the round after.  One loop stores every round.  When
   no edge into the target can end a derivation of the root, it runs no
   round at all, and reports 0 facts and 0 row deltas.
   Otherwise, when the rows the root can read are few, it seeds the fixpoint
@@ -233,15 +234,17 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
     testing whether the facts born before it split the goal: one AND per
     rule ``A -> B C`` of the row ``(u, B)`` with a bitmask of the ``w`` with
     a fact ``(w, C, v)``, kept up to date as rounds add to that column.  If
-    they do, the goal is born in that round: it is added as one fact and one
-    row delta, and the rounds stop before the join.  Otherwise, when the
-    last round was dense (its new facts at least twice its row deltas), it
-    looks one round ahead (:func:`_look_ahead`): the goal reads that round
-    only in its rows ``(u, B)`` and columns ``(C, v)``, and those take far
-    less work than the round's whole join.  If they split the goal, it is
-    born one round later: they are added with that round's births, then the
-    goal, and the rounds stop without the join.  A goal born in round 0
-    stops them after that round, and an empty-walk goal before it.  A fact's
+    they do, the goal is born in that round, and the goal alone is the
+    round, in place of the join.  Otherwise, when the last round was dense
+    (its new facts at least twice its row deltas), it looks one round ahead
+    (:func:`_look_ahead`): the goal reads that round only in its rows ``(u,
+    B)`` and columns ``(C, v)``, and those take far less work than the
+    round's whole join.  If they split the goal, they are the round, in
+    place of the join, and the goal alone is the round after.  Every round,
+    whether a join, those slices or the goal, is stored by one births loop
+    as facts and row deltas, and the rounds stop after the goal's.  A goal
+    born in round 0 stops them after that round, and an empty-walk goal
+    before it.  A fact's
     derivation reads only facts born in earlier rounds, so every fact of the
     stopped table has the round it has in the full one, and the goal's
     derivation, which reads the round before its own only through those rows
@@ -292,14 +295,13 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
                 fa[u] = fa.get(u, 0) | 1 << tips[k]
             k = after[k]
 
-    goal_row, goal_births, goal_u, goal_v = [0], {}, 0, 0  # without a goal, a bit never set
+    goal_row, goal_u, goal_a, goal_bit = [0], 0, 0, 1  # without a goal, a bit never set
     goal_rules: list[tuple[int, int]] = []  # the (B, C) of the goal's rules A -> B C, in rule order
     if goal is not None:
-        goal_u, a, goal_v = goal
-        goal_row, goal_births, goal_rules = rows[ids[a]], births[ids[a]], rules.by_head[ids[a]]
-    goal_bit = 1 << goal_v
-    # col[C] is the bitmask of the w with a fact (w, C, goal_v), for each C
-    # ending a goal rule and each Z ending one of C's rules C -> Y Z.
+        goal_u, goal_a, goal_bit = goal[0], ids[goal[1]], 1 << goal[2]
+        goal_row, goal_rules = rows[goal_a], rules.by_head[goal_a]
+    # col[C] is the bitmask of the w with a fact (w, C, v) for the goal's v, for
+    # each C ending a goal rule and each Z ending one of C's rules C -> Y Z.
     goal_cs = {c for _, c in goal_rules}
     col = dict.fromkeys(goal_cs.union(*({z for _, z in rules.by_head[c]} for c in goal_cs)), 0)
     # Looking ahead skips a rule A -> B C where neither B nor C heads a
@@ -309,7 +311,7 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
     while True:
         # The bits found that are new were born in this round.
         delta: dict[int, dict[int, int]] = {}
-        fresh: dict[int, int] = {}  # C -> the w of the facts (w, C, goal_v) born in this round
+        fresh: dict[int, int] = {}  # C -> the w of the facts (w, C, v) born in this round
         round_size = round_pops = 0
         for a, fa in found.items():
             da: dict[int, int] = {}
@@ -342,41 +344,21 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
                         col[a] |= ws
         size += round_size
         pops += round_pops
-        if not delta or goal_row[goal_u] & goal_bit:  # a goal born here is born in round 0
+        if not delta or goal_row[goal_u] & goal_bit:  # no new fact, or the goal's round
             break
         rnd += 1
         # rows now holds the facts born before this round, so the goal is
-        # born in it exactly when they split it: stop before the join.
-        born_in = None
+        # born in it exactly when they split it: the round is the goal alone.
+        found = None
         for b, c in goal_rules:
             if rows[b][goal_u] & col[c]:
-                born_in = rnd
+                found = {goal_a: {goal_u: goal_bit}}
                 break
-        if born_in is None and ahead_rules and round_size >= 2 * round_pops:  # a dense round
-            ahead = _look_ahead(rules, rows, cols, col, fresh, delta, ahead_rules, goal_u)
-            if ahead is not None:  # the goal is born in the next round: keep what it reads
-                born_in = rnd + 1
-                ahead_rows, ahead_cols = ahead
-                for b, bits in ahead_rows.items():
-                    if bits:
-                        rows[b][goal_u] |= bits
-                        births[b].setdefault(goal_u, []).append((rnd, bits))
-                        size += bits.bit_count()
-                        pops += 1
-                for c, ws in ahead_cols.items():
-                    rows_c, births_c = rows[c], births[c]
-                    for w in _bits(ws):
-                        if not rows_c[w] & goal_bit:  # else (goal_u, C, goal_v) came with the row above
-                            rows_c[w] |= goal_bit
-                            births_c.setdefault(w, []).append((rnd, goal_bit))
-                            size += 1
-                            pops += 1
-        if born_in is not None:
-            goal_row[goal_u] |= goal_bit
-            goal_births.setdefault(goal_u, []).append((born_in, goal_bit))
-            size += 1
-            pops += 1
-            break
+        if found is None and ahead_rules and round_size >= 2 * round_pops:  # a dense round
+            # or the round is the slices of it the goal reads, when those split it
+            found = _look_ahead(rules, rows, cols, col, fresh, delta, ahead_rules, goal_u, goal_bit)
+        if found is not None:
+            continue
         found = defaultdict(dict)
         for c, dc in delta.items():
             for a, b in by_second[c]:  # every older (u, B, w) joined with new (w, C, v)
@@ -409,7 +391,7 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
     return ReachTable(g, nf, FactSet(rules, rows, start, size), births, pops, index)
 
 
-def _look_ahead(rules: _Rules, rows, cols, col, fresh, delta, goal_rules, u: int):
+def _look_ahead(rules: _Rules, rows, cols, col, fresh, delta, goal_rules, u: int, goal_bit: int):
     """The next round's facts in the goal's source rows and target columns, if they split the goal.
 
     Called between rounds of :func:`cfl_reach_table`, whose ``rows`` hold the
@@ -421,10 +403,13 @@ def _look_ahead(rules: _Rules, rows, cols, col, fresh, delta, goal_rules, u: int
     lists those in which ``B`` or ``C`` heads a rule.  A row takes the left
     join of its rules ``B -> P Q`` over the whole row ``(u, P)``; a column,
     for each rule ``C -> Y Z``, the new ``Y``-rows that meet ``Z``'s column
-    and the older ``Y``-facts ending where ``Z``'s column grew.  Returns
-    ``({B: bits}, {C: bits})``, the ``v`` of the new facts ``(u, B, v)`` and
-    the ``w`` of the new facts ``(w, C, v)``, or None when the rules split
-    no fact of these or earlier rounds.
+    and the older ``Y``-facts ending where ``Z``'s column grew.  Returns the
+    new facts as the join's ``{A: {u: bits}}``, a round of their own for the
+    births loop to store: each row ``(u, B)`` with the bits of its new facts,
+    and each new ``(w, C, v)`` as ``{C: {w: goal_bit}}``, where ``goal_bit``
+    is ``1 << v``; or None when the rules split no fact of these or earlier
+    rounds.  A row the two share (``w == u``) holds ``v`` already, since the
+    row's slice holds all of the row's new facts.
     """
     by_head = rules.by_head
     ahead_rows: dict[int, int] = {}
@@ -453,9 +438,13 @@ def _look_ahead(rules: _Rules, rows, cols, col, fresh, delta, goal_rules, u: int
                         for w in cols_y.get(x, ()):
                             acc |= 1 << w
             ahead_cols[c] = acc & ~col[c]
-    if any((rows[b][u] | ahead_rows[b]) & (col[c] | ahead_cols[c]) for b, c in goal_rules):
-        return ahead_rows, ahead_cols
-    return None
+    if not any((rows[b][u] | ahead_rows[b]) & (col[c] | ahead_cols[c]) for b, c in goal_rules):
+        return None
+    found = {c: dict.fromkeys(_bits(ws), goal_bit) for c, ws in ahead_cols.items() if ws}
+    for b, bits in ahead_rows.items():
+        if bits:  # with v when the column holds (u, B, v)
+            found.setdefault(b, {})[u] = bits
+    return found
 
 
 def _dead_target(g: LabeledGraph, nf: NormalForm, goal: Fact) -> bool:
@@ -550,12 +539,10 @@ def _demand(g: LabeledGraph, nf: NormalForm, root: Fact, index, budget: Optional
                 if bits:
                     work.append((u, a, bits))
             for b, c in by_head[a]:
-                row_b = rows[b]
-                if u not in row_b:
-                    row_b[u] = 0
-                    fresh.append((u, b))
-                elif row_b[u]:
-                    for w in _bits(row_b[u]):
+                if u not in rows[b]:
+                    need(u, b)
+                elif rows[b][u]:
+                    for w in _bits(rows[b][u]):
                         link(w, c, u, a)
             continue
         u, b, bits = work.pop()

@@ -254,8 +254,10 @@ def test_max_len_is_rejected_outside_bounded_enum(files, capsys):
     [
         (("--max-len", "4"), "--max-len only applies to bounded-enum"),
         (("--mode", "cfl", "--expand-limit", "-1"), "--expand-limit must be nonnegative"),
+        (("--mode", "bounded-enum"), "mode bounded-enum requires --max-len"),
+        (("--mode", "bounded-enum", "--max-len", "-1"), "--max-len must be nonnegative"),
     ],
-    ids=["max-len", "expand-limit"],
+    ids=["max-len", "expand-limit", "no-max-len", "negative-max-len"],
 )
 def test_usage_errors_are_reported_before_the_graph_is_read(files, capsys, flags, message):
     g = files("g.graph", "directed 2 1\na\n0 9 a\n")  # malformed: no source/target line

@@ -6,7 +6,8 @@ import json
 import math
 import random
 from collections import defaultdict
-from functools import partial
+from functools import partial, reduce
+from operator import or_
 from unittest import mock
 
 import pytest
@@ -146,7 +147,8 @@ def check_goal_stop(g, nf):
     no round runs, whatever the demand probe would find, and the table holds
     only the empty-walk facts.  Otherwise, when the probe gives up, the
     table holds exactly the facts the full fixpoint derives in the rounds
-    kept, and the root.
+    kept, and the root.  In both tables, each row is the disjoint union of
+    its birth chunks.
     """
     full = cfl_reach_table(g, nf)
     root = (g.source, nf.start, g.target)
@@ -159,6 +161,11 @@ def check_goal_stop(g, nf):
     assert stats == {"facts": len(stopped.facts), "row_deltas": stopped.pops}
     assert len(stopped.facts) == len(table_facts(stopped)) >= stopped.pops == deltas
     assert table_facts(stopped) <= table_facts(full)
+    for table in (full, stopped):  # each row is the disjoint union of its birth chunks
+        for rows, births in zip(table.facts.rows, table.births):
+            for u, row in enumerate(rows):
+                chunks = [bits for _, bits in births.get(u, ())]
+                assert sum(map(int.bit_count, chunks)) == row.bit_count() and reduce(or_, chunks, 0) == row
 
     def empty_walk(fact):  # a fact of every table when the start is nullable
         return nf.start_nullable and fact[1] == nf.start and fact[0] == fact[2]
