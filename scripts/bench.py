@@ -8,6 +8,8 @@ it writes) and every reduction input.  For each workload the script times,
 over all its instances:
 
 * ``graph.parse_graph``: parsing each graph file;
+* ``graph.parse_graph_tabs``: parsing each graph file with its field
+  separators replaced by tabs, which sends it to the per-line parse;
 * ``graph.LabeledGraph``: building each parsed graph again from its edges as
   ``(u, v, label)`` tuples;
 * ``graph.edges``: one pass over each graph's ``edges`` view;
@@ -204,6 +206,7 @@ def bench(workload: str, seed: int, small: bool, repeats: int, clock: GcClock, w
     edges = sum(len(g.us) for g in parsed)
     layers = {
         "graph.parse_graph": [lambda t=t: parse_graph(t) for t in texts],
+        "graph.parse_graph_tabs": [lambda t=t.replace(" ", "\t"): parse_graph(t) for t in texts],
         "graph.LabeledGraph": [
             lambda g=g, e=tuple(g.edges): LabeledGraph(g.kind, g.vertex_count, e, g.source, g.target, g.alphabet)
             for g in parsed

@@ -29,17 +29,17 @@ A graph stores its edges as three columns, so it holds no object per edge
 for the garbage collector to walk: ``us`` and ``vs``, tuples of ints, and
 ``labels``, a string whose character ``i`` is edge ``i``'s label.
 ``LabeledGraph.edges`` is a view that builds :class:`Edge` tuples from the
-columns on access.  Per 4,096 edge lines the parser runs one split, one count
-of the ``"\\0"`` joins, one label-width check, and one ``json.loads`` of the
-endpoint tokens, which must hold only ASCII digits, ``-`` and ``,``.  The
+columns on access.  Edge lines as :func:`render_graph` writes them, in ASCII
+text with ``"\\n"`` (or ``"\\r\\n"``) line ends and fields one space apart,
+are read by one pass over their bytes that makes no object per line or field,
+and one ``json.loads`` of the ids; any other text goes line by line.  The
 constructor checks one set of both endpoint columns' types, the label set, and
-``min`` and ``max`` of the ids (on an undirected graph, once its edges are
-in ``(min, max)`` order, just ``min(us)`` and ``max(vs)``), so no Python
-function runs per edge; only a failed check starts a per-line or per-edge
-loop, to name the first line or edge at fault.  Either way faults
-keep their messages and their order.  Walk searches read :func:`edge_ends`,
-chains of ints built from the columns: end ``2e`` reads edge ``e`` forward
-and end ``2e + 1`` reads it in reverse.
+``min`` and ``max`` of the ids (on an undirected graph, ``min(us)`` and
+``max(vs)`` once its edges are in ``(min, max)`` order), so no Python function
+runs per edge; only a failed check starts a per-line or per-edge loop, to name
+the first line or edge at fault, so faults keep their messages and order.
+Walk searches read :func:`edge_ends`, chains of ints built from the columns:
+end ``2e`` reads edge ``e`` forward and end ``2e + 1`` reads it in reverse.
 """
 
 from __future__ import annotations
@@ -308,50 +308,62 @@ def is_dag(g: LabeledGraph, index: Optional[tuple[list[int], ...]] = None) -> Op
     return tuple(order)
 
 
+# All bytes but those str.split splits ASCII text at; the ids' bytes, each swapped with a byte ASCII lacks.
+_NOT_SPACE = bytes(b for b in range(256) if b > 127 or not chr(b).isspace())
+_ID_BYTES = b"0123456789-,"
+_SWAP = bytes(b ^ 0x80 if b & 0x7F in _ID_BYTES else b for b in range(256))
+
+
+def _lines(text: str) -> tuple[list[str], Optional[bytes]]:
+    """``content_lines(text)`` and None; or, if ASCII ``text`` breaks only at ``"\\n"`` and ``"\\r\\n"``,
+    its first, second and last line, and the bytes of the lines between, each with its ``"\\n"``."""
+    lf = text.replace("\r\n", "\n") if "\r" in text else text  # then no "\r" may be left
+    if lf.isascii() and not any(map(lf.__contains__, "\r\v\f\x1c\x1d\x1e")):  # splitlines breaks at these
+        lf = lf.rstrip()  # the trailing blank lines, which content_lines drops
+        first, last = lf.find("\n"), lf.rfind("\n")
+        second = lf.find("\n", first + 1)
+        if second >= 0:
+            return [lf[:first], lf[first + 1:second], lf[last + 1:]], lf[second + 1:last + 1].encode()
+    return content_lines(text), None
+
+
+def _edge_region(region: bytes, m: int, alpha: str) -> Optional[tuple[list[int], list[int], str]]:
+    """The edge columns of ``region`` if it is ``m`` lines ``"<u> <v> <label>\\n"`` one space apart, else None,
+    read by whole-region ``translate``, ``count`` and ``replace`` calls and one ``json.loads``."""
+    keep = alpha.encode().translate(_SWAP)  # the labels
+    for a in keep.translate(None, bytes(range(128))):  # the labels ids also spell ("#01"), swapped at line ends
+        region = region.replace(b" %c\n" % (a ^ 0x80), b" %c\n" % a)
+    labels = region.translate(_SWAP, bytes(set(range(256)).difference(keep))).decode()
+    ends = region.translate(bytes.maketrans(b" ", b","), keep + b"\n")
+    # Each line ends in its one label and has two spaces (m is tested first: a header may declare any count),
+    # and ids hold only ASCII digits, "-" and ",", of which JSON reads what int reads or refuses it ("007").
+    if (len(labels) != m or ends.translate(None, _ID_BYTES) or region.translate(None, _NOT_SPACE) != b"  \n" * m
+            or region.translate(bytes.maketrans(keep, b"\xff" * len(keep))).count(b" \xff\n") != m):
+        return None
+    try:
+        ends = json.loads(b"[%b]" % ends[:-1])
+    except ValueError:
+        return None
+    return (ends[0::2], ends[1::2], labels) if len(ends) == 2 * m else None
+
+
 def _edge_lines(body: list[str]) -> tuple[list[int], list[int], str]:
     """The edge columns of the edge lines ``body`` (line 3 on), or the ParseError of the first line at fault."""
-    us: list[int] = []
-    vs: list[int] = []
-    labels: list[str] = []
-    try:
-        for at in range(0, len(body), 4096):  # chunks bound the token strings alive at once
-            # "\0" is never a label, so in one split of the lines joined by " \0 ", all are
-            # "<u> <v> <label>" exactly when the joins are the text's only "\0"s, every fourth token.
-            m, text = min(4096, len(body) - at), " \0 ".join(body[at:at + 4096])
-            tokens = text.split()
-            if not (len(tokens) == 4 * m - 1 and text.count("\0") == tokens[3::4].count("\0") == m - 1):
-                raise ValueError
-            chunk_labels = "".join(tokens[2::4])
-            if len(chunk_labels) != m:  # no token is empty, so each label is one character
-                raise ValueError
-            # Of ASCII digits, "-" and ",", JSON reads what int reads or refuses it ("007", "1-2").
-            ends = ",".join(tokens[0::4] + tokens[1::4])  # a comma in a token adds a value
-            del text, tokens  # before the decode and the next chunk's split
-            if ends.translate(dict.fromkeys(b"0123456789-,")) or len(ends := json.loads(f"[{ends}]")) != 2 * m:
-                raise ValueError
-            us += ends[:m]
-            vs += ends[m:]
-            labels.append(chunk_labels)
-        return us, vs, "".join(labels)
-    except ValueError:
-        pass
-    us, vs, labels = [], [], []  # the per-line parse, which names the first line at fault
+    ends, labels = [], []
     for line_no, line in enumerate(body, 3):
         tokens = line.split()
         if len(tokens) != 3:
             raise ParseError("edge line must be '<u> <v> <label>'", line=line_no)
-        u, v = parse_ints(tokens[:2], "edge endpoints must be integers", line_no)
+        ends += parse_ints(tokens[:2], "edge endpoints must be integers", line_no)
         if len(tokens[2]) != 1:
             raise ParseError("edge label must be a single character", line=line_no)
-        us.append(u)
-        vs.append(v)
         labels.append(tokens[2])
-    return us, vs, "".join(labels)
+    return ends[0::2], ends[1::2], "".join(labels)
 
 
 def parse_graph(text: str) -> LabeledGraph:
     """Parse the line-based graph format described in the module docstring."""
-    lines = content_lines(text)
+    lines, region = _lines(text)
     if len(lines) < 3:
         raise ParseError("expected a header, an alphabet line, and a source/target line", line=max(1, len(lines)))
     header = lines[0].split()
@@ -368,20 +380,23 @@ def parse_graph(text: str) -> LabeledGraph:
     alpha = lines[1].strip()
     if len(set(alpha)) != len(alpha):
         raise ParseError("alphabet characters must be distinct", line=2)
-    if len(lines) != m + 3:
-        raise ParseError(f"expected {m} edge lines plus a final source/target line", line=len(lines))
 
-    us, vs, labels = _edge_lines(lines[2:-1])
+    columns = None if region is None else _edge_region(region, m, alpha)
+    if columns is None:  # the per-line parse, which names the first line at fault
+        lines[2:2] = region.decode().splitlines() if region else []
+        if len(lines) != m + 3:
+            raise ParseError(f"expected {m} edge lines plus a final source/target line", line=len(lines))
+        columns = _edge_lines(lines[2:-1])
 
     tokens = lines[-1].split()
     if len(tokens) != 2:
-        raise ParseError("final line must be '<source> <target>'", line=len(lines))
-    s, t = parse_ints(tokens, "source and target must be integers", len(lines))
+        raise ParseError("final line must be '<source> <target>'", line=m + 3)
+    s, t = parse_ints(tokens, "source and target must be integers", m + 3)
 
     kind = UNDIRECTED if kind_word == UNDIRECTED else DIRECTED
     g = build_object(
-        LabeledGraph.from_columns, kind, n, us, vs, labels, s, t, alpha,
-        vertex_count=1, alphabet=2, edges=3, source=len(lines), target=len(lines),
+        LabeledGraph.from_columns, kind, n, *columns, s, t, alpha,
+        vertex_count=1, alphabet=2, edges=3, source=m + 3, target=m + 3,
     )
     if kind_word == "dag" and is_dag(g) is None:
         raise SemanticError("graph declared 'dag' contains a directed cycle")

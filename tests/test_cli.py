@@ -1,19 +1,27 @@
 """End-to-end command-line behaviour: exit codes, reports, file round trips."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from collections import deque
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lcreach import cli, solve
 from lcreach.cli import dispatch
-from lcreach.graph import Path, Step, parse_graph
+from lcreach.graph import DIRECTED, UNDIRECTED, LabeledGraph, Path, Step, parse_graph, render_graph
 from lcreach.languages import builtin_language, dfa_recognizer
 from lcreach.reductions import parse_vc
+
+from .helpers import moves, worklist_facts
 
 CHAIN_SQUARE = "directed 3 2\n[]\n0 1 [\n1 2 ]\n0 2\n"
 SINGLE_A = "directed 2 1\na\n0 1 a\n0 1\n"
@@ -290,6 +298,89 @@ def test_tree_mode_decides_the_simple_path_of_an_undirected_tree(files, capsys):
     for mode in (["--mode", "cfl"], ["--mode", "bounded-enum", "--max-len", "4"]):
         code, out, _ = run(capsys, "solve", "--graph", g, "--builtin", "d2", *mode)
         assert code == 0 and "decision: reachable" in out and walk in out
+
+
+# --- every mode answers only what it proves ---------------------------------------
+
+LANGUAGE_ALPHABETS = {"d2": "()[]", "dd2": "()[]abcd", "abstar": "ab"}
+MODE_LANGUAGES = {"cfl": ["d2", "dd2"], "regular": ["abstar"]}  # the other modes take all three
+
+
+@st.composite
+def mode_cases(draw):
+    """A mode, a built-in language it takes, a small graph it takes, and a ``--max-len`` for bounded-enum."""
+    mode = draw(st.sampled_from(["cfl", "regular", "dag-enum", "bounded-enum", "tree"]))
+    name = draw(st.sampled_from(MODE_LANGUAGES.get(mode, list(LANGUAGE_ALPHABETS))))
+    n = draw(st.integers(1, 5))
+    kind = DIRECTED if mode == "dag-enum" else draw(st.sampled_from([DIRECTED, UNDIRECTED]))
+    if mode == "tree":  # vertex i > 0 hangs off an earlier one, by an edge of either direction
+        pairs = [(draw(st.integers(0, i - 1)), i)[::draw(st.sampled_from([1, -1]))] for i in range(1, n)]
+    else:
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=7))
+        pairs = [(u, v) for u, v in pairs if mode != "dag-enum" or u < v]
+    alphabet = LANGUAGE_ALPHABETS[name]
+    edges = [(u, v, draw(st.sampled_from(alphabet))) for u, v in pairs]
+    ends = st.integers(0, n - 1)
+    max_len = draw(st.integers(0, 6)) if mode == "bounded-enum" else None
+    return mode, name, LabeledGraph(kind, n, edges, draw(ends), draw(ends), alphabet), max_len
+
+
+def accepted_walk_exists(g: LabeledGraph, name: str) -> bool:
+    """The ground truth: the fact-level fixpoint for a grammar, a search of (vertex, state) pairs for a DFA."""
+    lang = builtin_language(name)
+    if lang.normal_form is not None:
+        return (g.source, lang.normal_form.start, g.target) in worklist_facts(g, lang.normal_form)
+    dfa, out = lang.dfa, moves(g)
+    seen = {(g.source, dfa.start)}
+    queue = deque(seen)
+    while queue:
+        v, q = queue.popleft()
+        if v == g.target and q in dfa.accepting:
+            return True
+        for _, head, label, _ in out[v]:
+            pair = (head, dfa.delta.get((q, label)))
+            if pair[1] is not None and pair not in seen:
+                seen.add(pair)
+                queue.append(pair)
+    return False
+
+
+def walk_longer_than(g: LabeledGraph, length: int) -> bool:
+    """Whether a walk of ``length + 1`` steps leaves the source, so that a bound of ``length`` cuts one."""
+    out, ends = moves(g), {g.source}
+    for _ in range(length + 1):
+        ends = {head for v in ends for _, head, _, _ in out[v]}
+    return bool(ends)
+
+
+TREE_FOUND = LabeledGraph(UNDIRECTED, 4, [(0, 1, "("), (1, 2, "("), (2, 3, ")")], 0, 2, "()[]")
+CHAIN_FOUND = LabeledGraph(DIRECTED, 3, [(0, 1, "("), (1, 2, "(")], 0, 2, "()[]")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 20: tree mode answers exit 1 when only the simple path is rejected, and bounded-enum "
+    "answers exit 3 when its search closed with no move cut by the bound"
+))
+@settings(max_examples=150, deadline=None, report_multiple_bugs=False)  # one AssertionError, not a group
+@given(mode_cases())
+@example(("tree", "d2", TREE_FOUND, None))  # the walk 0 1 2 3 2 spells "(())"
+@example(("bounded-enum", "d2", CHAIN_FOUND, 10))  # the chain's one walk is 2 steps long
+def test_every_mode_answers_only_what_it_proves(case):
+    """Exit 0 comes with a walk verify accepts, exit 1 agrees with the ground truth, exit 3 means not decided."""
+    mode, name, g, max_len = case
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_file, witness_file = os.path.join(tmp, "g.graph"), os.path.join(tmp, "w.json")
+        with open(graph_file, "w") as fh:
+            fh.write(render_graph(g))
+        flags = ["--graph", graph_file, "--builtin", name]
+        bound = [] if max_len is None else ["--max-len", str(max_len)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = dispatch(["solve", *flags, "--mode", mode, "--witness-out", witness_file, *bound])
+            verified = code == 0 and dispatch(["verify", *flags, "--witness", witness_file]) == 0
+    assert code in (0, 1, 3), err.getvalue()
+    assert verified or code != 0
+    assert code != 1 or not accepted_walk_exists(g, name)
+    assert code != 3 or mode == "bounded-enum" and walk_longer_than(g, max_len)
 
 
 def test_cfl_mode_needs_a_grammar(files, capsys):

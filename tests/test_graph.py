@@ -1,12 +1,14 @@
 """Graph data model, path machinery, and the graph file format."""
 
 import gc
+import itertools
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lcreach import graph
 from lcreach.errors import InvalidPathError, InvariantError, KindError, ParseError, SemanticError
 from lcreach.generators import random_dag, random_graph
 from lcreach.graph import (
@@ -345,7 +347,7 @@ def test_one_fault_in_a_long_file_is_named_as_the_per_line_oracle_names_it(seed,
     ],
 )
 def test_nul_tokens_do_not_hide_line_shapes(edge_lines, message):
-    """The split that checks thousands of edge lines at once marks their breaks with NUL tokens."""
+    """A NUL is no whitespace, so the line is no shape the byte pass reads, and a NUL label is no alphabet byte."""
     text = f"directed 2 2\na\n{edge_lines}\n0 1\n"
     for parse in (parse_graph, parse_graph_per_line):
         with pytest.raises(ParseError) as exc:
@@ -354,14 +356,22 @@ def test_nul_tokens_do_not_hide_line_shapes(edge_lines, message):
 
 
 def test_a_long_file_parses_as_the_per_line_oracle_parses_it():
-    """Its edge lines are split a few thousand at a time."""
+    """All its edge lines are read by one pass over their bytes."""
     g = random_graph(random.Random(5), 300, 9000, "ab()", kind=UNDIRECTED, self_loops=True)
     text = render_graph(g)
     assert parse_graph(text) == g == parse_graph_per_line(text)
 
 
-# Endpoint tokens that int reads, that it refuses, and that a JSON read of comma-joined tokens could misread.
-ODD_ENDPOINTS = ["007", "00", "-0", "+1", "1_0", "\u0661", "1e3", "1.0", "--1", "-", "1-2", "1,2", "3,", ",3"]
+# Tokens that int reads, that it refuses, that a JSON read of comma-joined tokens could misread, NUL, the
+# bytes that stand in for id-spelling labels (0x80 | "0", "-", ",") in the byte pass, and labels of two bytes.
+ODD_TOKENS = [
+    "007", "00", "-0", "+1", "1_0", "\u0661", "1e3", "1.0", "--1", "-", "1-2", "1,2", "3,", ",3",
+    "\0", "1\0", "\xb0", "1\xad", "\xac", "1a", "a1", "ab", "#0", "0,", "z",
+]
+# Labels: ASCII letters, the ids' bytes (lang-a's "#01"), and non-ASCII ones.
+LABELS = "ab01-,#\u00e9\u03bb"
+# Field separators, among them the line breaks of splitlines ("\r", "\x0b") and what str.split alone splits at.
+SEPARATORS = ["  ", "\t", " \t ", "\r", "\x0b", "\x1f"]
 
 
 def parse_outcome(parse, text):
@@ -371,33 +381,81 @@ def parse_outcome(parse, text):
         return type(exc), str(exc), exc.line
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
-    st.integers(0, 2**32 - 1), st.sampled_from([DIRECTED, UNDIRECTED]), st.sampled_from(["\n", "\r\n"]),
+    st.integers(0, 2**32 - 1), st.sampled_from([DIRECTED, UNDIRECTED, "dag"]),
+    st.sampled_from(["\n", "\r\n", "\r\r\n"]),
     st.booleans(), st.data(),
 )
-def test_edge_lines_parse_as_the_per_line_oracle_parses_them(seed, kind, line_end, second_chunk, data):
-    """Odd endpoint tokens, tabs and runs of spaces, CRLF line ends and non-ASCII labels.
+def test_edge_lines_parse_as_the_per_line_oracle_parses_them(seed, kind, line_end, large, data):
+    """Canonical edge lines, a few of them spoiled: an odd token, one token more or less, an empty one
+    (a leading or trailing separator, ``"1  a"``), or another separator; CRLF or CR CRLF line ends, any labels.
 
-    With ``second_chunk`` the drawn lines follow 4,100 plain ones, so they sit
-    in the second 4,096-line chunk of the parser's split.
+    With ``large`` the drawn lines follow 3,000 canonical ones, so the byte
+    pass reads a long region before the line that sends the file line by line.
     """
     rng = random.Random(seed)
     n = 6
-    filler = random_graph(rng, n, 4100 if second_chunk else rng.randint(0, 5), "ab\u00e9", kind=kind)
-    drawn = data.draw(st.lists(st.tuples(
-        st.integers(-1, n).map(str), st.integers(-1, n).map(str), st.sampled_from(["a", "\u00e9", "\u03bb", "z"]),
-        st.sampled_from([" ", "  ", "\t", " \t "]),
-    ), min_size=1, max_size=6).map(lambda lines: list(map(list, lines))))
-    for i in data.draw(st.lists(st.integers(0, 2 * len(drawn) - 1), max_size=2)):  # alone or mixed
-        drawn[i // 2][i % 2] = data.draw(st.sampled_from(ODD_ENDPOINTS), label="odd endpoint")
-    lines = [f"{kind} {n} {len(filler.us) + len(drawn)}", "ab\u00e9\u03bb"]
+    alphabet = "".join(data.draw(st.lists(st.sampled_from(LABELS), min_size=1, unique=True), label="alphabet"))
+    graph_kind = DIRECTED if kind == "dag" else kind
+    filler = random_graph(rng, n, 3000 if large else rng.randint(0, 5), alphabet, kind=graph_kind)
+    field = st.integers(-1, n).map(str)
+    drawn = data.draw(st.lists(st.tuples(field, field, st.sampled_from(alphabet)).map(list), min_size=1, max_size=6))
+    seps = [" "] * len(drawn)
+    for _ in range(data.draw(st.integers(0, 3), label="spoils")):
+        i, at = data.draw(st.integers(0, len(drawn) - 1), label="line"), data.draw(st.integers(0, 3), label="at")
+        spoil, tokens = data.draw(st.sampled_from(["token", "insert", "drop", "separator"]), label="spoil"), drawn[i]
+        if spoil == "separator":
+            seps[i] = data.draw(st.sampled_from(SEPARATORS))
+        elif spoil == "insert":
+            tokens.insert(at, data.draw(st.sampled_from(["", "1", "a", "0"])))
+        elif tokens and spoil == "drop":
+            del tokens[at % len(tokens)]
+        elif tokens:
+            tokens[at % len(tokens)] = data.draw(st.sampled_from(ODD_TOKENS), label="odd token")
+    lines = [f"{kind} {n} {len(filler.us) + len(drawn)}", alphabet]
     lines += [f"{u} {v} {label}" for u, v, label in filler.edges]
-    lines += [sep.join(tokens) for *tokens, sep in drawn]
+    lines += [sep.join(tokens) for tokens, sep in zip(drawn, seps)]
     text = line_end.join([*lines, f"0 {n - 1}", ""])
     got = parse_outcome(parse_graph, text)
     assert got == parse_outcome(parse_graph_per_line, text)
-    assert type(got) is LabeledGraph or got[2] is not None
+    assert type(got) is LabeledGraph or got[2] is not None or got[1].startswith("graph declared 'dag'")
+
+
+@pytest.mark.parametrize("alphabet", ["ab", "#01", "-,."])
+def test_each_odd_token_among_canonical_lines_is_read_as_the_per_line_oracle_reads_it(alphabet):
+    """Every odd token in every field of one of two canonical lines, and two lines whose token counts make up
+    for each other, so each check of the byte pass is the one that must send the file line by line."""
+    canonical = [["0", "1", alphabet[0]], ["2", "3", alphabet[-1]]]
+    spoiled = [[["0", "1", "2", alphabet[0]], ["3", alphabet[-1]]], [["0", alphabet[0]], ["1", "2", "3", alphabet[-1]]]]
+    for i, at, token in itertools.product(range(2), range(3), ODD_TOKENS):
+        spoiled.append([list(line) for line in canonical])
+        spoiled[-1][i][at] = token
+    for lines in spoiled:
+        text = f"directed 6 2\n{alphabet}\n" + "".join(" ".join(line) + "\n" for line in lines) + "0 5\n"
+        assert parse_outcome(parse_graph, text) == parse_outcome(parse_graph_per_line, text), text
+
+
+@pytest.mark.parametrize("kind", [DIRECTED, UNDIRECTED, "dag"])
+@pytest.mark.parametrize("alphabet", ["()[]", "ab", "#01", "x", "-,."])
+@pytest.mark.parametrize("m", [0, 1, 40])
+def test_rendered_files_never_go_line_by_line(monkeypatch, kind, alphabet, m):
+    """What render_graph writes takes the byte pass: a file sent line by line would fail here, not parse slower."""
+    def refuse(*args):
+        raise AssertionError("a rendered file went to the per-line parse")
+
+    monkeypatch.setattr(graph, "content_lines", refuse)
+    monkeypatch.setattr(graph, "_edge_lines", refuse)
+    rng = random.Random(m)
+    if kind == "dag":
+        g = random_dag(rng, 30, m, alphabet)
+    else:
+        g = random_graph(rng, 30, m, alphabet, kind=kind, self_loops=True)
+    text = render_graph(g)
+    if kind == "dag":
+        text = "dag" + text.removeprefix(DIRECTED)
+    for line_ends in (text, text.replace("\n", "\r\n")):
+        assert parse_graph(line_ends) == g
 
 
 def test_render_ends_with_newline_and_parses_without_it():

@@ -32,6 +32,10 @@ FAULTS = {
         "directed 2 2\na\n0 1 a\n0 1\n",
         "line 4: expected 2 edge lines plus a final source/target line",
     ),
+    "edge count far over the lines": (
+        "directed 2 1000000000000000000000\na\n0 1 a\n0 1\n",
+        "line 4: expected 1000000000000000000000 edge lines plus a final source/target line",
+    ),
     "extra edge line": (
         "directed 2 0\na\n0 1 a\n0 1\n",
         "line 4: expected 0 edge lines plus a final source/target line",

@@ -48,7 +48,10 @@ def test_bench_writes_io_rows_at_a_tiny_size(bench_runs):
     assert bench_runs["parent"] == []  # other labels are kept
     rows = bench_runs["change"]
     counters = {(row["workload"], row["layer"]): row["counters"] for row in rows}
-    io = ["graph.parse_graph", "graph.LabeledGraph", "graph.edges", "graph.render_graph", "graph.edge_ends"]
+    io = [
+        "graph.parse_graph", "graph.parse_graph_tabs", "graph.LabeledGraph", "graph.edges", "graph.render_graph",
+        "graph.edge_ends",
+    ]
     assert list(counters) == [
         *(("cfl-saturate", layer) for layer in [
             *io, "reductions.d2-to-dd2", "reductions.parse_circuit", "reductions.mcvp-to-d2",
@@ -88,6 +91,7 @@ def test_bench_writes_io_rows_at_a_tiny_size(bench_runs):
         assert edges > 0
         parse = layers["graph.parse_graph"]  # a parsed graph keeps no tracked object per edge alive
         assert parse["tracked"] <= 3 * parse["calls"] < parse["edges"]
+        assert layers["graph.parse_graph_tabs"]["calls"] == parse["calls"]  # the same files, read line by line
 
 
 def test_bench_times_every_solve_mode_at_a_tiny_size(bench_runs):
