@@ -12,10 +12,14 @@ digest covers each command's exit code, stdout and stderr, the graph
 ``reduce`` wrote and the witness file ``solve`` wrote.  ``--out`` gets a JSON
 object with one key per operation and flag, ``<workload> <seed> <index>
 <kind> plain|json``, on a line of its own, so a diff of two checkouts' files
-names the operations whose outputs changed:
+names the operations whose outputs changed.  ``--check FILE`` regenerates a
+file's seeds at its size (the small sizes when they give exactly its keys),
+prints every key whose digest moved, a key only one side has included, and
+exits 1 if any did:
 
     PYTHONPATH=src python3 scripts/digest.py --seed 1 2 3 --out digests.json
     PYTHONPATH=src python3 scripts/digest.py --small --out small.json
+    PYTHONPATH=src python3 scripts/digest.py --check tests/data/digests-small.json
 """
 
 import argparse
@@ -61,27 +65,67 @@ def digest(op, flags: list[str]) -> str:
     return h.hexdigest()
 
 
+FLAGS = (("plain", []), ("json", ["--json"]))
+
+
+def operations(seeds: list[int], small: bool):
+    """``(workload, seed, ops)`` for every workload at each of ``seeds``, as ``perfbench`` draws them."""
+    for seed in seeds:
+        for workload, build in workloads.BUILDERS.items():
+            yield workload, seed, build(random.Random(f"{workload}:{seed}"), small)
+
+
+def key(workload: str, seed: int, i: int, op, flag: str) -> str:
+    return f"{workload} {seed} {i:03d} {op.kind} {flag}"
+
+
 def digests(seeds: list[int], small: bool, workdir: Path) -> dict[str, str]:
     """The digest of every operation at each of ``seeds``, plain and with ``--json``, run under ``workdir``."""
     found = {}
-    for seed in seeds:
-        for workload, build in workloads.BUILDERS.items():
-            ops = build(random.Random(f"{workload}:{seed}"), small)
-            for flag, flags in (("plain", []), ("json", ["--json"])):
-                run_dir = workdir / f"{workload}-{seed}-{flag}"
-                harness.write_files(ops, run_dir)
-                with harness.inside(run_dir):
-                    for i, op in enumerate(ops):
-                        found[f"{workload} {seed} {i:03d} {op.kind} {flag}"] = digest(op, flags)
+    for workload, seed, ops in operations(seeds, small):
+        for flag, flags in FLAGS:
+            run_dir = workdir / f"{workload}-{seed}-{flag}"
+            harness.write_files(ops, run_dir)
+            with harness.inside(run_dir):
+                for i, op in enumerate(ops):
+                    found[key(workload, seed, i, op, flag)] = digest(op, flags)
     return found
+
+
+def moved(pinned: dict[str, str], workdir: Path) -> list[str]:
+    """The keys of ``pinned`` whose digests differ when regenerated at its seeds and size, under ``workdir``.
+
+    The seeds are read from the keys.  The size is the small one when the
+    small workloads give exactly the keys of ``pinned``, else the full one.
+    A key that only ``pinned`` or only the regenerated digests have counts as moved.
+    """
+    seeds = sorted({int(k.split()[1]) for k in pinned})
+    small = set(pinned) == {
+        key(workload, seed, i, op, flag)
+        for workload, seed, ops in operations(seeds, small=True)
+        for i, op in enumerate(ops)
+        for flag, _ in FLAGS
+    }
+    found = digests(seeds, small, workdir)
+    return sorted(k for k in pinned.keys() | found.keys() if pinned.get(k) != found.get(k))
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, nargs="+", default=[1])
     parser.add_argument("--small", action="store_true", help="the workloads' tiny sizes")
-    parser.add_argument("--out", required=True)
+    target = parser.add_mutually_exclusive_group(required=True)
+    target.add_argument("--out")
+    target.add_argument("--check", metavar="FILE", help="compare with a digest file; exit 1 if any moved")
     args = parser.parse_args()
+    if args.check:
+        pinned = json.loads(Path(args.check).read_text())
+        with tempfile.TemporaryDirectory() as tmp:
+            changed = moved(pinned, Path(tmp))
+        for k in changed:
+            print(k)
+        print(f"{len(changed)} of {len(pinned)} digests moved from {args.check}")
+        return 1 if changed else 0
     with tempfile.TemporaryDirectory() as tmp:
         found = digests(args.seed, args.small, Path(tmp))
     Path(args.out).write_text(json.dumps(found, indent=0) + "\n")

@@ -1,5 +1,6 @@
 """The scripts under ``scripts/`` still run against the library."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -142,3 +143,22 @@ def test_digest_gives_one_stable_key_per_operation_and_flag(tmp_path):
     assert set(ops) == {"cfl-saturate", "certify-pipeline", "enum-mix"}
     for flags in ops.values():  # every operation, numbered in build order, under both flags
         assert list(flags) == list(range(len(flags))) and all(f == {"plain", "json"} for f in flags.values())
+
+
+def _digest_module():
+    spec = importlib.util.spec_from_file_location("digest", ROOT / "scripts" / "digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["digests-small.json", "digests-seed1.json"])
+def test_every_benchmark_output_matches_its_pinned_digest(name, tmp_path):
+    """Every byte each operation writes, its ``stats`` included, is pinned by a committed digest file.
+
+    The files were written by ``scripts/digest.py``; a change that means to
+    move an output regenerates them with it and says so.
+    """
+    pinned = json.loads((ROOT / "tests" / "data" / name).read_text())
+    assert len(pinned) == {"digests-small.json": 126, "digests-seed1.json": 312}[name]
+    assert _digest_module().moved(pinned, tmp_path) == []
