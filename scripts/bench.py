@@ -24,8 +24,8 @@ over all its instances:
 * ``solve.fixpoint``: the full least fixpoint (``cfl_reach_table`` with no
   goal) of each ``cfl`` operation's graph, which ``solve.cfl`` stops early,
   at the root's round or, after a dense round's look-ahead, a round before;
-* ``solve.witness``: ``witness_derivation`` on a fresh ``Witness`` over the
-  goal-stopped table of each reachable ``cfl`` operation, built untimed;
+* ``solve.witness``: ``witness_derivation`` of the root of each reachable
+  ``cfl`` operation on its goal-stopped table, built untimed;
 * ``solve.check``: ``check_derivation`` on that derivation, written to JSON
   and read back untimed, as ``lcreach verify`` reads it from a witness file.
 
@@ -71,8 +71,6 @@ from lcreach import (  # noqa: E402
     LabeledGraph,
     Language,
     NormalForm,
-    Witness,
-    cfl_reach,
     cfl_reach_table,
     cli,
     d2reach_to_dd2_ureach,
@@ -86,7 +84,7 @@ from lcreach import (  # noqa: E402
     render_graph,
     vc_to_a_dagreach,
 )
-from lcreach.solve import check_derivation, witness_derivation  # noqa: E402
+from lcreach.solve import ReachTable, check_derivation, witness_derivation  # noqa: E402
 
 # reduce kind -> (input parser, reduction), as ``lcreach reduce`` runs them
 REDUCTIONS = {
@@ -172,10 +170,10 @@ def full_fixpoint(g: LabeledGraph, nf: NormalForm) -> tuple:
     return table, {"edges": len(g.us), "errors": 0, "facts": len(table.facts), "row_deltas": table.pops}
 
 
-def derivation(witness: Witness) -> tuple:
-    """The derivation of a fresh copy of ``witness``, rebuilt from its table, and its counters."""
-    nodes = witness_derivation(Witness(witness.root, witness.table))
-    return nodes, {"edges": len(witness.table.graph.us), "nodes": len(nodes)}
+def derivation(table: ReachTable, root: tuple) -> tuple:
+    """The derivation of ``root``, rebuilt from ``table``, and its counters."""
+    nodes = witness_derivation(table, root)
+    return nodes, {"edges": len(table.graph.us), "nodes": len(nodes)}
 
 
 def checked(g: LabeledGraph, nf: NormalForm, nodes: list) -> tuple:
@@ -224,10 +222,11 @@ def bench(workload: str, seed: int, small: bool, repeats: int, clock: GcClock, w
         layers.setdefault(f"solve.{args.mode}", []).append(lambda g=g, a=args, lang=lang: run_solve(g, a, lang))
         if args.mode == "cfl":
             layers.setdefault("solve.fixpoint", []).append(lambda g=g, nf=lang.normal_form: full_fixpoint(g, nf))
-            witness = cfl_reach(g, lang.normal_form)
-            if witness is not None:
-                layers.setdefault("solve.witness", []).append(lambda w=witness: derivation(w))
-                nodes = json.loads(json.dumps(witness_derivation(witness)))
+            root = (g.source, lang.normal_form.start, g.target)
+            table = cfl_reach_table(g, lang.normal_form, goal=root)
+            if root in table.facts:
+                layers.setdefault("solve.witness", []).append(lambda t=table, r=root: derivation(t, r))
+                nodes = json.loads(json.dumps(witness_derivation(table, root)))
                 layers.setdefault("solve.check", []).append(
                     lambda g=g, nf=lang.normal_form, d=nodes: checked(g, nf, d)
                 )

@@ -14,7 +14,7 @@ the scripts import; everything else is imported from its own module.
 from .graph import DIRECTED, Edge, LabeledGraph, edge_ends, parse_graph, path_yield, render_graph
 from .grammar import NormalForm
 from .languages import Language, abstar_dfa, d2_grammar, dd2_grammar, nbc_d2_member
-from .solve import Witness, cfl_reach, cfl_reach_table, dag_enum_reach, expand_witness, regular_reach
+from .solve import cfl_reach, cfl_reach_table, dag_enum_reach, expand_witness, regular_reach
 from .reductions import (
     d2reach_to_dd2_ureach,
     decode_vc_witness,

@@ -66,7 +66,6 @@ from .solve import (
     expand_witness,
     regular_reach,
     tree_reach,
-    witness_derivation,
 )
 
 EXIT_REACHABLE = 0
@@ -238,19 +237,19 @@ Found = tuple[Optional[Path], Optional[list]]
 def _run_cfl(g: LabeledGraph, lang: Language, args: argparse.Namespace, report: SolveReport) -> Found:
     if lang.normal_form is None:
         raise _Usage(f"mode cfl needs a grammar; {_source(args)} does not provide one")
-    witness = cfl_reach(g, lang.normal_form, stats=report.stats)
-    if witness is None:
+    nodes = cfl_reach(g, lang.normal_form, stats=report.stats)
+    if nodes is None:
         return None, None
-    expanded = expand_witness(witness, step_limit=args.expand_limit)
+    expanded = expand_witness(nodes, step_limit=args.expand_limit)
     if isinstance(expanded, ExpansionLimitExceeded):
         report.decision = "reachable"
         report.notes.append(
             "witness expansion skipped: "
             f"{expanded.expanded_steps} steps exceed the limit of {args.expand_limit}; "
-            f"shared derivation has {expanded.shared_size} facts"
+            f"shared derivation has {len(nodes)} facts"
         )
         return None, None
-    return expanded, witness_derivation(witness)
+    return expanded, nodes
 
 
 def _run_regular(g: LabeledGraph, lang: Language, args: argparse.Namespace, report: SolveReport) -> Found:

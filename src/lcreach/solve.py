@@ -19,7 +19,7 @@ a directed graph builds it beside the forward one, to count steps to the target.
   one round at a time over bitmask rows.  A fact's round is one less than
   its minimum derivation height, and that is all the table keeps about how
   it was derived: :func:`witness_derivation` rebuilds a derivation, shared
-  across facts, from the rounds on demand.  Since a derivation reads only
+  across facts, from the rounds.  Since a derivation reads only
   facts of earlier rounds, :func:`cfl_reach` makes its root ``(source,
   start, target)`` a round of its own as soon as those split it, in place of
   that round's join, and stops.  After a dense round it looks one round
@@ -30,11 +30,11 @@ a directed graph builds it beside the forward one, to count steps to the target.
   round at all, and reports 0 facts and 0 row deltas.
   Otherwise, when the rows the root can read are few, it seeds the fixpoint
   only from the vertices of those rows: the magic-sets rewrite applied to
-  CFL reachability.  On cyclic graphs the flattened walk can be exponentially
-  longer than the derivation; :func:`expand_witness` flattens under an
-  explicit step budget, and :func:`check_derivation` checks a derivation
-  rule by rule in linear time.  :func:`cfl_member` decides the
-  membership of a word by the same fixpoint on the chain that spells it.
+  CFL reachability.  :func:`cfl_reach` answers with the root's derivation,
+  the postorder nodes :func:`check_derivation` checks rule by rule in linear
+  time; :func:`expand_witness` flattens it under a step budget, since on
+  cyclic graphs the walk can be exponentially longer.  :func:`cfl_member`
+  decides the membership of a word by the same fixpoint on its chain.
 * :func:`dag_enum_reach` — a depth-first search of the paths of an acyclic
   graph that steps an online recognizer and drops a prefix once it is dead.
 * :func:`tree_reach` — on trees there is exactly one candidate walk; find it
@@ -160,27 +160,14 @@ class ReachTable:
     edge_ends: tuple[list[int], list[int], list[int]] = field(compare=False, repr=False)
 
 
-@dataclass
-class Witness:
-    """A reachability certificate: a root fact plus the table deriving it.
-
-    ``nodes`` caches the derivation once :func:`witness_derivation` built it.
-    """
-
-    root: Fact
-    table: ReachTable
-    nodes: Optional[list[tuple]] = field(default=None, init=False, repr=False, compare=False)
-
-
 @dataclass(frozen=True)
 class ExpansionLimitExceeded:
-    """Returned when flattening a witness would exceed the step budget.
+    """Returned when flattening a derivation would exceed the step budget.
 
-    ``shared_size`` is the exact number of distinct facts in the derivation;
-    ``expanded_steps`` is the exact length the flattened walk would have.
+    ``expanded_steps`` is the exact length the flattened walk would have;
+    the derivation's own size is the length of its node list.
     """
 
-    shared_size: int
     expanded_steps: int
 
 
@@ -562,13 +549,13 @@ def _demand(g: LabeledGraph, nf: NormalForm, root: Fact, index, budget: Optional
 
 def cfl_reach(
     g: LabeledGraph, grammar, stats: Optional[dict] = None
-) -> Optional[Witness]:
+) -> Optional[list[tuple]]:
     """Grammar-constrained reachability against a ``Cfg`` or a ``NormalForm``.
 
-    A ``Cfg`` is normalized first.  Returns a witness rooted at ``(source,
-    start, target)`` when the fact is derivable, else None.  When source
-    equals target and the start symbol is nullable, the empty-walk witness is
-    the one returned.  The fixpoint has that root as its goal, so it stops
+    A ``Cfg`` is normalized first.  Returns the :func:`witness_derivation`
+    of the root ``(source, start, target)`` when it is derivable, else None:
+    the empty walk's one node when source equals target and the start
+    symbol is nullable.  The fixpoint has that root as its goal, so it stops
     in the round the root is born, before that round's join, or before the
     join of the round before when a dense round looks ahead to the root.
     ``stats`` receives ``facts``, the table size, and ``row_deltas``, its
@@ -588,28 +575,27 @@ def cfl_reach(
     table = cfl_reach_table(g, nf, goal=root)
     if stats is not None:
         stats.update(facts=len(table.facts), row_deltas=table.pops)
-    if root not in table.facts:
-        return None
-    return Witness(root=root, table=table)
+    return witness_derivation(table, root) if root in table.facts else None
 
 
 def cfl_member(nf: NormalForm, w: str) -> bool:
-    """Membership of ``w`` in the language of ``nf``, decided by :func:`cfl_reach` on a chain.
+    """Membership of ``w`` in the language of ``nf``, read from a goal-stopped ``cfl`` table.
 
     ``w`` is in the language exactly when the directed chain ``0 -w[0]-> 1
     ... -> len(w)`` has a walk from its first vertex to its last whose yield
-    is in it.  The empty word is the chain's empty walk.  A symbol outside
-    ``nf.terminals`` answers False, since no rule reads it.
+    is in it; no derivation is built.  The empty word is the chain's empty
+    walk.  A symbol outside ``nf.terminals`` answers False: no rule reads it.
     """
     if not nf.terminals.issuperset(w):
         return False
     n = len(w)
     chain = LabeledGraph.from_columns(DIRECTED, n + 1, range(n), range(1, n + 1), w, 0, n, nf.terminals)
-    return cfl_reach(chain, nf) is not None
+    root = (0, nf.start, n)
+    return root in cfl_reach_table(chain, nf, goal=root).facts
 
 
-def witness_derivation(w: Witness) -> list[tuple]:
-    """The witness derivation as nodes in postorder, for :func:`check_derivation`.
+def witness_derivation(table: ReachTable, root: Fact) -> list[tuple]:
+    """The derivation of ``root`` in ``table`` as nodes in postorder, for :func:`check_derivation`.
 
     Every node is a fact ``(u, A, v)`` followed by how it is derived:
     ``(u, A, v, "b", left, right)`` splits it by a rule ``A -> B C`` into the
@@ -624,14 +610,9 @@ def witness_derivation(w: Witness) -> list[tuple]:
     fact takes the first rule of the normal form, then the lowest split
     vertex, whose two children were both born in earlier rounds, so the
     rebuild always ends.  It costs about the derivation's size times the
-    row width.  The nodes are cached on ``w``.
+    row width.  A root not in the table, or a table whose rounds do not
+    derive it, raises :class:`CorruptWitnessError`.
     """
-    if w.nodes is None:
-        w.nodes = _derive(w.table, w.root)
-    return w.nodes
-
-
-def _derive(table: ReachTable, root: Fact) -> list[tuple]:
     facts, nf = table.facts, table.normal_form
     if root not in facts:
         raise CorruptWitnessError(f"root fact {root} is not in the table")
@@ -681,8 +662,8 @@ def _first_split(rules, rows, births, u: int, v: int, rnd: int) -> Optional[tupl
     ``rules`` lists the ``(B, C)`` of the rules ``A -> B C`` in rule order,
     and ``rows`` and ``births`` are a table's.  Returns ``(B, C, w)`` for the
     facts ``(u, B, w)`` and ``(w, C, v)``, or None when no rule splits it.
-    Only :func:`_derive` calls it: the fixpoint's goal test is one AND of a
-    row with a target column per rule.
+    Only :func:`witness_derivation` calls it: the fixpoint's goal test is
+    one AND of a row with a target column per rule.
     """
     for b, c in rules:
         left, chunks = rows[b][u], births[b].get(u)
@@ -713,22 +694,21 @@ def _flatten(nodes) -> tuple[Step, ...]:
     return tuple(steps)
 
 
-def expand_witness(w: Witness, step_limit: int = 10**6) -> Union[Path, ExpansionLimitExceeded]:
-    """Flatten a witness derivation into an explicit walk.
+def expand_witness(nodes: list[tuple], step_limit: int = 10**6) -> Union[Path, ExpansionLimitExceeded]:
+    """Flatten a postorder derivation, as :func:`cfl_reach` returns it, into an explicit walk.
 
+    The walk starts at the root's ``u``, the first field of the last node.
     The flattened walk of a shared derivation can be exponentially long, so
     the exact length is computed first; if it exceeds ``step_limit`` the
-    result reports both the shared-derivation size and that exact length
-    instead of materializing the walk.
+    result reports that exact length instead of materializing the walk.
     """
-    nodes = witness_derivation(w)
     sizes: list[int] = []
     for node in nodes:  # children precede parents
         kind = node[3]
         sizes.append(1 if kind == "t" else 0 if kind == "e" else sizes[node[4]] + sizes[node[5]])
     if sizes[-1] > step_limit:
-        return ExpansionLimitExceeded(shared_size=len(nodes), expanded_steps=sizes[-1])
-    return Path(start=w.root[0], steps=_flatten(nodes))
+        return ExpansionLimitExceeded(expanded_steps=sizes[-1])
+    return Path(start=nodes[-1][0], steps=_flatten(nodes))
 
 
 def check_derivation(

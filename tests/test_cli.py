@@ -573,11 +573,34 @@ def test_grammar_solve_builds_its_derivation_once(files, capsys, tmp_path, monke
     from lcreach import solve
 
     builds = []
-    derive = solve._derive
-    monkeypatch.setattr(solve, "_derive", lambda *a: builds.append(a) or derive(*a))
+    derive = solve.witness_derivation
+    monkeypatch.setattr(solve, "witness_derivation", lambda *a: builds.append(a) or derive(*a))
     _, _, wfile, report = _solve_v2(files, capsys, tmp_path)
     assert report["decision"] == "reachable" and len(builds) == 1
     assert json.loads(open(wfile).read())["version"] == 2
+
+
+GRAMMAR_MEMBERSHIP_RUNS = [  # (argv after the grammar flag, the exit code)
+    (("member", "--string", "[()]"), 0),
+    (("member", "--string", "[(]"), 1),
+    (("solve", "--mode", "tree"), 0),
+    (("solve", "--mode", "dag-enum"), 0),
+    (("solve", "--mode", "bounded-enum", "--max-len", "4"), 0),
+    (("solve", "--mode", "bounded-enum", "--max-len", "3"), 3),
+]
+
+
+@pytest.mark.parametrize("argv, code", GRAMMAR_MEMBERSHIP_RUNS, ids=[" ".join(a) for a, _ in GRAMMAR_MEMBERSHIP_RUNS])
+def test_grammar_file_membership_builds_no_derivation(files, capsys, monkeypatch, argv, code):
+    # member --grammar, and the tree and enumeration modes, ask the goal-stopped
+    # table whether it holds the root; a derivation would be wasted work.
+    def no_derivation(*args):
+        raise AssertionError("membership must not build a derivation")
+
+    monkeypatch.setattr(solve, "witness_derivation", no_derivation)
+    cfg = files("d2.cfg", D2_CFG)
+    graph = () if argv[0] == "member" else ("--graph", files("g.graph", NESTED))
+    assert run(capsys, argv[0], "--grammar", cfg, *graph, *argv[1:])[0] == code
 
 
 def test_handwritten_v1_file_verifies_with_a_grammar(files, capsys, tmp_path):
@@ -1103,14 +1126,14 @@ def test_a_solver_walk_that_does_not_fit_the_graph_is_an_internal_error(files, c
 def test_a_solve_whose_derivation_fails_its_check_is_an_internal_error(files, capsys, monkeypatch, tmp_path):
     # The solve's own derivation must prove its walk: no fallback to the
     # membership test, and no witness file.
-    real = cli.witness_derivation
+    real = cli.cfl_reach
 
-    def corrupt(w):
-        nodes = list(real(w))
+    def corrupt(*args, **kwargs):
+        nodes = list(real(*args, **kwargs))
         nodes[0] = (nodes[0][0], "_t_[", *nodes[0][2:])  # one node renamed
         return nodes
 
-    monkeypatch.setattr(cli, "witness_derivation", corrupt)
+    monkeypatch.setattr(cli, "cfl_reach", corrupt)
     g = files("g.graph", "undirected 3 2\n()\n0 1 (\n1 2 )\n0 2\n")
     wfile = tmp_path / "w.json"
     code, out, err = run(capsys, "solve", "--graph", g, "--builtin", "d2", "--witness-out", str(wfile))

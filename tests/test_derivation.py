@@ -24,7 +24,6 @@ from lcreach.languages import d2_grammar, dd2_grammar
 from lcreach.reductions import eval_circuit, mcvp_to_d2_reach
 from lcreach.solve import (
     ExpansionLimitExceeded,
-    Witness,
     cfl_reach,
     cfl_reach_table,
     check_derivation,
@@ -40,9 +39,9 @@ D2_NF = normalize(d2_grammar())
 
 
 def derivation_of(g, nf):
-    w = cfl_reach(g, nf)
-    assert w is not None
-    return witness_derivation(w), expand_witness(w)
+    nodes = cfl_reach(g, nf)
+    assert nodes is not None
+    return nodes, expand_witness(nodes)
 
 
 # --- the certificates the solver writes ------------------------------------------
@@ -68,11 +67,10 @@ def instances(draw):
 @given(instances())
 def test_every_solver_witness_passes_the_check(instance):
     g, nf, _ = instance
-    w = cfl_reach(g, nf)
-    if w is None:
+    nodes = cfl_reach(g, nf)
+    if nodes is None:
         return
-    expanded = expand_witness(w)
-    nodes = witness_derivation(w)
+    expanded = expand_witness(nodes)
     if isinstance(expanded, ExpansionLimitExceeded):
         with pytest.raises(CorruptWitnessError, match="over the limit"):
             check_derivation(g, nf, nodes)
@@ -94,7 +92,7 @@ def test_fact_set_equals_the_worklist_oracle(instance):
     assert table_facts(table) == worklist_facts(g, nf, order)
     assert len(table.facts) == len(table_facts(table)) >= table.pops
     for fact in table_facts(table):
-        nodes = witness_derivation(Witness(fact, table))
+        nodes = witness_derivation(table, fact)
         for node in nodes:
             if node[3] == "b":
                 born = round_of(table, node[:3])
@@ -155,7 +153,7 @@ def check_goal_stop(g, nf):
     stats = {}
     w = cfl_reach(g, nf, stats=stats)
     assert (w is None) == (root not in full.facts)
-    stopped = cfl_reach_table(g, nf, goal=root) if w is None else w.table
+    stopped = cfl_reach_table(g, nf, goal=root)
     deltas = sum(len(chunks) for rows in stopped.births for chunks in rows.values())
     assert all(x[0] < y[0] for rows in stopped.births for chunks in rows.values() for x, y in zip(chunks, chunks[1:]))
     assert stats == {"facts": len(stopped.facts), "row_deltas": stopped.pops}
@@ -172,7 +170,7 @@ def check_goal_stop(g, nf):
 
     last = None  # the root's round; None for an empty walk, and while the root is not born
     if w is not None:
-        assert witness_derivation(w) == witness_derivation(Witness(root, full))
+        assert w == witness_derivation(stopped, root) == witness_derivation(full, root)
         last = None if empty_walk(root) else round_of(full, root)
         assert round_of(stopped, root) == last
         if last is None:
@@ -242,7 +240,7 @@ def test_goal_stop_on_a_nullable_start_from_source_to_itself(seed, kind):
     check_goal_stop(g, NULLABLE_NF)
     stats = {}
     w = cfl_reach(g, NULLABLE_NF, stats=stats)
-    assert witness_derivation(w) == [(g.source, "S", g.source, "e")]
+    assert w == [(g.source, "S", g.source, "e")]
     assert stats == {"facts": n, "row_deltas": 0}
 
 
@@ -251,11 +249,12 @@ def test_goal_stop_ends_in_the_round_of_the_root():
     # and (0, S, 4) in round 2.
     g = graph(DIRECTED, 5, [(0, 1, "("), (1, 2, ")"), (2, 3, "("), (3, 4, ")")], 0, 2, "()")
     full, stats = cfl_reach_table(g, D2_NF), {}
-    w = cfl_reach(g, D2_NF, stats=stats)
-    assert round_of(full, (0, "S", 2)) == round_of(full, (2, "S", 4)) == round_of(w.table, (0, "S", 2)) == 1
+    assert cfl_reach(g, D2_NF, stats=stats) is not None
+    stopped = cfl_reach_table(g, D2_NF, goal=(0, "S", 2))
+    assert round_of(full, (0, "S", 2)) == round_of(full, (2, "S", 4)) == round_of(stopped, (0, "S", 2)) == 1
     assert round_of(full, (0, "S", 4)) == 2
-    assert (2, "S", 4) not in w.table.facts and (0, "S", 4) not in w.table.facts
-    assert table_facts(w.table) == {f for f in table_facts(full) if round_of(full, f) == 0} | {(0, "S", 2)}
+    assert (2, "S", 4) not in stopped.facts and (0, "S", 4) not in stopped.facts
+    assert table_facts(stopped) == {f for f in table_facts(full) if round_of(full, f) == 0} | {(0, "S", 2)}
     assert stats == {"facts": 5, "row_deltas": 5}
     check_goal_stop(g, D2_NF)
 
@@ -276,13 +275,14 @@ def test_a_dense_round_looks_ahead_to_the_root():
     edges = [(0, 1, "("), (0, 5, "("), (1, 2, ")"), (1, 6, ")"), (2, 3, "("),
              (2, 5, "("), (3, 4, ")"), (3, 6, ")"), (7, 1, "("), (7, 5, "(")]
     g = graph(DIRECTED, 8, edges, 0, 4, "()")
-    full, stats = cfl_reach_table(g, D2_NF), {}
+    full, stats, root = cfl_reach_table(g, D2_NF), {}, (0, "S", 4)
     w = cfl_reach(g, D2_NF, stats=stats)
-    assert round_of(full, w.root) == round_of(w.table, w.root) == 2
+    stopped = cfl_reach_table(g, D2_NF, goal=root)
+    assert round_of(full, root) == round_of(stopped, root) == 2
     assert {f for f in table_facts(full) if round_of(full, f) == 1} == {
         (0, "S", 2), (0, "S", 6), (2, "S", 4), (2, "S", 6), (7, "S", 2), (7, "S", 6)
     }
-    assert {f for f in table_facts(w.table) if round_of(w.table, f) == 1} == {(0, "S", 2), (0, "S", 6), (2, "S", 4)}
+    assert {f for f in table_facts(stopped) if round_of(stopped, f) == 1} == {(0, "S", 2), (0, "S", 6), (2, "S", 4)}
     assert stats == {"facts": 14, "row_deltas": 8}  # 10 + 3 + the root, on 5 + 2 + 1 row deltas
     assert expand_witness(w).steps == ((0, False), (2, False), (4, False), (6, False))
     check_goal_stop(g, D2_NF)
@@ -317,7 +317,7 @@ def test_the_stop_decides_as_the_worklist_oracle(instance):
     root = (g.source, nf.start, g.target)
     w = cfl_reach(g, nf)
     assert (w is not None) == (root in oracle)
-    stopped = cfl_reach_table(g, nf, goal=root) if w is None else w.table
+    stopped = cfl_reach_table(g, nf, goal=root)
     assert table_facts(stopped) <= oracle
     check_goal_stop(g, nf)
 
@@ -443,12 +443,12 @@ def test_a_circuit_output_takes_the_demand_path():
     g = mcvp_to_d2_reach(circuit)
     root = (g.source, D2_NF.start, g.target)
     assert solve._demand(g, D2_NF, root, edge_ends(g)) is not None  # under the probe's own budget
-    w = cfl_reach(g, D2_NF)
+    w, table = cfl_reach(g, D2_NF), cfl_reach_table(g, D2_NF, goal=root)
     with probe_budget(NO_PROBE):
-        everywhere = cfl_reach(g, D2_NF)
-    assert table_facts(w.table) < table_facts(everywhere.table)
-    assert w.table.pops < everywhere.table.pops
-    assert witness_derivation(w) == witness_derivation(everywhere)
+        everywhere, everywhere_table = cfl_reach(g, D2_NF), cfl_reach_table(g, D2_NF, goal=root)
+    assert table_facts(table) < table_facts(everywhere_table)
+    assert table.pops < everywhere_table.pops
+    assert w == everywhere
     assert expand_witness(w) == expand_witness(everywhere)
     check_goal_stop(g, D2_NF)
 
@@ -604,10 +604,9 @@ def test_arbitrary_json_fails_as_the_per_node_oracle_fails(nodes):
 def test_mutated_witness_derivations_check_as_the_per_node_oracle_checks_them(instance, data):
     # unmutated, as tuples and as JSON lists, then with a few fields replaced
     g, nf, _ = instance
-    w = cfl_reach(g, nf)
-    if w is None:
+    nodes = cfl_reach(g, nf)
+    if nodes is None:
         return
-    nodes = witness_derivation(w)
     assert checked(check_derivation, g, nf, nodes) == checked(check_derivation_per_node, g, nf, nodes)
     nodes = json.loads(json.dumps(nodes))
     for _ in range(data.draw(st.integers(0, 3))):
