@@ -24,6 +24,9 @@ over all its instances:
 * ``solve.fixpoint``: the full least fixpoint (``cfl_reach_table`` with no
   goal) of each ``cfl`` operation's graph, which ``solve.cfl`` stops early,
   at the root's round or, after a dense round's look-ahead, a round before;
+* ``solve.demand``: the demand probe (``solve._demand``) alone on the root
+  of each ``cfl`` operation whose table runs it (the root is no empty walk
+  and its target is not dead), on the edge-end chains built untimed;
 * ``solve.witness``: ``witness_derivation`` of the root of each reachable
   ``cfl`` operation on its goal-stopped table, built untimed;
 * ``solve.check``: ``check_derivation`` on that derivation, written to JSON
@@ -42,7 +45,8 @@ of the counters in the reports' ``stats``, a call that raised adding 0 to
 each (on ``solve.fixpoint``, the full table's ``facts`` and ``row_deltas``),
 and ``errors``, the calls that raised (the deep ``vc-to-a`` instance's
 ``RecursionError``); ``solve.witness`` and
-``solve.check`` add ``nodes``, the derivations' node count, instead.  ``peak_rss`` is the
+``solve.check`` add ``nodes``, the derivations' node count, instead, and
+``solve.demand`` adds ``gave_up``, the probes that gave up.  ``peak_rss`` is the
 process's peak resident set in MB so far.
 The rows go into the JSON object in ``--out`` under ``--label``; other labels
 already in the file are kept, so one file can hold two checkouts' numbers:
@@ -84,7 +88,7 @@ from lcreach import (  # noqa: E402
     render_graph,
     vc_to_a_dagreach,
 )
-from lcreach.solve import ReachTable, check_derivation, witness_derivation  # noqa: E402
+from lcreach.solve import ReachTable, _dead_target, _demand, check_derivation, witness_derivation  # noqa: E402
 
 # reduce kind -> (input parser, reduction), as ``lcreach reduce`` runs them
 REDUCTIONS = {
@@ -170,6 +174,12 @@ def full_fixpoint(g: LabeledGraph, nf: NormalForm) -> tuple:
     return table, {"edges": len(g.us), "errors": 0, "facts": len(table.facts), "row_deltas": table.pops}
 
 
+def probe(g: LabeledGraph, nf: NormalForm, root: tuple, index: tuple) -> tuple:
+    """The demand probe's rows for ``root`` on ``g`` (None if it gave up), and its counters."""
+    rows = _demand(g, nf, root, index)
+    return rows, {"edges": len(g.us), "gave_up": int(rows is None)}
+
+
 def derivation(table: ReachTable, root: tuple) -> tuple:
     """The derivation of ``root``, rebuilt from ``table``, and its counters."""
     nodes = witness_derivation(table, root)
@@ -221,15 +231,18 @@ def bench(workload: str, seed: int, small: bool, repeats: int, clock: GcClock, w
     for g, (_, args, lang) in zip(parsed, solves):
         layers.setdefault(f"solve.{args.mode}", []).append(lambda g=g, a=args, lang=lang: run_solve(g, a, lang))
         if args.mode == "cfl":
-            layers.setdefault("solve.fixpoint", []).append(lambda g=g, nf=lang.normal_form: full_fixpoint(g, nf))
-            root = (g.source, lang.normal_form.start, g.target)
-            table = cfl_reach_table(g, lang.normal_form, goal=root)
+            nf = lang.normal_form
+            layers.setdefault("solve.fixpoint", []).append(lambda g=g, nf=nf: full_fixpoint(g, nf))
+            root = (g.source, nf.start, g.target)
+            if not (nf.start_nullable and g.source == g.target or _dead_target(g, nf, root)):
+                layers.setdefault("solve.demand", []).append(
+                    lambda g=g, nf=nf, r=root, i=edge_ends(g): probe(g, nf, r, i)
+                )
+            table = cfl_reach_table(g, nf, goal=root)
             if root in table.facts:
                 layers.setdefault("solve.witness", []).append(lambda t=table, r=root: derivation(t, r))
                 nodes = json.loads(json.dumps(witness_derivation(table, root)))
-                layers.setdefault("solve.check", []).append(
-                    lambda g=g, nf=lang.normal_form, d=nodes: checked(g, nf, d)
-                )
+                layers.setdefault("solve.check", []).append(lambda g=g, nf=nf, d=nodes: checked(g, nf, d))
     rows = []
     for layer, calls in layers.items():
         seconds, gc_s = timed(calls, repeats, clock)

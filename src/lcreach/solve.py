@@ -77,6 +77,7 @@ class _Rules(NamedTuple):
     by_second: list[list[tuple[int, int]]]  # C -> [(A, B)]
     heads: dict[str, list[int]]  # a -> the X of the rules X -> a
     reads: list[set[str]]  # A -> the a of the rules A -> a
+    leads: list[dict[str, list[int]]]  # A -> {a: the C of the rules A -> B C with B -> a}
 
 
 @lru_cache(maxsize=16)
@@ -95,7 +96,12 @@ def _rules(nf: NormalForm) -> _Rules:
     for a, ch in nf.terminal_rules:
         heads.setdefault(ch, []).append(ids[a])
         reads[ids[a]].add(ch)
-    return _Rules(names, ids, by_head, by_first, by_second, heads, reads)
+    leads: list[dict[str, list[int]]] = [{} for _ in names]
+    for a, rules in enumerate(by_head):
+        for b, c in rules:
+            for ch in sorted(reads[b]):
+                leads[a].setdefault(ch, []).append(c)
+    return _Rules(names, ids, by_head, by_first, by_second, heads, reads, leads)
 
 
 class FactSet:
@@ -212,10 +218,12 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
     joins the facts born in round ``r - 1`` under every rule ``A -> B C``:
     a new row ``(B, u)`` ORs in the ``C``-rows of its new bits, and a new row
     ``(C, w)`` is ORed into the ``A``-row of every ``u`` with an older fact
-    ``(u, B, w)``.  Work per round follows the new bits, never the vertex
-    count.  When the start symbol is nullable, ``(u, start, u)`` is a fact
-    for every vertex, but it is never joined: the normal form already
-    derives every non-empty walk.
+    ``(u, B, w)``.  Either join skips a rule while the side it reads holds
+    no fact yet: in round 1, every ``(u, B, w)`` is new, and d2's ``_b1``
+    holds no fact for ``S -> _t_( _b1``.  Work per round follows the new
+    bits, never the vertex count.  When the start symbol is nullable, ``(u,
+    start, u)`` is a fact for every vertex, but it is never joined: the
+    normal form already derives every non-empty walk.
 
     With a ``goal`` fact ``(u, A, v)``, each round from round 1 on starts by
     testing whether the facts born before it split the goal: one AND per
@@ -244,12 +252,15 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
     An empty-walk goal, or one dead at its target (:func:`_dead_target`),
     has none: the table holds no fact and no row delta but the empty-walk
     facts of a nullable start.  Any other goal goes to a demand probe,
-    :func:`_demand`, for the rows the goal's row can read.  When it closes
-    within its budget, the seeds are the vertices of those rows, and the
-    table holds facts there alone.  The demanded rows are whole up to the
-    stop and keep their full-table rounds, so the goal is born in the same
-    round with the same derivation; other rows may lack facts or hold them
-    from later rounds.  When the probe gives up, all vertices are seeds.
+    :func:`_demand`, for the rows the goal's row can read.  Whether it
+    closes within its budget depends only on how many rows and facts those
+    are, so on random graphs it gives up on the rows the edges alone
+    demand, before it derives a fact.  When it closes, the seeds are the
+    vertices of those rows, and the table holds facts there alone.  The
+    demanded rows are whole up to the stop and keep their full-table
+    rounds, so the goal is born in the same round with the same derivation;
+    other rows may lack facts or hold them from later rounds.  When the
+    probe gives up, all vertices are seeds.
     """
     if not g.alphabet <= nf.terminals:
         extra = "".join(sorted(g.alphabet - nf.terminals))
@@ -267,6 +278,7 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
     cols: list[defaultdict[int, list[int]]] = [defaultdict(list) for _ in ids]
     births: list[dict[int, list[tuple[int, int]]]] = [{} for _ in ids]
     found: defaultdict[int, dict[int, int]] = defaultdict(dict)  # A -> {u: bits found}
+    filled: set[int] = set()  # the A with a fact (u, A, v) in rows
     if goal is None:
         seeds: Iterable[int] = range(n)
     elif nf.start_nullable and goal[1] == nf.start and goal[0] == goal[2] or _dead_target(g, nf, goal):
@@ -319,6 +331,7 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
                     chunks.append((rnd, bits))
             if da:
                 delta[a] = da
+                filled.add(a)
                 round_size += sum(map(int.bit_count, da.values()))
                 round_pops += len(da)
                 if a in col:
@@ -349,15 +362,19 @@ def cfl_reach_table(g: LabeledGraph, nf: NormalForm, goal: Optional[Fact] = None
         found = defaultdict(dict)
         for c, dc in delta.items():
             for a, b in by_second[c]:  # every older (u, B, w) joined with new (w, C, v)
-                cols_b, fa = cols[b], found[a]
+                cols_b = cols[b]
+                if not cols_b:  # no older B-fact
+                    continue
+                fa = found[a]
                 for w, bits in dc.items():
                     for u in cols_b.get(w, ()):
                         prev = fa.get(u)
                         fa[u] = bits if prev is None else prev | bits
         for b, db in delta.items():
-            b_rules, cols_b = by_first[b], cols[b]
-            if not b_rules:
+            if not by_first[b]:
                 continue
+            cols_b = cols[b]
+            b_rules = [(a, c) for a, c in by_first[b] if c in filled]  # a C with no fact joins nothing
             for u, bits in db.items():
                 ws = _bits(bits)
                 for w in ws:  # new (u, B, w) joined with every (w, C, v)
@@ -472,14 +489,23 @@ def _demand(g: LabeledGraph, nf: NormalForm, root: Fact, index, budget: Optional
 
     The probe gives up once its rows hold more than ``m / 3`` facts or ``D``
     more than ``n / 8`` vertices, for ``m`` edges and ``n`` vertices;
-    ``budget`` replaces the pair of limits.  On the benchmark's seed-1
-    graphs, closures of circuit outputs hold at most 0.26 m facts on 0.19 n
-    vertices (one is over n / 8; at seeds 2 and 3 none is over 0.114 n),
-    and those of random d2 graphs with a dead source at most 0.004 m facts
-    on 0.03 n.  Chains hold at least 2.2 m facts on all n vertices, other
-    random d2 graphs at least 31 m facts on 0.98 n, and undirected dd2
-    graphs at least 20 m facts: seeding them from ``D`` would save nothing,
-    so the probe stops early on them.
+    ``budget`` replaces the pair of limits.  Both counts only grow, so it
+    gives up exactly when the whole closure is over a limit, whatever order
+    it finds the closure in.  So it first grows a floor of ``D`` through
+    edge facts alone, before it derives any fact: a demanded ``(u, A)``
+    demands ``(u, B)`` and, for each edge ``u -a-> w`` with a rule ``B ->
+    a``, ``(w, C)``.  Each floor pair reads its edges once, for these pairs
+    and for its own edge facts, which then start the worklist.  On the
+    benchmark's random ``m = 5n`` graphs the floor alone passes ``n / 8``
+    vertices whenever the probe gives up; on chains and circuit outputs it
+    stays under.  On the benchmark's seed-1 graphs, closures of circuit
+    outputs hold at most 0.26 m facts on 0.19 n vertices (one is over n /
+    8; at seeds 2 and 3 none is over 0.114 n), and those of random d2
+    graphs with a dead source at most 0.004 m facts on 0.03 n.  Chains hold
+    at least 2.2 m facts on all n vertices, other random d2 graphs at least
+    31 m facts on 0.98 n, and undirected dd2 graphs at least 20 m facts:
+    seeding them from ``D`` would save nothing, so the probe stops early on
+    them.
 
     ``index`` is the ``(first, after, heads)`` chains of ``g``
     (:func:`lcreach.graph.edge_ends`), read for the edges leaving a demanded
@@ -491,59 +517,72 @@ def _demand(g: LabeledGraph, nf: NormalForm, root: Fact, index, budget: Optional
     if max_vertices < 1:  # the root's vertex alone is over it
         return None
     (first, after, heads), rules = index, _rules(nf)
-    by_head, by_first, reads = rules.by_head, rules.by_first, rules.reads
+    by_head, by_first, reads, leads, labels = rules.by_head, rules.by_first, rules.reads, rules.leads, g.labels
     rows: list[dict[int, int]] = [{} for _ in reads]  # the bits taken in so far
     users: list[defaultdict[int, list]] = [defaultdict(list) for _ in reads]  # C -> {w: [(u, A)]}
-    fresh: list[tuple[int, int]] = []  # demanded pairs whose rules are not read yet
+    no_leads: list[dict[str, list[int]]] = [{}] * len(reads)
+    u, a = root[0], rules.ids[root[1]]
+    rows[a][u] = 0
+    vertices = {u}
+    fresh = [(u, a)]  # demanded pairs whose rules are not read yet
     work: list[tuple[int, int, int]] = []  # (u, A, bits) to take into a row
-    vertices: set[int] = set()
     facts = 0
 
-    def need(u, a):
-        if u not in rows[a]:
-            rows[a][u] = 0
-            vertices.add(u)
-            fresh.append((u, a))
+    def link(u, a, c, ws):  # row (u, A) takes in the rows (w, C) of the w in ws, now and as they grow
+        row_c, users_c = rows[c], users[c]
+        for w in _bits(ws):
+            bits = row_c.get(w)
+            if bits is None:
+                row_c[w] = 0
+                vertices.add(w)
+                fresh.append((w, c))
+            elif bits:
+                work.append((u, a, bits))
+            users_c[w].append((u, a))
 
-    def link(w, c, u, a):  # row (u, A) takes in row (w, C), now and as it grows
-        need(w, c)
-        users[c][w].append((u, a))
-        if rows[c][w]:
-            work.append((u, a, rows[c][w]))
-
-    need(root[0], rules.ids[root[1]])
     while fresh or work:
-        if facts > max_facts or len(vertices) > max_vertices:
+        if len(vertices) > max_vertices:
             return None
         if fresh:  # a pair's rules are read before any delta, so no delta is linked twice
             u, a = fresh.pop()
-            if reads[a]:
+            own, lead = reads[a], leads[a]
+            if own or lead:
                 bits, k = 0, first[u]
                 while k >= 0:
-                    if g.labels[k >> 1] in reads[a]:
+                    x = labels[k >> 1]
+                    if x in own:
                         bits |= 1 << heads[k]
+                    for c in lead.get(x, ()):  # the floor: an edge fact (u, B, w) demands (w, C)
+                        w, row_c = heads[k], rows[c]
+                        if w not in row_c:
+                            row_c[w] = 0
+                            vertices.add(w)
+                            fresh.append((w, c))
                     k = after[k]
                 if bits:
                     work.append((u, a, bits))
             for b, c in by_head[a]:
-                if u not in rows[b]:
-                    need(u, b)
-                elif rows[b][u]:
-                    for w in _bits(rows[b][u]):
-                        link(w, c, u, a)
+                row_b = rows[b]
+                if u not in row_b:
+                    row_b[u] = 0
+                    fresh.append((u, b))
+                elif row_b[u]:
+                    link(u, a, c, row_b[u])
             continue
+        leads = no_leads  # the floor is whole: later edge facts demand their pairs when taken in
         u, b, bits = work.pop()
-        new = bits & ~rows[b][u]
+        row_b = rows[b]
+        new = bits & ~row_b[u]
         if not new:
             continue
-        rows[b][u] |= new
+        row_b[u] |= new
         facts += new.bit_count()
+        if facts > max_facts:
+            return None
         for ua in users[b].get(u, ()):
             work.append((*ua, new))
-        if by_first[b]:
-            for a, c in [(a, c) for a, c in by_first[b] if u in rows[a]]:
-                for w in _bits(new):
-                    link(w, c, u, a)
+        for a, c in [(a, c) for a, c in by_first[b] if u in rows[a]]:
+            link(u, a, c, new)
     return rows
 
 

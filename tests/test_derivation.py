@@ -48,9 +48,9 @@ def derivation_of(g, nf):
 
 
 @st.composite
-def instances(draw):
-    """A random grammar over "ab", a random small graph over the same labels, and
-    a worklist order for the oracle."""
+def instances(draw, max_n=5):
+    """A random grammar over "ab", a random graph over the same labels on at most
+    ``max_n`` vertices, and a worklist order for the oracle."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     cfg = random_cfg(
         rng, draw(st.integers(1, 4)), draw(st.integers(1, 7)), "ab",
@@ -58,7 +58,7 @@ def instances(draw):
     )
     cfg = Cfg(cfg.nonterminals, frozenset("ab"), cfg.productions, cfg.start)
     kind = draw(st.sampled_from([DIRECTED, UNDIRECTED]))
-    g = random_graph(rng, draw(st.integers(1, 5)), draw(st.integers(0, 9)), "ab",
+    g = random_graph(rng, draw(st.integers(1, max_n)), draw(st.integers(0, 9)), "ab",
                      kind=kind, self_loops=True)
     return g, normalize(cfg), draw(st.sampled_from(["fifo", "lifo"]))
 
@@ -214,12 +214,12 @@ def check_goal_stop(g, nf):
 
 
 @st.composite
-def bracket_graphs(draw):
-    """A random graph for ``d2`` or ``dd2``, directed or undirected."""
+def bracket_graphs(draw, max_n=9):
+    """A random graph for ``d2`` or ``dd2``, directed or undirected, on at most ``max_n`` vertices."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     nf, alphabet = draw(st.sampled_from([(D2_NF, "()[]"), (DD2_NF, "()[]abcd")]))
     kind = draw(st.sampled_from([DIRECTED, UNDIRECTED]))
-    n = draw(st.integers(1, 9))
+    n = draw(st.integers(1, max_n))
     g = random_graph(rng, n, draw(st.integers(0, 5 * n)), alphabet, kind=kind, self_loops=True)
     return g, nf
 
@@ -424,6 +424,22 @@ def check_demand(g, nf):
         assert fact[0] in vertices or round_of(seeded, fact) is None  # or an empty walk
 
 
+def check_demand_decision(g, nf):
+    """Under its own budget, the probe gives up exactly when the root's demand
+    closure is too large: always below 8 vertices, where the root's vertex
+    alone is over ``n / 8``, and otherwise when the full table's closure spans
+    more than ``n / 8`` vertices or its rows hold more than ``m / 3`` facts.
+    Both counts only grow, so the order the probe finds the closure in, edge
+    facts first, cannot move the decision."""
+    root = (g.source, nf.start, g.target)
+    full = cfl_reach_table(g, nf)
+    closure = demand_closure(full, root)
+    n, ids = g.vertex_count, full.facts.ids
+    facts = sum(full.facts.rows[ids[a]][u].bit_count() for u, a in closure)
+    too_large = n < 8 or len({u for u, _ in closure}) > n / 8 or facts > len(g.us) / 3
+    assert (solve._demand(g, nf, root, edge_ends(g)) is None) == too_large
+
+
 @settings(max_examples=300, deadline=None)
 @given(bracket_graphs())
 def test_demand_seeded_fixpoint_on_bracket_graphs(instance):
@@ -435,6 +451,19 @@ def test_demand_seeded_fixpoint_on_bracket_graphs(instance):
 def test_demand_seeded_fixpoint_with_random_grammars(instance):
     g, nf, _ = instance
     check_demand(g, nf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(bracket_graphs(), bracket_graphs(max_n=48)))
+def test_the_probe_gives_up_exactly_when_the_closure_is_too_large(instance):
+    check_demand_decision(*instance)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(instances(), instances(max_n=24)))
+def test_the_probe_decision_with_random_grammars(instance):
+    g, nf, _ = instance
+    check_demand_decision(g, nf)
 
 
 def test_a_circuit_output_takes_the_demand_path():

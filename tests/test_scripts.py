@@ -56,7 +56,7 @@ def test_bench_writes_io_rows_at_a_tiny_size(bench_runs):
     assert list(counters) == [
         *(("cfl-saturate", layer) for layer in [
             *io, "reductions.d2-to-dd2", "reductions.parse_circuit", "reductions.mcvp-to-d2",
-            "solve.cfl", "solve.fixpoint", "solve.witness", "solve.check",
+            "solve.cfl", "solve.fixpoint", "solve.demand", "solve.witness", "solve.check",
         ]),
         *(("enum-mix", layer) for layer in [
             *io, "reductions.parse_vc", "reductions.vc-to-a", "reductions.reach-to-abstar",
@@ -64,7 +64,7 @@ def test_bench_writes_io_rows_at_a_tiny_size(bench_runs):
         ]),
         *(("certify-pipeline", layer) for layer in [
             *io, "reductions.parse_circuit", "reductions.mcvp-to-d2", "reductions.nbc-to-d2",
-            "solve.cfl", "solve.fixpoint", "solve.witness", "solve.check",
+            "solve.cfl", "solve.fixpoint", "solve.demand", "solve.witness", "solve.check",
         ]),
     ]
     # a solve row sums the counters of its mode's reports
@@ -77,6 +77,7 @@ def test_bench_writes_io_rows_at_a_tiny_size(bench_runs):
         "solve.tree": {"errors"},
         "solve.witness": {"nodes"},
         "solve.check": {"nodes"},
+        "solve.demand": {"gave_up"},
     }
     for row in rows:
         assert set(row) == {"workload", "layer", "seconds", "counters", "peak_rss"}
@@ -101,13 +102,16 @@ def test_bench_times_every_solve_mode_at_a_tiny_size(bench_runs):
         layers = {layer: c for (w, layer), c in counters.items() if w == workload}
         (edges,) = {c["edges"] for layer, c in layers.items() if layer.startswith("graph.")}
         # every graph is solved once, by the runner of its operation's mode
-        derived = ("solve.fixpoint", "solve.witness", "solve.check")
+        derived = ("solve.fixpoint", "solve.demand", "solve.witness", "solve.check")
         runners = [c for layer, c in layers.items() if layer.startswith("solve.") and layer not in derived]
         assert runners and sum(c["edges"] for c in runners) == edges
     goal, full = counters["cfl-saturate", "solve.cfl"], counters["cfl-saturate", "solve.fixpoint"]
     # the goal-stopped tables are parts of the full ones
     assert goal["facts"] >= goal["row_deltas"] > 0 and full["facts"] >= full["row_deltas"] > 0
     assert full["facts"] >= goal["facts"] and full["calls"] == goal["calls"]
+    # the probe runs on the goals whose target is not dead, and gives up on some
+    probed = counters["cfl-saturate", "solve.demand"]
+    assert 0 < probed["gave_up"] <= probed["calls"] <= goal["calls"]
     # one derivation per reachable operation, each at least its root
     rebuilt = counters["cfl-saturate", "solve.witness"]
     assert 0 < rebuilt["calls"] <= goal["calls"] and rebuilt["nodes"] >= rebuilt["calls"]
